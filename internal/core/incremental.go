@@ -112,6 +112,7 @@ type IncrementalExtractor struct {
 
 	fcache endFloodCache
 	uspan  *obs.Span // active Update span (nil outside Update)
+	sspan  *obs.Span // active update.* stage span (nil between stages)
 	last   UpdateStats
 	valid  bool
 }
@@ -354,8 +355,23 @@ func (ix *IncrementalExtractor) observe() {
 	}
 }
 
+// stage closes the open update stage span, if any, and opens the named
+// child of the Update span. Without a tracer both spans are nil and this is
+// two nil checks.
+func (ix *IncrementalExtractor) stage(name string) {
+	ix.endStage()
+	ix.sspan = ix.uspan.StartSpan(name)
+}
+
+// endStage closes the open update stage span with the given attributes.
+func (ix *IncrementalExtractor) endStage(attrs ...obs.Attr) {
+	ix.sspan.End(attrs...)
+	ix.sspan = nil
+}
+
 // fallback records the reason and runs the full path.
 func (ix *IncrementalExtractor) fallback(reason string) (*Result, error) {
+	ix.endStage()
 	ix.last.Fallback = true
 	ix.last.FallbackReason = reason
 	ix.uspan.Event("update.fallback", obs.Str("reason", reason))
@@ -382,6 +398,9 @@ func (ix *IncrementalExtractor) update(flipped, newlyDead, patched []int32) (*Re
 	p := ix.p
 	sc := &e.inc
 
+	// ---- identify: dirty rings, ball rows, index fields ----
+
+	ix.stage("update.identify")
 	// Dirty-region horizon: base-graph (pre-churn superset) BFS from the
 	// flipped nodes. Every quantity recomputed below changes only within a
 	// bounded base-distance of a flip — see DESIGN.md for the per-ring
@@ -412,8 +431,6 @@ func (ix *IncrementalExtractor) update(flipped, newlyDead, patched []int32) (*Re
 		}
 	}
 
-	// ---- identify: patch ball rows, index fields and election flags ----
-
 	// Ball rows within maxR of a flip.
 	srcs := sc.srcs[:0]
 	for _, v := range queue {
@@ -443,7 +460,6 @@ func (ix *IncrementalExtractor) update(flipped, newlyDead, patched []int32) (*Re
 		ix.khop[v] = e.balls[v][ix.kEff-1]
 	}
 	sc.srcs = srcs
-	ix.uspan.Event("update.rings", obs.Int("balls", len(srcs)), obs.Int("horizon", horizon))
 
 	// The saturation guards are global order statistics; if either radius
 	// would resolve differently on the mutated graph, the whole field needs
@@ -515,6 +531,13 @@ func (ix *IncrementalExtractor) update(flipped, newlyDead, patched []int32) (*Re
 		})
 	}
 
+	if ix.sspan != nil {
+		ix.endStage(obs.Int("balls", len(srcs)), obs.Int("horizon", horizon))
+	}
+
+	// ---- election ----
+
+	ix.stage("update.election")
 	// Re-elect within maxR+L+scope of a flip (index values an election
 	// reads live one scope-ball away from the last changed index).
 	elist := wlist
@@ -574,11 +597,14 @@ func (ix *IncrementalExtractor) update(flipped, newlyDead, patched []int32) (*Re
 		}
 	}
 	sc.addS, sc.rmS = addS, rmS
-	ix.uspan.Event("update.election", obs.Int("sites", len(newSites)),
-		obs.Int("gained", len(addS)), obs.Int("lost", len(rmS)))
+	if ix.sspan != nil {
+		ix.endStage(obs.Int("sites", len(newSites)),
+			obs.Int("gained", len(addS)), obs.Int("lost", len(rmS)))
+	}
 
 	// ---- voronoi: fixpoint repair over the dirty region ----
 
+	ix.stage("update.voronoi")
 	ncell := make([]int32, n)
 	copy(ncell, ix.cellOf)
 	ndist := make([]int32, n)
@@ -706,11 +732,14 @@ func (ix *IncrementalExtractor) update(flipped, newlyDead, patched []int32) (*Re
 	ix.last.DirtyFraction = float64(len(r.list)) / float64(n)
 	ix.last.RepairedCells = len(r.rs)
 	ix.last.Attempts = r.attempts
-	ix.uspan.Event("update.repair", obs.Int("dirty", len(r.list)),
-		obs.Int("cells", len(r.rs)), obs.Int("attempts", r.attempts))
+	if ix.sspan != nil {
+		ix.endStage(obs.Int("dirty", len(r.list)),
+			obs.Int("cells", len(r.rs)), obs.Int("attempts", r.attempts))
+	}
 
 	// ---- coarse: splice repaired pairs into the retained edge list ----
 
+	ix.stage("update.coarse")
 	// Special-node lists by merge-diff: clean record rows are shared with the
 	// previous result, so only the dirty nodes can change class; splicing
 	// their re-derived memberships into the previous sorted lists reproduces
@@ -720,10 +749,14 @@ func (ix *IncrementalExtractor) update(flipped, newlyDead, patched []int32) (*Re
 	sc.ds = ds
 	segNodes := spliceClassList(ix.prev.SegmentNodes, ds, func(v int32) bool { return len(nrec[v]) >= 2 })
 	vorNodes := spliceClassList(ix.prev.VoronoiNodes, ds, func(v int32) bool { return len(nrec[v]) >= 3 })
-	edges, coarseSkel := ix.spliceCoarse(nrec, distD, wring, r.list)
+	edges, coarseSkel, reused := ix.spliceCoarse(nrec, distD, wring, r.list)
+	if ix.sspan != nil {
+		ix.endStage(obs.Int("edges", len(edges)), obs.Int("reused", reused))
+	}
 
 	// ---- refine: loop classification with cached end floods ----
 
+	ix.stage("update.refine")
 	w := e.newRefiner(p, ix.index, nrec, ncell)
 	w.fcache = &ix.fcache
 	ix.fcache.notePatched(patched)
@@ -740,7 +773,9 @@ func (ix *IncrementalExtractor) update(flipped, newlyDead, patched []int32) (*Re
 
 	// ---- boundary ----
 
+	ix.stage("update.boundary")
 	boundary := e.boundaryByProduct(ix.khop)
+	ix.endStage()
 
 	// ---- assemble and persist ----
 
@@ -787,8 +822,9 @@ func (ix *IncrementalExtractor) update(flipped, newlyDead, patched []int32) (*Re
 // and band end nodes. Ring membership: a pair is dirty when any segment node
 // is voronoi-dirty or within the index ring (which covers the two-hop
 // adjacency reads of the band end-node sweep, since wring >= 2), or when any
-// node of the retained path has repaired records.
-func (ix *IncrementalExtractor) spliceCoarse(nrec [][]SiteDist, distD []int32, wring int, dirtyList []int32) ([]SiteEdge, *Skeleton) {
+// node of the retained path has repaired records. It also returns how many
+// SiteEdges it reused.
+func (ix *IncrementalExtractor) spliceCoarse(nrec [][]SiteDist, distD []int32, wring int, dirtyList []int32) ([]SiteEdge, *Skeleton, int) {
 	e := ix.e
 	g := e.g
 	sc := &e.inc
@@ -869,8 +905,7 @@ func (ix *IncrementalExtractor) spliceCoarse(nrec [][]SiteDist, distD []int32, w
 			SegmentCount: len(segs),
 		})
 	}
-	ix.uspan.Event("update.splice", obs.Int("edges", len(edges)), obs.Int("reused", reused))
-	return edges, skel
+	return edges, skel, reused
 }
 
 // patchTuples maintains the sorted (pair, segment node) tuple array the
@@ -1011,6 +1046,10 @@ type incScratch struct {
 	fstamp    []int32   // per-site flood stamps
 	checked   []int32   // parent-pass dedup stamps
 	smark     []int32   // repair-site dedup stamps
+	sslot     []int32   // repair-site injection slot (valid where smark is current)
+	injOff    []int32   // per-slot offsets into injV/injD
+	injV      []int32   // boundary injection nodes, grouped by slot
+	injD      []int32   // boundary injection distances, parallel to injV
 	epoch     int32     // shared stamp epoch
 	bv, bu    []int32   // dirty-boundary edge list (dirty node, clean neighbor)
 	rs        []int32   // sites to re-flood
@@ -1035,6 +1074,7 @@ func (s *incScratch) ensure(n int) {
 	s.fstamp = growInt32s(s.fstamp, n)
 	s.checked = growInt32s(s.checked, n)
 	s.smark = growInt32s(s.smark, n)
+	s.sslot = growInt32s(s.sslot, n)
 	s.rmMark = growBools(s.rmMark, n)
 	if s.epoch > 1<<30 {
 		// Stamp wrap: epochs are shared across updates; reset well before
@@ -1047,9 +1087,12 @@ func (s *incScratch) ensure(n int) {
 }
 
 // vrepair is the voronoi fixpoint repair of one update. All BFS passes are
-// serial — dirty regions are small by construction — and every distance
-// queue is a dial (bucket) queue, so mixed-depth boundary injections settle
-// in exact distance order.
+// serial and every distance queue is a dial (bucket) queue, so mixed-depth
+// boundary injections settle in exact distance order. The dirty region is
+// not necessarily small (100-node batches dirty ~16% of a 10^5 field), so
+// each attempt is kept linear in the dirty nodes and boundary records:
+// collectSites indexes the injections per site once, and no pass rescans
+// the boundary list per site.
 type vrepair struct {
 	g     *graph.Graph
 	alpha int32
@@ -1174,25 +1217,55 @@ func (r *vrepair) collectBoundary() {
 // region: dirty sites plus every site recorded at a clean node bordering a
 // dirty one (slack monotonicity makes those records sufficient seeds; the
 // ascending order reproduces the full path's per-node record order).
+//
+// The same walk over the boundary records indexes each site's flood
+// injections: slot k (assigned in discovery order, sslot[site]) owns
+// entries injOff[k]..injOff[k+1]-1 of injV/injD, the (dirty node, clean
+// record distance + 1) pairs of its boundary edges in boundary-list order.
+// repairSite reads only its own slice, so seeding every flood of an attempt
+// costs O(boundary records) in total.
 func (r *vrepair) collectSites() {
 	sc := r.sc
 	sc.epoch++
 	ep := sc.epoch
 	r.rs = sc.rs[:0]
+	off := append(sc.injOff[:0], 0)
+	claim := func(s int32) int32 {
+		if sc.smark[s] != ep {
+			sc.smark[s] = ep
+			sc.sslot[s] = int32(len(r.rs))
+			r.rs = append(r.rs, s)
+			off = append(off, 0)
+		}
+		return sc.sslot[s]
+	}
 	for _, s := range r.sites {
 		if r.dirty[s] {
-			sc.smark[s] = ep
-			r.rs = append(r.rs, s)
+			claim(s)
 		}
 	}
 	for _, u := range sc.bu {
 		for _, rec := range r.prevRec[u] {
-			if sc.smark[rec.Site] != ep {
-				sc.smark[rec.Site] = ep
-				r.rs = append(r.rs, rec.Site)
-			}
+			off[claim(rec.Site)+1]++
 		}
 	}
+	for k := 1; k < len(off); k++ {
+		off[k] += off[k-1]
+	}
+	// Fill with off[k] as slot k's cursor; afterwards off[k] holds slot k's
+	// end, so shifting one place restores the start offsets.
+	total := int(off[len(off)-1])
+	injV, injD := growInt32s(sc.injV, total), growInt32s(sc.injD, total)
+	for i, u := range sc.bu {
+		for _, rec := range r.prevRec[u] {
+			k := sc.sslot[rec.Site]
+			injV[off[k]], injD[off[k]] = sc.bv[i], rec.D+1
+			off[k]++
+		}
+	}
+	copy(off[1:], off[:len(off)-1])
+	off[0] = 0
+	sc.injOff, sc.injV, sc.injD = off, injV, injD
 	sort.Slice(r.rs, func(i, j int) bool { return r.rs[i] < r.rs[j] })
 	sc.rs = r.rs
 }
@@ -1215,10 +1288,9 @@ func (r *vrepair) repairSite(s int32) {
 	if r.dirty[s] && r.ndist[s] != graph.Unreachable {
 		r.push(s, 0)
 	}
-	for i, v := range sc.bv {
-		if rec, ok := recordFor(r.prevRec, sc.bu[i], s); ok {
-			r.push(v, rec.D+1)
-		}
+	k := sc.sslot[s]
+	for j := sc.injOff[k]; j < sc.injOff[k+1]; j++ {
+		r.push(sc.injV[j], sc.injD[j])
 	}
 	fq := sc.fqueueBuf[:0]
 	for d := int32(0); int(d) < len(sc.buckets); d++ {

@@ -174,6 +174,45 @@ func TestIncrementalSmallBatchesStayIncremental(t *testing.T) {
 	}
 }
 
+// TestIncrementalFailRestoreStream: the steady-state stream shape of the
+// churn benchmarks at a size where repairs span dozens of cells and need
+// several fixpoint attempts — each step fails ten fresh nodes and restores
+// the previous ten on a ~10^4-node field. Every step must stay on the repair
+// path and match a from-scratch extraction bit for bit, and the stream must
+// exercise the multi-attempt fixpoint at least once.
+func TestIncrementalFailRestoreStream(t *testing.T) {
+	g := nettest.Grid("window", 10_000, 7, 1).Graph
+	p := DefaultParams()
+	ix, err := NewIncrementalExtractor(g, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := &churnPlan{state: 1}
+	var prev []int32
+	maxAttempts := 0
+	for step := 0; step < 8; step++ {
+		batch := plan.pickAlive(g, 10)
+		got, err := ix.Update(batch, prev)
+		if err != nil {
+			t.Fatalf("step %d: Update: %v", step, err)
+		}
+		prev = batch
+		u := ix.LastUpdate()
+		if u.Fallback {
+			t.Fatalf("step %d: fell back (%s)", step, u.FallbackReason)
+		}
+		maxAttempts = max(maxAttempts, u.Attempts)
+		want, err := NewExtractor(g).Extract(p)
+		if err != nil {
+			t.Fatalf("step %d: reference extract: %v", step, err)
+		}
+		requireEqualResults(t, nameStep("window-10k", step, ix), got, want)
+	}
+	if maxAttempts < 2 {
+		t.Fatalf("no step needed more than one repair attempt (max %d)", maxAttempts)
+	}
+}
+
 // TestIncrementalFallbackTrigger: removing a third of the network in one
 // batch must exceed DirtyFallback and trigger the full-extraction fallback —
 // and the result must still be bit-identical to the reference.

@@ -45,7 +45,7 @@ func (k Kernel) String() string {
 // one bit of a machine word per source.
 const msbfsBatch = 64
 
-// smallSourceFactor gates the arbitrary-source batch helpers: below
+// smallSourceFactor gates the arbitrary-source BatchBallSizesInto: below
 // N/smallSourceFactor sources, per-source walker sweeps beat the MS-BFS
 // batches even on frozen graphs (both paths produce identical values).
 const smallSourceFactor = 16
@@ -383,37 +383,6 @@ func (g *Graph) BatchBallSizesInto(k int, sources []int32, rows [][]int, acquire
 				row[r] += row[r-1]
 			}
 		}
-	})
-}
-
-// BatchWeightedSums computes, for each source, the sum of weight[u] over all
-// u in N_k(source) (excluding the source itself) into out[i]. This is
-// BallWeightedSumsInto over an arbitrary source set — the incremental
-// extractor re-derives the centrality sums of dirty nodes with it. Exact
-// per source under both kernels.
-func (g *Graph) BatchWeightedSums(k int, sources []int32, weight []int, out []int, acquire func() *Walker, release func(*Walker)) {
-	if len(sources) == 0 {
-		return
-	}
-	if !g.frozen || len(sources)*smallSourceFactor < g.N() {
-		ParallelRange(g, len(sources), acquire, release, func(w *Walker, i int) {
-			sum := 0
-			w.Walk(int(sources[i]), k, func(u, _ int32) { sum += weight[u] })
-			out[i] = sum
-		})
-		return
-	}
-	batches := (len(sources) + msbfsBatch - 1) / msbfsBatch
-	ParallelRange(g, batches, acquire, release, func(w *Walker, b int) {
-		lo := b * msbfsBatch
-		hi := lo + msbfsBatch
-		if hi > len(sources) {
-			hi = len(sources)
-		}
-		var wbuf [msbfsBatch]int
-		wb := wbuf[:hi-lo]
-		w.runBatch(k, sources[lo:hi], nil, weight, wb)
-		copy(out[lo:hi], wb)
 	})
 }
 
