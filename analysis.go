@@ -78,34 +78,6 @@ func DetectBoundary(net *Network) *BoundaryResult {
 	return boundary.Detect(net.Graph, boundary.Options{})
 }
 
-// RunMAP extracts a medial axis with the MAP baseline from a detected
-// boundary. It is a thin wrapper over the backend registry.
-//
-// Deprecated: call ExtractBackend(net, "map", BackendParams{Boundary:
-// StaticBoundary(b)}) and use the canonical BackendResult; the native
-// *MAPResult stays available as BackendResult.Native.
-func RunMAP(net *Network, b *BoundaryResult) *MAPResult {
-	res, _, err := ExtractBackend(net, "map", BackendParams{Boundary: StaticBoundary(b)})
-	if err != nil {
-		return nil
-	}
-	return res.Native.(*MAPResult)
-}
-
-// RunCASE extracts a skeleton with the CASE baseline from a detected
-// boundary. It is a thin wrapper over the backend registry.
-//
-// Deprecated: call ExtractBackend(net, "case", BackendParams{Boundary:
-// StaticBoundary(b)}) and use the canonical BackendResult; the native
-// *CASEResult stays available as BackendResult.Native.
-func RunCASE(net *Network, b *BoundaryResult) *CASEResult {
-	res, _, err := ExtractBackend(net, "case", BackendParams{Boundary: StaticBoundary(b)})
-	if err != nil {
-		return nil
-	}
-	return res.Native.(*CASEResult)
-}
-
 // RunProtocolPhases runs phases 1-2 as true message-passing node programs
 // on the simulated network and reports transmissions and rounds; to match a
 // centralized run, pass its effective radii (Result.EffectiveK /

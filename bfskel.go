@@ -80,19 +80,6 @@ type (
 	Graph = graph.Graph
 	// RadioModel decides link existence from distance.
 	RadioModel = radio.Model
-	// FloodKernel selects the BFS implementation behind the pipeline's
-	// all-sources flooding passes (Params.FloodKernel).
-	FloodKernel = graph.Kernel
-)
-
-// Flood-kernel choices for Params.FloodKernel. KernelAuto (the zero value)
-// cuts over to the bit-parallel multi-source BFS kernel on large frozen
-// graphs and keeps the per-node walker otherwise; the explicit values force
-// one path. Results are identical across kernels.
-const (
-	KernelAuto    = graph.KernelAuto
-	KernelWalker  = graph.KernelWalker
-	KernelBatched = graph.KernelBatched
 )
 
 // Re-exported radio models.

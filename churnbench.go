@@ -118,9 +118,6 @@ func RunChurnBench(cfg ChurnBenchConfig) ([]ChurnRow, error) {
 			Shape: cfg.Shape, N: cfg.N, Nodes: net.N(), AvgDeg: net.AvgDegree(),
 			Rate: rate, Batches: cfg.Batches, FullExtractMs: fullMs,
 		}
-		if st := s.Result().Stats; st != nil {
-			row.Kernel = st.FloodKernel
-		}
 		size := int(rate*float64(net.N()) + 0.5)
 		if size < 1 {
 			size = 1

@@ -17,7 +17,7 @@
 //	skelbench -obs 127.0.0.1:0          # serve the live observability plane
 //	                                    # (/metrics /runs /trace /profile /debug/pprof)
 //	skelbench -obs :6060 -obs-wait      # keep serving after the run, until interrupted
-//	skelbench -scorecard card.json -compare BENCH_pr7.json  # delta vs a checked-in baseline
+//	skelbench -scorecard card.json                      # cross-backend scorecard as JSON
 //	skelbench -ladder 10000,100000,1000000              # scale ladder: build/extract wall time + peak RSS per size
 //	skelbench -ladder 100000 -ladder-ceiling 120 -ladder-out ladder.json  # CI capacity gate
 package main
@@ -71,16 +71,11 @@ func run() error {
 		metricsOn = flag.Bool("metrics", false, "dump Prometheus-text metrics on exit")
 		obsAddr   = flag.String("obs", "", "serve the live observability plane on this address (e.g. 127.0.0.1:0): /metrics, /runs, /trace, /profile, /healthz, /debug/pprof")
 		obsWait   = flag.Bool("obs-wait", false, "with -obs: keep serving after the run completes, until interrupted")
-		pprofAddr = flag.String("pprof", "", "deprecated alias for -obs (the obs server includes /debug/pprof)")
 		engine    = flag.String("engine", "", "force the simnet round engine for the protocol phases: serial or parallel (empty = auto)")
 		scorePath = flag.String("scorecard", "", "run the cross-backend scorecard instead of the figures and write it as JSON to this path")
 		backends  = flag.String("backends", "bfskel,map,case,localsep", "comma-separated skeleton backends for -scorecard")
 		shapesF   = flag.String("shapes", "window,twoholes,spiral", "comma-separated shapes for -scorecard")
 		nOverride = flag.Int("n", 0, "override the node count of every -scorecard scenario (0 = per-shape paper defaults)")
-		comparePt = flag.String("compare", "", "compare against a checked-in baseline (BENCH_prN.json, scorecard or figure report) and print a delta report")
-		tolerance = flag.Float64("tolerance", 0.30, "fractional regression tolerance for -compare (0.30 = flag >30% growth)")
-		cmpOut    = flag.String("compare-out", "", "also write the -compare delta report as JSON to this path")
-		cmpStrict = flag.Bool("compare-strict", false, "exit non-zero when -compare finds regressions")
 		ladderF   = flag.String("ladder", "", "comma-separated node counts for the scale ladder (e.g. 10000,100000,1000000); with -scorecard the rungs embed in the scorecard JSON")
 		ladderSh  = flag.String("ladder-shape", "window", "deployment field for -ladder rungs")
 		ladderDeg = flag.Float64("ladder-deg", 7, "target average degree for -ladder rungs")
@@ -106,13 +101,6 @@ func run() error {
 		}
 	default:
 		return fmt.Errorf("unknown -engine %q (want serial or parallel)", *engine)
-	}
-
-	if *pprofAddr != "" {
-		fmt.Fprintln(os.Stderr, "skelbench: -pprof is deprecated; use -obs (same address, pprof included)")
-		if *obsAddr == "" {
-			*obsAddr = *pprofAddr
-		}
 	}
 
 	var traceSink *bfskel.JSONLSink
@@ -147,13 +135,6 @@ func run() error {
 		}
 	}
 
-	compare := func(current []bfskel.BenchCell) error {
-		if *comparePt == "" {
-			return nil
-		}
-		return runCompare(*comparePt, current, *tolerance, *cmpOut, *cmpStrict)
-	}
-
 	// The ladder runs after any scorecard measurement: the 10^6-node rung
 	// leaves a multi-hundred-MB heap behind, which would skew the GC-heavy
 	// backends' wall times if it ran first.
@@ -173,7 +154,7 @@ func run() error {
 	}
 
 	if *scorePath != "" {
-		return runScorecard(*scorePath, *backends, *shapesF, *nOverride, *seed, ladderFn, churnFn, ob, *metricsOn, compare)
+		return runScorecard(*scorePath, *backends, *shapesF, *nOverride, *seed, ladderFn, churnFn, ob, *metricsOn)
 	}
 	standalone := false
 	if *ladderF != "" {
@@ -209,13 +190,6 @@ func run() error {
 			fmt.Println(" ", r)
 		}
 		rep.Figures = append(rep.Figures, figureDump{Figure: f, Rows: rows})
-	}
-	var cells []bfskel.BenchCell
-	for _, f := range rep.Figures {
-		cells = append(cells, bfskel.BenchCellsFromRows(f.Figure, f.Rows)...)
-	}
-	if err := compare(cells); err != nil {
-		return err
 	}
 	if ob.Metrics != nil {
 		snap := ob.Metrics.Snapshot()
@@ -355,7 +329,7 @@ func runChurn(rateList, shape string, n int, deg float64, batches int, seed int6
 // runScorecard drives the cross-backend comparison: every named backend
 // over every named shape through the facade's quality harness, printed as
 // an aligned table and written as machine-readable JSON.
-func runScorecard(path, backendList, shapeList string, nOverride int, seed int64, ladderFn func() ([]bfskel.LadderRung, error), churnFn func() ([]bfskel.ChurnRow, error), ob bfskel.ObsScope, metricsOn bool, compare func([]bfskel.BenchCell) error) error {
+func runScorecard(path, backendList, shapeList string, nOverride int, seed int64, ladderFn func() ([]bfskel.LadderRung, error), churnFn func() ([]bfskel.ChurnRow, error), ob bfskel.ObsScope, metricsOn bool) error {
 	defaults := map[string]struct {
 		n   int
 		deg float64
@@ -423,41 +397,8 @@ func runScorecard(path, backendList, shapeList string, nOverride int, seed int64
 		return err
 	}
 	fmt.Println("wrote", path)
-	if err := compare(bfskel.BenchCellsFromScorecard(card)); err != nil {
-		return err
-	}
 	if metricsOn {
 		return ob.Metrics.WritePrometheus(os.Stdout)
-	}
-	return nil
-}
-
-// runCompare diffs the just-measured cells against a checked-in baseline
-// (scorecard or figure report) and prints the delta table. Regressions only
-// fail the run under -compare-strict; by default they surface in the log.
-func runCompare(path string, current []bfskel.BenchCell, tolerance float64, outPath string, strict bool) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("-compare: %w", err)
-	}
-	baseline, format, err := bfskel.ParseBenchBaseline(data)
-	if err != nil {
-		return fmt.Errorf("-compare %s: %w", path, err)
-	}
-	d := bfskel.CompareBenchCells(baseline, current, path, tolerance)
-	fmt.Printf("baseline %s (%s format)\n%s\n", path, format, d)
-	if outPath != "" {
-		j, err := json.MarshalIndent(d, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(outPath, append(j, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Println("wrote", outPath)
-	}
-	if strict && d.Regressions > 0 {
-		return fmt.Errorf("-compare-strict: %d regressed rows vs %s (tolerance %+.0f%%)", d.Regressions, path, tolerance*100)
 	}
 	return nil
 }

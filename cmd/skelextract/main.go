@@ -49,16 +49,8 @@ func run() error {
 		tracePath = flag.String("trace", "", "write a structured span/event trace as JSONL")
 		metricsOn = flag.Bool("metrics", false, "dump Prometheus-text metrics on exit")
 		obsAddr   = flag.String("obs", "", "serve the live observability plane on this address (e.g. 127.0.0.1:0): /metrics, /runs, /trace, /profile, /healthz, /debug/pprof")
-		pprofAddr = flag.String("pprof", "", "deprecated alias for -obs (the obs server includes /debug/pprof)")
 	)
 	flag.Parse()
-
-	if *pprofAddr != "" {
-		fmt.Fprintln(os.Stderr, "skelextract: -pprof is deprecated; use -obs (same address, pprof included)")
-		if *obsAddr == "" {
-			*obsAddr = *pprofAddr
-		}
-	}
 
 	var traceSink *bfskel.JSONLSink
 	if *tracePath != "" {

@@ -47,8 +47,17 @@ func run() error {
 	fmt.Printf("dedicated detector:  %d nodes, precision %.2f, recall %.2f, %d cycles\n",
 		len(b.Nodes), prec, rec, len(b.Cycles))
 
-	mres := bfskel.RunMAP(net, b)
-	cres := bfskel.RunCASE(net, b)
+	bp := bfskel.BackendParams{Boundary: bfskel.StaticBoundary(b)}
+	mout, _, err := bfskel.ExtractBackend(net, "map", bp)
+	if err != nil {
+		return err
+	}
+	cout, _, err := bfskel.ExtractBackend(net, "case", bp)
+	if err != nil {
+		return err
+	}
+	mres := mout.Native.(*bfskel.MAPResult)
+	cres := cout.Native.(*bfskel.CASEResult)
 	fmt.Printf("\nwith this boundary as input:\n")
 	fmt.Printf("  MAP  medial axis: %d nodes\n", len(mres.MedialNodes))
 	fmt.Printf("  CASE skeleton:    %d nodes (%d boundary branches)\n", len(cres.SkeletonNodes), cres.NumBranches)
@@ -71,10 +80,13 @@ func run() error {
 			added++
 		}
 	}
-	mNoisy := bfskel.RunMAP(net, noisy)
+	mNoisy, _, err := bfskel.ExtractBackend(net, "map", bfskel.BackendParams{Boundary: bfskel.StaticBoundary(noisy)})
+	if err != nil {
+		return err
+	}
 	fmt.Printf("\nafter injecting %d fake boundary nodes:\n", added)
 	fmt.Printf("  MAP  medial axis: %d -> %d nodes (boundary-noise sensitivity)\n",
-		len(mres.MedialNodes), len(mNoisy.MedialNodes))
+		len(mres.MedialNodes), len(mNoisy.Native.(*bfskel.MAPResult).MedialNodes))
 	fmt.Printf("  ours: unchanged — the pipeline never consumes boundary input\n")
 	return nil
 }

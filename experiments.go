@@ -558,16 +558,25 @@ func runBaselines(seed int64, ob ObsScope) ([]ExperimentRow, error) {
 			added++
 		}
 	}
-	mNoisy := RunMAP(net, noisy)
-	cNoisy := RunCASE(net, noisy)
+	bn := BackendParams{Boundary: StaticBoundary(noisy)}
+	mNoisy, _, err := ExtractBackend(net, "map", bn)
+	if err != nil {
+		return nil, err
+	}
+	cNoisy, _, err := ExtractBackend(net, "case", bn)
+	if err != nil {
+		return nil, err
+	}
+	mNoisyNodes := mNoisy.Native.(*MAPResult).MedialNodes
+	cNoisyNodes := cNoisy.Native.(*CASEResult).SkeletonNodes
 	rows = append(rows, ExperimentRow{
 		Figure: "baselines", Scenario: "noise-inflation",
 		N: net.N(), AvgDeg: net.AvgDegree(),
 		Notes: fmt.Sprintf("map %d->%d nodes (+%.0f%%), case %d->%d (+%.0f%%), ours unaffected (no boundary input)",
-			len(mres.MedialNodes), len(mNoisy.MedialNodes),
-			inflation(len(mres.MedialNodes), len(mNoisy.MedialNodes)),
-			len(cres.SkeletonNodes), len(cNoisy.SkeletonNodes),
-			inflation(len(cres.SkeletonNodes), len(cNoisy.SkeletonNodes))),
+			len(mres.MedialNodes), len(mNoisyNodes),
+			inflation(len(mres.MedialNodes), len(mNoisyNodes)),
+			len(cres.SkeletonNodes), len(cNoisyNodes),
+			inflation(len(cres.SkeletonNodes), len(cNoisyNodes))),
 	})
 	return rows, nil
 }

@@ -181,10 +181,19 @@ func TestAnalysisWrappers(t *testing.T) {
 	if len(b.Nodes) == 0 {
 		t.Error("no boundary detected")
 	}
-	if m := RunMAP(net, b); len(m.MedialNodes) == 0 {
+	bp := BackendParams{Boundary: StaticBoundary(b)}
+	m, _, err := ExtractBackend(net, "map", bp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Native.(*MAPResult).MedialNodes) == 0 {
 		t.Error("MAP found nothing")
 	}
-	if c := RunCASE(net, b); len(c.SkeletonNodes) == 0 {
+	c, _, err := ExtractBackend(net, "case", bp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Native.(*CASEResult).SkeletonNodes) == 0 {
 		t.Error("CASE found nothing")
 	}
 	d, err := RunProtocolPhases(net, res.EffectiveK, res.Params.L, res.EffectiveScope, res.Params.Alpha)

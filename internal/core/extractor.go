@@ -55,12 +55,10 @@ type Extractor struct {
 	// Reusable scratch; none of it escapes into results.
 	ballsFlat []int                 // n*maxR cumulative ball sizes (identify)
 	balls     [][]int               // row views into ballsFlat
-	wsums     []int                 // batched-kernel centrality sums (identify)
+	wsums     []int                 // centrality sums (identify)
 	ints      []int                 // median / boundary sort scratch
 	bools     []bool                // electSites maximality flags
 	visitLog  graph.VisitLog        // identify: recorded ball flood for centrality replay
-	vorDist   []int32               // voronoi: per-site BFS distances
-	vorStamp  []int32               // voronoi: visit stamps
 	vorQueue  []int32               // voronoi: BFS queue / dmin frontier
 	vorQueue2 []int32               // voronoi: dmin next frontier (parallel pass)
 	vorRank   []int32               // voronoi: node -> Z-curve rank for site batching
@@ -297,7 +295,7 @@ func (voronoiStage) name() string { return "voronoi" }
 
 func (voronoiStage) run(rs *runState) error {
 	rs.res.CellOf, rs.res.DistToSite, rs.res.Records =
-		rs.e.voronoi(rs.res.Sites, rs.p.Alpha, rs.p.FloodKernel, rs.stats)
+		rs.e.voronoi(rs.res.Sites, rs.p.Alpha, rs.stats)
 	return nil
 }
 
@@ -341,17 +339,6 @@ func (boundaryStage) run(rs *runState) error {
 	rs.res.Boundary = rs.e.boundaryByProduct(rs.res.KHopSize)
 	rs.stats.BoundaryNodes = len(rs.res.Boundary)
 	return nil
-}
-
-// floodKernel resolves a kernel request for a flood of radius k and, when
-// the batched kernel is chosen, freezes the graph up front — Freeze mutates
-// the graph and must never run inside parallel workers.
-func (e *Extractor) floodKernel(req graph.Kernel, k int) graph.Kernel {
-	kern := e.g.ResolveKernel(req, k)
-	if kern == graph.KernelBatched {
-		e.g.Freeze()
-	}
-	return kern
 }
 
 // Scratch growth helpers: keep capacity, reallocate only when the bound

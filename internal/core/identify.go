@@ -40,21 +40,10 @@ func identify(g *graph.Graph, p Params) (khop []int, cent []float64, index []flo
 func (e *Extractor) identify(p Params, st *Stats) (khop []int, cent []float64, index []float64, sites []int32, kEff, scopeEff int) {
 	g := e.g
 	n := g.N()
-	maxR := p.K
-	if s := p.Scope(); s > maxR {
-		maxR = s
-	}
-	kern := g.ResolveKernel(p.FloodKernel, maxR)
-	if kern == graph.KernelBatched && p.L > maxR {
-		// The batched centrality path reads |N_L| off the ball matrix
-		// instead of counting during the walk, so the matrix must reach L.
-		maxR = p.L
-	}
-	if st != nil {
-		st.FloodKernel = kern.String()
-	}
-	e.event("kernel", obs.Str("flood", kern.String()))
-	balls := e.ballSizes(kern, maxR, p.L)
+	// The centrality pass reads |N_L| off the ball matrix instead of
+	// counting during a walk, so the matrix must reach L as well.
+	maxR := max(p.K, p.Scope(), p.L)
+	balls := e.ballSizes(maxR, p.L)
 
 	var medianK int
 	kEff, medianK = effectiveRadius(balls, p.K, kSaturationFraction, &e.ints)
@@ -89,7 +78,7 @@ func (e *Extractor) identify(p Params, st *Stats) (khop []int, cent []float64, i
 	index = make([]float64, n)
 	round := 0
 	for {
-		replayed := e.indexField(p, kern, khop, cent, index)
+		replayed := e.indexField(p, khop, cent, index)
 		sites = e.electSites(index, scopeEff)
 		round++
 		e.event("election", obs.Int("round", round), obs.Int("sites", len(sites)),
@@ -136,10 +125,10 @@ func (e *Extractor) identify(p Params, st *Stats) (khop []int, cent []float64, i
 
 // ballSizes returns the cumulative ball-size matrix sizes[v][r-1] over the
 // engine's pooled buffers; the rows stay valid until the next Extract or
-// Bind call. On batched runs of bounded size the same MS-BFS passes also
-// record the settle log that lets indexField replay the centrality tallies
-// without a second sweep.
-func (e *Extractor) ballSizes(kern graph.Kernel, maxR, logRadius int) [][]int {
+// Bind call. On networks of bounded size the same MS-BFS passes also record
+// the settle log that lets indexField replay the centrality tallies without
+// a second sweep.
+func (e *Extractor) ballSizes(maxR, logRadius int) [][]int {
 	n := e.g.N()
 	e.ballsFlat = growInts(e.ballsFlat, n*maxR)
 	if cap(e.balls) < n {
@@ -149,55 +138,40 @@ func (e *Extractor) ballSizes(kern graph.Kernel, maxR, logRadius int) [][]int {
 	for v := 0; v < n; v++ {
 		e.balls[v] = e.ballsFlat[v*maxR : (v+1)*maxR : (v+1)*maxR]
 	}
-	if kern == graph.KernelBatched && n <= visitLogMaxNodes && logRadius <= maxR {
-		e.g.BallSizesIntoKernelLogged(kern, maxR, logRadius, e.balls, &e.visitLog, e.getWalker, e.putWalker)
+	if n <= visitLogMaxNodes {
+		e.g.BallSizesIntoKernelLogged(graph.KernelBatched, maxR, logRadius, e.balls, &e.visitLog, e.getWalker, e.putWalker)
 	} else {
 		e.visitLog.Invalidate()
-		e.g.BallSizesIntoKernel(kern, maxR, e.balls, e.getWalker, e.putWalker)
+		e.g.BallSizesInto(maxR, e.balls, e.getWalker, e.putWalker)
 	}
 	return e.balls
 }
 
 // indexField computes the L-centrality and index of every node (Defs. 3-4)
-// into the provided per-node slices. Both kernels compute the same integer
-// sum and count per node before a single float64 division, so the fields
-// are bit-identical across kernels. It reports whether the tallies were
-// replayed from the ball-sizing visit log instead of a fresh graph sweep
-// (the settle events are weight-independent, so the replay stays valid as
-// the election loop reweights khop across rounds).
-func (e *Extractor) indexField(p Params, kern graph.Kernel, khop []int, cent, index []float64) bool {
-	if kern == graph.KernelBatched {
-		// The weighted tallies ride the same MS-BFS passes as ball sizing;
-		// |N_L(v)| comes off the ball matrix (maxR covers L, see identify).
-		n := e.g.N()
-		e.wsums = growInts(e.wsums, n)
-		wsums := e.wsums
-		replayed := e.visitLog.Recorded() && e.visitLog.Radius() == p.L
-		if replayed {
-			e.visitLog.WeightedSumsInto(e.g, khop, wsums)
-		} else {
-			e.g.BallWeightedSumsInto(kern, p.L, khop, wsums, e.getWalker, e.putWalker)
-		}
-		for v := 0; v < n; v++ {
-			cent[v] = float64(khop[v]+wsums[v]) / float64(1+e.balls[v][p.L-1])
-			index[v] = (float64(khop[v]) + cent[v]) / 2
-		}
-		return replayed
+// into the provided per-node slices. c_L(v) is the average K-hop size over
+// N_L(v) plus v itself: the weighted tallies ride the same MS-BFS passes as
+// ball sizing and |N_L(v)| comes off the ball matrix, so each value is one
+// integer sum and count before a single float64 division. Including v makes
+// c_L well defined for isolated nodes and only shifts all values
+// consistently, so local-maximum comparisons are unaffected. It reports
+// whether the tallies were replayed from the ball-sizing visit log instead
+// of a fresh graph sweep (the settle events are weight-independent, so the
+// replay stays valid as the election loop reweights khop across rounds).
+func (e *Extractor) indexField(p Params, khop []int, cent, index []float64) bool {
+	n := e.g.N()
+	e.wsums = growInts(e.wsums, n)
+	wsums := e.wsums
+	replayed := e.visitLog.Recorded() && e.visitLog.Radius() == p.L
+	if replayed {
+		e.visitLog.WeightedSumsInto(e.g, khop, wsums)
+	} else {
+		e.g.BallWeightedSumsInto(graph.KernelBatched, p.L, khop, wsums, e.getWalker, e.putWalker)
 	}
-	graph.ParallelNodes(e.g, e.getWalker, e.putWalker, func(w *graph.Walker, v int) {
-		// c_L(v): average K-hop size over N_L(v) plus v itself. Including v
-		// makes c_L well defined for isolated nodes and only shifts all
-		// values consistently, so local-maximum comparisons are unaffected.
-		sum := khop[v]
-		count := 1
-		w.Walk(v, p.L, func(u, _ int32) {
-			sum += khop[u]
-			count++
-		})
-		cent[v] = float64(sum) / float64(count)
+	for v := 0; v < n; v++ {
+		cent[v] = float64(khop[v]+wsums[v]) / float64(1+e.balls[v][p.L-1])
 		index[v] = (float64(khop[v]) + cent[v]) / 2
-	})
-	return false
+	}
+	return replayed
 }
 
 // electSites applies Def. 5: a node whose index is maximal within its

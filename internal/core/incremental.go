@@ -72,8 +72,7 @@ type IncrementalExtractor struct {
 	e *Extractor
 	p Params
 
-	kern graph.Kernel
-	maxR int // ball matrix width: max(K, Scope) (and L under the batched kernel)
+	maxR int // ball matrix width: max(K, Scope, L)
 
 	// Persistent identify state. khop/cent/index/isSite are mutable and
 	// patched in place; the ball matrix itself lives in e.balls.
@@ -93,9 +92,9 @@ type IncrementalExtractor struct {
 	records [][]SiteDist
 	prev    *Result
 
-	// wsum holds the batched-kernel centrality sums (Σ khop over N_L,
-	// excluding the node itself), delta-maintained across updates so the
-	// centrality ring never re-floods clean neighborhoods.
+	// wsum holds the centrality sums (Σ khop over N_L, excluding the node
+	// itself), delta-maintained across updates so the centrality ring never
+	// re-floods clean neighborhoods.
 	wsum []int
 	// satK/satS count, per candidate radius, the nodes whose ball size sits
 	// at or under the K/scope saturation limit — the order statistics the
@@ -139,14 +138,7 @@ func NewIncrementalExtractorObs(g *graph.Graph, p Params, tracer *obs.Tracer, me
 	g.BeginOverlay()
 	ix := &IncrementalExtractor{e: NewExtractor(g), p: p}
 	ix.e.Tracer, ix.e.Metrics = tracer, metrics
-	ix.maxR = p.K
-	if s := p.Scope(); s > ix.maxR {
-		ix.maxR = s
-	}
-	ix.kern = g.ResolveKernel(p.FloodKernel, ix.maxR)
-	if ix.kern == graph.KernelBatched && p.L > ix.maxR {
-		ix.maxR = p.L
-	}
+	ix.maxR = max(p.K, p.Scope(), p.L)
 	ix.minSites = 4
 	if m := g.N() / 512; m > ix.minSites {
 		ix.minSites = m
@@ -196,13 +188,11 @@ func (ix *IncrementalExtractor) runFull() (*Result, error) {
 	ix.sites = res.Sites
 	ix.cellOf, ix.dmin, ix.records = res.CellOf, res.DistToSite, res.Records
 	ix.prev = res
-	if ix.kern == graph.KernelBatched {
-		// The identify stage leaves its centrality sums on the engine,
-		// computed with the khop weights of the final election round —
-		// exactly the Σ khop over N_L the delta patch maintains.
-		ix.wsum = growInts(ix.wsum, n)
-		copy(ix.wsum, ix.e.wsums)
-	}
+	// The identify stage leaves its centrality sums on the engine, computed
+	// with the khop weights of the final election round — exactly the
+	// Σ khop over N_L the delta patch maintains.
+	ix.wsum = growInts(ix.wsum, n)
+	copy(ix.wsum, ix.e.wsums)
 	ix.tupValid = false
 	ix.seedSaturation()
 	ix.fcache.invalidateAll()
@@ -446,15 +436,12 @@ func (ix *IncrementalExtractor) update(flipped, newlyDead, patched []int32) (*Re
 	ix.adjustSaturation(rows, -1)
 	g.BatchBallSizesInto(ix.maxR, srcs, rows, e.getWalker, e.putWalker)
 	ix.adjustSaturation(rows, +1)
-	var oldK []int
-	if ix.kern == graph.KernelBatched {
-		// Snapshot the pre-patch khop values: the centrality delta pass
-		// below propagates exactly these integer differences.
-		oldK = growInts(sc.oldK, len(srcs))
-		sc.oldK = oldK
-		for i, v := range srcs {
-			oldK[i] = ix.khop[v]
-		}
+	// Snapshot the pre-patch khop values: the centrality delta pass below
+	// propagates exactly these integer differences.
+	oldK := growInts(sc.oldK, len(srcs))
+	sc.oldK = oldK
+	for i, v := range srcs {
+		oldK[i] = ix.khop[v]
 	}
 	for _, v := range srcs {
 		ix.khop[v] = e.balls[v][ix.kEff-1]
@@ -470,9 +457,7 @@ func (ix *IncrementalExtractor) update(flipped, newlyDead, patched []int32) (*Re
 		return ix.fallback("radius-drift")
 	}
 
-	// Centrality and index within maxR+L of a flip. Both kernels compute
-	// the same integer sum and count before one float64 division, so either
-	// realisation patches values bit-identical to the full path's.
+	// Centrality and index within maxR+L of a flip.
 	wlist := sc.elist[:0]
 	wring := ix.maxR + p.L
 	for _, v := range queue {
@@ -480,55 +465,40 @@ func (ix *IncrementalExtractor) update(flipped, newlyDead, patched []int32) (*Re
 			wlist = append(wlist, v)
 		}
 	}
-	if ix.kern == graph.KernelBatched {
-		// Delta-patch the persistent sums instead of re-flooding the whole
-		// ring. N_L membership can only change within L of a flip (an
-		// entering or leaving member needs an old- or new-graph path of
-		// length <= L through a flipped node), so those sums are rebuilt by
-		// a fresh L-walk; every other affected sum moves by exactly the
-		// khop deltas of the ball-ring nodes it contains, applied by one
-		// L-walk per changed source. All arithmetic stays integer, so the
-		// division below is bit-identical to the full path's.
-		w := e.getWalker()
-		khop, wsum := ix.khop, ix.wsum
-		for _, v := range queue {
-			if int(distD[v]) > p.L {
-				continue
+	// Delta-patch the persistent sums instead of re-flooding the whole ring.
+	// N_L membership can only change within L of a flip (an entering or
+	// leaving member needs an old- or new-graph path of length <= L through
+	// a flipped node), so those sums are rebuilt by a fresh L-walk; every
+	// other affected sum moves by exactly the khop deltas of the ball-ring
+	// nodes it contains, applied by one L-walk per changed source. All
+	// arithmetic stays integer, so the division below is bit-identical to
+	// the full path's.
+	wk := e.getWalker()
+	khop, wsum := ix.khop, ix.wsum
+	for _, v := range queue {
+		if int(distD[v]) > p.L {
+			continue
+		}
+		sum := 0
+		wk.Walk(int(v), p.L, func(u, _ int32) { sum += khop[u] })
+		wsum[v] = sum
+	}
+	limit := int32(p.L)
+	for i, v := range srcs {
+		d := khop[v] - oldK[i]
+		if d == 0 {
+			continue
+		}
+		wk.Walk(int(v), p.L, func(u, _ int32) {
+			if distD[u] > limit {
+				wsum[u] += d
 			}
-			sum := 0
-			w.Walk(int(v), p.L, func(u, _ int32) { sum += khop[u] })
-			wsum[v] = sum
-		}
-		limit := int32(p.L)
-		for i, v := range srcs {
-			d := khop[v] - oldK[i]
-			if d == 0 {
-				continue
-			}
-			w.Walk(int(v), p.L, func(u, _ int32) {
-				if distD[u] > limit {
-					wsum[u] += d
-				}
-			})
-		}
-		e.putWalker(w)
-		for _, v := range wlist {
-			ix.cent[v] = float64(khop[v]+wsum[v]) / float64(1+e.balls[v][p.L-1])
-			ix.index[v] = (float64(khop[v]) + ix.cent[v]) / 2
-		}
-	} else {
-		khop, cent, index := ix.khop, ix.cent, ix.index
-		graph.ParallelRange(g, len(wlist), e.getWalker, e.putWalker, func(w *graph.Walker, i int) {
-			v := int(wlist[i])
-			sum := khop[v]
-			count := 1
-			w.Walk(v, p.L, func(u, _ int32) {
-				sum += khop[u]
-				count++
-			})
-			cent[v] = float64(sum) / float64(count)
-			index[v] = (float64(khop[v]) + cent[v]) / 2
 		})
+	}
+	e.putWalker(wk)
+	for _, v := range wlist {
+		ix.cent[v] = float64(khop[v]+wsum[v]) / float64(1+e.balls[v][p.L-1])
+		ix.index[v] = (float64(khop[v]) + ix.cent[v]) / 2
 	}
 
 	if ix.sspan != nil {
@@ -780,7 +750,6 @@ func (ix *IncrementalExtractor) update(flipped, newlyDead, patched []int32) (*Re
 	// ---- assemble and persist ----
 
 	st := newStats()
-	st.FloodKernel = ix.kern.String()
 	st.ElectionRounds = 1
 	st.Sites = len(newSites)
 	st.SegmentNodes = len(segNodes)

@@ -111,16 +111,12 @@ func itoa(i int) string {
 	return string(b[p:])
 }
 
-// TestIncrementalSmoke: a quick single-shape pass under both kernels — the
-// full matrix lives in TestIncrementalEquivalenceShapes below.
+// TestIncrementalSmoke: a quick single-shape pass — the full matrix lives in
+// TestIncrementalEquivalenceShapes below.
 func TestIncrementalSmoke(t *testing.T) {
-	for _, kern := range []graph.Kernel{graph.KernelWalker, graph.KernelBatched} {
-		g := nettest.Grid("onehole", 700, 6.5, 3).Graph
-		p := DefaultParams()
-		p.FloodKernel = kern
-		requireIncrementalEquivalence(t, "onehole/"+kern.String(), g, p,
-			[]int{1, 1, 2, 8, 8, 8, 1}, 42)
-	}
+	g := nettest.Grid("onehole", 700, 6.5, 3).Graph
+	requireIncrementalEquivalence(t, "onehole", g, DefaultParams(),
+		[]int{1, 1, 2, 8, 8, 8, 1}, 42)
 }
 
 // TestIncrementalEquivalenceShapes: the property matrix — every registered
@@ -257,9 +253,7 @@ func TestIncrementalRepeatedDeterminism(t *testing.T) {
 	runSequence := func(procs int) []*Result {
 		runtime.GOMAXPROCS(procs)
 		g := nettest.Grid("twoholes", 700, 6.5, 9).Graph
-		p := DefaultParams()
-		p.FloodKernel = graph.KernelBatched
-		ix, err := NewIncrementalExtractor(g, p)
+		ix, err := NewIncrementalExtractor(g, DefaultParams())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,35 +9,126 @@ import (
 	"bfskel/internal/nettest"
 )
 
-// TestExtractKernelEquivalence: a full pipeline run is bit-identical under
-// the walker and the batched MS-BFS flood kernels — every deterministic
-// Result field matches, including the float64 index field (both kernels form
-// the same integer sums before a single division), the per-node Voronoi
-// records with their reverse-path parents, and the refined skeleton's full
-// adjacency.
-func TestExtractKernelEquivalence(t *testing.T) {
-	for _, name := range []string{"window", "onehole", "twoholes", "spiral"} {
-		g := nettest.Grid(name, 900, 6.5, 1).Graph
-		results := make(map[graph.Kernel]*Result)
-		for _, kern := range []graph.Kernel{graph.KernelWalker, graph.KernelBatched} {
-			p := DefaultParams()
-			p.FloodKernel = kern
-			res, err := NewExtractor(g).Extract(p)
-			if err != nil {
-				t.Fatalf("%s/%v: %v", name, kern, err)
-			}
-			want := kern.String()
-			if res.Stats.FloodKernel != want {
-				t.Fatalf("%s: Stats.FloodKernel = %q, want %q", name, res.Stats.FloodKernel, want)
-			}
-			results[kern] = res
+// TestExtractFloodInvariants checks the flooding stages of a full pipeline
+// run against brute-force single-source recomputation, on the four n=900
+// shapes, a field below 512 nodes and a K=1 run:
+//
+//   - KHopSize[v] = |N_K(v)| at the effective K;
+//   - LCentrality[v] and Index[v] equal the Def. 3-4 values formed from an
+//     integer L-walk sum and count before one float64 division;
+//   - DistToSite[v] is dmin(v), the distance to the nearest site, and
+//     CellOf[v] the lowest-ID site at that distance;
+//   - node v holds a record (s, d) iff d = dist_s(v) <= dmin(v)+Alpha, its
+//     records are sorted by site, and the parent of a d > 0 record is the
+//     lowest-ID neighbor at distance d-1 from s that also records s.
+func TestExtractFloodInvariants(t *testing.T) {
+	type fieldCase struct {
+		name, shape string
+		n           int
+		k           int
+	}
+	cases := []fieldCase{
+		{"window", "window", 900, 4},
+		{"onehole", "onehole", 900, 4},
+		{"twoholes", "twoholes", 900, 4},
+		{"spiral", "spiral", 900, 4},
+		{"small-onehole", "onehole", 300, 4},
+		{"k1-window", "window", 900, 1},
+	}
+	for _, c := range cases {
+		g := nettest.Grid(c.shape, c.n, 6.5, 1).Graph
+		if c.n < 512 && g.N() >= 512 {
+			t.Fatalf("%s: field has %d nodes, want < 512", c.name, g.N())
 		}
-		requireEqualResults(t, name, results[graph.KernelWalker], results[graph.KernelBatched])
+		p := DefaultParams()
+		p.K = c.k
+		res, err := NewExtractor(g).Extract(p)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		requireFloodInvariants(t, c.name, g, p, res)
 	}
 }
 
-// TestExtractSchedulerDeterminism: with the batched kernel, results are
-// bit-identical whatever the worker count — the degree-weighted chunk
+// requireFloodInvariants is the brute-force oracle of
+// TestExtractFloodInvariants.
+func requireFloodInvariants(t *testing.T, name string, g *graph.Graph, p Params, res *Result) {
+	t.Helper()
+	n := g.N()
+	w := graph.NewWalker(g)
+	for v := 0; v < n; v++ {
+		if want := g.KHopCount(v, res.EffectiveK); res.KHopSize[v] != want {
+			t.Fatalf("%s: KHopSize[%d] = %d, want %d", name, v, res.KHopSize[v], want)
+		}
+	}
+	for v := 0; v < n; v++ {
+		sum, count := res.KHopSize[v], 1
+		w.Walk(v, p.L, func(u, _ int32) {
+			sum += res.KHopSize[u]
+			count++
+		})
+		cent := float64(sum) / float64(count)
+		if res.LCentrality[v] != cent {
+			t.Fatalf("%s: LCentrality[%d] = %v, want %v", name, v, res.LCentrality[v], cent)
+		}
+		if idx := (float64(res.KHopSize[v]) + cent) / 2; res.Index[v] != idx {
+			t.Fatalf("%s: Index[%d] = %v, want %v", name, v, res.Index[v], idx)
+		}
+	}
+
+	dist := make(map[int32][]int32, len(res.Sites))
+	for _, s := range res.Sites {
+		dist[s] = g.BFS(int(s))
+	}
+	dmin := make([]int32, n)
+	for v := 0; v < n; v++ {
+		best, cell := graph.Unreachable, int32(-1)
+		for _, s := range res.Sites { // ascending: the first minimum wins
+			if d := dist[s][v]; d != graph.Unreachable && (best == graph.Unreachable || d < best) {
+				best, cell = d, s
+			}
+		}
+		dmin[v] = best
+		if res.DistToSite[v] != best || res.CellOf[v] != cell {
+			t.Fatalf("%s: node %d in cell %d at %d, want %d at %d", name, v, res.CellOf[v], res.DistToSite[v], cell, best)
+		}
+	}
+	recorded := func(s int32, v int32) bool {
+		d := dist[s][v]
+		return d != graph.Unreachable && d <= dmin[v]+p.Alpha
+	}
+	for v := int32(0); v < int32(n); v++ {
+		var want []SiteDist
+		for _, s := range res.Sites {
+			if !recorded(s, v) {
+				continue
+			}
+			d := dist[s][v]
+			parent := v
+			if d > 0 {
+				parent = -1
+				for _, u := range g.Neighbors(int(v)) {
+					if dist[s][u] == d-1 && recorded(s, u) && (parent < 0 || u < parent) {
+						parent = u
+					}
+				}
+			}
+			want = append(want, SiteDist{Site: s, D: d, Parent: parent})
+		}
+		got := res.Records[v]
+		if len(got) != len(want) {
+			t.Fatalf("%s: node %d has %d records, want %d: %+v vs %+v", name, v, len(got), len(want), got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: Records[%d][%d] = %+v, want %+v", name, v, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestExtractSchedulerDeterminism: results are bit-identical whatever the
+// worker count — the degree-weighted chunk
 // scheduler changes only which goroutine computes what, never the values or
 // their merge order.
 func TestExtractSchedulerDeterminism(t *testing.T) {
@@ -46,7 +137,6 @@ func TestExtractSchedulerDeterminism(t *testing.T) {
 	for _, name := range []string{"onehole", "spiral"} {
 		g := nettest.Grid(name, 900, 6.5, 1).Graph
 		p := DefaultParams()
-		p.FloodKernel = graph.KernelBatched
 		results := make(map[int]*Result)
 		for _, procs := range []int{1, 8} {
 			runtime.GOMAXPROCS(procs)
@@ -148,16 +238,13 @@ func requireEqualSkeletons(t *testing.T, name string, w, b *Skeleton) {
 	}
 }
 
-// TestExtractKernelAutoCutover: KernelAuto resolves to the batched kernel on
-// a large frozen network and reports the choice in Stats.
-func TestExtractKernelAutoCutover(t *testing.T) {
+// TestExtractIdentifyWorkCounters: the identify stage reports the BFS work
+// its batched floods drained from the pooled walkers.
+func TestExtractIdentifyWorkCounters(t *testing.T) {
 	g := nettest.Grid("window", 900, 6.5, 2).Graph
 	res, err := NewExtractor(g).Extract(DefaultParams())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if res.Stats.FloodKernel != "batched" {
-		t.Fatalf("auto kernel on %d frozen nodes = %q, want batched", g.N(), res.Stats.FloodKernel)
 	}
 	id, ok := res.Stats.Phase("identify")
 	if !ok {

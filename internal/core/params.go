@@ -5,11 +5,7 @@
 // (segmentation and network boundaries).
 package core
 
-import (
-	"fmt"
-
-	"bfskel/internal/graph"
-)
+import "fmt"
 
 // Params configures the extraction pipeline. The zero value is not valid;
 // use DefaultParams (the paper's settings) and override fields as needed.
@@ -38,13 +34,6 @@ type Params struct {
 	// candidate loop may extend at most maxConnectorDist + FakeLoopSlack
 	// hops from its Voronoi hub to still count as fake.
 	FakeLoopSlack int32
-	// FloodKernel selects the BFS implementation behind the all-sources
-	// flooding passes (ball sizing and centrality). graph.KernelAuto (the
-	// zero value) cuts over to the bit-parallel MS-BFS kernel on large
-	// frozen graphs and keeps the per-node walker otherwise;
-	// graph.KernelWalker and graph.KernelBatched force one path. The
-	// kernels produce identical results — only the sweep cost differs.
-	FloodKernel graph.Kernel
 	// DirtyFallback is the dirty-node fraction above which an incremental
 	// update (IncrementalExtractor) abandons localized repair and falls
 	// back to a full extraction. 0 means the default (0.25). It never
@@ -95,9 +84,6 @@ func (p Params) Validate() error {
 	}
 	if p.FakeLoopSlack < 0 {
 		return fmt.Errorf("core: FakeLoopSlack must be >= 0, got %d", p.FakeLoopSlack)
-	}
-	if p.FloodKernel > graph.KernelBatched {
-		return fmt.Errorf("core: unknown FloodKernel %d", p.FloodKernel)
 	}
 	if p.DirtyFallback < 0 || p.DirtyFallback > 1 {
 		return fmt.Errorf("core: DirtyFallback must be in [0, 1], got %g", p.DirtyFallback)

@@ -86,9 +86,11 @@ func newRefiner(g *graph.Graph, p Params, index []float64, records [][]SiteDist,
 }
 
 // newRefiner sets up the phase state, sizing the engine's flood scratch to
-// the graph.
+// the graph and freezing it for the batched floods (Freeze must never run
+// inside parallel workers).
 func (e *Extractor) newRefiner(p Params, index []float64, records [][]SiteDist, cellOf []int32) *refiner {
 	e.fld.ensure(e.g.N())
+	e.g.Freeze()
 	return &refiner{
 		e: e, g: e.g, p: p, index: index, records: records, cellOf: cellOf,
 	}
@@ -133,7 +135,6 @@ func (w *refiner) dropRedundantParallels() {
 		return tuples[a].i < tuples[b].i
 	})
 	nearLimit := 2*w.p.Alpha + 3
-	kern := w.e.floodKernel(w.p.FloodKernel, int(nearLimit))
 	var idxs []int
 	for lo := 0; lo < len(tuples); {
 		hi := lo
@@ -157,11 +158,12 @@ func (w *refiner) dropRedundantParallels() {
 			}
 			return w.edges[idxs[a]].connector < w.edges[idxs[b]].connector
 		})
-		// Under the batched kernel one 64-wide flood yields the exact
-		// pairwise within-nearLimit matrix for the whole group; the
-		// keep/delete scan below reads the same predicate either way.
+		// For groups of up to 64 edges one bit-parallel flood yields the
+		// exact pairwise within-nearLimit matrix; larger groups test pairs
+		// one bounded BFS at a time. The keep/delete scan below reads the
+		// same predicate either way.
 		var reach []uint64
-		if kern == graph.KernelBatched && len(idxs) <= 64 {
+		if len(idxs) <= 64 {
 			conns := make([]int32, len(idxs))
 			for j, ei := range idxs {
 				conns[j] = w.edges[ei].connector
@@ -255,9 +257,10 @@ func (w *refiner) classifyLoops() {
 	// representative (the engine's mark scratch), and every later toucher
 	// unions with it — the same partition as uniting all pairwise overlaps,
 	// since all touchers of a node connect through its representative.
-	// Claim order varies between the walker and batched realisations, so
-	// nothing downstream may depend on union-find root identities; clusters
-	// are keyed by their largest member index instead (see below).
+	// Claim order varies between the batched floods and the incremental
+	// path's cached replays, so nothing downstream may depend on union-find
+	// root identities; clusters are keyed by their largest member index
+	// instead (see below).
 	uf := newUnionFind(len(ends))
 	fld := &w.e.fld
 	fld.beginMark()
@@ -275,7 +278,7 @@ func (w *refiner) classifyLoops() {
 		// Incremental path: replay cached flood sets where still valid and
 		// flood only the evicted ends. The cluster partition is a pure
 		// function of the per-end node sets, so replayed claims produce the
-		// same clusters as either kernel realisation.
+		// same clusters as the batched floods.
 		c := w.fcache
 		c.begin(w.g, mask, radius)
 		misses := 0
@@ -293,7 +296,7 @@ func (w *refiner) classifyLoops() {
 		if w.debugf != nil {
 			w.debugf("end flood cache: %d ends, %d misses", len(ends), misses)
 		}
-	} else if kern := w.e.floodKernel(w.p.FloodKernel, int(radius)); kern == graph.KernelBatched {
+	} else {
 		// 64 ends per bit-parallel flood; the skeleton mask blocks
 		// expansion exactly like floodFrom's Contains check.
 		wk := w.e.getWalker()
@@ -314,12 +317,6 @@ func (w *refiner) classifyLoops() {
 			})
 		}
 		w.e.putWalker(wk)
-	} else {
-		for i, er := range ends {
-			for _, v := range w.floodFrom(er.node, radius, mask) {
-				claim(i, v)
-			}
-		}
 	}
 
 	// Resolve clusters. The canonical cluster key is the largest member

@@ -18,8 +18,7 @@ type PhaseStats struct {
 	BytesAlloc uint64
 	// Sweeps and Visited are the BFS work counters drained from the pooled
 	// walkers while the stage ran: the number of sweeps started (one per
-	// source for the walker kernel, one per source of each 64-wide batch
-	// for the MS-BFS kernel — identical totals by construction) and the
+	// source, whether it ran alone or in a 64-wide MS-BFS batch) and the
 	// number of (source, node) visits.
 	Sweeps  int64
 	Visited int64
@@ -51,9 +50,6 @@ type Stats struct {
 	// MedianKHopBall is the component-median |N_K| ball size at the
 	// effective K — the discriminating statistic the whole pipeline runs on.
 	MedianKHopBall int
-	// FloodKernel names the BFS kernel the flooding passes ran on
-	// ("walker" or "batched") after resolving Params.FloodKernel.
-	FloodKernel string
 
 	// Outcome counters, echoing the sizes of the corresponding Result
 	// fields so a run can be summarised without holding the Result.

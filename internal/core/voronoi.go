@@ -21,18 +21,17 @@ import (
 // inequality in the hop metric), so the visited sets match the paper's
 // forwarding rule while keeping total work near-linear.
 func voronoi(g *graph.Graph, sites []int32, alpha int32) (cellOf, distToSite []int32, records [][]SiteDist) {
-	return NewExtractor(g).voronoi(sites, alpha, graph.KernelAuto, nil)
+	return NewExtractor(g).voronoi(sites, alpha, nil)
 }
 
-// voronoi is the staged engine's Phase 2. Under the batched kernel the
-// per-site pruned floods run 64 sites per bit-parallel pass over Z-curve
-// site batches, and the dmin pass goes level-synchronous when several
-// workers are available; both paths are bit-identical to the serial walker
-// realisation (see voronoiPrunedBatched for the tie-break and parent
-// arguments). The BFS scratch comes from the engine's pools, while
-// everything that escapes into the Result is allocated fresh. st, when
-// non-nil, accumulates the flood counters.
-func (e *Extractor) voronoi(sites []int32, alpha int32, req graph.Kernel, st *Stats) (cellOf, distToSite []int32, records [][]SiteDist) {
+// voronoi is the staged engine's Phase 2. The per-site pruned floods run 64
+// sites per bit-parallel pass over Z-curve site batches (see
+// voronoiPrunedBatched for the tie-break and parent rules), and the dmin
+// pass goes level-synchronous when several workers are available. The BFS
+// scratch comes from the engine's pools, while everything that escapes into
+// the Result is allocated fresh. st, when non-nil, accumulates the flood
+// counters.
+func (e *Extractor) voronoi(sites []int32, alpha int32, st *Stats) (cellOf, distToSite []int32, records [][]SiteDist) {
 	g := e.g
 	n := g.N()
 	cellOf = make([]int32, n)
@@ -45,13 +44,13 @@ func (e *Extractor) voronoi(sites []int32, alpha int32, req graph.Kernel, st *St
 	if len(sites) == 0 {
 		return cellOf, distToSite, records
 	}
-	// The pruned floods are unbounded in radius; resolve the kernel for a
-	// radius comfortably past the cutover so only graph size decides.
-	kern := e.floodKernel(req, n)
+	// Freeze up front: the batched floods read the CSR arrays, and Freeze
+	// must never run inside parallel workers.
+	g.Freeze()
 
 	// Pass 1: multi-source BFS for dmin; ties go to the lowest site ID.
 	e.vorQueue = growInt32s(e.vorQueue, n)
-	if kern == graph.KernelBatched && runtime.GOMAXPROCS(0) > 1 {
+	if runtime.GOMAXPROCS(0) > 1 {
 		e.voronoiDminParallel(sites, cellOf, distToSite)
 	} else {
 		e.voronoiDminSerial(sites, cellOf, distToSite)
@@ -62,14 +61,9 @@ func (e *Extractor) voronoi(sites []int32, alpha int32, req graph.Kernel, st *St
 	e.event("floods", obs.Int("count", 1+len(sites)), obs.Int("sites", len(sites)))
 
 	// Pass 2: per-site pruned floods recording (site, dist, parent) wherever
-	// dist <= dmin + alpha. The recorded parent is canonical — the lowest-ID
-	// neighbor one hop closer within the site's pruned visited set — so the
-	// serial and batched realisations agree record for record.
-	if kern == graph.KernelBatched {
-		e.voronoiPrunedBatched(sites, alpha, distToSite, records)
-	} else {
-		e.voronoiPrunedSerial(sites, alpha, distToSite, records)
-	}
+	// dist <= dmin + alpha. The recorded parent is canonical: the lowest-ID
+	// neighbor one hop closer within the site's pruned visited set.
+	e.voronoiPrunedBatched(sites, alpha, distToSite, records)
 	return cellOf, distToSite, records
 }
 
@@ -173,90 +167,17 @@ func (e *Extractor) voronoiDminParallel(sites []int32, cellOf, distToSite []int3
 	}
 }
 
-// voronoiPrunedSerial runs one pruned BFS per site over the stamped
-// scratch. Parents are resolved after the flood by rescanning each visited
-// node's sorted adjacency for the first (lowest-ID) neighbor one hop closer
-// within the same flood — the canonical rule shared with the batched path.
-func (e *Extractor) voronoiPrunedSerial(sites []int32, alpha int32, distToSite []int32, records [][]SiteDist) {
-	g := e.g
-	n := g.N()
-
-	// First records go into one shared arena, one slot per node: nearly
-	// every node records exactly its nearest site, so the per-node append
-	// that used to allocate a tiny slice per node becomes a single
-	// allocation. The arena is owned by the returned records — it escapes
-	// with the Result, never into the engine's pools — and only nodes with
-	// a second record (segment nodes) fall back to append's growth.
-	arena := make([]SiteDist, n)
-	addRecord := func(v int32, rec SiteDist) {
-		if len(records[v]) == 0 {
-			arena[v] = rec
-			records[v] = arena[v : v+1 : v+1]
-		} else {
-			records[v] = append(records[v], rec)
-		}
-	}
-
-	e.vorDist = growInt32s(e.vorDist, n)
-	e.vorStamp = growInt32s(e.vorStamp, n)
-	dist, stamp := e.vorDist, e.vorStamp
-	for i := range stamp {
-		stamp[i] = 0
-	}
-	var epoch int32
-	queue := e.vorQueue[:0]
-	for _, s := range sites {
-		epoch++
-		dist[s] = 0
-		stamp[s] = epoch
-		queue = queue[:0]
-		queue = append(queue, s)
-		for head := 0; head < len(queue); head++ {
-			u := queue[head]
-			du := dist[u]
-			for _, v := range g.Neighbors(int(u)) {
-				if stamp[v] == epoch {
-					continue
-				}
-				dv := du + 1
-				if distToSite[v] == graph.Unreachable || dv > distToSite[v]+alpha {
-					continue
-				}
-				stamp[v] = epoch
-				dist[v] = dv
-				queue = append(queue, v)
-			}
-		}
-		for _, u := range queue {
-			du := dist[u]
-			if du == 0 {
-				addRecord(u, SiteDist{Site: s, D: 0, Parent: u})
-				continue
-			}
-			parent := u
-			for _, w := range g.Neighbors(int(u)) {
-				if stamp[w] == epoch && dist[w] == du-1 {
-					parent = w
-					break
-				}
-			}
-			addRecord(u, SiteDist{Site: s, D: du, Parent: parent})
-		}
-	}
-	e.vorQueue = queue[:cap(queue)]
-}
-
 // voronoiPrunedBatched runs the per-site pruned floods 64 sites per
 // bit-parallel pass. Sites are batched along the Z-curve order so each
 // batch's cells tile one compact patch (maximal frontier overlap), batches
 // run in parallel with degree-weighted chunking, and a serial merge lays the
 // records into an exactly-sized arena.
 //
-// Bit-identity with the serial path: the admission rule d <= dmin(v)+alpha
-// depends only on (node, level), so each site's pruned visited set and
-// distances are independent of its batch; the per-bit parent comes from the
-// same lowest-ID-predecessor rule; and the merge sorts each node's records
-// by site ID, the order the serial site loop produces.
+// Batching is invisible in the output: the admission rule
+// d <= dmin(v)+alpha depends only on (node, level), so each site's pruned
+// visited set and distances are independent of its batch; the per-bit
+// parent is the lowest-ID predecessor; and the merge sorts each node's
+// records by site ID.
 func (e *Extractor) voronoiPrunedBatched(sites []int32, alpha int32, distToSite []int32, records [][]SiteDist) {
 	g := e.g
 	n := g.N()
@@ -309,7 +230,7 @@ func (e *Extractor) voronoiPrunedBatched(sites []int32, alpha int32, distToSite 
 
 	// Merge: count records per node (every site seeds its own record), lay
 	// out an exactly-sized arena, append, then order each node's records by
-	// site ID — the serial site-loop order.
+	// site ID.
 	cnt := growInt32s(e.vorCnt, n)
 	e.vorCnt = cnt
 	for i := range cnt {

@@ -190,31 +190,19 @@ func (g *Graph) KHopCount(src, k int) int {
 
 // AllKHopCounts computes |N_k(v)| for every node, in parallel. This is the
 // centralized analogue of the paper's first round of controlled flooding
-// (Sec. III-A). The kernel is chosen automatically; see AllKHopCountsKernel.
+// (Sec. III-A); the counts run as width-1 rows through the MS-BFS kernel,
+// which freezes the graph if needed.
 func (g *Graph) AllKHopCounts(k int) []int {
-	return g.AllKHopCountsKernel(KernelAuto, k)
-}
-
-// AllKHopCountsKernel is AllKHopCounts under an explicit kernel choice. The
-// batched kernel runs the counts as width-1 rows through the MS-BFS sweeps;
-// both kernels produce identical results.
-func (g *Graph) AllKHopCountsKernel(kern Kernel, k int) []int {
 	n := g.N()
 	out := make([]int, n)
 	if k <= 0 || n == 0 {
-		return out
-	}
-	if g.resolveKernel(kern, k) == KernelWalker {
-		ParallelNodes(g, nil, nil, func(w *Walker, v int) {
-			out[v] = w.Count(v, k)
-		})
 		return out
 	}
 	rows := make([][]int, n)
 	for v := range rows {
 		rows[v] = out[v : v+1 : v+1]
 	}
-	g.ballSizesBatched(k, rows, nil, nil)
+	g.BallSizesInto(k, rows, nil, nil)
 	return out
 }
 
@@ -235,10 +223,10 @@ func (g *Graph) AllBallSizes(k int) [][]int {
 
 // BallSizesInto is AllBallSizes over caller-provided row buffers (each row
 // must have length k; previous contents are overwritten), with an optional
-// Walker acquire/release pair for pooling — see ParallelNodes. The kernel is
-// chosen automatically; see BallSizesIntoKernel.
+// Walker acquire/release pair for pooling — see ParallelNodes. It runs the
+// batched kernel, freezing the graph if needed.
 func (g *Graph) BallSizesInto(k int, out [][]int, acquire func() *Walker, release func(*Walker)) {
-	g.BallSizesIntoKernel(KernelAuto, k, out, acquire, release)
+	g.BallSizesIntoKernel(KernelBatched, k, out, acquire, release)
 }
 
 // BallSizesIntoKernel is BallSizesInto under an explicit kernel choice:
@@ -249,12 +237,13 @@ func (g *Graph) BallSizesIntoKernel(kern Kernel, k int, out [][]int, acquire fun
 	if k <= 0 || g.N() == 0 {
 		return
 	}
-	if g.resolveKernel(kern, k) == KernelWalker {
+	if kern == KernelWalker {
 		ParallelNodes(g, acquire, release, func(w *Walker, v int) {
 			ballSizesWalker(w, v, out[v])
 		})
 		return
 	}
+	g.Freeze()
 	g.ballSizesBatched(k, out, acquire, release)
 }
 

@@ -8,9 +8,9 @@ package graph
 // bit-parallel MS-BFS kernel can index edges directly.
 //
 // Build and SortAdjacency freeze automatically; hand-built graphs stay
-// usable unfrozen (they just keep the pointer-chasing layout and the walker
-// BFS kernel). Freezing an already-frozen graph is a no-op. Freeze mutates
-// the graph and must not run concurrently with readers.
+// usable unfrozen until an all-sources flood (AllKHopCounts, BallSizesInto)
+// freezes them on demand. Freezing an already-frozen graph is a no-op.
+// Freeze mutates the graph and must not run concurrently with readers.
 func (g *Graph) Freeze() {
 	if g.frozen {
 		return

@@ -304,11 +304,16 @@ func TestQUDGEdgeFractions(t *testing.T) {
 func TestWalker(t *testing.T) {
 	g := pathGraph(8)
 	w := graph.NewWalker(g)
-	if got := w.Count(0, 3); got != 3 {
+	count := func(src, k int) int {
+		n := 0
+		w.Walk(src, k, func(_, _ int32) { n++ })
+		return n
+	}
+	if got := count(0, 3); got != 3 {
 		t.Errorf("Count = %d", got)
 	}
 	// Repeated use must not leak state.
-	if got := w.Count(7, 2); got != 2 {
+	if got := count(7, 2); got != 2 {
 		t.Errorf("second Count = %d", got)
 	}
 	visited := 0

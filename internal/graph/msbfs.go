@@ -13,33 +13,21 @@ package graph
 
 import "math/bits"
 
-// Kernel selects the truncated-BFS implementation behind the all-sources
-// flooding entry points (BallSizesInto, AllKHopCounts, BallWeightedSumsInto).
+// Kernel names a truncated-BFS implementation for the explicit-kernel entry
+// points (BallSizesIntoKernel, BallSizesIntoKernelLogged,
+// BallWeightedSumsInto). Production floods run batched; the walker stays as
+// the per-source oracle the equivalence tests and benchmarks compare
+// against.
 type Kernel uint8
 
 const (
-	// KernelAuto picks per call: the batched MS-BFS kernel on large frozen
-	// graphs with a non-trivial radius, the walker otherwise.
-	KernelAuto Kernel = iota
-	// KernelWalker forces one truncated BFS per source over pooled walker
-	// scratch (the PR 1 path).
-	KernelWalker
-	// KernelBatched forces the bit-parallel MS-BFS kernel; it freezes the
+	// KernelWalker runs one truncated BFS per source over pooled walker
+	// scratch.
+	KernelWalker Kernel = iota
+	// KernelBatched runs the bit-parallel MS-BFS kernel; it freezes the
 	// graph if needed.
 	KernelBatched
 )
-
-// String names the kernel for stats and trace attributes.
-func (k Kernel) String() string {
-	switch k {
-	case KernelWalker:
-		return "walker"
-	case KernelBatched:
-		return "batched"
-	default:
-		return "auto"
-	}
-}
 
 // msbfsBatch is the number of sources one kernel pass advances together:
 // one bit of a machine word per source.
@@ -49,42 +37,6 @@ const msbfsBatch = 64
 // N/smallSourceFactor sources, per-source walker sweeps beat the MS-BFS
 // batches even on frozen graphs (both paths produce identical values).
 const smallSourceFactor = 16
-
-// Automatic cutover bounds: below either, the per-source walker wins — the
-// batch bookkeeping needs enough sources and enough frontier overlap (radius
-// >= 2) to amortize.
-const (
-	kernelCutoverNodes = 512
-	kernelCutoverK     = 2
-)
-
-// resolveKernel turns a kernel request into the concrete kernel this call
-// will run, given the flooding radius k. KernelBatched is honored by
-// freezing on demand; KernelAuto never mutates the graph.
-func (g *Graph) resolveKernel(kern Kernel, k int) Kernel {
-	switch kern {
-	case KernelWalker:
-		return KernelWalker
-	case KernelBatched:
-		g.Freeze()
-		return KernelBatched
-	default:
-		if g.frozen && k >= kernelCutoverK && g.N() >= kernelCutoverNodes {
-			return KernelBatched
-		}
-		return KernelWalker
-	}
-}
-
-// ResolveKernel reports which concrete kernel a request would run for a
-// flooding of radius k, without mutating the graph. Exported so callers can
-// record the decision (core.Stats, trace attributes).
-func (g *Graph) ResolveKernel(kern Kernel, k int) Kernel {
-	if kern == KernelBatched {
-		return KernelBatched
-	}
-	return g.resolveKernel(kern, k)
-}
 
 // msbfsScratch holds one worker's MS-BFS state: one word of source bits per
 // node for the visited set, the current frontier and the next frontier, plus
@@ -394,7 +346,7 @@ func (g *Graph) BatchBallSizesInto(k int, sources []int32, rows [][]int, acquire
 // identical across kernels.
 func (g *Graph) BallWeightedSumsInto(kern Kernel, k int, weight []int, out []int, acquire func() *Walker, release func(*Walker)) {
 	n := g.N()
-	if g.resolveKernel(kern, k) == KernelWalker {
+	if kern == KernelWalker {
 		ParallelNodes(g, acquire, release, func(w *Walker, v int) {
 			sum := 0
 			w.Walk(v, k, func(u, _ int32) { sum += weight[u] })
@@ -402,6 +354,7 @@ func (g *Graph) BallWeightedSumsInto(kern Kernel, k int, weight []int, out []int
 		})
 		return
 	}
+	g.Freeze()
 	batches := (n + msbfsBatch - 1) / msbfsBatch
 	ParallelRange(g, batches, acquire, release, func(w *Walker, b int) {
 		lo := b * msbfsBatch
@@ -427,7 +380,7 @@ func (g *Graph) BallWeightedSumsInto(kern Kernel, k int, weight []int, out []int
 }
 
 // ballSizesWalker fills one node's cumulative ball-size row with a walker
-// sweep; shared by the walker paths of BallSizesInto and BatchBallSizes.
+// sweep; shared by the walker paths of BallSizesIntoKernel and BatchBallSizes.
 func ballSizesWalker(w *Walker, v int, counts []int) {
 	for r := range counts {
 		counts[r] = 0

@@ -29,8 +29,9 @@ func equivNetworks(t *testing.T) map[string]*graph.Graph {
 }
 
 // TestKernelEquivalenceShapes: the batched MS-BFS kernel and the per-node
-// walker produce identical AllKHopCounts, BallSizesInto and
-// BallWeightedSumsInto results on every shape, both link models, k in 2..6.
+// walker produce identical BallSizesInto and BallWeightedSumsInto results,
+// and AllKHopCounts matches per-node KHopCount, on every shape, both link
+// models, k in 1..6.
 func TestKernelEquivalenceShapes(t *testing.T) {
 	for name, g := range equivNetworks(t) {
 		n := g.N()
@@ -41,14 +42,8 @@ func TestKernelEquivalenceShapes(t *testing.T) {
 		for v := range weight {
 			weight[v] = g.Degree(v) + v%7
 		}
-		for k := 2; k <= 6; k++ {
-			wc := g.AllKHopCountsKernel(graph.KernelWalker, k)
-			bc := g.AllKHopCountsKernel(graph.KernelBatched, k)
-			for v := range wc {
-				if wc[v] != bc[v] {
-					t.Fatalf("%s k=%d: AllKHopCounts[%d] walker=%d batched=%d", name, k, v, wc[v], bc[v])
-				}
-			}
+		for k := 1; k <= 6; k++ {
+			requireKHopCounts(t, name, g, k)
 			wb := ballRows(n, k)
 			bb := ballRows(n, k)
 			g.BallSizesIntoKernel(graph.KernelWalker, k, wb, nil, nil)
@@ -73,6 +68,20 @@ func TestKernelEquivalenceShapes(t *testing.T) {
 	}
 }
 
+// requireKHopCounts checks AllKHopCounts against a per-node KHopCount.
+func requireKHopCounts(t *testing.T, name string, g *graph.Graph, k int) {
+	t.Helper()
+	got := g.AllKHopCounts(k)
+	if len(got) != g.N() {
+		t.Fatalf("%s k=%d: %d counts for %d nodes", name, k, len(got), g.N())
+	}
+	for v, c := range got {
+		if want := g.KHopCount(v, k); c != want {
+			t.Fatalf("%s k=%d: AllKHopCounts[%d] = %d, want %d", name, k, v, c, want)
+		}
+	}
+}
+
 func ballRows(n, k int) [][]int {
 	out := make([][]int, n)
 	flat := make([]int, n*k)
@@ -82,9 +91,9 @@ func ballRows(n, k int) [][]int {
 	return out
 }
 
-// TestKernelEquivalenceDisconnected: kernels agree on graphs with several
-// components and isolated nodes, where floods must stay inside their
-// component.
+// TestKernelEquivalenceDisconnected: AllKHopCounts matches per-node counts
+// on graphs with several components and isolated nodes, where floods must
+// stay inside their component.
 func TestKernelEquivalenceDisconnected(t *testing.T) {
 	g := graph.New(600)
 	// Component A: path 0..249. Component B: cycle 250..549. 550..599 isolated.
@@ -100,13 +109,7 @@ func TestKernelEquivalenceDisconnected(t *testing.T) {
 	}
 	g.SortAdjacency()
 	for k := 0; k <= 5; k++ {
-		wc := g.AllKHopCountsKernel(graph.KernelWalker, k)
-		bc := g.AllKHopCountsKernel(graph.KernelBatched, k)
-		for v := range wc {
-			if wc[v] != bc[v] {
-				t.Fatalf("k=%d: counts[%d] walker=%d batched=%d", k, v, wc[v], bc[v])
-			}
-		}
+		requireKHopCounts(t, "disconnected", g, k)
 	}
 	for v := 550; v < 600; v++ {
 		if c := g.KHopCount(v, 4); c != 0 {
@@ -123,19 +126,92 @@ func TestKernelK0AndEmpty(t *testing.T) {
 		g.AddEdge(i, i+1)
 	}
 	g.SortAdjacency()
-	for _, kern := range []graph.Kernel{graph.KernelWalker, graph.KernelBatched, graph.KernelAuto} {
-		for _, c := range g.AllKHopCountsKernel(kern, 0) {
-			if c != 0 {
-				t.Fatalf("kernel %v: k=0 count %d", kern, c)
-			}
+	for _, c := range g.AllKHopCounts(0) {
+		if c != 0 {
+			t.Fatalf("k=0 count %d", c)
 		}
+	}
+	for _, kern := range []graph.Kernel{graph.KernelWalker, graph.KernelBatched} {
 		g.BallSizesIntoKernel(kern, 0, ballRows(g.N(), 0), nil, nil)
 	}
 	empty := graph.New(0)
 	empty.SortAdjacency()
-	if got := empty.AllKHopCountsKernel(graph.KernelBatched, 3); len(got) != 0 {
+	if got := empty.AllKHopCounts(3); len(got) != 0 {
 		t.Fatalf("empty graph counts = %v", got)
 	}
+}
+
+// TestKernelSmallAndUnfrozen: the all-sources floods are exact below one
+// 64-source batch, at k = 1, and on hand-built graphs that were never
+// frozen (the batched kernel freezes them on demand). Each entry point is
+// checked against per-node KHopCount and Walker sweeps.
+func TestKernelSmallAndUnfrozen(t *testing.T) {
+	// A 40-node ring with chords: fewer sources than one batch.
+	small := graph.New(40)
+	for i := 0; i < 40; i++ {
+		small.AddEdge(i, (i+1)%40)
+		if i%5 == 0 {
+			small.AddEdge(i, (i+13)%40)
+		}
+	}
+	grid := nettest.Grid("window", 400, 6.5, 3).Graph
+	for name, base := range map[string]*graph.Graph{"small": small, "window": grid} {
+		for _, k := range []int{1, 2, 4} {
+			for entry := 0; entry < 3; entry++ {
+				g := cloneThawed(base)
+				if g.Frozen() {
+					t.Fatalf("%s: hand-built graph unexpectedly frozen", name)
+				}
+				n := g.N()
+				switch entry {
+				case 0:
+					requireKHopCounts(t, name, g, k)
+				case 1:
+					rows := ballRows(n, k)
+					g.BallSizesInto(k, rows, nil, nil)
+					for v := 0; v < n; v++ {
+						for r := 1; r <= k; r++ {
+							if want := g.KHopCount(v, r); rows[v][r-1] != want {
+								t.Fatalf("%s k=%d: ball[%d][%d] = %d, want %d", name, k, v, r-1, rows[v][r-1], want)
+							}
+						}
+					}
+				case 2:
+					weight := make([]int, n)
+					for v := range weight {
+						weight[v] = 3*v%11 + 1
+					}
+					got := make([]int, n)
+					g.BallWeightedSumsInto(graph.KernelBatched, k, weight, got, nil, nil)
+					w := graph.NewWalker(g)
+					for v := 0; v < n; v++ {
+						want := 0
+						w.Walk(v, k, func(u, _ int32) { want += weight[u] })
+						if got[v] != want {
+							t.Fatalf("%s k=%d: weighted sum[%d] = %d, want %d", name, k, v, got[v], want)
+						}
+					}
+				}
+				if !g.Frozen() {
+					t.Fatalf("%s k=%d entry %d: batched flood did not freeze the graph", name, k, entry)
+				}
+			}
+		}
+	}
+}
+
+// cloneThawed copies a graph edge by edge into a fresh, unfrozen graph with
+// the same adjacency order.
+func cloneThawed(src *graph.Graph) *graph.Graph {
+	g := graph.New(src.N())
+	for v := 0; v < src.N(); v++ {
+		for _, u := range src.Neighbors(v) {
+			if int(u) > v {
+				g.AddEdge(v, int(u))
+			}
+		}
+	}
+	return g
 }
 
 // TestBatchBallSizes: the arbitrary-source entry matches per-source
@@ -219,14 +295,8 @@ func TestFreezeSemantics(t *testing.T) {
 	if got := g.Neighbors(1); len(got) != 3 || got[2] != 4 {
 		t.Fatalf("refrozen Neighbors(1) = %v", got)
 	}
-	// Kernel equivalence survives the thaw/refreeze cycle.
-	w := g.AllKHopCountsKernel(graph.KernelWalker, 2)
-	b := g.AllKHopCountsKernel(graph.KernelBatched, 2)
-	for v := range w {
-		if w[v] != b[v] {
-			t.Fatalf("counts[%d] walker=%d batched=%d", v, w[v], b[v])
-		}
-	}
+	// The batched counts stay exact across the thaw/refreeze cycle.
+	requireKHopCounts(t, "refrozen", g, 2)
 }
 
 // TestWalkerBFSInto: the allocation-free full-BFS variants match BFS and

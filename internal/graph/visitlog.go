@@ -66,21 +66,22 @@ func (lg *VisitLog) Events() int {
 }
 
 // BallSizesIntoKernelLogged is BallSizesIntoKernel recording the settle
-// events of the first logRadius levels into lg. When the request resolves to
-// the walker kernel there is nothing to record: lg is invalidated and the
-// sweep runs as usual. The rows written to out are identical either way.
+// events of the first logRadius levels into lg. The walker kernel has
+// nothing to record: lg is invalidated and the sweep runs as usual. The rows
+// written to out are identical either way.
 func (g *Graph) BallSizesIntoKernelLogged(kern Kernel, k, logRadius int, out [][]int, lg *VisitLog, acquire func() *Walker, release func(*Walker)) {
 	if k <= 0 || g.N() == 0 {
 		lg.Invalidate()
 		return
 	}
-	if g.resolveKernel(kern, k) == KernelWalker {
+	if kern == KernelWalker {
 		lg.Invalidate()
 		ParallelNodes(g, acquire, release, func(w *Walker, v int) {
 			ballSizesWalker(w, v, out[v])
 		})
 		return
 	}
+	g.Freeze()
 	n := g.N()
 	lg.Reset(n, logRadius)
 	logs := lg.batches

@@ -76,13 +76,6 @@ func (w *Walker) WalkUntil(src, k int, visit func(v, d int32) bool) {
 	w.s.runUntil(w.g, src, k, visit)
 }
 
-// Count returns |N_k(src)| using the walker's buffers.
-func (w *Walker) Count(src, k int) int {
-	n := 0
-	w.s.run(w.g, src, k, func(_, _ int32) { n++ })
-	return n
-}
-
 // TakeCounts drains the walker's work counters: the number of truncated BFS
 // sweeps run and nodes visited since the last drain. Pools (core.Extractor)
 // drain on release, turning per-walker tallies into per-stage aggregates

@@ -14,7 +14,7 @@ func init() { skeleton.Register(backend{}) }
 // same boundary-free class as the paper's pipeline.
 type backend struct {
 	// Opts configures the backend; the zero value uses the defaults, with
-	// Radius and Kernel overridden from skeleton.Params when set there.
+	// Radius taken from skeleton.Params when unset.
 	Opts Options
 }
 
@@ -28,17 +28,12 @@ func (backend) Capabilities() skeleton.Capabilities {
 }
 
 // Extract implements skeleton.Backend. The ball radius follows the
-// pipeline's K and the flood kernel follows the core selection, so the
-// scorecard compares backends under one knob set.
+// pipeline's K, so the scorecard compares backends under one knob set.
 func (bk backend) Extract(g *graph.Graph, p skeleton.Params) (*skeleton.Result, *skeleton.Stats, error) {
 	run := skeleton.NewRun(p, bk.Name(), g)
 	opts := bk.Opts
-	ec := p.EffectiveCore()
 	if opts.Radius == 0 {
-		opts.Radius = ec.K
-	}
-	if opts.Kernel == graph.KernelAuto {
-		opts.Kernel = ec.FloodKernel
+		opts.Radius = p.EffectiveCore().K
 	}
 	res := extractStaged(g, opts, run.Hook())
 	stats := run.Finish(

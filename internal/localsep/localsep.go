@@ -44,9 +44,6 @@ type Options struct {
 	// PruneLen trims leaf skeleton branches shorter than this many hops
 	// (default 3).
 	PruneLen int
-	// Kernel selects the BFS implementation behind the ball-growth pass
-	// (the MS-BFS batched kernel on large frozen graphs under KernelAuto).
-	Kernel graph.Kernel
 }
 
 func (o Options) withDefaults() Options {
@@ -94,8 +91,8 @@ func extractStaged(g *graph.Graph, opts Options, stage func(name string, fn func
 	res := &Result{Radius: opts.Radius}
 
 	// Ball growth: cumulative |N_r| profiles for every node through the
-	// flood kernel (bit-parallel MS-BFS on large frozen graphs). The
-	// profile's top radius is the prefilter statistic.
+	// bit-parallel MS-BFS kernel. The profile's top radius is the prefilter
+	// statistic.
 	var cut float64
 	stage("balls", func() {
 		rows := make([][]int, n)
@@ -103,7 +100,7 @@ func extractStaged(g *graph.Graph, opts Options, stage func(name string, fn func
 		for v := range rows {
 			rows[v] = flat[v*opts.Radius : (v+1)*opts.Radius : (v+1)*opts.Radius]
 		}
-		g.BallSizesIntoKernel(opts.Kernel, opts.Radius, rows, nil, nil)
+		g.BallSizesInto(opts.Radius, rows, nil, nil)
 		res.BallSize = make([]int, n)
 		for v := range rows {
 			res.BallSize[v] = rows[v][opts.Radius-1]

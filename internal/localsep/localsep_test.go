@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"bfskel/internal/graph"
 	"bfskel/internal/nettest"
 )
 
@@ -51,12 +50,15 @@ func TestExtractDeterministicUnderParallelism(t *testing.T) {
 	}
 }
 
+// TestKernelEquivalence: the batched ball-growth pass reports exactly the
+// per-node |N_R| of a single-source count.
 func TestKernelEquivalence(t *testing.T) {
 	net := nettest.Grid("window", 1500, 7.0, 1)
-	walker := Extract(net.Graph, Options{Kernel: graph.KernelWalker})
-	batched := Extract(net.Graph, Options{Kernel: graph.KernelBatched})
-	if got, want := skelPrint(batched), skelPrint(walker); got != want {
-		t.Error("walker and batched ball-growth kernels disagree")
+	res := Extract(net.Graph, Options{})
+	for v, got := range res.BallSize {
+		if want := net.Graph.KHopCount(v, res.Radius); got != want {
+			t.Fatalf("BallSize[%d] = %d, want %d", v, got, want)
+		}
 	}
 }
 

@@ -42,8 +42,8 @@ func (d *Detector) Boundary(g *graph.Graph) (*boundary.Result, error) {
 }
 
 // Static returns a provider that always serves the given precomputed
-// boundary, regardless of the graph — the seam the deprecated
-// RunMAP/RunCASE facade wrappers and the noise-injection experiments use.
+// boundary, regardless of the graph — the seam the baseline comparisons
+// and the noise-injection experiments use.
 func Static(b *boundary.Result) BoundaryProvider { return staticProvider{b: b} }
 
 type staticProvider struct{ b *boundary.Result }

@@ -81,10 +81,9 @@ type LadderRung struct {
 	// monotone over a run, so the last rung bounds the whole ladder.
 	PeakRSSMB float64 `json:"peakRssMb"`
 
-	// Outcome facts: resolved flood kernel, elected sites, skeleton size.
-	Kernel    string `json:"kernel"`
-	Sites     int    `json:"sites"`
-	SkelNodes int    `json:"skeletonNodes"`
+	// Outcome facts: elected sites, skeleton size.
+	Sites     int `json:"sites"`
+	SkelNodes int `json:"skeletonNodes"`
 
 	// Err records a failed rung (the other fields are zero then).
 	Err string `json:"err,omitempty"`
@@ -95,8 +94,8 @@ func (r LadderRung) String() string {
 	if r.Err != "" {
 		return fmt.Sprintf("%-9s n=%-8d ERROR %s", r.Shape, r.N, r.Err)
 	}
-	return fmt.Sprintf("%-9s n=%-8d deg=%-5.2f build=%9.1fms extract=%9.1fms rss=%7.1fMB kernel=%-7s sites=%-5d skel=%d",
-		r.Shape, r.Nodes, r.AvgDeg, r.BuildMs, r.ExtractMs, r.PeakRSSMB, r.Kernel, r.Sites, r.SkelNodes)
+	return fmt.Sprintf("%-9s n=%-8d deg=%-5.2f build=%9.1fms extract=%9.1fms rss=%7.1fMB sites=%-5d skel=%d",
+		r.Shape, r.Nodes, r.AvgDeg, r.BuildMs, r.ExtractMs, r.PeakRSSMB, r.Sites, r.SkelNodes)
 }
 
 // ChurnHistBounds are the dirty-fraction histogram bucket upper bounds of
@@ -116,7 +115,6 @@ type ChurnRow struct {
 	N      int     `json:"n"`
 	Nodes  int     `json:"nodes"`
 	AvgDeg float64 `json:"avgDeg"`
-	Kernel string  `json:"kernel,omitempty"`
 
 	// Rate is the churn fraction per batch (BatchSize/Nodes); each of the
 	// Batches updates fails BatchSize fresh nodes and recovers the

@@ -47,7 +47,7 @@ type Params struct {
 	// Core carries the pipeline knobs of the paper's algorithm; the zero
 	// value (K == 0) means core.DefaultParams(). Backends other than
 	// "bfskel" read only the knobs that map onto their construction
-	// (FloodKernel for flooding passes, K for neighborhood statistics).
+	// (K for neighborhood statistics).
 	Core core.Params
 	// Boundary resolves the boundary substrate for backends whose
 	// Capabilities declare NeedsBoundary. Nil means a fresh

@@ -76,7 +76,6 @@ func RunLadder(cfg LadderConfig) ([]LadderRung, error) {
 			continue
 		}
 		if st := res.Stats; st != nil {
-			rung.Kernel = st.FloodKernel
 			rung.StageMs = make(map[string]float64, len(st.Phases))
 			for _, ph := range st.Phases {
 				rung.StageMs[ph.Name] = float64(ph.Duration) / float64(time.Millisecond)
