@@ -78,21 +78,13 @@ func DetectBoundary(net *Network) *BoundaryResult {
 	return boundary.Detect(net.Graph, boundary.Options{})
 }
 
-// RunProtocolPhases runs phases 1-2 as true message-passing node programs
-// on the simulated network and reports transmissions and rounds; to match a
-// centralized run, pass its effective radii (Result.EffectiveK /
-// Result.EffectiveScope).
-func RunProtocolPhases(net *Network, k, l, scope int, alpha int32) (*DistributedResult, error) {
-	return protocol.Run(net.Graph, k, l, scope, alpha)
-}
-
 // ExtractDistributed performs the complete extraction with phases 1-2
 // executed as distributed node programs (counting every transmission and
 // round) and phases 3-4 computed from their outputs. Unlike Extract, no
 // saturation guard applies: the protocols run exactly at the configured
 // radii, as real sensor firmware would.
 func ExtractDistributed(net *Network, p Params) (*Result, *DistributedResult, error) {
-	dres, err := protocol.Run(net.Graph, p.K, p.L, p.Scope(), p.Alpha)
+	dres, err := protocol.Run(net.Graph, p.K, p.L, p.Scope(), p.Alpha, protocol.Options{})
 	if err != nil {
 		return nil, nil, err
 	}

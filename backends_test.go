@@ -70,7 +70,7 @@ func TestBackendsRegistered(t *testing.T) {
 // to a direct core engine run with the same parameters.
 func TestBfskelBackendBitIdentical(t *testing.T) {
 	net := testNetwork(t, "twoholes", 1500, 7.0, 1)
-	direct, err := net.Extractor().Extract(DefaultParams())
+	direct, err := net.ExtractorObs(ObsScope{}).Extract(DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,25 +138,25 @@ func TestCrossBackendScorecard(t *testing.T) {
 	}
 }
 
-// TestExtractBatchObsBackendRouting pins the batch path's per-item backend
+// TestExtractBatchBackendRouting pins the batch path's per-item backend
 // selection: empty means bfskel (bit-identical to the core pipeline), and
 // baseline backends come back as synthesized core Results carrying their
 // skeleton and stats.
-func TestExtractBatchObsBackendRouting(t *testing.T) {
+func TestExtractBatchBackendRouting(t *testing.T) {
 	net := testNetwork(t, "window", 1200, 6.5, 1)
 	items := []BatchItem{
 		{Network: net, Params: DefaultParams()},
 		{Network: net, Params: DefaultParams(), Backend: "map"},
 		{Network: net, Params: DefaultParams(), Backend: "localsep"},
 	}
-	results, err := ExtractBatchObs(items, ObsScope{})
+	results, err := ExtractBatch(items, ObsScope{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(results) != len(items) {
 		t.Fatalf("want %d results, got %d", len(items), len(results))
 	}
-	direct, err := net.Extractor().Extract(DefaultParams())
+	direct, err := net.ExtractorObs(ObsScope{}).Extract(DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestExtractBatchObsBackendRouting(t *testing.T) {
 		}
 	}
 
-	if _, err := ExtractBatchObs([]BatchItem{{Network: net, Backend: "nope"}}, ObsScope{}); err == nil {
+	if _, err := ExtractBatch([]BatchItem{{Network: net, Backend: "nope"}}, ObsScope{}); err == nil {
 		t.Error("unknown backend name did not error")
 	}
 }

@@ -23,7 +23,7 @@ func benchFigure(b *testing.B, figure string) {
 	var rows []ExperimentRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = RunFigure(figure, 1)
+		rows, err = RunFigure(figure, 1, ObsScope{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -97,7 +97,7 @@ func BenchmarkExtract(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			x := net.Extractor()
+			x := net.ExtractorObs(ObsScope{})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := x.Extract(DefaultParams()); err != nil {

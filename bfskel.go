@@ -19,14 +19,15 @@
 //	    TargetDeg: 6,
 //	    Seed:      1,
 //	})
-//	x := net.Extractor()
+//	x := net.ExtractorObs(bfskel.ObsScope{})
 //	res, err := x.Extract(bfskel.DefaultParams())
 //	fmt.Println(res.Skeleton.NumNodes(), res.Skeleton.CycleRank())
 //	fmt.Println(res.Stats) // per-phase wall time and pipeline counters
 //
 // One-shot callers can keep using the equivalent net.Extract(params);
 // batches over many networks or parameter sets go through ExtractBatch,
-// which amortizes one engine across all runs.
+// which amortizes pooled engines across all runs. An ObsScope with a
+// tracer or metrics registry attaches observability to either entry point.
 //
 // Everything underneath lives in internal packages; this package is the
 // supported API surface.
@@ -43,6 +44,7 @@ import (
 	"bfskel/internal/graph"
 	"bfskel/internal/radio"
 	"bfskel/internal/shapes"
+	"bfskel/internal/skeleton"
 )
 
 // Re-exported result and configuration types. The aliases keep one set of
@@ -55,7 +57,7 @@ type (
 	Result = core.Result
 	// Extractor is the staged extraction engine: it pools scratch state
 	// (BFS buffers, Walkers, per-node arrays) across runs and instruments
-	// every phase. Create one per goroutine via Network.Extractor.
+	// every phase. Create one per goroutine via Network.ExtractorObs.
 	Extractor = core.Extractor
 	// Stats instruments one extraction run: per-phase wall time, BFS and
 	// flood counts, guard adjustments, and outcome counters.
@@ -264,39 +266,56 @@ func (n *Network) AvgDegree() float64 { return n.Graph.AvgDegree() }
 
 // Extract runs the boundary-free skeleton extraction pipeline. It is the
 // one-shot form of the staged engine — equivalent to
-// n.Extractor().Extract(p) — and pays the engine's cold-start allocations
-// every call; repeated extractions should reuse one Extractor.
+// n.ExtractorObs(ObsScope{}).Extract(p) — and pays the engine's
+// cold-start allocations every call; repeated extractions should reuse one
+// Extractor.
 func (n *Network) Extract(p Params) (*Result, error) {
 	return core.Extract(n.Graph, p)
 }
 
-// Extractor returns a staged extraction engine bound to the network's
-// graph. The engine reuses its scratch pools across Extract calls (every
-// returned Result stays independent of the engine), but is not safe for
-// concurrent use — create one per goroutine.
-func (n *Network) Extractor() *Extractor {
-	return core.NewExtractor(n.Graph)
-}
-
-// BatchItem is one extraction of a batch: a network plus its parameters.
-// Backend optionally names a registered skeleton backend for the
-// observability batch path (ExtractBatchObs); empty means "bfskel".
-// ExtractBatch itself always runs the core pipeline.
+// BatchItem is one extraction of a batch: a network, its parameters, and
+// optionally the registered skeleton backend to run (empty means
+// "bfskel", the paper's pipeline). Zero-value Params mean the paper
+// defaults (DefaultParams).
 type BatchItem struct {
 	Network *Network
 	Params  Params
 	Backend string
 }
 
-// ExtractBatch runs every item through a single pooled extraction engine,
-// amortizing scratch allocations across many networks and parameter sets
-// (the experiment harness's sweeps run through this). Consecutive items on
-// the same network reuse the full pool, so group items by network. It
-// fails fast on the first erroring item.
-func ExtractBatch(items []BatchItem) ([]*Result, error) {
-	jobs := make([]core.BatchJob, len(items))
+// ExtractBatch runs every item through the backend it names, sequentially
+// and fail-fast, with the scope's tracer and metrics attached (each item
+// emits its own "extract" span tree). "bfskel" items reuse pooled staged
+// engines — rebinding on a network change keeps only the buffer capacity,
+// so group items by network — and return results bit-identical to a direct
+// engine run. For items on other backends the Result carries only the
+// fields the backend produces (Params, Skeleton, CellOf, Boundary, Stats).
+func ExtractBatch(items []BatchItem, sc ObsScope) ([]*Result, error) {
+	jobs := make([]skeleton.BatchJob, len(items))
 	for i, it := range items {
-		jobs[i] = core.BatchJob{G: it.Network.Graph, P: it.Params}
+		jobs[i] = skeleton.BatchJob{
+			G:       it.Network.Graph,
+			Backend: it.Backend,
+			Params:  skeleton.Params{Core: it.Params, Tracer: sc.Tracer, Metrics: sc.Metrics},
+		}
 	}
-	return core.ExtractBatch(jobs)
+	sres, err := skeleton.ExtractBatch(jobs)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*Result, len(sres))
+	for i, r := range sres {
+		if r.Core != nil {
+			out[i] = r.Core
+			continue
+		}
+		out[i] = &core.Result{
+			Params:   jobs[i].Params.EffectiveCore(),
+			Skeleton: r.Skeleton,
+			CellOf:   r.CellOf,
+			Boundary: r.Boundary,
+			Stats:    r.Stats,
+		}
+	}
+	return out, nil
 }

@@ -34,18 +34,13 @@ type ChurnSession struct {
 	ix  *core.IncrementalExtractor
 }
 
-// ChurnSession opens an incremental extraction session on the network and
-// runs the seed extraction. See the ChurnSession type for the graph
-// ownership rules.
-func (n *Network) ChurnSession(p Params) (*ChurnSession, error) {
-	return n.ChurnSessionObs(p, ObsScope{})
-}
-
-// ChurnSessionObs is ChurnSession with the scope's tracer and metrics
-// attached before the seed extraction: the initial run and every update
-// emit spans ("extract", "update") and accumulate bfskel_update_* metrics.
+// ChurnSessionObs opens an incremental extraction session on the network
+// and runs the seed extraction, with the scope's tracer and metrics
+// attached first: the initial run and every update emit spans ("extract",
+// "update") and accumulate bfskel_update_* metrics (the zero scope records
+// nothing). See the ChurnSession type for the graph ownership rules.
 func (n *Network) ChurnSessionObs(p Params, sc ObsScope) (*ChurnSession, error) {
-	ix, err := core.NewIncrementalExtractorObs(n.Graph, p, sc.Tracer, sc.Metrics)
+	ix, err := core.NewIncrementalExtractor(n.Graph, p, sc.Tracer, sc.Metrics)
 	if err != nil {
 		return nil, err
 	}

@@ -13,7 +13,7 @@ import (
 func TestChurnSessionFailDisk(t *testing.T) {
 	net := testNetwork(t, "onehole", 2500, 7, 1)
 	p := DefaultParams()
-	s, err := net.ChurnSession(p)
+	s, err := net.ChurnSessionObs(p, ObsScope{})
 	if err != nil {
 		t.Fatal(err)
 	}

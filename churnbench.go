@@ -89,13 +89,13 @@ func RunChurnBench(cfg ChurnBenchConfig) ([]ChurnRow, error) {
 	}
 
 	// Settle the heap before timing anything: earlier phases of a combined
-	// run (e.g. the scale ladder) can leave allocator state that skews both
+	// run (e.g. the scorecard) can leave allocator state that skews both
 	// the baseline and the update means.
 	runtime.GC()
 
 	// From-scratch baseline: best of two pooled-engine runs, so the churn
 	// speedups compare against a warmed engine, not a cold start.
-	eng := net.Extractor()
+	eng := net.ExtractorObs(ObsScope{})
 	fullMs := 0.0
 	for i := 0; i < 2; i++ {
 		start := time.Now() //lint:allow determinism ChurnRow.FullExtractMs is wall-clock timing, not part of the result
@@ -108,7 +108,7 @@ func RunChurnBench(cfg ChurnBenchConfig) ([]ChurnRow, error) {
 		}
 	}
 
-	s, err := net.ChurnSession(cfg.Params)
+	s, err := net.ChurnSessionObs(cfg.Params, ObsScope{})
 	if err != nil {
 		return nil, err
 	}

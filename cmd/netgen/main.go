@@ -8,9 +8,12 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
+	"strings"
 	"time"
 
 	"bfskel"
@@ -58,7 +61,7 @@ func run() error {
 	fmt.Printf("nodes=%d (of %d deployed) avg.deg=%.2f connected=%v\n",
 		net.N(), *n, net.AvgDegree(), net.Graph.IsConnected())
 	fmt.Printf("radio=%v hop-diameter>=%d\n", net.Radio, net.Graph.DiameterLowerBound(0))
-	fmt.Printf("build=%.1fms peak-rss=%.1fMB\n", buildMs, bfskel.PeakRSSMB())
+	fmt.Printf("build=%.1fms peak-rss=%.1fMB\n", buildMs, peakRSSMB())
 
 	write := func(path string, render func(*os.File) error) error {
 		f, err := os.Create(path)
@@ -90,4 +93,27 @@ func run() error {
 		}
 	}
 	return nil
+}
+
+// peakRSSMB returns the process peak resident set size in MiB (VmHWM from
+// /proc/self/status), or 0 where the proc filesystem is unavailable.
+func peakRSSMB() float64 {
+	f, err := os.Open("/proc/self/status")
+	if err != nil {
+		return 0
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		fields := strings.Fields(sc.Text())
+		if len(fields) < 2 || fields[0] != "VmHWM:" {
+			continue
+		}
+		kb, err := strconv.ParseFloat(fields[1], 64)
+		if err != nil {
+			return 0
+		}
+		return kb / 1024
+	}
+	return 0
 }

@@ -18,8 +18,7 @@
 //	                                    # (/metrics /runs /trace /profile /debug/pprof)
 //	skelbench -obs :6060 -obs-wait      # keep serving after the run, until interrupted
 //	skelbench -scorecard card.json                      # cross-backend scorecard as JSON
-//	skelbench -ladder 10000,100000,1000000              # scale ladder: build/extract wall time + peak RSS per size
-//	skelbench -ladder 100000 -ladder-ceiling 120 -ladder-out ladder.json  # CI capacity gate
+//	skelbench -churn 0.0001,0.001 -churn-out churn.json # incremental-update throughput at 10^5 nodes
 package main
 
 import (
@@ -71,16 +70,10 @@ func run() error {
 		metricsOn = flag.Bool("metrics", false, "dump Prometheus-text metrics on exit")
 		obsAddr   = flag.String("obs", "", "serve the live observability plane on this address (e.g. 127.0.0.1:0): /metrics, /runs, /trace, /profile, /healthz, /debug/pprof")
 		obsWait   = flag.Bool("obs-wait", false, "with -obs: keep serving after the run completes, until interrupted")
-		engine    = flag.String("engine", "", "force the simnet round engine for the protocol phases: serial or parallel (empty = auto)")
 		scorePath = flag.String("scorecard", "", "run the cross-backend scorecard instead of the figures and write it as JSON to this path")
 		backends  = flag.String("backends", "bfskel,map,case,localsep", "comma-separated skeleton backends for -scorecard")
 		shapesF   = flag.String("shapes", "window,twoholes,spiral", "comma-separated shapes for -scorecard")
 		nOverride = flag.Int("n", 0, "override the node count of every -scorecard scenario (0 = per-shape paper defaults)")
-		ladderF   = flag.String("ladder", "", "comma-separated node counts for the scale ladder (e.g. 10000,100000,1000000); with -scorecard the rungs embed in the scorecard JSON")
-		ladderSh  = flag.String("ladder-shape", "window", "deployment field for -ladder rungs")
-		ladderDeg = flag.Float64("ladder-deg", 7, "target average degree for -ladder rungs")
-		ladderOut = flag.String("ladder-out", "", "write the -ladder rungs as standalone JSON to this path (without -scorecard)")
-		ladderMax = flag.Float64("ladder-ceiling", 0, "fail when any -ladder rung's extraction exceeds this many seconds (0 = no ceiling)")
 		churnF    = flag.String("churn", "", "comma-separated churn rates (fraction of nodes failing per update batch, e.g. 0.0001,0.001,0.01): stream steady-state failure/recovery batches through the incremental extractor and report updates/sec vs from-scratch; with -scorecard the rows embed in the scorecard JSON")
 		churnN    = flag.Int("churn-n", 100000, "node count of the -churn field")
 		churnSh   = flag.String("churn-shape", "window", "deployment field for -churn")
@@ -91,17 +84,6 @@ func run() error {
 		churnMin  = flag.Float64("churn-floor", 0, "fail when any -churn rate's incremental speedup vs from-scratch falls below this factor (0 = no floor)")
 	)
 	flag.Parse()
-
-	switch *engine {
-	case "", "serial", "parallel":
-		if *engine != "" {
-			// The experiment drivers build their own simulators; the
-			// process-wide override is how a forced engine reaches them.
-			os.Setenv("BFSKEL_SIMNET_ENGINE", *engine)
-		}
-	default:
-		return fmt.Errorf("unknown -engine %q (want serial or parallel)", *engine)
-	}
 
 	var traceSink *bfskel.JSONLSink
 	if *tracePath != "" {
@@ -135,16 +117,6 @@ func run() error {
 		}
 	}
 
-	// The ladder runs after any scorecard measurement: the 10^6-node rung
-	// leaves a multi-hundred-MB heap behind, which would skew the GC-heavy
-	// backends' wall times if it ran first.
-	ladderFn := func() ([]bfskel.LadderRung, error) {
-		if *ladderF == "" {
-			return nil, nil
-		}
-		return runLadder(*ladderF, *ladderSh, *ladderDeg, *seed, *ladderMax, *ladderOut, *scorePath == "")
-	}
-
 	churnFn := func() ([]bfskel.ChurnRow, error) {
 		if *churnF == "" {
 			return nil, nil
@@ -154,25 +126,17 @@ func run() error {
 	}
 
 	if *scorePath != "" {
-		return runScorecard(*scorePath, *backends, *shapesF, *nOverride, *seed, ladderFn, churnFn, ob, *metricsOn)
-	}
-	standalone := false
-	if *ladderF != "" {
-		if _, err := ladderFn(); err != nil {
-			return err
-		}
-		standalone = true
+		return runScorecard(*scorePath, *backends, *shapesF, *nOverride, *seed, churnFn, ob, *metricsOn)
 	}
 	if *churnF != "" {
 		if _, err := churnFn(); err != nil {
 			return err
 		}
-		standalone = true
-	}
-	if standalone && *fig == "" {
-		// Ladder/churn-only invocation: don't drag the full figure sweep
-		// along.
-		return nil
+		if *fig == "" {
+			// Churn-only invocation: don't drag the full figure sweep
+			// along.
+			return nil
+		}
 	}
 
 	figures := bfskel.FigureNames()
@@ -181,7 +145,7 @@ func run() error {
 	}
 	rep := report{Date: time.Now().UTC().Format(time.RFC3339), Seed: *seed, Note: *note} //lint:allow determinism report date stamp; results are keyed by Seed
 	for _, f := range figures {
-		rows, err := bfskel.RunFigureObs(f, *seed, ob)
+		rows, err := bfskel.RunFigure(f, *seed, ob)
 		if err != nil {
 			return fmt.Errorf("%s: %w", f, err)
 		}
@@ -217,57 +181,6 @@ func run() error {
 		}
 	}
 	return nil
-}
-
-// runLadder drives the scale ladder (-ladder): one build + one extraction
-// per requested size, with wall-time, stage, and peak-RSS reporting. The
-// rungs are returned for embedding in a scorecard; standalone invocations
-// optionally write them to their own JSON file. A non-zero ceiling turns
-// the ladder into a CI gate: any errored rung or extraction slower than the
-// ceiling fails the run.
-func runLadder(sizeList, shape string, deg float64, seed int64, ceiling float64, outPath string, standalone bool) ([]bfskel.LadderRung, error) {
-	var sizes []int
-	for _, f := range strings.Split(sizeList, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("-ladder: bad size %q", f)
-		}
-		sizes = append(sizes, n)
-	}
-	rungs, err := bfskel.RunLadder(bfskel.LadderConfig{
-		Shape: shape, Sizes: sizes, TargetDeg: deg, Seed: seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	fmt.Println("== ladder ==")
-	for _, r := range rungs {
-		fmt.Println(" ", r)
-	}
-	if standalone && outPath != "" {
-		card := bfskel.Scorecard{
-			Date:   time.Now().UTC().Format(time.RFC3339), //lint:allow determinism report date stamp; results are keyed by Seed
-			Seed:   seed,
-			Ladder: rungs,
-		}
-		data, err := json.MarshalIndent(&card, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-			return nil, err
-		}
-		fmt.Println("wrote", outPath)
-	}
-	for _, r := range rungs {
-		if r.Err != "" {
-			return nil, fmt.Errorf("-ladder: rung n=%d failed: %s", r.N, r.Err)
-		}
-		if ceiling > 0 && r.ExtractMs > ceiling*1000 {
-			return nil, fmt.Errorf("-ladder-ceiling: rung n=%d extracted in %.1fms, over the %.0fs ceiling", r.N, r.ExtractMs, ceiling)
-		}
-	}
-	return rungs, nil
 }
 
 // runChurn drives the churn-throughput bench (-churn): a steady stream of
@@ -329,7 +242,7 @@ func runChurn(rateList, shape string, n int, deg float64, batches int, seed int6
 // runScorecard drives the cross-backend comparison: every named backend
 // over every named shape through the facade's quality harness, printed as
 // an aligned table and written as machine-readable JSON.
-func runScorecard(path, backendList, shapeList string, nOverride int, seed int64, ladderFn func() ([]bfskel.LadderRung, error), churnFn func() ([]bfskel.ChurnRow, error), ob bfskel.ObsScope, metricsOn bool) error {
+func runScorecard(path, backendList, shapeList string, nOverride int, seed int64, churnFn func() ([]bfskel.ChurnRow, error), ob bfskel.ObsScope, metricsOn bool) error {
 	defaults := map[string]struct {
 		n   int
 		deg float64
@@ -378,13 +291,7 @@ func runScorecard(path, backendList, shapeList string, nOverride int, seed int64
 		return err
 	}
 	card.Date = time.Now().UTC().Format(time.RFC3339) //lint:allow determinism report date stamp; results are keyed by Seed
-	// Churn before the ladder: the ladder's million-node rung leaves the heap
-	// inflated, which skews the churn means if it runs first.
 	card.Churn, err = churnFn()
-	if err != nil {
-		return err
-	}
-	card.Ladder, err = ladderFn()
 	if err != nil {
 		return err
 	}

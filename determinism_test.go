@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -69,7 +70,7 @@ func TestExtractDeterministicUnderParallelism(t *testing.T) {
 // one-shot extractions produce, proving no scratch state leaks into results.
 func TestExtractorReuseMatchesFresh(t *testing.T) {
 	net := testNetwork(t, "window", 800, 7, 3)
-	x := net.Extractor()
+	x := net.ExtractorObs(ObsScope{})
 
 	var params []Params
 	for _, k := range []int{3, 4, 5} {
@@ -96,9 +97,10 @@ func TestExtractorReuseMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestExtractBatchMatchesIndividual pins ExtractBatch: one shared engine
-// over mixed networks and parameter sets must reproduce the individual
-// extractions element for element.
+// TestExtractBatchMatchesIndividual pins ExtractBatch: pooled engines over
+// mixed networks, parameter sets and backends must reproduce the individual
+// extractions element for element, and zero-value Params must mean the
+// paper defaults.
 func TestExtractBatchMatchesIndividual(t *testing.T) {
 	window := testNetwork(t, "window", 800, 7, 3)
 	onehole := testNetwork(t, "onehole", 800, 7, 3)
@@ -111,9 +113,11 @@ func TestExtractBatchMatchesIndividual(t *testing.T) {
 		{Network: window, Params: p3},
 		{Network: onehole, Params: p4},
 		{Network: window, Params: p4}, // rebind back to a previous graph
+		{Network: onehole, Params: p4, Backend: "map"},
+		{Network: window}, // zero Params: the paper defaults
 	}
 
-	batch, err := ExtractBatch(items)
+	batch, err := ExtractBatch(items, ObsScope{})
 	if err != nil {
 		t.Fatalf("batch: %v", err)
 	}
@@ -121,12 +125,44 @@ func TestExtractBatchMatchesIndividual(t *testing.T) {
 		t.Fatalf("batch returned %d results for %d items", len(batch), len(items))
 	}
 	for i, it := range items {
-		single, err := it.Network.Extract(it.Params)
+		var single *Result
+		switch {
+		case it.Backend == "map":
+			br, _, err := ExtractBackend(it.Network, "map", BackendParams{Core: it.Params})
+			if err != nil {
+				t.Fatalf("item %d individual map extract: %v", i, err)
+			}
+			single = &Result{Skeleton: br.Skeleton, CellOf: br.CellOf, Boundary: br.Boundary}
+		case it.Params == (Params{}):
+			if batch[i].Params != DefaultParams() {
+				t.Errorf("item %d: zero Params ran with %+v, want DefaultParams", i, batch[i].Params)
+			}
+			single, err = it.Network.Extract(DefaultParams())
+		default:
+			single, err = it.Network.Extract(it.Params)
+		}
 		if err != nil {
 			t.Fatalf("item %d individual extract: %v", i, err)
 		}
 		if got, want := fingerprint(batch[i]), fingerprint(single); got != want {
 			t.Errorf("item %d: batch result differs from individual extraction", i)
 		}
+	}
+}
+
+// TestExtractBatchErrors checks the fail-fast contract and item indexing.
+func TestExtractBatchErrors(t *testing.T) {
+	net := testNetwork(t, "window", 300, 7, 1)
+	bad := DefaultParams()
+	bad.K = -1
+	_, err := ExtractBatch([]BatchItem{
+		{Network: net, Params: DefaultParams()},
+		{Network: net, Params: bad},
+	}, ObsScope{})
+	if err == nil {
+		t.Fatal("batch with an invalid item succeeded")
+	}
+	if want := "batch job 1"; !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not name the failing item (%q)", err, want)
 	}
 }

@@ -149,14 +149,10 @@ func BuildScenario(sc Scenario, seed int64) (*Network, error) {
 	return BuildNetwork(spec)
 }
 
-// RunScenario builds the network and extracts the skeleton.
-func RunScenario(sc Scenario, seed int64) (*Network, *Result, error) {
-	return RunScenarioObs(sc, seed, ObsScope{})
-}
-
-// RunScenarioObs is RunScenario with the scope's tracer and metrics
-// attached to the extraction engine (one "extract" span tree per run).
-func RunScenarioObs(sc Scenario, seed int64, ob ObsScope) (*Network, *Result, error) {
+// RunScenario builds the network and extracts the skeleton, with the
+// scope's tracer and metrics attached to the extraction engine (one
+// "extract" span tree per run; the zero scope records nothing).
+func RunScenario(sc Scenario, seed int64, ob ObsScope) (*Network, *Result, error) {
 	net, err := BuildScenario(sc, seed)
 	if err != nil {
 		return nil, nil, err
@@ -213,16 +209,12 @@ func rowFor(sc Scenario, net *Network, res *Result) ExperimentRow {
 
 // RunFigure reproduces one experiment (see DESIGN.md's experiment index)
 // and returns its measured rows. Known figures: fig1, fig3, fig4, fig5,
-// fig6, fig7, fig8, complexity, params, baselines, routing.
-func RunFigure(figure string, seed int64) ([]ExperimentRow, error) {
-	return RunFigureObs(figure, seed, ObsScope{})
-}
-
-// RunFigureObs is RunFigure with observability: the whole experiment runs
-// inside a "figure" span, every extraction emits its stage spans, and the
-// complexity experiment runs its distributed phases with per-round and
-// per-node recording.
-func RunFigureObs(figure string, seed int64, ob ObsScope) (rows []ExperimentRow, err error) {
+// fig6, fig7, fig8, complexity, params, baselines, routing, ablation.
+// With a tracer in the scope the whole experiment runs inside a "figure"
+// span, every extraction emits its stage spans, and the complexity
+// experiment runs its distributed phases with per-round and per-node
+// recording.
+func RunFigure(figure string, seed int64, ob ObsScope) (rows []ExperimentRow, err error) {
 	span := ob.Tracer.StartSpan("figure", obs.Str("figure", figure), obs.Int64("seed", seed))
 	defer func() {
 		if err != nil {
@@ -273,7 +265,7 @@ func FigureNames() []string {
 
 func runFig1(seed int64, ob ObsScope) ([]ExperimentRow, error) {
 	sc := Fig1Scenario()
-	net, res, err := RunScenarioObs(sc, seed, ob)
+	net, res, err := RunScenario(sc, seed, ob)
 	if err != nil {
 		return nil, err
 	}
@@ -286,7 +278,7 @@ func runFig1(seed int64, ob ObsScope) ([]ExperimentRow, error) {
 func runFig3(seed int64, ob ObsScope) ([]ExperimentRow, error) {
 	sc := Fig1Scenario()
 	sc.Figure = "fig3"
-	net, res, err := RunScenarioObs(sc, seed, ob)
+	net, res, err := RunScenario(sc, seed, ob)
 	if err != nil {
 		return nil, err
 	}
@@ -301,7 +293,7 @@ func runFig3(seed int64, ob ObsScope) ([]ExperimentRow, error) {
 func runFig4(seed int64, ob ObsScope) ([]ExperimentRow, error) {
 	var rows []ExperimentRow
 	for _, sc := range Fig4Scenarios() {
-		net, res, err := RunScenarioObs(sc, seed, ob)
+		net, res, err := RunScenario(sc, seed, ob)
 		if err != nil {
 			return rows, err
 		}
@@ -313,7 +305,7 @@ func runFig4(seed int64, ob ObsScope) ([]ExperimentRow, error) {
 func runFig5(seed int64, ob ObsScope) ([]ExperimentRow, error) {
 	ref := Fig1Scenario()
 	ref.Figure = "fig5"
-	refNet, refRes, err := RunScenarioObs(ref, seed, ob)
+	refNet, refRes, err := RunScenario(ref, seed, ob)
 	if err != nil {
 		return nil, err
 	}
@@ -324,7 +316,7 @@ func runFig5(seed int64, ob ObsScope) ([]ExperimentRow, error) {
 		sc := ref
 		sc.Deg = deg
 		sc.Name = fmt.Sprintf("window-%.2f", deg)
-		net, res, err := RunScenarioObs(sc, seed, ob)
+		net, res, err := RunScenario(sc, seed, ob)
 		if err != nil {
 			return rows, err
 		}
@@ -349,7 +341,7 @@ func runFig6(seed int64, ob ObsScope) ([]ExperimentRow, error) {
 		mk("a-window-qudg", "window", 2592),
 		mk("b-star-qudg", "star", 1394),
 	} {
-		net, res, err := RunScenarioObs(sc, seed, ob)
+		net, res, err := RunScenario(sc, seed, ob)
 		if err != nil {
 			return rows, err
 		}
@@ -366,7 +358,7 @@ func runFig7(seed int64, ob ObsScope) ([]ExperimentRow, error) {
 			ShapeName: "window", N: 2592, Deg: 5.19,
 			RadioKind: "lognormal", Eps: eps,
 		}
-		net, res, err := RunScenarioObs(sc, seed, ob)
+		net, res, err := RunScenario(sc, seed, ob)
 		if err != nil {
 			return rows, err
 		}
@@ -392,7 +384,7 @@ func runFig8(seed int64, ob ObsScope) ([]ExperimentRow, error) {
 	}
 	var rows []ExperimentRow
 	for _, sc := range scs {
-		net, res, err := RunScenarioObs(sc, seed, ob)
+		net, res, err := RunScenario(sc, seed, ob)
 		if err != nil {
 			return rows, err
 		}
@@ -431,7 +423,7 @@ func runComplexity(seed int64, ob ObsScope) ([]ExperimentRow, error) {
 	var rows []ExperimentRow
 	for _, n := range []int{648, 1296, 2592, 5184} {
 		sc := Scenario{Figure: "complexity", Name: fmt.Sprintf("window-n%d", n), ShapeName: "window", N: n, Deg: 7}
-		net, res, err := RunScenarioObs(sc, seed, ob)
+		net, res, err := RunScenario(sc, seed, ob)
 		if err != nil {
 			return rows, err
 		}
@@ -477,7 +469,7 @@ func runParams(seed int64, ob ObsScope) ([]ExperimentRow, error) {
 		scs[i] = sc
 		items[i] = BatchItem{Network: net, Params: params}
 	}
-	results, err := ExtractBatchObs(items, ob)
+	results, err := ExtractBatch(items, ob)
 	if err != nil {
 		return nil, err
 	}
@@ -491,7 +483,7 @@ func runParams(seed int64, ob ObsScope) ([]ExperimentRow, error) {
 func runBaselines(seed int64, ob ObsScope) ([]ExperimentRow, error) {
 	sc := Fig1Scenario()
 	sc.Figure = "baselines"
-	net, res, err := RunScenarioObs(sc, seed, ob)
+	net, res, err := RunScenario(sc, seed, ob)
 	if err != nil {
 		return nil, err
 	}
@@ -627,7 +619,7 @@ func runAblation(seed int64, ob ObsScope) ([]ExperimentRow, error) {
 		}
 		add(name, func(p *Params) { p.PruneLen = pl })
 	}
-	results, err := ExtractBatchObs(items, ob)
+	results, err := ExtractBatch(items, ob)
 	if err != nil {
 		return nil, err
 	}
@@ -643,7 +635,7 @@ func runAblation(seed int64, ob ObsScope) ([]ExperimentRow, error) {
 func runRouting(seed int64, ob ObsScope) ([]ExperimentRow, error) {
 	sc := Fig1Scenario()
 	sc.Figure = "routing"
-	net, res, err := RunScenarioObs(sc, seed, ob)
+	net, res, err := RunScenario(sc, seed, ob)
 	if err != nil {
 		return nil, err
 	}

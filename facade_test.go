@@ -196,7 +196,7 @@ func TestAnalysisWrappers(t *testing.T) {
 	if len(c.Native.(*CASEResult).SkeletonNodes) == 0 {
 		t.Error("CASE found nothing")
 	}
-	d, err := RunProtocolPhases(net, res.EffectiveK, res.Params.L, res.EffectiveScope, res.Params.Alpha)
+	d, err := RunProtocolPhasesObs(net, res.EffectiveK, res.Params.L, res.EffectiveScope, res.Params.Alpha, ProtocolOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,14 +212,14 @@ func TestScenarioMachinery(t *testing.T) {
 	if len(Fig5Degrees()) != 4 || len(Fig7Epsilons()) != 4 {
 		t.Error("sweep tables wrong")
 	}
-	if _, err := RunFigure("nonesuch", 1); err == nil {
+	if _, err := RunFigure("nonesuch", 1, ObsScope{}); err == nil {
 		t.Error("unknown figure accepted")
 	}
 	if len(FigureNames()) != 12 {
 		t.Errorf("figures = %v", FigureNames())
 	}
 	// One real figure end to end.
-	rows, err := RunFigure("fig1", 1)
+	rows, err := RunFigure("fig1", 1, ObsScope{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ var ErrNoSites = errors.New("core: no critical skeleton nodes identified")
 //
 // This is the one-shot compatibility form of the staged engine: it builds a
 // throwaway Extractor per call. Callers running many extractions should
-// hold one Extractor (or use ExtractBatch) so the scratch pools amortize.
+// hold one Extractor so the scratch pools amortize.
 func Extract(g *graph.Graph, p Params) (*Result, error) {
 	return NewExtractor(g).Extract(p)
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -131,43 +130,6 @@ func (e *Extractor) Extract(p Params) (*Result, error) {
 		return nil, err
 	}
 	return rs.res, nil
-}
-
-// BatchJob is one extraction of a batch: a graph plus its parameters.
-type BatchJob struct {
-	G *graph.Graph
-	P Params
-}
-
-// ExtractBatch runs every job through a single pooled engine, amortizing
-// scratch allocations across many networks and parameter sets. Jobs over
-// the same *graph.Graph reuse the full pool (including Walkers); a graph
-// change rebinds the engine and only carries the buffer capacity over, so
-// ordering jobs by graph maximises reuse. It fails fast on the first
-// erroring job.
-func ExtractBatch(jobs []BatchJob) ([]*Result, error) {
-	return ExtractBatchObs(jobs, nil, nil)
-}
-
-// ExtractBatchObs is ExtractBatch with the given tracer and metrics
-// attached to the shared engine; each job's run emits its own "extract"
-// span tree. Both handles may be nil.
-func ExtractBatchObs(jobs []BatchJob, tracer *obs.Tracer, metrics *obs.Registry) ([]*Result, error) {
-	if len(jobs) == 0 {
-		return nil, nil
-	}
-	e := NewExtractor(jobs[0].G)
-	e.Tracer, e.Metrics = tracer, metrics
-	out := make([]*Result, len(jobs))
-	for i, job := range jobs {
-		e.Bind(job.G)
-		res, err := e.Extract(job.P)
-		if err != nil {
-			return nil, fmt.Errorf("core: batch job %d: %w", i, err)
-		}
-		out[i] = res
-	}
-	return out, nil
 }
 
 // stage is one named phase of the staged engine.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"bfskel/internal/nettest"
@@ -118,23 +117,5 @@ func TestExtractorResultsIndependent(t *testing.T) {
 			t.Fatalf("Records[%d] length changed from %d to %d after a later engine run",
 				v, recLens[v], len(first.Records[v]))
 		}
-	}
-}
-
-// TestExtractBatchErrors checks the fail-fast contract and job indexing.
-func TestExtractBatchErrors(t *testing.T) {
-	net := nettest.Grid("window", 300, 7, 1)
-	good := DefaultParams()
-	bad := DefaultParams()
-	bad.K = -1
-	_, err := ExtractBatch([]BatchJob{
-		{G: net.Graph, P: good},
-		{G: net.Graph, P: bad},
-	})
-	if err == nil {
-		t.Fatal("batch with an invalid job succeeded")
-	}
-	if want := "batch job 1"; !strings.Contains(err.Error(), want) {
-		t.Errorf("error %q does not name the failing job (%q)", err, want)
 	}
 }

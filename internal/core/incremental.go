@@ -118,16 +118,10 @@ type IncrementalExtractor struct {
 
 // NewIncrementalExtractor freezes the graph, enters overlay mode and runs
 // the initial full extraction that seeds the persistent state. The graph
-// must not be mutated except through Update.
-func NewIncrementalExtractor(g *graph.Graph, p Params) (*IncrementalExtractor, error) {
-	return NewIncrementalExtractorObs(g, p, nil, nil)
-}
-
-// NewIncrementalExtractorObs is NewIncrementalExtractor with the given
-// tracer and metrics attached to the owned engine before the seed
+// must not be mutated except through Update. The tracer and metrics
+// (either may be nil) attach to the owned engine before the seed
 // extraction runs, so the initial full run is traced like any fallback.
-// Both handles may be nil.
-func NewIncrementalExtractorObs(g *graph.Graph, p Params, tracer *obs.Tracer, metrics *obs.Registry) (*IncrementalExtractor, error) {
+func NewIncrementalExtractor(g *graph.Graph, p Params, tracer *obs.Tracer, metrics *obs.Registry) (*IncrementalExtractor, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}

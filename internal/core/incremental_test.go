@@ -64,7 +64,7 @@ func (c *churnPlan) pickDead(g *graph.Graph, k int) []int32 {
 // bit-identical to a from-scratch extraction on the same mutated graph.
 func requireIncrementalEquivalence(t *testing.T, name string, g *graph.Graph, p Params, batchSizes []int, seed uint64) {
 	t.Helper()
-	ix, err := NewIncrementalExtractor(g, p)
+	ix, err := NewIncrementalExtractor(g, p, nil, nil)
 	if err != nil {
 		t.Fatalf("%s: NewIncrementalExtractor: %v", name, err)
 	}
@@ -148,7 +148,7 @@ func TestIncrementalEquivalenceShapes(t *testing.T) {
 // the repair path, not the fallback — the whole point of the subsystem.
 func TestIncrementalSmallBatchesStayIncremental(t *testing.T) {
 	g := nettest.Grid("onehole", 700, 6.5, 3).Graph
-	ix, err := NewIncrementalExtractor(g, DefaultParams())
+	ix, err := NewIncrementalExtractor(g, DefaultParams(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestIncrementalSmallBatchesStayIncremental(t *testing.T) {
 func TestIncrementalFailRestoreStream(t *testing.T) {
 	g := nettest.Grid("window", 10_000, 7, 1).Graph
 	p := DefaultParams()
-	ix, err := NewIncrementalExtractor(g, p)
+	ix, err := NewIncrementalExtractor(g, p, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestIncrementalFailRestoreStream(t *testing.T) {
 func TestIncrementalFallbackTrigger(t *testing.T) {
 	g := nettest.Grid("window", 600, 6.5, 5).Graph
 	p := DefaultParams()
-	ix, err := NewIncrementalExtractor(g, p)
+	ix, err := NewIncrementalExtractor(g, p, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestIncrementalRepeatedDeterminism(t *testing.T) {
 	runSequence := func(procs int) []*Result {
 		runtime.GOMAXPROCS(procs)
 		g := nettest.Grid("twoholes", 700, 6.5, 9).Graph
-		ix, err := NewIncrementalExtractor(g, DefaultParams())
+		ix, err := NewIncrementalExtractor(g, DefaultParams(), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,7 +289,7 @@ func TestIncrementalRepeatedDeterminism(t *testing.T) {
 func TestIncrementalResultImmutability(t *testing.T) {
 	g := nettest.Grid("window", 500, 6.5, 11).Graph
 	p := DefaultParams()
-	ix, err := NewIncrementalExtractor(g, p)
+	ix, err := NewIncrementalExtractor(g, p, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func BenchmarkIncrementalUpdate(b *testing.B) {
 	for _, size := range []int{1, 10, 100} {
 		b.Run("batch"+itoa(size), func(b *testing.B) {
 			g := nettest.Grid("window", 100000, 7, 1).Graph
-			ix, err := NewIncrementalExtractor(g, DefaultParams())
+			ix, err := NewIncrementalExtractor(g, DefaultParams(), nil, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

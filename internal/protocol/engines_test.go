@@ -45,12 +45,12 @@ func buildModelNetwork(t testing.TB, shapeName string, n int, deg float64, seed 
 	return sub
 }
 
-// runWithEngine executes the full four-phase protocol with one engine
-// forced and all statistics recorded.
+// runWithEngine executes the full four-phase protocol on one engine with
+// all statistics recorded.
 func runWithEngine(t *testing.T, g *graph.Graph, jitter int, eng protocol.Engine) *protocol.Result {
 	t.Helper()
 	params := core.DefaultParams()
-	res, err := protocol.RunOpts(g, params.K, params.L, params.Scope(), params.Alpha, protocol.Options{
+	res, err := protocol.Run(g, params.K, params.L, params.Scope(), params.Alpha, protocol.Options{
 		Jitter: jitter, Seed: 5, Engine: eng,
 		RecordRounds: true, RecordPerNode: true,
 	})
@@ -60,11 +60,37 @@ func runWithEngine(t *testing.T, g *graph.Graph, jitter int, eng protocol.Engine
 	return res
 }
 
+// checkParity runs the protocol on the zero-value engine and on the serial
+// reference engine and requires bit-identical results.
+func checkParity(t *testing.T, g *graph.Graph, jitter int) {
+	t.Helper()
+	var def protocol.Engine
+	parallel := runWithEngine(t, g, jitter, def)
+	serial := runWithEngine(t, g, jitter, protocol.EngineSerial)
+	for i := range serial.PhaseStats {
+		if serial.PhaseStats[i].Engine != "serial" ||
+			parallel.PhaseStats[i].Engine != "parallel" {
+			t.Fatalf("phase %d: engines not as selected: %q vs %q", i,
+				serial.PhaseStats[i].Engine, parallel.PhaseStats[i].Engine)
+		}
+		serial.PhaseStats[i].Engine, parallel.PhaseStats[i].Engine = "", ""
+	}
+	if !reflect.DeepEqual(serial, parallel) {
+		for i := range serial.PhaseStats {
+			if !reflect.DeepEqual(serial.PhaseStats[i], parallel.PhaseStats[i]) {
+				t.Errorf("phase %s stats diverge", protocol.PhaseNames[i])
+			}
+		}
+		t.Fatal("serial and parallel engine results diverge")
+	}
+}
+
 // TestEngineParity is the property test behind the engine contract: across
-// deployment shapes, radio models and jitter settings, the serial and
-// parallel engines must produce bit-identical protocol outputs — K-hop
-// sizes, centralities, indices, elected sites, Voronoi records including
-// parents — and identical statistics: message and round totals, per-round
+// deployment shapes, radio models, jitter settings and graph sizes down to
+// a single node, the zero-value (parallel) engine and the serial reference
+// engine must produce bit-identical protocol outputs — K-hop sizes,
+// centralities, indices, elected sites, Voronoi records including parents
+// — and identical statistics: message and round totals, per-round
 // breakdowns and per-node counters.
 func TestEngineParity(t *testing.T) {
 	shapeNames := []string{"window", "smile", "star", "onehole", "flower"}
@@ -73,28 +99,29 @@ func TestEngineParity(t *testing.T) {
 			for _, jitter := range []int{0, 2} {
 				name := fmt.Sprintf("%s/qudg=%v/jitter=%d", shapeName, qudg, jitter)
 				t.Run(name, func(t *testing.T) {
-					g := buildModelNetwork(t, shapeName, 700, 7, 11, qudg)
-					serial := runWithEngine(t, g, jitter, protocol.EngineSerial)
-					parallel := runWithEngine(t, g, jitter, protocol.EngineParallel)
-					for i := range serial.PhaseStats {
-						if serial.PhaseStats[i].Engine != "serial" ||
-							parallel.PhaseStats[i].Engine != "parallel" {
-							t.Fatalf("phase %d: engines not forced: %q vs %q", i,
-								serial.PhaseStats[i].Engine, parallel.PhaseStats[i].Engine)
-						}
-						serial.PhaseStats[i].Engine, parallel.PhaseStats[i].Engine = "", ""
-					}
-					if !reflect.DeepEqual(serial, parallel) {
-						for i := range serial.PhaseStats {
-							if !reflect.DeepEqual(serial.PhaseStats[i], parallel.PhaseStats[i]) {
-								t.Errorf("phase %s stats diverge", protocol.PhaseNames[i])
-							}
-						}
-						t.Fatalf("serial and parallel engine results diverge on %s", name)
-					}
+					checkParity(t, buildModelNetwork(t, shapeName, 700, 7, 11, qudg), jitter)
 				})
 			}
 		}
+	}
+	// Small graphs, down to a single node: the parallel engine's chunking
+	// and arena sizing must hold where there is little or nothing to split.
+	for _, n := range []int{60, 200} {
+		for _, jitter := range []int{0, 2} {
+			t.Run(fmt.Sprintf("small/window/n=%d/jitter=%d", n, jitter), func(t *testing.T) {
+				checkParity(t, buildModelNetwork(t, "window", n, 7, 11, false), jitter)
+			})
+		}
+	}
+	for _, n := range []int{1, 2} {
+		t.Run(fmt.Sprintf("tiny/n=%d", n), func(t *testing.T) {
+			g := graph.New(n)
+			if n == 2 {
+				g.AddEdge(0, 1)
+			}
+			g.SortAdjacency()
+			checkParity(t, g, 0)
+		})
 	}
 }
 
@@ -105,7 +132,7 @@ func TestJitterSeedInvariance(t *testing.T) {
 	g := buildModelNetwork(t, "window", 900, 7, 11, false)
 	params := core.DefaultParams()
 	run := func(jitter int, seed int64) *protocol.Result {
-		res, err := protocol.RunOpts(g, params.K, params.L, params.Scope(), params.Alpha,
+		res, err := protocol.Run(g, params.K, params.L, params.Scope(), params.Alpha,
 			protocol.Options{Jitter: jitter, Seed: seed, Engine: protocol.EngineParallel})
 		if err != nil {
 			t.Fatal(err)

@@ -7,16 +7,16 @@ import (
 	"bfskel/internal/obs"
 )
 
-// TestRunOptsObservability pins the observed protocol run: every phase's
+// TestRunObservability pins the observed protocol run: every phase's
 // per-round message counts sum to its Stats.Messages, the per-node send
 // counters do too, and the trace contains the "protocol" root span plus one
 // "phase.<name>" child span per phase, each carrying round events and the
 // exact message/round totals.
-func TestRunOptsObservability(t *testing.T) {
+func TestRunObservability(t *testing.T) {
 	g := pathGraph(24)
 	ring := obs.NewRingSink(0)
 	reg := obs.NewRegistry()
-	res, err := RunOpts(g, 2, 2, 2, 1, Options{
+	res, err := Run(g, 2, 2, 2, 1, Options{
 		Tracer:        obs.NewTracer(ring),
 		Metrics:       reg,
 		RecordRounds:  true,
@@ -89,15 +89,16 @@ func TestRunOptsObservability(t *testing.T) {
 	}
 }
 
-// TestRunOptsMatchesRun pins that observation is read-only: an instrumented
-// run returns the same outputs and message/round totals as a plain one.
-func TestRunOptsMatchesRun(t *testing.T) {
+// TestRunObservationReadOnly pins that observation is read-only: an
+// instrumented run returns the same outputs and message/round totals as a
+// plain one.
+func TestRunObservationReadOnly(t *testing.T) {
 	g := pathGraph(24)
-	plain, err := Run(g, 2, 2, 2, 1)
+	plain, err := Run(g, 2, 2, 2, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	observed, err := RunOpts(g, 2, 2, 2, 1, Options{
+	observed, err := Run(g, 2, 2, 2, 1, Options{
 		Tracer:        obs.NewTracer(obs.NewRingSink(0)),
 		RecordRounds:  true,
 		RecordPerNode: true,

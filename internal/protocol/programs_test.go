@@ -113,10 +113,13 @@ func TestRunVoronoiPath(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	g := pathGraph(3)
-	if _, err := Run(g, 0, 1, 1, 1); err == nil {
+	if _, err := Run(g, 0, 1, 1, 1, Options{}); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := RunJittered(g, 1, 1, 1, 1, -1, 0); err == nil {
+	if _, err := Run(g, 1, 1, 1, 1, Options{Jitter: -1}); err == nil {
 		t.Error("negative jitter accepted")
+	}
+	if _, err := Run(g, 1, 1, 1, 1, Options{Engine: EngineSerial + 1}); err == nil {
+		t.Error("out-of-range engine accepted")
 	}
 }

@@ -33,9 +33,8 @@ type Engine = simnet.Engine
 
 // Engine selector values; see simnet.Engine.
 const (
-	EngineAuto     = simnet.EngineAuto
-	EngineSerial   = simnet.EngineSerial
 	EngineParallel = simnet.EngineParallel
+	EngineSerial   = simnet.EngineSerial
 )
 
 // Result carries the distributed computation's outputs plus the per-phase
@@ -74,11 +73,16 @@ func (r *Result) TotalRounds() int {
 	return total
 }
 
-// Options configures a protocol run beyond the radii.
+// Options configures a protocol run beyond the radii. The zero value runs
+// synchronously, unobserved, on the parallel round engine.
 type Options struct {
 	// Jitter delays each transmission by a uniform 0..Jitter extra rounds;
 	// Seed makes jittered runs reproducible (each phase derives its own
-	// sub-seed).
+	// sub-seed). The protocols carry hop counters in their payloads with
+	// minimum-hop re-forwarding, so their outputs stay exact; only the
+	// message and round counts change. This probes the paper's informal
+	// synchrony assumption ("the message travels at approximately the same
+	// speed").
 	Jitter int
 	Seed   int64
 	// Tracer, when non-nil, wraps the run in a "protocol" span with one
@@ -95,9 +99,10 @@ type Options struct {
 	// phase span also carries a "nodes" event with the full counter
 	// arrays, which cmd/skeltrace reduces to the hottest nodes.
 	RecordPerNode bool
-	// Engine selects the simnet round engine for every phase. The zero
-	// value (EngineAuto) picks per phase by graph size; outputs and
-	// statistics are identical either way — only cost differs.
+	// Engine selects the simnet round engine for every phase: the zero
+	// value is the parallel engine, EngineSerial the reference engine the
+	// parity tests check it against. Outputs and statistics are identical
+	// either way — only cost differs.
 	Engine Engine
 }
 
@@ -123,29 +128,16 @@ func (po phaseOpts) configure(sim *simnet.Sim) {
 // Run executes the four protocol phases on the graph. k, l and scope are
 // the effective radii (pass the values the centralized pipeline resolved,
 // e.g. Result.EffectiveK/EffectiveScope, to compare runs); alpha is the
-// segment-node slack.
-func Run(g *graph.Graph, k, l, scope int, alpha int32) (*Result, error) {
-	return RunOpts(g, k, l, scope, alpha, Options{})
-}
-
-// RunJittered is Run with per-message delivery jitter: each transmission is
-// delayed by a uniform 0..jitter extra rounds (seeded). The protocols carry
-// hop counters in their payloads with minimum-hop re-forwarding, so their
-// outputs stay exact; only the message and round counts change. This
-// probes the paper's informal synchrony assumption ("the message travels at
-// approximately the same speed").
-func RunJittered(g *graph.Graph, k, l, scope int, alpha int32, jitter int, seed int64) (*Result, error) {
-	return RunOpts(g, k, l, scope, alpha, Options{Jitter: jitter, Seed: seed})
-}
-
-// RunOpts executes the four protocol phases with full observability
-// control (see Options).
-func RunOpts(g *graph.Graph, k, l, scope int, alpha int32, opts Options) (*Result, error) {
+// segment-node slack; opts sets jitter, observability and the round engine.
+func Run(g *graph.Graph, k, l, scope int, alpha int32, opts Options) (*Result, error) {
 	if k < 1 || l < 1 || scope < 1 {
 		return nil, fmt.Errorf("protocol: radii must be >= 1 (k=%d l=%d scope=%d)", k, l, scope)
 	}
 	if opts.Jitter < 0 {
 		return nil, fmt.Errorf("protocol: jitter must be >= 0, got %d", opts.Jitter)
+	}
+	if opts.Engine != EngineParallel && opts.Engine != EngineSerial {
+		return nil, fmt.Errorf("protocol: unknown round engine %d", opts.Engine)
 	}
 	res := &Result{}
 	root := opts.Tracer.StartSpan("protocol",

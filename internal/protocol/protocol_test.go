@@ -47,7 +47,7 @@ func TestMatchesCentralized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := protocol.Run(g, want.EffectiveK, params.L, want.EffectiveScope, params.Alpha)
+	got, err := protocol.Run(g, want.EffectiveK, params.L, want.EffectiveScope, params.Alpha, protocol.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestMessageComplexity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := protocol.Run(g, want.EffectiveK, params.L, want.EffectiveScope, params.Alpha)
+		got, err := protocol.Run(g, want.EffectiveK, params.L, want.EffectiveScope, params.Alpha, protocol.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,12 +145,12 @@ func TestMessageComplexity(t *testing.T) {
 func TestJitterExactness(t *testing.T) {
 	g := buildNetwork(t, "smile", 1200, 7, 5)
 	params := core.DefaultParams()
-	sync, err := protocol.Run(g, params.K, params.L, params.Scope(), params.Alpha)
+	sync, err := protocol.Run(g, params.K, params.L, params.Scope(), params.Alpha, protocol.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, jitter := range []int{1, 3} {
-		jittered, err := protocol.RunJittered(g, params.K, params.L, params.Scope(), params.Alpha, jitter, 99)
+		jittered, err := protocol.Run(g, params.K, params.L, params.Scope(), params.Alpha, protocol.Options{Jitter: jitter, Seed: 99})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,10 +1,5 @@
 package simnet
 
-import (
-	"os"
-	"sync"
-)
-
 // Engine selects the round-execution strategy behind Sim.Run. Both engines
 // honor the same Program/Context contract and produce bit-identical
 // statistics, inbox contents and inbox order (the engine-parity property
@@ -12,61 +7,24 @@ import (
 type Engine uint8
 
 const (
-	// EngineAuto picks per run: the parallel engine on graphs with at
-	// least engineCutoverNodes nodes, the serial engine otherwise. The
-	// BFSKEL_SIMNET_ENGINE environment variable ("serial" or "parallel")
-	// overrides the automatic choice — CI uses it to force the parallel
-	// engine under the race detector.
-	EngineAuto Engine = iota
-	// EngineSerial forces the reference engine: one node at a time,
-	// map-buffered pending deliveries.
+	// EngineParallel, the zero value, is the production engine:
+	// double-buffered mailbox arenas, a jitter wheel, and chunk-parallel
+	// stepping with deterministic send-queue merging.
+	EngineParallel Engine = iota
+	// EngineSerial is the reference engine the parity tests check the
+	// parallel one against: one node at a time, map-buffered pending
+	// deliveries.
 	EngineSerial
-	// EngineParallel forces the arena engine: double-buffered mailbox
-	// arenas, a jitter wheel, and chunk-parallel stepping with
-	// deterministic send-queue merging.
-	EngineParallel
 )
 
 // String names the engine for stats and trace attributes.
 func (e Engine) String() string {
 	switch e {
-	case EngineSerial:
-		return "serial"
 	case EngineParallel:
 		return "parallel"
+	case EngineSerial:
+		return "serial"
 	default:
-		return "auto"
+		return "invalid"
 	}
 }
-
-// engineCutoverNodes is the EngineAuto threshold: below it the serial
-// engine's near-zero setup wins; above it the arena engine's allocation-free
-// rounds (and, with GOMAXPROCS > 1, parallel stepping) dominate.
-const engineCutoverNodes = 256
-
-// resolveEngine turns the configured engine into the one this run uses.
-func (s *Sim) resolveEngine() Engine {
-	e := s.Engine
-	if e == EngineAuto {
-		e = envEngine()
-	}
-	if e == EngineAuto {
-		if s.g.N() >= engineCutoverNodes {
-			return EngineParallel
-		}
-		return EngineSerial
-	}
-	return e
-}
-
-// envEngine reads the BFSKEL_SIMNET_ENGINE override once per process.
-// Unrecognised values keep the automatic choice.
-var envEngine = sync.OnceValue(func() Engine {
-	switch os.Getenv("BFSKEL_SIMNET_ENGINE") {
-	case "serial":
-		return EngineSerial
-	case "parallel":
-		return EngineParallel
-	}
-	return EngineAuto
-})

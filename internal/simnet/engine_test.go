@@ -3,7 +3,6 @@ package simnet_test
 import (
 	"errors"
 	"fmt"
-	"os"
 	"reflect"
 	"testing"
 
@@ -248,9 +247,10 @@ func TestRecvNotCountedOnAbort(t *testing.T) {
 	}
 }
 
-// TestEngineAutoSelection checks the size cutover (small graph -> serial)
-// and the explicit forcing, honoring the CI environment override.
-func TestEngineAutoSelection(t *testing.T) {
+// TestEngineZeroValueIsParallel checks that the zero-value engine is the
+// parallel one, even on a graph far too small to split into chunks, and
+// that values naming neither engine are rejected.
+func TestEngineZeroValueIsParallel(t *testing.T) {
 	g := line(4)
 	build := func() []simnet.Program {
 		ps := make([]simnet.Program, g.N())
@@ -259,20 +259,15 @@ func TestEngineAutoSelection(t *testing.T) {
 		}
 		return ps
 	}
-	if os.Getenv("BFSKEL_SIMNET_ENGINE") == "" {
-		_, stats, err := runEngine(t, g, build, simnet.EngineAuto, 0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.Engine != "serial" {
-			t.Errorf("auto on %d nodes picked %q, want serial", g.N(), stats.Engine)
-		}
-	}
-	_, stats, err := runEngine(t, g, build, simnet.EngineParallel, 0, 0)
+	var def simnet.Engine
+	_, stats, err := runEngine(t, g, build, def, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Engine != "parallel" {
-		t.Errorf("forced parallel reported %q", stats.Engine)
+		t.Errorf("zero-value engine on %d nodes ran %q, want parallel", g.N(), stats.Engine)
+	}
+	if _, _, err := runEngine(t, g, build, simnet.EngineSerial+1, 0, 0); err == nil {
+		t.Error("out-of-range engine accepted")
 	}
 }

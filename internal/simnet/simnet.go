@@ -27,6 +27,9 @@ import (
 // configured round budget.
 var ErrRoundLimit = errors.New("simnet: round limit exceeded")
 
+// errEngine rejects a Sim.Engine value naming neither round engine.
+var errEngine = errors.New("simnet: unknown round engine")
+
 // Envelope is a delivered message. The generic Payload carries arbitrary
 // program-defined bodies; messages sent with SendPacked/BroadcastPacked
 // travel on the typed fast path instead and are read back with Packed.
@@ -183,8 +186,8 @@ type Stats struct {
 	Rounds int
 	// Messages is the total number of node-to-node messages delivered.
 	Messages int
-	// Engine names the round engine that executed the run ("serial" or
-	// "parallel"), after resolving Sim.Engine.
+	// Engine names the round engine that executed the run ("parallel" or
+	// "serial").
 	Engine string `json:",omitempty"`
 
 	// PerRound holds one entry per executed round (index 0 = Init) when
@@ -224,9 +227,9 @@ type Sim struct {
 	Jitter int
 	// JitterSeed makes jittered runs reproducible.
 	JitterSeed int64
-	// Engine selects the round engine (EngineAuto, the zero value, picks
-	// the parallel engine on large graphs). Outputs and statistics are
-	// identical either way.
+	// Engine selects the round engine (EngineParallel, the zero value, or
+	// the EngineSerial reference). Outputs and statistics are identical
+	// either way.
 	Engine Engine
 
 	// RecordRounds enables per-round accounting into Stats.PerRound.
@@ -290,8 +293,12 @@ func (s *Sim) deliver(to int, env Envelope) {
 }
 
 // Run executes Init on every node and then rounds until no messages are in
-// flight (quiescence) or the round budget is exhausted.
+// flight (quiescence) or the round budget is exhausted. An Engine value
+// naming neither engine is an error.
 func (s *Sim) Run() (Stats, error) {
+	if s.Engine != EngineParallel && s.Engine != EngineSerial {
+		return Stats{}, errEngine
+	}
 	limit := s.MaxRounds
 	if limit <= 0 {
 		limit = 4*s.g.N() + 64
@@ -301,9 +308,8 @@ func (s *Sim) Run() (Stats, error) {
 		s.stats.NodeSent = make([]int, s.g.N())
 		s.stats.NodeRecv = make([]int, s.g.N())
 	}
-	eng := s.resolveEngine()
-	s.stats.Engine = eng.String()
-	if eng == EngineParallel {
+	s.stats.Engine = s.Engine.String()
+	if s.Engine == EngineParallel {
 		return s.runParallel(limit)
 	}
 	return s.runSerial(limit)

@@ -20,7 +20,7 @@ type BatchJob struct {
 // fail-fast. Consecutive "bfskel" jobs reuse the pooled staged engine
 // (the backend holds an engine pool), and boundary-dependent jobs sharing
 // one Params.Boundary provider resolve their substrate once per graph — so
-// ordering jobs by graph maximises reuse, exactly as with core.ExtractBatch.
+// ordering jobs by graph maximises reuse.
 func ExtractBatch(jobs []BatchJob) ([]*Result, error) {
 	out := make([]*Result, len(jobs))
 	for i, job := range jobs {

@@ -59,45 +59,6 @@ func (s Score) String() string {
 		s.ClearanceRatio, s.MedialCoverage, s.MeanDistToRef)
 }
 
-// LadderRung is one row of the scale ladder: a single network size probed
-// once, recording build and extraction wall time, the per-stage breakdown,
-// and the process peak RSS after the run. The ladder complements the
-// scorecard's quality matrix with a pure capacity axis (10^4 → 10^6 nodes).
-type LadderRung struct {
-	// Shape and N describe the requested field; Nodes and AvgDeg the
-	// realised largest component actually extracted.
-	Shape  string  `json:"shape"`
-	N      int     `json:"n"`
-	Nodes  int     `json:"nodes"`
-	AvgDeg float64 `json:"avgDeg"`
-
-	// BuildMs is the network-generation wall time (deployment + radio graph
-	// + largest component), ExtractMs one full extraction.
-	BuildMs   float64 `json:"buildMs"`
-	ExtractMs float64 `json:"extractMs"`
-	// StageMs breaks ExtractMs down by pipeline stage.
-	StageMs map[string]float64 `json:"stageMs,omitempty"`
-	// PeakRSSMB is the process peak resident set (VmHWM) after this rung —
-	// monotone over a run, so the last rung bounds the whole ladder.
-	PeakRSSMB float64 `json:"peakRssMb"`
-
-	// Outcome facts: elected sites, skeleton size.
-	Sites     int `json:"sites"`
-	SkelNodes int `json:"skeletonNodes"`
-
-	// Err records a failed rung (the other fields are zero then).
-	Err string `json:"err,omitempty"`
-}
-
-// String renders one ladder row for the text harness.
-func (r LadderRung) String() string {
-	if r.Err != "" {
-		return fmt.Sprintf("%-9s n=%-8d ERROR %s", r.Shape, r.N, r.Err)
-	}
-	return fmt.Sprintf("%-9s n=%-8d deg=%-5.2f build=%9.1fms extract=%9.1fms rss=%7.1fMB sites=%-5d skel=%d",
-		r.Shape, r.Nodes, r.AvgDeg, r.BuildMs, r.ExtractMs, r.PeakRSSMB, r.Sites, r.SkelNodes)
-}
-
 // ChurnHistBounds are the dirty-fraction histogram bucket upper bounds of
 // ChurnRow.DirtyHist: bucket i counts updates whose dirty fraction was at
 // most ChurnHistBounds[i] (and above the previous bound).
@@ -106,8 +67,7 @@ var ChurnHistBounds = []float64{0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.25
 // ChurnRow is one churn rate's throughput measurement: a steady stream of
 // failure/recovery batches of the given size driven through the
 // incremental extractor, compared against from-scratch extraction on the
-// same field. The churn bench complements the ladder's one-shot capacity
-// axis with a sustained-update axis.
+// same field.
 type ChurnRow struct {
 	// Shape and N describe the requested field; Nodes and AvgDeg the
 	// realised largest component the session ran on.
@@ -167,9 +127,6 @@ type Scorecard struct {
 	Scenarios []string `json:"scenarios"`
 	// Scores holds one entry per (scenario, backend), scenario-major.
 	Scores []Score `json:"scores"`
-	// Ladder optionally holds scale-ladder rows measured alongside the
-	// quality matrix (skelbench -ladder).
-	Ladder []LadderRung `json:"ladder,omitempty"`
 	// Churn optionally holds incremental-update throughput rows measured
 	// alongside the quality matrix (skelbench -churn).
 	Churn []ChurnRow `json:"churn,omitempty"`

@@ -7,7 +7,6 @@ import (
 	"bfskel/internal/obs"
 	"bfskel/internal/obshttp"
 	"bfskel/internal/protocol"
-	"bfskel/internal/skeleton"
 )
 
 // Re-exported observability types. A Tracer emits structured spans and
@@ -60,8 +59,9 @@ type (
 	// ProtocolOptions configures an observed distributed protocol run.
 	ProtocolOptions = protocol.Options
 	// SimEngine selects the simnet round engine behind the protocol phases
-	// (ProtocolOptions.Engine): the serial reference loop or the
-	// allocation-free parallel arena engine. Outputs are bit-identical.
+	// (ProtocolOptions.Engine): the allocation-free parallel arena engine
+	// (the zero value) or the serial reference loop. Outputs are
+	// bit-identical.
 	SimEngine = protocol.Engine
 )
 
@@ -72,12 +72,12 @@ const (
 	TraceEvent     = obs.KindEvent
 )
 
-// Round-engine selector values (ProtocolOptions.Engine); SimEngineAuto, the
-// zero value, picks per phase by graph size.
+// Round-engine selector values (ProtocolOptions.Engine); SimEngineParallel
+// is the zero value, SimEngineSerial the reference engine kept for parity
+// checks.
 const (
-	SimEngineAuto     = protocol.EngineAuto
-	SimEngineSerial   = protocol.EngineSerial
 	SimEngineParallel = protocol.EngineParallel
+	SimEngineSerial   = protocol.EngineSerial
 )
 
 // NewTracer builds a tracer emitting to the given sink.
@@ -169,63 +169,26 @@ func (s ObsScope) Serve(addr string) (*ObsServer, error) {
 	})
 }
 
-// Instrument attaches the scope to an extraction engine: every subsequent
-// Extract emits one span per stage plus guard/election/flood events, and
-// accumulates bfskel_* metrics.
-func (s ObsScope) Instrument(e *Extractor) {
-	e.Tracer = s.Tracer
-	e.Metrics = s.Metrics
-}
-
 // ExtractorObs returns a staged extraction engine bound to the network's
-// graph with the scope's tracer and metrics attached.
+// graph with the scope's tracer and metrics attached: every Extract emits
+// one span per stage plus guard/election/flood events, and accumulates
+// bfskel_* metrics (the zero scope records nothing). The engine reuses its
+// scratch pools across Extract calls (every returned Result stays
+// independent of the engine), but is not safe for concurrent use — create
+// one per goroutine.
 func (n *Network) ExtractorObs(sc ObsScope) *Extractor {
-	e := n.Extractor()
-	sc.Instrument(e)
+	e := core.NewExtractor(n.Graph)
+	e.Tracer, e.Metrics = sc.Tracer, sc.Metrics
 	return e
 }
 
-// RunProtocolPhasesObs is RunProtocolPhases with full observability
-// control: tracing ("protocol" and "phase.<name>" spans with per-round
-// events), metrics, per-round stats and per-node counters (see
-// ProtocolOptions).
+// RunProtocolPhasesObs runs phases 1-2 as true message-passing node
+// programs on the simulated network and reports transmissions and rounds;
+// to match a centralized run, pass its effective radii (Result.EffectiveK /
+// Result.EffectiveScope). opts controls jitter, the round engine and
+// observability: tracing ("protocol" and "phase.<name>" spans with
+// per-round events), metrics, per-round stats and per-node counters. The
+// zero ProtocolOptions runs synchronously and unobserved.
 func RunProtocolPhasesObs(net *Network, k, l, scope int, alpha int32, opts ProtocolOptions) (*DistributedResult, error) {
-	return protocol.RunOpts(net.Graph, k, l, scope, alpha, opts)
-}
-
-// ExtractBatchObs is ExtractBatch with the scope's tracer and metrics
-// attached and per-item backend routing: each item runs through the
-// registered backend it names (empty means "bfskel", bit-identical to the
-// core pipeline), emitting its own "extract" span tree. Zero-value item
-// params mean the paper defaults (BackendParams semantics); for items on
-// non-"bfskel" backends the returned Result carries only the fields the
-// backend produces (Skeleton, CellOf, Boundary, Stats).
-func ExtractBatchObs(items []BatchItem, sc ObsScope) ([]*Result, error) {
-	jobs := make([]skeleton.BatchJob, len(items))
-	for i, it := range items {
-		jobs[i] = skeleton.BatchJob{
-			G:       it.Network.Graph,
-			Backend: it.Backend,
-			Params:  skeleton.Params{Core: it.Params, Tracer: sc.Tracer, Metrics: sc.Metrics},
-		}
-	}
-	sres, err := skeleton.ExtractBatch(jobs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Result, len(sres))
-	for i, r := range sres {
-		if r.Core != nil {
-			out[i] = r.Core
-			continue
-		}
-		out[i] = &core.Result{
-			Params:   jobs[i].Params.EffectiveCore(),
-			Skeleton: r.Skeleton,
-			CellOf:   r.CellOf,
-			Boundary: r.Boundary,
-			Stats:    r.Stats,
-		}
-	}
-	return out, nil
+	return protocol.Run(net.Graph, k, l, scope, alpha, opts)
 }

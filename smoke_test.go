@@ -42,7 +42,7 @@ func TestSmokeWindow(t *testing.T) {
 // default params); a change here means the pipeline's behaviour changed —
 // update deliberately, alongside EXPERIMENTS.md.
 func TestFig1Regression(t *testing.T) {
-	net, res, err := RunScenario(Fig1Scenario(), 1)
+	net, res, err := RunScenario(Fig1Scenario(), 1, ObsScope{})
 	if err != nil {
 		t.Fatal(err)
 	}
