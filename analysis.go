@@ -75,7 +75,7 @@ func BoundaryPrecisionRecall(net *Network, nodes []int32, band float64) (precisi
 // DetectBoundary runs the neighborhood-size boundary detector (the
 // substrate MAP and CASE assume as given input).
 func DetectBoundary(net *Network) *BoundaryResult {
-	return boundary.Detect(net.Graph, boundary.Options{})
+	return boundary.Detect(net.Graph)
 }
 
 // ExtractDistributed performs the complete extraction with phases 1-2

@@ -231,11 +231,15 @@ func BuildNetwork(spec NetworkSpec) (*Network, error) {
 				r *= math.Sqrt(deg / actual)
 			}
 			if scaled, ok := radio.WithRange(model, r); ok {
-				model = scaled
+				// The model changed since g was built: the final build
+				// below must use it.
+				model, g = scaled, nil
 			}
 		}
 	}
-	g = graph.Build(pts, model, spec.Seed)
+	if g == nil {
+		g = graph.Build(pts, model, spec.Seed)
+	}
 	net := &Network{Spec: spec, Points: pts, Graph: g, Radio: model}
 	if !spec.KeepWholeGraph {
 		net = net.largestComponent()

@@ -9,8 +9,8 @@ type (
 	// IncrementalExtractor is the delta extraction engine behind
 	// ChurnSession: it repairs the Voronoi partition, re-elects landmarks
 	// and splices the skeleton inside the churn-dirtied region only,
-	// falling back to a full extraction when the dirty fraction exceeds
-	// Params.DirtyFallback. Every result is bit-identical to a
+	// falling back to a full extraction when the dirty fraction exceeds a
+	// fixed 0.25 of the field. Every result is bit-identical to a
 	// from-scratch extraction on the mutated graph.
 	IncrementalExtractor = core.IncrementalExtractor
 	// UpdateStats describes one incremental update: churn sizes, dirty

@@ -3,8 +3,11 @@ package bfskel
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
+
+	"bfskel/internal/graph"
 )
 
 func testNetwork(t testing.TB, shape string, n int, deg float64, seed int64) *Network {
@@ -67,6 +70,37 @@ func TestBuildNetworkKeepWhole(t *testing.T) {
 	}
 	if whole.N() != 2000 {
 		t.Errorf("KeepWholeGraph dropped nodes: %d", whole.N())
+	}
+}
+
+// TestBuildNetworkFinalGraph: the graph BuildNetwork returns is exactly the
+// graph the final radio model realises, whether the degree calibration stops
+// on its tolerance test or runs out of iterations.
+func TestBuildNetworkFinalGraph(t *testing.T) {
+	for _, spec := range []NetworkSpec{
+		{Shape: MustShape("window"), N: 2000, TargetDeg: 7, Seed: 1, Layout: LayoutGrid},
+		{Shape: MustShape("star"), N: 1000, TargetDeg: 7, Seed: 1, Layout: LayoutUniform},
+		// Too few nodes to land within 1% of the target: all four
+		// calibration rounds run.
+		{Shape: MustShape("star"), N: 40, TargetDeg: 7, Seed: 1, Layout: LayoutGrid},
+	} {
+		spec.KeepWholeGraph = true
+		net, err := BuildNetwork(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := graph.Build(net.Points, net.Radio, spec.Seed)
+		got := net.Graph
+		if got.N() != want.N() || got.NumEdges() != want.NumEdges() {
+			t.Fatalf("%s/%d: %d nodes, %d edges; rebuild has %d, %d",
+				spec.Shape.Name, spec.Layout, got.N(), got.NumEdges(), want.N(), want.NumEdges())
+		}
+		for v := 0; v < got.N(); v++ {
+			if !slices.Equal(got.Neighbors(v), want.Neighbors(v)) {
+				t.Fatalf("%s/%d: node %d neighbours %v, rebuild %v",
+					spec.Shape.Name, spec.Layout, v, got.Neighbors(v), want.Neighbors(v))
+			}
+		}
 	}
 }
 

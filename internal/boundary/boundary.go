@@ -15,27 +15,16 @@ import (
 	"bfskel/internal/graph"
 )
 
-// Options configures the detector.
-type Options struct {
-	// K is the neighborhood radius used for the size statistic (default 4).
-	K int
-	// Fraction is the detection threshold: a node is a boundary candidate
-	// when its K-hop size is below Fraction x the component median
-	// (default 0.85, which on calibration fields detects the boundary band
-	// with precision ~1.0).
-	Fraction float64
-}
-
-// withDefaults fills zero fields.
-func (o Options) withDefaults() Options {
-	if o.K <= 0 {
-		o.K = 4
-	}
-	if o.Fraction <= 0 {
-		o.Fraction = 0.85
-	}
-	return o
-}
+// The detector's parameters are fixed: no caller has needed other values.
+const (
+	// k is the neighborhood radius used for the size statistic, the
+	// pipeline's K.
+	k = 4
+	// fraction is the detection threshold: a node is a boundary candidate
+	// when its k-hop size is below fraction x the component median. 0.85
+	// detects the boundary band with precision ~1.0 on calibration fields.
+	fraction = 0.85
+)
 
 // Result carries the detected boundary.
 type Result struct {
@@ -65,9 +54,8 @@ func (r *Result) CycleOf(v int32) int {
 }
 
 // Detect runs the neighborhood-size boundary detector.
-func Detect(g *graph.Graph, opts Options) *Result {
-	opts = opts.withDefaults()
-	khop := g.AllKHopCounts(opts.K)
+func Detect(g *graph.Graph) *Result {
+	khop := g.AllKHopCounts(k)
 	n := g.N()
 	res := &Result{IsBoundary: make([]bool, n), KHop: khop}
 	if n == 0 {
@@ -76,7 +64,7 @@ func Detect(g *graph.Graph, opts Options) *Result {
 	sorted := make([]int, n)
 	copy(sorted, khop)
 	sort.Ints(sorted)
-	cut := opts.Fraction * float64(sorted[n/2])
+	cut := fraction * float64(sorted[n/2])
 	for v := 0; v < n; v++ {
 		if float64(khop[v]) < cut && g.Degree(v) > 0 {
 			res.IsBoundary[v] = true

@@ -12,7 +12,7 @@ import (
 // boundary (precision), and every boundary ring should contribute a cycle.
 func TestDetectWindow(t *testing.T) {
 	net := nettest.Grid("window", 2592, 7, 1)
-	res := boundary.Detect(net.Graph, boundary.Options{})
+	res := boundary.Detect(net.Graph)
 	if len(res.Nodes) == 0 {
 		t.Fatal("no boundary nodes detected")
 	}
@@ -51,7 +51,7 @@ func TestDetectWindow(t *testing.T) {
 // near-boundary node population) is reasonable on a hole-free field.
 func TestDetectRecallStar(t *testing.T) {
 	net := nettest.Grid("star", 1394, 7, 1)
-	res := boundary.Detect(net.Graph, boundary.Options{})
+	res := boundary.Detect(net.Graph)
 	band := 1.2
 	if u, ok := net.Radio.(interface{ MaxRange() float64 }); ok {
 		band = 1.2 * u.MaxRange()
@@ -75,7 +75,7 @@ func TestDetectRecallStar(t *testing.T) {
 // TestCycleOf: membership queries resolve to the right chain.
 func TestCycleOf(t *testing.T) {
 	net := nettest.Grid("star", 1000, 7, 1)
-	res := boundary.Detect(net.Graph, boundary.Options{})
+	res := boundary.Detect(net.Graph)
 	if len(res.Cycles) == 0 {
 		t.Fatal("no cycles")
 	}

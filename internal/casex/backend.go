@@ -10,11 +10,9 @@ import (
 func init() { skeleton.Register(backend{}) }
 
 // backend exposes CASE behind the registry seam, with the boundary
-// substrate resolved through the pluggable provider in skeleton.Params.
-type backend struct {
-	// Opts configures the baseline; the zero value uses the defaults.
-	Opts Options
-}
+// substrate resolved through the pluggable provider in skeleton.Params and
+// the corner, tie and prune parameters fixed by the package constants.
+type backend struct{}
 
 // Name implements skeleton.Backend.
 func (backend) Name() string { return "case" }
@@ -36,7 +34,7 @@ func (bk backend) Extract(g *graph.Graph, p skeleton.Params) (*skeleton.Result, 
 		run.Fail(err)
 		return nil, nil, err
 	}
-	res := extractStaged(g, b, bk.Opts, run.Hook())
+	res := extractStaged(g, b, run.Hook())
 	stats := run.Finish(
 		obs.Int("branches", res.NumBranches),
 		obs.Int("skelNodes", res.Skeleton.NumNodes()))

@@ -15,37 +15,20 @@ import (
 	"bfskel/internal/graph"
 )
 
-// Options configures the baseline.
-type Options struct {
-	// CornerWindow is the half-window (in along-cycle positions) of the
-	// shortcut test (default 6).
-	CornerWindow int
-	// CornerRatio flags a corner when the graph shortcut between the two
-	// window ends is below CornerRatio x the along-cycle arc (default 0.6).
-	CornerRatio float64
-	// TieSlack is the distance slack for recording several nearest
-	// boundary nodes (default 1).
-	TieSlack int32
-	// PruneLen trims leaf skeleton branches shorter than this many hops
-	// (default 3).
-	PruneLen int
-}
-
-func (o Options) withDefaults() Options {
-	if o.CornerWindow <= 0 {
-		o.CornerWindow = 6
-	}
-	if o.CornerRatio <= 0 {
-		o.CornerRatio = 0.6
-	}
-	if o.TieSlack <= 0 {
-		o.TieSlack = 1
-	}
-	if o.PruneLen <= 0 {
-		o.PruneLen = 3
-	}
-	return o
-}
+// The baseline's parameters are fixed: no caller has needed other values.
+const (
+	// cornerWindow is the half-window (in along-cycle positions) of the
+	// shortcut test.
+	cornerWindow = 6
+	// cornerRatio flags a corner when the graph shortcut between the two
+	// window ends is below cornerRatio x the along-cycle arc.
+	cornerRatio = 0.6
+	// tieSlack is the distance slack for recording several nearest
+	// boundary nodes.
+	tieSlack = 1
+	// pruneLen trims leaf skeleton branches shorter than this many hops.
+	pruneLen = 3
+)
 
 // Result is the extracted skeleton.
 type Result struct {
@@ -64,17 +47,14 @@ type Result struct {
 }
 
 // Extract runs the CASE baseline on a graph with known boundary.
-func Extract(g *graph.Graph, b *boundary.Result, opts Options) *Result {
-	return extractStaged(g, b, opts, func(_ string, fn func()) { fn() })
+func Extract(g *graph.Graph, b *boundary.Result) *Result {
+	return extractStaged(g, b, func(_ string, fn func()) { fn() })
 }
 
 // extractStaged is the CASE pipeline split into named stages, each run
 // through the given hook — inline for the plain Extract entry point, or
 // under a timed "stage.<name>" span when driven by the registry backend.
-func extractStaged(g *graph.Graph, b *boundary.Result, opts Options,
-	stage func(name string, fn func())) *Result {
-
-	opts = opts.withDefaults()
+func extractStaged(g *graph.Graph, b *boundary.Result, stage func(name string, fn func())) *Result {
 	res := &Result{BranchOf: make([]int, g.N())}
 	for i := range res.BranchOf {
 		res.BranchOf[i] = -1
@@ -84,7 +64,7 @@ func extractStaged(g *graph.Graph, b *boundary.Result, opts Options,
 	stage("corners", func() {
 		branch := 0
 		for _, cycle := range b.Cycles {
-			corners := detectCorners(g, cycle, opts)
+			corners := detectCorners(g, cycle, cornerRatio)
 			res.Corners = append(res.Corners, corners)
 			branch = labelBranches(cycle, corners, res.BranchOf, branch)
 		}
@@ -95,7 +75,7 @@ func extractStaged(g *graph.Graph, b *boundary.Result, opts Options,
 	// boundary nodes span two or more branches become skeleton nodes.
 	isSkel := make([]bool, g.N())
 	stage("transform", func() {
-		_, records := g.MultiSourceRecords(b.Nodes, opts.TieSlack)
+		_, records := g.MultiSourceRecords(b.Nodes, tieSlack)
 		for v := 0; v < g.N(); v++ {
 			if b.IsBoundary[v] {
 				continue
@@ -127,17 +107,17 @@ func extractStaged(g *graph.Graph, b *boundary.Result, opts Options,
 	stage("connect", func() {
 		res.Skeleton = core.NewSkeleton(g.N())
 		core.ConnectWithin2(g, isSkel, res.Skeleton)
-		core.PruneLeafBranches(res.Skeleton, opts.PruneLen)
+		core.PruneLeafBranches(res.Skeleton, pruneLen)
 	})
 	return res
 }
 
 // detectCorners flags cycle positions where the graph shortcut between the
-// window ends is much shorter than the along-cycle arc — the boundary turns
+// window ends is below threshold x the along-cycle arc — the boundary turns
 // back on itself — with non-maximum suppression inside the window.
-func detectCorners(g *graph.Graph, cycle []int32, opts Options) []int32 {
+func detectCorners(g *graph.Graph, cycle []int32, threshold float64) []int32 {
 	l := len(cycle)
-	w := opts.CornerWindow
+	w := cornerWindow
 	if l < 4*w {
 		return nil
 	}
@@ -151,7 +131,7 @@ func detectCorners(g *graph.Graph, cycle []int32, opts Options) []int32 {
 	}
 	var corners []int32
 	for i := range cycle {
-		if ratio[i] >= opts.CornerRatio {
+		if ratio[i] >= threshold {
 			continue
 		}
 		// Non-maximum suppression: keep only the sharpest position in the

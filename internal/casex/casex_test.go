@@ -13,8 +13,8 @@ import (
 // skeleton nodes must lie medially.
 func TestExtractStar(t *testing.T) {
 	net := nettest.Grid("star", 1394, 7, 1)
-	b := boundary.Detect(net.Graph, boundary.Options{})
-	res := casex.Extract(net.Graph, b, casex.Options{})
+	b := boundary.Detect(net.Graph)
+	res := casex.Extract(net.Graph, b)
 
 	t.Logf("branches=%d skeleton nodes=%d", res.NumBranches, len(res.SkeletonNodes))
 	if res.NumBranches < 4 {
@@ -45,8 +45,8 @@ func TestCornersOnConvexField(t *testing.T) {
 	smile := nettest.Grid("smile", 1500, 7, 1)
 
 	cornerCount := func(n *nettest.Network) int {
-		b := boundary.Detect(n.Graph, boundary.Options{})
-		res := casex.Extract(n.Graph, b, casex.Options{})
+		b := boundary.Detect(n.Graph)
+		res := casex.Extract(n.Graph, b)
 		total := 0
 		for _, cs := range res.Corners {
 			total += len(cs)

@@ -62,17 +62,6 @@ func TestHopDistCapped(t *testing.T) {
 	}
 }
 
-func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
-	if o.CornerWindow != 6 || o.CornerRatio != 0.6 || o.TieSlack != 1 || o.PruneLen != 3 {
-		t.Errorf("defaults = %+v", o)
-	}
-	custom := Options{CornerWindow: 3, CornerRatio: 0.5, TieSlack: 2, PruneLen: 5}.withDefaults()
-	if custom.CornerWindow != 3 || custom.CornerRatio != 0.5 || custom.TieSlack != 2 || custom.PruneLen != 5 {
-		t.Errorf("custom overridden: %+v", custom)
-	}
-}
-
 // TestDetectCornersSyntheticL: an L-shaped boundary band on a grid has a
 // sharp inner corner where the shortcut between window ends is much shorter
 // than the arc; a straight band has none.
@@ -108,10 +97,9 @@ func TestDetectCornersSyntheticL(t *testing.T) {
 	for y := 1; y < w; y++ {
 		lband = append(lband, id(w-1, y))
 	}
-	opts := Options{CornerWindow: 6, CornerRatio: 0.8}.withDefaults()
 	// detectCorners treats the list as circular; pad the ends far apart by
 	// requiring len >= 4w, which holds (41 >= 24).
-	corners := detectCorners(g, lband, opts)
+	corners := detectCorners(g, lband, 0.8)
 	if len(corners) == 0 {
 		t.Error("no corner found on an L band")
 	}

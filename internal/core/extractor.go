@@ -33,9 +33,10 @@ type Extractor struct {
 	// Tracer, when non-nil, receives one "extract" span per run with one
 	// "stage.<name>" child span per pipeline stage, plus events for guard
 	// adjustments, election rounds and flood counts. The per-stage
-	// PhaseStats attached to results are derived views over these spans
-	// (same stage boundaries, same measured duration). Nil disables
-	// tracing at the cost of a few nil checks per stage.
+	// PhaseStats attached to results share the spans' stage boundaries,
+	// but their durations come from runStage's own clock, read beside the
+	// span's. Nil disables tracing at the cost of a few nil checks per
+	// stage.
 	Tracer *obs.Tracer
 	// Metrics, when non-nil, accumulates run/stage counters and timing
 	// histograms across extractions (see DESIGN.md for the name taxonomy).
@@ -159,9 +160,9 @@ func newStats() *Stats {
 
 // runStages executes the given pipeline suffix, wrapping the run in an
 // "extract" trace span with one child span per stage, and attaches the
-// stats to the result. PhaseStats are derived views over the stage spans:
-// both share the stage boundaries and the single duration measurement
-// taken in runStage.
+// stats to the result. PhaseStats and the stage spans share the stage
+// boundaries but not a clock: runStage times PhaseStats.Duration with its
+// own time.Now, and each span records its own start and end.
 func (rs *runState) runStages(todo []stage) error {
 	e := rs.e
 	e.root = e.Tracer.StartSpan("extract",

@@ -25,7 +25,7 @@
 //
 // Correctness is pinned by equivalence: every Update result is bit-identical
 // to a from-scratch Extract on the mutated graph (see incremental_test.go).
-// When the dirty fraction exceeds Params.DirtyFallback — or a guard radius
+// When the dirty fraction exceeds dirtyFallback — or a guard radius
 // drifts, the previous election was multi-round, or the site population
 // collapses — the update falls back to a full extraction transparently.
 package core
@@ -42,6 +42,12 @@ import (
 // grows monotonically, so hitting the bound means the region is unstable
 // enough that a full extraction is the cheaper answer anyway.
 const maxRepairAttempts = 64
+
+// dirtyFallback is the dirty-node fraction above which an update abandons
+// localized repair and falls back to a full extraction. It never affects
+// results — the incremental path is bit-identical to a full extract either
+// way — only where the crossover sits; no caller has needed another value.
+const dirtyFallback = 0.25
 
 // UpdateStats instruments one incremental update.
 type UpdateStats struct {
@@ -637,7 +643,7 @@ func (ix *IncrementalExtractor) update(flipped, newlyDead, patched []int32) (*Re
 	}
 	sc.bv = closure[:0]
 
-	maxDirty := int(p.dirtyFallback() * float64(n))
+	maxDirty := int(dirtyFallback * float64(n))
 	for {
 		r.attempts++
 		if len(r.list) > maxDirty {
@@ -704,15 +710,7 @@ func (ix *IncrementalExtractor) update(flipped, newlyDead, patched []int32) (*Re
 	// ---- coarse: splice repaired pairs into the retained edge list ----
 
 	ix.stage("update.coarse")
-	// Special-node lists by merge-diff: clean record rows are shared with the
-	// previous result, so only the dirty nodes can change class; splicing
-	// their re-derived memberships into the previous sorted lists reproduces
-	// specialNodes(nrec) without the O(n) row scan.
-	ds := append(sc.ds[:0], r.list...)
-	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-	sc.ds = ds
-	segNodes := spliceClassList(ix.prev.SegmentNodes, ds, func(v int32) bool { return len(nrec[v]) >= 2 })
-	vorNodes := spliceClassList(ix.prev.VoronoiNodes, ds, func(v int32) bool { return len(nrec[v]) >= 3 })
+	segNodes, vorNodes := specialNodes(nrec)
 	edges, coarseSkel, reused := ix.spliceCoarse(nrec, distD, wring, r.list)
 	if ix.sspan != nil {
 		ix.endStage(obs.Int("edges", len(edges)), obs.Int("reused", reused))
@@ -953,37 +951,6 @@ func sortPairSegs(t []pairSeg) {
 	sort.Slice(t, func(i, j int) bool { return pairSegLess(t[i], t[j]) })
 }
 
-// spliceClassList merges a previous sorted class-membership list with the
-// sorted dirty-node list: dirty nodes re-derive membership through in, clean
-// entries pass through untouched. The result is a fresh ascending slice,
-// identical to rebuilding the list from the full record table.
-func spliceClassList(prev []int32, dirty []int32, in func(int32) bool) []int32 {
-	out := make([]int32, 0, len(prev)+len(dirty))
-	j := 0
-	for _, v := range prev {
-		for j < len(dirty) && dirty[j] < v {
-			if in(dirty[j]) {
-				out = append(out, dirty[j])
-			}
-			j++
-		}
-		if j < len(dirty) && dirty[j] == v {
-			if in(v) {
-				out = append(out, v)
-			}
-			j++
-			continue
-		}
-		out = append(out, v)
-	}
-	for ; j < len(dirty); j++ {
-		if in(dirty[j]) {
-			out = append(out, dirty[j])
-		}
-	}
-	return out
-}
-
 // lessPair orders site pairs lexicographically, the coarse stage's output
 // order.
 func lessPair(a, b SitePair) bool {
@@ -1025,7 +992,6 @@ type incScratch struct {
 	rmMark    []bool    // removed-site mark
 	addS      []int32   // gained sites
 	rmS       []int32   // lost sites
-	ds        []int32   // sorted dirty list for the class-list splice
 	elist     []int32   // centrality/election ring
 }
 
@@ -1428,14 +1394,6 @@ type endFloodCache struct {
 	patched  []int32
 	poison   []int32
 	epoch    int32
-
-	// Genuine-loop cache: the surviving-cycle report is a pure function of
-	// the ordered non-deleted (site, site) edge list, so when that list
-	// matches the previous update's, the previous loops are reused verbatim.
-	genPairs   []SitePair
-	genScratch []SitePair
-	genLoops   []Loop
-	genValid   bool
 }
 
 // floodSet is one cached end-node flood: the exact visited node set plus its
@@ -1473,7 +1431,6 @@ func (c *endFloodCache) invalidateAll() {
 	for k := range c.entries {
 		delete(c.entries, k)
 	}
-	c.genValid = false
 }
 
 // notePatched records this update's rebuilt adjacency windows for the next

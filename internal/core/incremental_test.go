@@ -210,7 +210,7 @@ func TestIncrementalFailRestoreStream(t *testing.T) {
 }
 
 // TestIncrementalFallbackTrigger: removing a third of the network in one
-// batch must exceed DirtyFallback and trigger the full-extraction fallback —
+// batch must exceed dirtyFallback and trigger the full-extraction fallback —
 // and the result must still be bit-identical to the reference.
 func TestIncrementalFallbackTrigger(t *testing.T) {
 	g := nettest.Grid("window", 600, 6.5, 5).Graph

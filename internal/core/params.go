@@ -28,40 +28,15 @@ type Params struct {
 	// that gets trimmed during the final clean-up. 0 means automatic:
 	// max(2, 0.4 x mean site-edge path length).
 	PruneLen int
-	// FakeLoopSlack is the extra hop allowance used by the interior-size
-	// test that separates fake loops (contractible, small interior around a
-	// Voronoi node) from genuine loops (around holes). The interior of a
-	// candidate loop may extend at most maxConnectorDist + FakeLoopSlack
-	// hops from its Voronoi hub to still count as fake.
-	FakeLoopSlack int32
-	// DirtyFallback is the dirty-node fraction above which an incremental
-	// update (IncrementalExtractor) abandons localized repair and falls
-	// back to a full extraction. 0 means the default (0.25). It never
-	// affects results — the incremental path is bit-identical to a full
-	// extract either way — only where the crossover sits.
-	DirtyFallback float64
-}
-
-// defaultDirtyFallback is the dirty-fraction threshold used when
-// Params.DirtyFallback is zero.
-const defaultDirtyFallback = 0.25
-
-// dirtyFallback resolves the effective fallback threshold.
-func (p Params) dirtyFallback() float64 {
-	if p.DirtyFallback > 0 {
-		return p.DirtyFallback
-	}
-	return defaultDirtyFallback
 }
 
 // DefaultParams returns the paper's default configuration (K = L = 4,
 // Alpha = 1).
 func DefaultParams() Params {
 	return Params{
-		K:             4,
-		L:             4,
-		Alpha:         1,
-		FakeLoopSlack: 4,
+		K:     4,
+		L:     4,
+		Alpha: 1,
 	}
 }
 
@@ -81,12 +56,6 @@ func (p Params) Validate() error {
 	}
 	if p.PruneLen < 0 {
 		return fmt.Errorf("core: PruneLen must be >= 0, got %d", p.PruneLen)
-	}
-	if p.FakeLoopSlack < 0 {
-		return fmt.Errorf("core: FakeLoopSlack must be >= 0, got %d", p.FakeLoopSlack)
-	}
-	if p.DirtyFallback < 0 || p.DirtyFallback > 1 {
-		return fmt.Errorf("core: DirtyFallback must be in [0, 1], got %g", p.DirtyFallback)
 	}
 	return nil
 }

@@ -7,13 +7,6 @@ import (
 	"bfskel/internal/graph"
 )
 
-// refine runs Phase 4 through a throwaway engine; the staged pipeline calls
-// the Extractor method below so the scratch pools persist.
-func refine(g *graph.Graph, p Params, index []float64, records [][]SiteDist,
-	cellOf []int32, edges []SiteEdge, coarseSkel *Skeleton, st *Stats) ([]Loop, *Skeleton) {
-	return NewExtractor(g).refine(p, index, records, cellOf, edges, coarseSkel, st)
-}
-
 // refine runs Phase 4 (Sec. III-D): identify skeleton loops, decide which
 // are genuine (caused by holes) and which are fake (caused by three or more
 // mutually adjacent Voronoi cells or by redundant parallel connections),
@@ -437,46 +430,7 @@ func (w *refiner) classifyLoops() {
 	}
 	w.e.cmaskOn = maskOn[:0]
 
-	// Report the surviving independent cycles as genuine loops. The report
-	// is a pure function of the ordered non-deleted site-pair list (the
-	// spanning forest, adjacency traversal order and cycle tie-breaks all
-	// follow that subsequence), so on the incremental path an unchanged list
-	// replays the previous update's loops verbatim.
-	if w.fcache != nil {
-		c := w.fcache
-		cur := c.genScratch[:0]
-		for _, e := range w.edges {
-			if !e.deleted {
-				cur = append(cur, SitePair{A: e.a, B: e.b})
-			}
-		}
-		c.genScratch = cur
-		if c.genValid && len(cur) == len(c.genPairs) {
-			same := true
-			for i := range cur {
-				if cur[i] != c.genPairs[i] {
-					same = false
-					break
-				}
-			}
-			if same {
-				w.loops = append(w.loops, c.genLoops...)
-				return
-			}
-		}
-		start := len(w.loops)
-		w.reportGenuineLoops()
-		c.genPairs, c.genScratch = cur, c.genPairs[:0]
-		c.genLoops = append(c.genLoops[:0], w.loops[start:]...)
-		c.genValid = true
-		return
-	}
-	w.reportGenuineLoops()
-}
-
-// reportGenuineLoops appends the surviving independent cycles as genuine
-// loops.
-func (w *refiner) reportGenuineLoops() {
+	// Report the surviving independent cycles as genuine loops.
 	nontree := w.nonTreeEdges()
 	var siteAdj map[int32][]hop
 	if len(nontree) > 0 {

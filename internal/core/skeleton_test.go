@@ -199,7 +199,6 @@ func TestParamsValidate(t *testing.T) {
 		{"negative scope", func(p *Params) { p.LocalMaxScope = -1 }, true},
 		{"negative alpha", func(p *Params) { p.Alpha = -1 }, true},
 		{"negative prune", func(p *Params) { p.PruneLen = -1 }, true},
-		{"negative slack", func(p *Params) { p.FakeLoopSlack = -1 }, true},
 		{"explicit scope", func(p *Params) { p.LocalMaxScope = 2 }, false},
 	}
 	for _, tt := range tests {

@@ -12,11 +12,7 @@ func init() { skeleton.Register(backend{}) }
 // Unlike MAP/CASE it declares no boundary dependency: the separator test is
 // purely connectivity-based, making it the one alternative backend in the
 // same boundary-free class as the paper's pipeline.
-type backend struct {
-	// Opts configures the backend; the zero value uses the defaults, with
-	// Radius taken from skeleton.Params when unset.
-	Opts Options
-}
+type backend struct{}
 
 // Name implements skeleton.Backend.
 func (backend) Name() string { return "localsep" }
@@ -28,14 +24,11 @@ func (backend) Capabilities() skeleton.Capabilities {
 }
 
 // Extract implements skeleton.Backend. The ball radius follows the
-// pipeline's K, so the scorecard compares backends under one knob set.
+// pipeline's K, so the scorecard compares backends under one knob set; the
+// other parameters are the package's fixed constants.
 func (bk backend) Extract(g *graph.Graph, p skeleton.Params) (*skeleton.Result, *skeleton.Stats, error) {
 	run := skeleton.NewRun(p, bk.Name(), g)
-	opts := bk.Opts
-	if opts.Radius == 0 {
-		opts.Radius = p.EffectiveCore().K
-	}
-	res := extractStaged(g, opts, run.Hook())
+	res := extractStaged(g, p.EffectiveCore().K, run.Hook())
 	stats := run.Finish(
 		obs.Int("separators", len(res.SeparatorNodes)),
 		obs.Int("skelNodes", res.Skeleton.NumNodes()))

@@ -20,50 +20,19 @@ import (
 	"bfskel/internal/graph"
 )
 
-// Options configures the backend.
-type Options struct {
-	// Radius is the maximal ball radius R; the separator test runs at
-	// every shell radius 2..R and flags the node when any of them splits
-	// (default 4, matching the pipeline's K).
-	Radius int
-	// Fraction is the boundary-band prefilter: nodes whose |N_R| falls
-	// below Fraction x the field median are skipped — near the boundary
-	// the shell cannot wrap, so the test only costs sweeps there
-	// (default 0.7; negative disables).
-	Fraction float64
-	// MinComp is the minimum shell-component size that counts toward the
-	// separator test, suppressing single-node sampling artifacts
-	// (default 2).
-	MinComp int
-	// ThinOff disables ridge thinning. By default the band of separator
-	// nodes is thinned to the nodes whose |N_R| is maximal among their
-	// separator neighbors — the hop-graph analogue of selecting minimal
-	// separators — so the skeleton follows the corridor ridge instead of
-	// filling the band.
-	ThinOff bool
-	// PruneLen trims leaf skeleton branches shorter than this many hops
-	// (default 3).
-	PruneLen int
-}
-
-func (o Options) withDefaults() Options {
-	if o.Radius <= 0 {
-		o.Radius = 4
-	}
-	if o.Radius < 2 {
-		o.Radius = 2
-	}
-	if o.Fraction == 0 {
-		o.Fraction = 0.7
-	}
-	if o.MinComp <= 0 {
-		o.MinComp = 2
-	}
-	if o.PruneLen <= 0 {
-		o.PruneLen = 3
-	}
-	return o
-}
+// The backend's parameters other than the ball radius are fixed: no caller
+// has needed other values.
+const (
+	// fraction is the boundary-band prefilter: nodes whose |N_R| falls
+	// below fraction x the field median are skipped — near the boundary
+	// the shell cannot wrap, so the test only costs sweeps there.
+	fraction = 0.7
+	// minComp is the minimum shell-component size that counts toward the
+	// separator test, suppressing single-node sampling artifacts.
+	minComp = 2
+	// pruneLen trims leaf skeleton branches shorter than this many hops.
+	pruneLen = 3
+)
 
 // Result is the extracted skeleton with its intermediate artifacts.
 type Result struct {
@@ -78,17 +47,19 @@ type Result struct {
 	Skeleton *core.Skeleton
 }
 
-// Extract runs local-separator skeletonization on the hop graph.
-func Extract(g *graph.Graph, opts Options) *Result {
-	return extractStaged(g, opts, func(_ string, fn func()) { fn() })
+// Extract runs local-separator skeletonization on the hop graph with
+// maximal ball radius R = radius (at least 2): the separator test runs at
+// every shell radius 2..R and flags the node when any of them splits.
+func Extract(g *graph.Graph, radius int) *Result {
+	return extractStaged(g, radius, func(_ string, fn func()) { fn() })
 }
 
 // extractStaged is the pipeline split into named stages, each run through
 // the given hook — inline for Extract, timed under the registry backend.
-func extractStaged(g *graph.Graph, opts Options, stage func(name string, fn func())) *Result {
-	opts = opts.withDefaults()
+func extractStaged(g *graph.Graph, radius int, stage func(name string, fn func())) *Result {
+	radius = max(radius, 2)
 	n := g.N()
-	res := &Result{Radius: opts.Radius}
+	res := &Result{Radius: radius}
 
 	// Ball growth: cumulative |N_r| profiles for every node through the
 	// bit-parallel MS-BFS kernel. The profile's top radius is the prefilter
@@ -96,16 +67,16 @@ func extractStaged(g *graph.Graph, opts Options, stage func(name string, fn func
 	var cut float64
 	stage("balls", func() {
 		rows := make([][]int, n)
-		flat := make([]int, n*opts.Radius)
+		flat := make([]int, n*radius)
 		for v := range rows {
-			rows[v] = flat[v*opts.Radius : (v+1)*opts.Radius : (v+1)*opts.Radius]
+			rows[v] = flat[v*radius : (v+1)*radius : (v+1)*radius]
 		}
-		g.BallSizesInto(opts.Radius, rows, nil, nil)
+		g.BallSizesInto(radius, rows, nil, nil)
 		res.BallSize = make([]int, n)
 		for v := range rows {
-			res.BallSize[v] = rows[v][opts.Radius-1]
+			res.BallSize[v] = rows[v][radius-1]
 		}
-		cut = opts.Fraction * float64(median(res.BallSize))
+		cut = fraction * float64(median(res.BallSize))
 	})
 
 	// Separator test, chunk-parallel over nodes (per-node writes only).
@@ -118,30 +89,29 @@ func extractStaged(g *graph.Graph, opts Options, stage func(name string, fn func
 				if g.Degree(v) == 0 || float64(res.BallSize[v]) < cut {
 					continue
 				}
-				isSep[v] = s.separates(g, w, v, opts)
+				isSep[v] = s.separates(g, w, v, radius)
 			}
 		})
 	})
 
 	// Ridge thinning: keep band nodes whose ball is maximal among their
-	// separator neighbors (reads isSep, writes thinned — order-free).
+	// separator neighbors — the hop-graph analogue of selecting minimal
+	// separators, so the skeleton follows the corridor ridge instead of
+	// filling the band (reads isSep, writes member — order-free).
 	stage("thin", func() {
-		member := isSep
-		if !opts.ThinOff {
-			member = make([]bool, n)
-			for v := 0; v < n; v++ {
-				if !isSep[v] {
-					continue
-				}
-				keep := true
-				for _, u := range g.Neighbors(v) {
-					if isSep[u] && res.BallSize[u] > res.BallSize[v] {
-						keep = false
-						break
-					}
-				}
-				member[v] = keep
+		member := make([]bool, n)
+		for v := 0; v < n; v++ {
+			if !isSep[v] {
+				continue
 			}
+			keep := true
+			for _, u := range g.Neighbors(v) {
+				if isSep[u] && res.BallSize[u] > res.BallSize[v] {
+					keep = false
+					break
+				}
+			}
+			member[v] = keep
 		}
 		isSep = member
 		for v := 0; v < n; v++ {
@@ -155,7 +125,7 @@ func extractStaged(g *graph.Graph, opts Options, stage func(name string, fn func
 	stage("connect", func() {
 		res.Skeleton = core.NewSkeleton(n)
 		core.ConnectWithin2(g, isSep, res.Skeleton)
-		core.PruneLeafBranches(res.Skeleton, opts.PruneLen)
+		core.PruneLeafBranches(res.Skeleton, pruneLen)
 	})
 	return res
 }
@@ -194,28 +164,28 @@ func newSepScratch(n int) *sepScratch {
 }
 
 // separates reports whether v's shell splits into >= 2 components of at
-// least MinComp nodes at any radius 2..Radius. One truncated BFS collects
+// least minComp nodes at any radius 2..radius. One truncated BFS collects
 // the ball; each radius then labels its shell using only shell nodes and
 // single bridges through distance r-1 nodes (the separator boundary),
 // which tolerates sampling gaps without reconnecting across the corridor.
-func (s *sepScratch) separates(g *graph.Graph, w *graph.Walker, v int, opts Options) bool {
+func (s *sepScratch) separates(g *graph.Graph, w *graph.Walker, v int, radius int) bool {
 	s.ballEpoch++
 	s.ball = s.ball[:0]
 	s.mark[v] = s.ballEpoch
 	s.dist[v] = 0
-	w.Walk(v, opts.Radius, func(u, d int32) {
+	w.Walk(v, radius, func(u, d int32) {
 		s.mark[u] = s.ballEpoch
 		s.dist[u] = d
 		s.ball = append(s.ball, u)
 	})
-	for r := int32(2); r <= int32(opts.Radius); r++ {
+	for r := int32(2); r <= int32(radius); r++ {
 		s.shl = s.shl[:0]
 		for _, u := range s.ball {
 			if s.dist[u] == r {
 				s.shl = append(s.shl, u)
 			}
 		}
-		if len(s.shl) < 2*opts.MinComp {
+		if len(s.shl) < 2*minComp {
 			continue
 		}
 		comps := 0
@@ -224,7 +194,7 @@ func (s *sepScratch) separates(g *graph.Graph, w *graph.Walker, v int, opts Opti
 			if s.comp[u] == s.compEpoch {
 				continue
 			}
-			if s.labelFrom(g, u, r) >= opts.MinComp {
+			if s.labelFrom(g, u, r) >= minComp {
 				comps++
 				if comps >= 2 {
 					return true

@@ -25,7 +25,7 @@ func skelPrint(res *Result) string {
 func TestExtractFindsSkeleton(t *testing.T) {
 	for _, shape := range []string{"window", "twoholes", "spiral"} {
 		net := nettest.Grid(shape, 1500, 7.0, 1)
-		res := Extract(net.Graph, Options{})
+		res := Extract(net.Graph, 4)
 		if len(res.SeparatorNodes) == 0 {
 			t.Errorf("%s: no separator nodes found", shape)
 		}
@@ -42,10 +42,10 @@ func TestExtractFindsSkeleton(t *testing.T) {
 
 func TestExtractDeterministicUnderParallelism(t *testing.T) {
 	net := nettest.Grid("twoholes", 1500, 7.0, 1)
-	want := skelPrint(Extract(net.Graph, Options{}))
+	want := skelPrint(Extract(net.Graph, 4))
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
-	if got := skelPrint(Extract(net.Graph, Options{})); got != want {
+	if got := skelPrint(Extract(net.Graph, 4)); got != want {
 		t.Error("result differs between GOMAXPROCS settings")
 	}
 }
@@ -54,20 +54,10 @@ func TestExtractDeterministicUnderParallelism(t *testing.T) {
 // per-node |N_R| of a single-source count.
 func TestKernelEquivalence(t *testing.T) {
 	net := nettest.Grid("window", 1500, 7.0, 1)
-	res := Extract(net.Graph, Options{})
+	res := Extract(net.Graph, 4)
 	for v, got := range res.BallSize {
 		if want := net.Graph.KHopCount(v, res.Radius); got != want {
 			t.Fatalf("BallSize[%d] = %d, want %d", v, got, want)
 		}
-	}
-}
-
-func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
-	if o.Radius != 4 || o.MinComp != 2 || o.PruneLen != 3 {
-		t.Errorf("unexpected defaults: %+v", o)
-	}
-	if o.Fraction != 0.7 {
-		t.Errorf("Fraction default = %v", o.Fraction)
 	}
 }

@@ -12,11 +12,9 @@ func init() { skeleton.Register(backend{}) }
 // backend exposes MAP behind the registry seam. The boundary substrate MAP
 // assumes as given input is resolved through the pluggable provider in
 // skeleton.Params — by default the connectivity-based detector, but noise
-// experiments and precomputed boundaries plug in the same way.
-type backend struct {
-	// Opts configures the baseline; the zero value uses the defaults.
-	Opts Options
-}
+// experiments and precomputed boundaries plug in the same way. The tie and
+// separation parameters are fixed by the package constants.
+type backend struct{}
 
 // Name implements skeleton.Backend.
 func (backend) Name() string { return "map" }
@@ -38,7 +36,7 @@ func (bk backend) Extract(g *graph.Graph, p skeleton.Params) (*skeleton.Result, 
 		run.Fail(err)
 		return nil, nil, err
 	}
-	res := extractStaged(g, b, bk.Opts, run.Hook())
+	res := extractStaged(g, b, run.Hook())
 	stats := run.Finish(
 		obs.Int("medialNodes", len(res.MedialNodes)),
 		obs.Int("skelNodes", res.Skeleton.NumNodes()))

@@ -55,28 +55,21 @@ func TestSeparationMemoUpgrade(t *testing.T) {
 	}
 }
 
-func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
-	if o.TieSlack != 1 || o.SeparationFactor != 2 || o.MinSeparation != 6 {
-		t.Errorf("defaults = %+v", o)
-	}
-}
-
 func TestMedialAtDifferentCycles(t *testing.T) {
 	sep := newSeparation(pathGraph(4))
 	cycleOf := map[int32]int{0: 0, 3: 1}
 	recs := []graph.SourceRecord{{Source: 0, D: 2}, {Source: 3, D: 2}}
-	if !medialAt(recs, 2, cycleOf, sep, Options{}.withDefaults()) {
+	if !medialAt(recs, 2, cycleOf, sep) {
 		t.Error("different-cycle pair not medial")
 	}
 	// Same cycle, close together: not medial.
 	cycleOf[3] = 0
-	if medialAt(recs, 2, cycleOf, sep, Options{}.withDefaults()) {
+	if medialAt(recs, 2, cycleOf, sep) {
 		t.Error("close same-cycle pair declared medial")
 	}
 	// Sources missing from any cycle are ignored.
 	if medialAt([]graph.SourceRecord{{Source: 9, D: 1}, {Source: 8, D: 1}}, 1,
-		cycleOf, sep, Options{}.withDefaults()) {
+		cycleOf, sep) {
 		t.Error("unknown sources declared medial")
 	}
 }

@@ -14,34 +14,20 @@ import (
 	"bfskel/internal/graph"
 )
 
-// Options configures the baseline.
-type Options struct {
-	// TieSlack is the distance slack for recording several nearest
-	// boundary nodes (default 1).
-	TieSlack int32
-	// SeparationFactor scales the stability test: two nearest boundary
+// The baseline's parameters are fixed: no caller has needed other values.
+const (
+	// tieSlack is the distance slack for recording several nearest
+	// boundary nodes.
+	tieSlack = 1
+	// separationFactor scales the stability test: two nearest boundary
 	// nodes on the same cycle count as distinct only if their separation
-	// along the cycle exceeds SeparationFactor x the node's boundary
-	// distance (default 2).
-	SeparationFactor float64
-	// MinSeparation is the absolute minimum separation in hops
-	// (default 6; below it, tie-set spread near the boundary band passes
-	// the test spuriously).
-	MinSeparation int
-}
-
-func (o Options) withDefaults() Options {
-	if o.TieSlack <= 0 {
-		o.TieSlack = 1
-	}
-	if o.SeparationFactor <= 0 {
-		o.SeparationFactor = 2
-	}
-	if o.MinSeparation <= 0 {
-		o.MinSeparation = 6
-	}
-	return o
-}
+	// along the cycle exceeds separationFactor x the node's boundary
+	// distance.
+	separationFactor = 2
+	// minSeparation is the absolute minimum separation in hops; below it,
+	// tie-set spread near the boundary band passes the test spuriously.
+	minSeparation = 6
+)
 
 // Result is the extracted medial axis.
 type Result struct {
@@ -54,23 +40,20 @@ type Result struct {
 }
 
 // Extract runs the MAP baseline on a graph with known boundary.
-func Extract(g *graph.Graph, b *boundary.Result, opts Options) *Result {
-	return extractStaged(g, b, opts, func(_ string, fn func()) { fn() })
+func Extract(g *graph.Graph, b *boundary.Result) *Result {
+	return extractStaged(g, b, func(_ string, fn func()) { fn() })
 }
 
 // extractStaged is the MAP pipeline split into named stages, each run
 // through the given hook — inline for the plain Extract entry point, or
 // under a timed "stage.<name>" span when driven by the registry backend.
-func extractStaged(g *graph.Graph, b *boundary.Result, opts Options,
-	stage func(name string, fn func())) *Result {
-
-	opts = opts.withDefaults()
+func extractStaged(g *graph.Graph, b *boundary.Result, stage func(name string, fn func())) *Result {
 	res := &Result{Skeleton: core.NewSkeleton(g.N())}
 
 	// Hop distance transform from the boundary, with tie records.
 	var records [][]graph.SourceRecord
 	stage("transform", func() {
-		res.DistToBoundary, records = g.MultiSourceRecords(b.Nodes, opts.TieSlack)
+		res.DistToBoundary, records = g.MultiSourceRecords(b.Nodes, tieSlack)
 	})
 
 	// Medial test: nearest boundary nodes on different cycles or far apart.
@@ -88,7 +71,7 @@ func extractStaged(g *graph.Graph, b *boundary.Result, opts Options,
 			if b.IsBoundary[v] || dmin[v] == graph.Unreachable {
 				continue
 			}
-			if medialAt(records[v], dmin[v], cycleOf, sep, opts) {
+			if medialAt(records[v], dmin[v], cycleOf, sep) {
 				isMedial[v] = true
 				res.MedialNodes = append(res.MedialNodes, int32(v))
 			}
@@ -107,13 +90,8 @@ func extractStaged(g *graph.Graph, b *boundary.Result, opts Options,
 // the network (the stability condition that suppresses boundary noise — up
 // to the separation threshold, which is exactly where MAP's noise
 // sensitivity lives).
-func medialAt(recs []graph.SourceRecord, dist int32,
-	cycleOf map[int32]int, sep *separation, opts Options) bool {
-
-	minSep := int32(opts.SeparationFactor * float64(dist))
-	if minSep < int32(opts.MinSeparation) {
-		minSep = int32(opts.MinSeparation)
-	}
+func medialAt(recs []graph.SourceRecord, dist int32, cycleOf map[int32]int, sep *separation) bool {
+	minSep := max(separationFactor*dist, minSeparation)
 	for i := 0; i < len(recs); i++ {
 		for j := i + 1; j < len(recs); j++ {
 			ci, oki := cycleOf[recs[i].Source]

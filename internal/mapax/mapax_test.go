@@ -13,8 +13,8 @@ import (
 // mean.
 func TestExtractStar(t *testing.T) {
 	net := nettest.Grid("star", 1394, 7, 1)
-	b := boundary.Detect(net.Graph, boundary.Options{})
-	res := mapax.Extract(net.Graph, b, mapax.Options{})
+	b := boundary.Detect(net.Graph)
+	res := mapax.Extract(net.Graph, b)
 	if len(res.MedialNodes) == 0 {
 		t.Fatal("no medial nodes")
 	}
@@ -43,10 +43,10 @@ func TestExtractStar(t *testing.T) {
 // trivially passes the different-cycle test.
 func TestNoiseSensitivity(t *testing.T) {
 	net := nettest.Grid("star", 1394, 7, 1)
-	clean := boundary.Detect(net.Graph, boundary.Options{})
-	base := mapax.Extract(net.Graph, clean, mapax.Options{})
+	clean := boundary.Detect(net.Graph)
+	base := mapax.Extract(net.Graph, clean)
 
-	noisy := boundary.Detect(net.Graph, boundary.Options{})
+	noisy := boundary.Detect(net.Graph)
 	// Promote a few interior nodes to boundary status.
 	added := 0
 	for v := 0; v < net.Graph.N() && added < 8; v++ {
@@ -57,7 +57,7 @@ func TestNoiseSensitivity(t *testing.T) {
 			added++
 		}
 	}
-	perturbed := mapax.Extract(net.Graph, noisy, mapax.Options{})
+	perturbed := mapax.Extract(net.Graph, noisy)
 	t.Logf("medial nodes: clean=%d noisy=%d", len(base.MedialNodes), len(perturbed.MedialNodes))
 	if len(perturbed.MedialNodes) <= len(base.MedialNodes) {
 		t.Errorf("boundary noise did not inflate MAP's medial set (%d <= %d)",

@@ -71,7 +71,7 @@ func TestMergeCellsRadiusMonotone(t *testing.T) {
 // produces connected segments whose sinks lie medially.
 func TestFlowToSinks(t *testing.T) {
 	net := nettest.Grid("cactus", 2172, 6.7, 1)
-	b := boundary.Detect(net.Graph, boundary.Options{})
+	b := boundary.Detect(net.Graph)
 	seg := segment.FlowToSinks(net.Graph, b.Nodes, 6)
 	if seg.NumSegments() < 2 {
 		t.Fatalf("segments = %d", seg.NumSegments())
@@ -103,7 +103,7 @@ func TestFlowToSinks(t *testing.T) {
 // TestFlowMergeReducesSinks: sink merging absorbs shallow local maxima.
 func TestFlowMergeReducesSinks(t *testing.T) {
 	net := nettest.Grid("star", 1394, 6.59, 1)
-	b := boundary.Detect(net.Graph, boundary.Options{})
+	b := boundary.Detect(net.Graph)
 	raw := segment.FlowToSinks(net.Graph, b.Nodes, 0)
 	merged := segment.FlowToSinks(net.Graph, b.Nodes, 6)
 	if merged.NumSegments() >= raw.NumSegments() {

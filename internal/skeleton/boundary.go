@@ -22,9 +22,6 @@ type BoundaryProvider interface {
 // (Fekete et al.), memoizing the most recent graph so several backends
 // resolving the same substrate over one graph pay for detection once.
 type Detector struct {
-	// Opts configures the detector; the zero value uses its defaults.
-	Opts boundary.Options
-
 	mu    sync.Mutex
 	lastG *graph.Graph
 	last  *boundary.Result
@@ -37,7 +34,7 @@ func (d *Detector) Boundary(g *graph.Graph) (*boundary.Result, error) {
 	if d.lastG == g && d.last != nil {
 		return d.last, nil
 	}
-	d.lastG, d.last = g, boundary.Detect(g, d.Opts)
+	d.lastG, d.last = g, boundary.Detect(g)
 	return d.last, nil
 }
 
