@@ -116,14 +116,13 @@ func RunScorecard(scenarios []ScorecardScenario, backendNames []string, sc ObsSc
 				var ms runtime.MemStats
 				runtime.ReadMemStats(&ms)
 				allocs, bytes := ms.Mallocs, ms.TotalAlloc
-				start := time.Now() //lint:allow determinism Score.MsPerOp is wall-clock timing, not part of the result
 				r, st, e := ExtractBackend(net, name, p)
-				wall := float64(time.Since(start)) / float64(time.Millisecond)
 				runtime.ReadMemStats(&ms)
 				if e != nil {
 					err = e
 					break
 				}
+				wall := float64(st.Total) / float64(time.Millisecond)
 				if rep == 0 || wall < score.MsPerOp {
 					score.MsPerOp = wall
 					score.AllocsPerOp, score.BytesPerOp = ms.Mallocs-allocs, ms.TotalAlloc-bytes

@@ -98,11 +98,11 @@ func RunChurnBench(cfg ChurnBenchConfig) ([]ChurnRow, error) {
 	eng := net.ExtractorObs(ObsScope{})
 	fullMs := 0.0
 	for i := 0; i < 2; i++ {
-		start := time.Now() //lint:allow determinism ChurnRow.FullExtractMs is wall-clock timing, not part of the result
-		if _, err := eng.Extract(cfg.Params); err != nil {
+		res, err := eng.Extract(cfg.Params)
+		if err != nil {
 			return nil, fmt.Errorf("baseline extract: %w", err)
 		}
-		ms := float64(time.Since(start)) / float64(time.Millisecond)
+		ms := float64(res.Stats.Total) / float64(time.Millisecond)
 		if i == 0 || ms < fullMs {
 			fullMs = ms
 		}
@@ -150,20 +150,17 @@ func RunChurnBench(cfg ChurnBenchConfig) ([]ChurnRow, error) {
 		}
 		for b := 0; b < cfg.Batches && row.Err == ""; b++ {
 			batch := pick()
-			start := time.Now() //lint:allow determinism ChurnRow update timings are wall-clock, not part of the result
-			_, err := s.Step(batch, prev)
-			dt := time.Since(start)
-			if err != nil {
+			if _, err := s.Step(batch, prev); err != nil {
 				row.Err = fmt.Sprintf("batch %d: %v", b, err)
 				break
 			}
-			total += dt
-			ms := float64(dt) / float64(time.Millisecond)
+			u := s.LastUpdate()
+			total += u.Duration
+			ms := float64(u.Duration) / float64(time.Millisecond)
 			row.MeanUpdateMs += ms
 			if ms > row.MaxUpdateMs {
 				row.MaxUpdateMs = ms
 			}
-			u := s.LastUpdate()
 			if u.Fallback {
 				row.Fallbacks++
 			}

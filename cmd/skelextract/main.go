@@ -156,12 +156,13 @@ func run() error {
 	if st := res.Stats; st != nil {
 		fmt.Println("phase timings:")
 		for _, ph := range st.Phases {
-			fmt.Printf("  %-9s %10s  %8.1f KB\n",
-				ph.Name, ph.Duration.Round(time.Microsecond), float64(ph.BytesAlloc)/1024)
+			fmt.Printf("  %-9s %10s  %8.1f KB  sweeps=%d visited=%d\n",
+				ph.Name, ph.Duration.Round(time.Microsecond), float64(ph.BytesAlloc)/1024,
+				ph.Sweeps, ph.Visited)
 		}
 		fmt.Printf("  %-9s %10s\n", "total", st.Total.Round(time.Microsecond))
-		fmt.Printf("work: bfs=%d floods=%d electionRounds=%d kEff=%d scopeEff=%d (adjusted %d/%d) medianKhop=%d pruned=%d\n",
-			st.BFSSweeps, st.Floods, st.ElectionRounds,
+		fmt.Printf("work: floods=%d electionRounds=%d kEff=%d scopeEff=%d (adjusted %d/%d) medianKhop=%d pruned=%d\n",
+			st.Floods, st.ElectionRounds,
 			res.EffectiveK, res.EffectiveScope, st.KAdjustments, st.ScopeAdjustments,
 			st.MedianKHopBall, st.PrunedNodes)
 	}

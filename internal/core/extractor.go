@@ -32,11 +32,11 @@ type Extractor struct {
 
 	// Tracer, when non-nil, receives one "extract" span per run with one
 	// "stage.<name>" child span per pipeline stage, plus events for guard
-	// adjustments, election rounds and flood counts. The per-stage
-	// PhaseStats attached to results share the spans' stage boundaries,
-	// but their durations come from runStage's own clock, read beside the
-	// span's. Nil disables tracing at the cost of a few nil checks per
-	// stage.
+	// adjustments, election rounds and flood counts. The spans are the
+	// run's only clock: each PhaseStats.Duration and Stats.Total is the
+	// duration its span's End returns, so a traced run's stats equal the
+	// Dur of the matching end records. Nil disables emission; the spans
+	// still keep time.
 	Tracer *obs.Tracer
 	// Metrics, when non-nil, accumulates run/stage counters and timing
 	// histograms across extractions (see DESIGN.md for the name taxonomy).
@@ -60,14 +60,14 @@ type Extractor struct {
 	bools     []bool                // electSites maximality flags
 	visitLog  graph.VisitLog        // identify: recorded ball flood for centrality replay
 	vorQueue  []int32               // voronoi: BFS queue / dmin frontier
-	vorQueue2 []int32               // voronoi: dmin next frontier (parallel pass)
+	vorQueue2 []int32               // voronoi: dmin next frontier
 	vorRank   []int32               // voronoi: node -> Z-curve rank for site batching
 	vorSites  []int32               // voronoi: Z-sorted site buffer
 	vorCnt    []int32               // voronoi: per-node record counts for arena layout
 	vorVisits [][]graph.PrunedVisit // voronoi: per-batch pruned-flood outputs
 	vorCand   [][]int32             // voronoi: per-chunk frontier candidates (parallel dmin)
 	fld       floodScratch          // coarse/refine: stamped BFS + mark scratch
-	uf        stampedUF             // refine: dense stamped union-find over node IDs
+	uf        stampedUF             // refine: dense stamped union-find (end clusters, forests)
 	pairBuf   []pairSeg             // coarse: (pair, segment node) tuples
 	cmask     []bool                // refine: classify skeleton-membership mask
 	cmaskOn   []int32               // refine: set bits of cmask, for O(set) clearing
@@ -160,16 +160,14 @@ func newStats() *Stats {
 
 // runStages executes the given pipeline suffix, wrapping the run in an
 // "extract" trace span with one child span per stage, and attaches the
-// stats to the result. PhaseStats and the stage spans share the stage
-// boundaries but not a clock: runStage times PhaseStats.Duration with its
-// own time.Now, and each span records its own start and end.
+// stats to the result. Stats.Total and each PhaseStats.Duration are the
+// durations of those spans.
 func (rs *runState) runStages(todo []stage) error {
 	e := rs.e
 	e.root = e.Tracer.StartSpan("extract",
 		obs.Int("nodes", rs.g.N()), obs.Int("k", rs.p.K), obs.Int("l", rs.p.L),
 		obs.Int("scope", rs.p.Scope()), obs.Int("alpha", int(rs.p.Alpha)),
 		obs.Int("stages", len(todo)))
-	start := time.Now() //lint:allow determinism Stats.Total is wall-clock timing, not part of the result
 	for _, st := range todo {
 		if err := rs.runStage(st); err != nil {
 			e.root.End(obs.Str("error", err.Error()))
@@ -177,11 +175,10 @@ func (rs *runState) runStages(todo []stage) error {
 			return err
 		}
 	}
-	rs.stats.Total = time.Since(start)
-	rs.res.Stats = rs.stats
-	e.root.End(
+	rs.stats.Total = e.root.End(
 		obs.Int("sites", rs.stats.Sites), obs.Int("edges", rs.stats.Edges),
 		obs.Int("boundaryNodes", rs.stats.BoundaryNodes))
+	rs.res.Stats = rs.stats
 	e.root = nil
 	if m := e.Metrics; m != nil {
 		m.Counter("bfskel_extract_runs_total").Inc()
@@ -203,15 +200,14 @@ func (rs *runState) runStage(st stage) error {
 	}
 	sweeps0, visited0 := e.sweeps.Load(), e.visited.Load()
 	e.span = e.root.StartSpan("stage." + st.name())
-	t0 := time.Now() //lint:allow determinism PhaseStats.Duration is wall-clock timing, not part of the result
 	err := st.run(rs)
-	d := time.Since(t0)
 	sweeps, visited := e.sweeps.Load()-sweeps0, e.visited.Load()-visited0
+	var d time.Duration
 	if err != nil {
-		e.span.End(obs.Int64("sweeps", sweeps), obs.Int64("visited", visited),
+		d = e.span.End(obs.Int64("sweeps", sweeps), obs.Int64("visited", visited),
 			obs.Str("error", err.Error()))
 	} else {
-		e.span.End(obs.Int64("sweeps", sweeps), obs.Int64("visited", visited))
+		d = e.span.End(obs.Int64("sweeps", sweeps), obs.Int64("visited", visited))
 	}
 	e.span = nil
 	ps := PhaseStats{Name: st.name(), Duration: d, Sweeps: sweeps, Visited: visited}

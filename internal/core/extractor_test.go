@@ -47,9 +47,9 @@ func TestExtractorStats(t *testing.T) {
 	if want := len(res.Sites) + 1; st.Floods != want {
 		t.Errorf("Stats.Floods = %d, want joint flood + one per site = %d", st.Floods, want)
 	}
-	if st.BFSSweeps < net.Graph.N() {
-		t.Errorf("Stats.BFSSweeps = %d, want at least one ball sweep per node (%d)",
-			st.BFSSweeps, net.Graph.N())
+	if id, _ := st.Phase("identify"); id.Sweeps < int64(net.Graph.N()) {
+		t.Errorf("identify Sweeps = %d, want at least one ball sweep per node (%d)",
+			id.Sweeps, net.Graph.N())
 	}
 	if st.ElectionRounds < 1 {
 		t.Errorf("Stats.ElectionRounds = %d, want >= 1", st.ElectionRounds)
@@ -77,6 +77,44 @@ func TestExtractorStats(t *testing.T) {
 	}
 	if st.String() == "" {
 		t.Error("Stats.String() is empty")
+	}
+}
+
+// TestIdentifySweepsCountLiveWork pins identify's walker tally on a field
+// with tombstoned nodes: ball sizing sweeps from every node ID, and the
+// election floods only from live nodes. With the centrality tallies
+// replayed from the ball-sizing visit log and a single election round,
+// that is n + live sweeps on a clean field and after churn alike.
+func TestIdentifySweepsCountLiveWork(t *testing.T) {
+	for _, every := range []int{0, 10} {
+		g := nettest.Grid("window", 800, 7, 3).Graph
+		n := g.N()
+		if every > 0 {
+			var dead []int32
+			for v := 0; v < n; v += every {
+				dead = append(dead, int32(v))
+			}
+			g.RemoveNodes(dead)
+		}
+		live := 0
+		for v := 0; v < n; v++ {
+			if g.Alive(int32(v)) {
+				live++
+			}
+		}
+		x := NewExtractor(g)
+		res, err := x.Extract(DefaultParams())
+		if err != nil {
+			t.Fatalf("every=%d: %v", every, err)
+		}
+		if res.Stats.ElectionRounds != 1 || !x.visitLog.Recorded() {
+			t.Fatalf("every=%d: want one election round over a replayed visit log, got %d rounds (log recorded %v)",
+				every, res.Stats.ElectionRounds, x.visitLog.Recorded())
+		}
+		id, _ := res.Stats.Phase("identify")
+		if want := int64(n + live); id.Sweeps != want {
+			t.Errorf("every=%d: identify Sweeps = %d, want n + live = %d + %d", every, id.Sweeps, n, live)
+		}
 	}
 }
 

@@ -49,7 +49,6 @@ func (e *Extractor) identify(p Params, st *Stats) (khop []int, cent []float64, i
 	kEff, medianK = effectiveRadius(balls, p.K, kSaturationFraction, &e.ints)
 	scopeEff, _ = effectiveRadius(balls, p.Scope(), scopeSaturationFraction, &e.ints)
 	if st != nil {
-		st.BFSSweeps += n
 		st.MedianKHopBall = medianK
 		st.KAdjustments += p.K - kEff
 		st.ScopeAdjustments += p.Scope() - scopeEff
@@ -78,20 +77,13 @@ func (e *Extractor) identify(p Params, st *Stats) (khop []int, cent []float64, i
 	index = make([]float64, n)
 	round := 0
 	for {
-		replayed := e.indexField(p, khop, cent, index)
+		e.indexField(p, khop, cent, index)
 		sites = e.electSites(index, scopeEff)
 		round++
 		e.event("election", obs.Int("round", round), obs.Int("sites", len(sites)),
 			obs.Int("k", kEff), obs.Int("scope", scopeEff))
 		if st != nil {
 			st.ElectionRounds++
-			if replayed {
-				// The centrality tallies were replayed from the ball-sizing
-				// visit log; only the election swept the graph.
-				st.BFSSweeps += n
-			} else {
-				st.BFSSweeps += 2 * n
-			}
 		}
 		if len(sites) >= minSites {
 			break
@@ -153,16 +145,16 @@ func (e *Extractor) ballSizes(maxR, logRadius int) [][]int {
 // ball sizing and |N_L(v)| comes off the ball matrix, so each value is one
 // integer sum and count before a single float64 division. Including v makes
 // c_L well defined for isolated nodes and only shifts all values
-// consistently, so local-maximum comparisons are unaffected. It reports
-// whether the tallies were replayed from the ball-sizing visit log instead
-// of a fresh graph sweep (the settle events are weight-independent, so the
-// replay stays valid as the election loop reweights khop across rounds).
-func (e *Extractor) indexField(p Params, khop []int, cent, index []float64) bool {
+// consistently, so local-maximum comparisons are unaffected. The tallies
+// are replayed from the ball-sizing visit log when it holds the L-ball
+// settles (the settle events are weight-independent, so the replay stays
+// valid as the election loop reweights khop across rounds) and swept
+// afresh otherwise.
+func (e *Extractor) indexField(p Params, khop []int, cent, index []float64) {
 	n := e.g.N()
 	e.wsums = growInts(e.wsums, n)
 	wsums := e.wsums
-	replayed := e.visitLog.Recorded() && e.visitLog.Radius() == p.L
-	if replayed {
+	if e.visitLog.Recorded() && e.visitLog.Radius() == p.L {
 		e.visitLog.WeightedSumsInto(e.g, khop, wsums)
 	} else {
 		e.g.BallWeightedSumsInto(graph.KernelBatched, p.L, khop, wsums, e.getWalker, e.putWalker)
@@ -171,7 +163,6 @@ func (e *Extractor) indexField(p Params, khop []int, cent, index []float64) bool
 		cent[v] = float64(khop[v]+wsums[v]) / float64(1+e.balls[v][p.L-1])
 		index[v] = (float64(khop[v]) + cent[v]) / 2
 	}
-	return replayed
 }
 
 // electSites applies Def. 5: a node whose index is maximal within its

@@ -66,7 +66,8 @@ type UpdateStats struct {
 	// the incremental path, and why.
 	Fallback       bool
 	FallbackReason string
-	// Duration is the update's wall-clock time.
+	// Duration is the update's wall-clock time: the duration of its
+	// "update" span, on every exit including errors.
 	Duration time.Duration
 }
 
@@ -273,7 +274,6 @@ func (ix *IncrementalExtractor) Update(remove, revive []int32) (*Result, error) 
 	e := ix.e
 	g := e.g
 	n := g.N()
-	start := time.Now() //lint:allow determinism UpdateStats.Duration is wall-clock timing, not part of the result
 	span := e.Tracer.StartSpan("update",
 		obs.Int("remove", len(remove)), obs.Int("revive", len(revive)))
 	ix.uspan = span
@@ -309,19 +309,17 @@ func (ix *IncrementalExtractor) Update(remove, revive []int32) (*Result, error) 
 
 	if len(flipped) == 0 {
 		// Nothing changed; the previous result still holds.
-		ix.last.Duration = time.Since(start) //lint:allow determinism wall-clock instrumentation only
-		span.End(obs.Str("outcome", "no-op"))
+		ix.last.Duration = span.End(obs.Str("outcome", "no-op"))
 		ix.observe()
 		return ix.prev, nil
 	}
 
 	res, err := ix.update(flipped, newlyDead, patched)
 	if err != nil {
-		span.End(obs.Str("error", err.Error()))
+		ix.last.Duration = span.End(obs.Str("error", err.Error()))
 		return nil, err
 	}
-	ix.last.Duration = time.Since(start) //lint:allow determinism wall-clock instrumentation only
-	span.End(
+	ix.last.Duration = span.End(
 		obs.Int("dirty", ix.last.DirtyNodes),
 		obs.Int("repairedCells", ix.last.RepairedCells),
 		obs.Int("attempts", ix.last.Attempts),
@@ -346,8 +344,8 @@ func (ix *IncrementalExtractor) observe() {
 }
 
 // stage closes the open update stage span, if any, and opens the named
-// child of the Update span. Without a tracer both spans are nil and this is
-// two nil checks.
+// child of the Update span. Without a tracer both spans are untraced and
+// this is two clock reads.
 func (ix *IncrementalExtractor) stage(name string) {
 	ix.endStage()
 	ix.sspan = ix.uspan.StartSpan(name)
@@ -501,7 +499,7 @@ func (ix *IncrementalExtractor) update(flipped, newlyDead, patched []int32) (*Re
 		ix.index[v] = (float64(khop[v]) + ix.cent[v]) / 2
 	}
 
-	if ix.sspan != nil {
+	if ix.sspan.Enabled() {
 		ix.endStage(obs.Int("balls", len(srcs)), obs.Int("horizon", horizon))
 	}
 
@@ -567,7 +565,7 @@ func (ix *IncrementalExtractor) update(flipped, newlyDead, patched []int32) (*Re
 		}
 	}
 	sc.addS, sc.rmS = addS, rmS
-	if ix.sspan != nil {
+	if ix.sspan.Enabled() {
 		ix.endStage(obs.Int("sites", len(newSites)),
 			obs.Int("gained", len(addS)), obs.Int("lost", len(rmS)))
 	}
@@ -702,7 +700,7 @@ func (ix *IncrementalExtractor) update(flipped, newlyDead, patched []int32) (*Re
 	ix.last.DirtyFraction = float64(len(r.list)) / float64(n)
 	ix.last.RepairedCells = len(r.rs)
 	ix.last.Attempts = r.attempts
-	if ix.sspan != nil {
+	if ix.sspan.Enabled() {
 		ix.endStage(obs.Int("dirty", len(r.list)),
 			obs.Int("cells", len(r.rs)), obs.Int("attempts", r.attempts))
 	}
@@ -712,7 +710,7 @@ func (ix *IncrementalExtractor) update(flipped, newlyDead, patched []int32) (*Re
 	ix.stage("update.coarse")
 	segNodes, vorNodes := specialNodes(nrec)
 	edges, coarseSkel, reused := ix.spliceCoarse(nrec, distD, wring, r.list)
-	if ix.sspan != nil {
+	if ix.sspan.Enabled() {
 		ix.endStage(obs.Int("edges", len(edges)), obs.Int("reused", reused))
 	}
 

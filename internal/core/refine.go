@@ -254,12 +254,13 @@ func (w *refiner) classifyLoops() {
 	// path's cached replays, so nothing downstream may depend on union-find
 	// root identities; clusters are keyed by their largest member index
 	// instead (see below).
-	uf := newUnionFind(len(ends))
+	uf := &w.e.uf
+	uf.reset(len(ends))
 	fld := &w.e.fld
 	fld.beginMark()
 	claim := func(i int, v int32) {
 		if rep, ok := fld.marked(v); ok {
-			uf.union(i, int(rep))
+			uf.union(int32(i), rep)
 		} else {
 			fld.mark(v, int32(i))
 		}
@@ -320,8 +321,9 @@ func (w *refiner) classifyLoops() {
 	root := make([]int, len(ends))
 	size := make([]int, len(ends))
 	maxMember := make([]int, len(ends))
+	// Copy the roots out: the per-cluster forest below resets uf.
 	for i := range ends {
-		root[i] = uf.find(i)
+		root[i] = int(uf.find(int32(i)))
 	}
 	for i := range ends {
 		r := root[i]
@@ -702,34 +704,6 @@ func pruneBranches(skel *Skeleton, minLen int) {
 		if !pruned {
 			return
 		}
-	}
-}
-
-// unionFind is a dense union-find over 0..n-1.
-type unionFind struct {
-	parent []int
-}
-
-func newUnionFind(n int) *unionFind {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	return &unionFind{parent: p}
-}
-
-func (u *unionFind) find(x int) int {
-	for u.parent[x] != x {
-		u.parent[x] = u.parent[u.parent[x]] // path halving
-		x = u.parent[x]
-	}
-	return x
-}
-
-func (u *unionFind) union(a, b int) {
-	ra, rb := u.find(a), u.find(b)
-	if ra != rb {
-		u.parent[rb] = ra
 	}
 }
 

@@ -63,8 +63,9 @@ func (f *floodScratch) marked(v int32) (int32, bool) {
 
 // stampedUF is a dense union-find over node IDs whose "all singletons"
 // reset is one epoch increment: an element is initialized lazily the first
-// time find touches it in the current epoch. It replaces the map-backed
-// sparse union-find in the refine stage's forest and cycle tests.
+// time find touches it in the current epoch. It is the refine stage's one
+// union-find: end-node clustering (over end indices), the per-cluster
+// spanning forests and the cycle tests (over node IDs).
 type stampedUF struct {
 	parent []int32
 	stamp  []int32

@@ -246,16 +246,3 @@ func TestStampedUnionFind(t *testing.T) {
 		t.Error("post-reset union should merge")
 	}
 }
-
-func TestUnionFindDense(t *testing.T) {
-	uf := newUnionFind(5)
-	uf.union(0, 1)
-	uf.union(3, 4)
-	if uf.find(0) != uf.find(1) || uf.find(0) == uf.find(3) {
-		t.Error("dense union-find wrong")
-	}
-	uf.union(1, 3)
-	if uf.find(0) != uf.find(4) {
-		t.Error("transitive union broken")
-	}
-}

@@ -10,7 +10,8 @@ import (
 type PhaseStats struct {
 	// Name is the stage name: identify, voronoi, coarse, refine, boundary.
 	Name string
-	// Duration is the stage's wall-clock time.
+	// Duration is the stage's wall-clock time: the duration of its
+	// "stage.<name>" span.
 	Duration time.Duration
 	// BytesAlloc is the heap allocated while the stage ran. It is collected
 	// only when Extractor.CollectMemStats is set (0 otherwise), because the
@@ -31,12 +32,10 @@ type PhaseStats struct {
 type Stats struct {
 	// Phases lists the executed stages in pipeline order.
 	Phases []PhaseStats
-	// Total is the wall-clock time of the whole run.
+	// Total is the wall-clock time of the whole run: the duration of its
+	// "extract" span.
 	Total time.Duration
 
-	// BFSSweeps counts truncated per-node BFS sweeps (ball sizing,
-	// centrality, and election each contribute one sweep per node).
-	BFSSweeps int
 	// Floods counts network-wide floods during Voronoi construction: the
 	// multi-source minimum-distance pass plus one pruned flood per site.
 	Floods int

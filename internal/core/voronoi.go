@@ -27,7 +27,7 @@ func voronoi(g *graph.Graph, sites []int32, alpha int32) (cellOf, distToSite []i
 // voronoi is the staged engine's Phase 2. The per-site pruned floods run 64
 // sites per bit-parallel pass over Z-curve site batches (see
 // voronoiPrunedBatched for the tie-break and parent rules), and the dmin
-// pass goes level-synchronous when several workers are available. The BFS
+// pass is level-synchronous over the available workers. The BFS
 // scratch comes from the engine's pools, while everything that escapes into
 // the Result is allocated fresh. st, when non-nil, accumulates the flood
 // counters.
@@ -50,11 +50,7 @@ func (e *Extractor) voronoi(sites []int32, alpha int32, st *Stats) (cellOf, dist
 
 	// Pass 1: multi-source BFS for dmin; ties go to the lowest site ID.
 	e.vorQueue = growInt32s(e.vorQueue, n)
-	if runtime.GOMAXPROCS(0) > 1 {
-		e.voronoiDminParallel(sites, cellOf, distToSite)
-	} else {
-		e.voronoiDminSerial(sites, cellOf, distToSite)
-	}
+	e.voronoiDmin(sites, cellOf, distToSite)
 	if st != nil {
 		st.Floods += 1 + len(sites)
 	}
@@ -67,43 +63,22 @@ func (e *Extractor) voronoi(sites []int32, alpha int32, st *Stats) (cellOf, dist
 	return cellOf, distToSite, records
 }
 
-// voronoiDminSerial is the FIFO multi-source dmin pass: sites are enqueued
-// in increasing ID order, so the first discoverer of any node — and hence
-// its cell — is its lowest-ID nearest site.
-func (e *Extractor) voronoiDminSerial(sites []int32, cellOf, distToSite []int32) {
-	g := e.g
-	queue := e.vorQueue[:0]
-	for _, s := range sites {
-		distToSite[s] = 0
-		cellOf[s] = s
-		queue = append(queue, s)
-	}
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		du := distToSite[u]
-		for _, v := range g.Neighbors(int(u)) {
-			if distToSite[v] == graph.Unreachable {
-				distToSite[v] = du + 1
-				cellOf[v] = cellOf[u]
-				queue = append(queue, v)
-			}
-		}
-	}
-}
-
-// voronoiDminParallel is the level-synchronous dmin pass: each level's
-// frontier expands in parallel chunks into per-chunk candidate buffers,
-// a serial merge dedups them into the next frontier, and a second parallel
-// sweep assigns each new node the minimum cellOf among its previous-level
-// neighbors.
+// voronoiDmin is the level-synchronous multi-source dmin pass: each
+// level's frontier expands in parallel chunks into per-chunk candidate
+// buffers, a serial merge dedups them into the next frontier, and a second
+// parallel sweep assigns each new node the minimum cellOf among its
+// previous-level neighbors. With one worker both sweeps run inline.
 //
-// Bit-identity with the serial FIFO pass: in that pass each level's queue
+// It gives the FIFO multi-source BFS assignment, in which sites are
+// enqueued in increasing ID order and a node's cell is its first
+// discoverer's, i.e. its lowest-ID nearest site: each level's FIFO queue
 // segment is non-decreasing in cellOf (by induction — sites are enqueued
 // ascending, and a node is appended by its first discoverer, which scans
 // the segment in order), so the first discoverer of v IS its min-cellOf
 // neighbor at the previous level. Computing that minimum directly gives the
 // same assignment with no dependence on chunk boundaries or worker count.
-func (e *Extractor) voronoiDminParallel(sites []int32, cellOf, distToSite []int32) {
+// The FIFO pass is the test oracle (TestVoronoiDminMatchesFIFO).
+func (e *Extractor) voronoiDmin(sites []int32, cellOf, distToSite []int32) {
 	g := e.g
 	n := g.N()
 	e.vorQueue2 = growInt32s(e.vorQueue2, n)

@@ -70,29 +70,6 @@ func PathTo(parent []int32, dst int) []int32 {
 	return rev
 }
 
-// BFSBlocked is BFS that never enters nodes with blocked[v] == true (the
-// source is always entered). It implements the paper's "limited flooding
-// without crossing the coarse skeleton" (Sec. III-D).
-func (g *Graph) BFSBlocked(src int, blocked []bool) []int32 {
-	dist := make([]int32, g.N())
-	for i := range dist {
-		dist[i] = Unreachable
-	}
-	dist[src] = 0
-	queue := []int32{int32(src)}
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		du := dist[u]
-		for _, v := range g.adj[u] {
-			if dist[v] == Unreachable && !blocked[v] {
-				dist[v] = du + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	return dist
-}
-
 // khopScratch holds reusable buffers for truncated BFS sweeps, plus
 // since-last-drain work counters (see Walker.TakeCounts).
 type khopScratch struct {

@@ -90,19 +90,6 @@ func TestBFSPathsAndPathTo(t *testing.T) {
 	}
 }
 
-func TestBFSBlocked(t *testing.T) {
-	g := pathGraph(5)
-	blocked := make([]bool, 5)
-	blocked[2] = true
-	dist := g.BFSBlocked(0, blocked)
-	if dist[1] != 1 {
-		t.Errorf("dist[1] = %d", dist[1])
-	}
-	if dist[3] != graph.Unreachable || dist[4] != graph.Unreachable {
-		t.Errorf("blocked BFS leaked past node 2: %v", dist)
-	}
-}
-
 func TestKHop(t *testing.T) {
 	g := pathGraph(10)
 	if got := g.KHopCount(0, 3); got != 3 {

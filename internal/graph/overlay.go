@@ -63,9 +63,6 @@ func (g *Graph) BeginOverlay() {
 	g.ov = ov
 }
 
-// HasOverlay reports whether the graph is in overlay mode.
-func (g *Graph) HasOverlay() bool { return g.ov != nil }
-
 // Alive reports whether v is currently alive. Graphs without an overlay
 // have every node alive.
 func (g *Graph) Alive(v int32) bool { return g.ov == nil || !g.ov.dead[v] }

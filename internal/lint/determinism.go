@@ -13,8 +13,9 @@ import (
 //
 // Three rules:
 //
-//  1. no time.Now — wall-clock is nondeterministic. Sanctioned timing
-//     sites (obs timestamps, Stats durations) carry //lint:allow.
+//  1. no time.Now — wall-clock is nondeterministic. The sanctioned timing
+//     sites are the obs span clock (which also feeds every Stats duration)
+//     and the cmd report stamps; each carries //lint:allow.
 //  2. no math/rand package-level calls — the global source is unseeded and
 //     process-global; randomness must flow through a seeded *rand.Rand.
 //     Seeded constructors (rand.New(rand.NewSource(seed))) are sanctioned

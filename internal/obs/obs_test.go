@@ -14,8 +14,8 @@ func TestTracerSpanEventSequence(t *testing.T) {
 	root := tr.StartSpan("extract", Int("nodes", 10))
 	child := root.StartSpan("stage.identify")
 	child.Event("election", Int("round", 1), Int("sites", 4))
-	child.End(Int64("sweeps", 30))
-	root.End()
+	childDur := child.End(Int64("sweeps", 30))
+	rootDur := root.End()
 
 	recs := sink.Records()
 	if len(recs) != 5 {
@@ -39,6 +39,13 @@ func TestTracerSpanEventSequence(t *testing.T) {
 	if recs[3].Name != "stage.identify" {
 		t.Errorf("span end carries name %q, want stage.identify", recs[3].Name)
 	}
+	if !root.Enabled() || !child.Enabled() {
+		t.Error("spans of a non-nil tracer report !Enabled")
+	}
+	if childDur != recs[3].Dur || rootDur != recs[4].Dur {
+		t.Errorf("End returned %v/%v, end records carry Dur %v/%v",
+			childDur, rootDur, recs[3].Dur, recs[4].Dur)
+	}
 }
 
 func TestNilTracerAndSpanAreInert(t *testing.T) {
@@ -46,14 +53,37 @@ func TestNilTracerAndSpanAreInert(t *testing.T) {
 	if tr.Enabled() {
 		t.Error("nil tracer reports enabled")
 	}
+	// A nil tracer hands out untraced spans: they keep time but emit
+	// nothing, and neither do their children.
 	span := tr.StartSpan("x")
-	if span != nil {
-		t.Fatal("nil tracer produced a non-nil span")
+	if span == nil {
+		t.Fatal("nil tracer produced a nil span")
 	}
-	// None of these may panic.
+	if span.Enabled() {
+		t.Error("span of a nil tracer reports enabled")
+	}
+	child := span.StartSpan("y")
+	if child == nil || child.Enabled() {
+		t.Errorf("child of an untraced span: %v, want non-nil and not enabled", child)
+	}
 	span.Event("e")
-	span.End()
-	if child := span.StartSpan("y"); child != nil {
+	if d := child.End(); d < 0 {
+		t.Errorf("untraced child End = %v, want >= 0", d)
+	}
+	if d := span.End(); d < 0 {
+		t.Errorf("untraced End = %v, want >= 0", d)
+	}
+
+	// A nil *Span stays valid and inert: none of these may panic.
+	var nilSpan *Span
+	if nilSpan.Enabled() {
+		t.Error("nil span reports enabled")
+	}
+	nilSpan.Event("e")
+	if d := nilSpan.End(); d != 0 {
+		t.Errorf("nil span End = %v, want 0", d)
+	}
+	if c := nilSpan.StartSpan("y"); c != nil {
 		t.Error("nil span produced a non-nil child")
 	}
 }

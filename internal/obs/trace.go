@@ -6,10 +6,13 @@
 // simnet — emit into it, so one trace of a full distributed run yields a
 // phase → round → node breakdown of where time, messages and BFS work go.
 //
-// Everything is nil-safe: a nil *Tracer produces nil *Spans whose methods
-// no-op, and a nil *Registry hands out nil instruments whose methods no-op.
-// Disabled observability therefore costs a handful of nil checks, which
-// keeps the instrumented hot paths within noise of the uninstrumented ones.
+// Everything is nil-safe: a nil *Tracer produces untraced spans that keep
+// time but emit nothing, and a nil *Registry hands out nil instruments whose
+// methods no-op. A span is therefore the one clock of an instrumented run:
+// Span.End returns the duration that Stats and bench rows report, whether
+// or not the span's records go anywhere. Disabled observability costs one
+// clock read per span boundary and a handful of nil checks, which keeps the
+// instrumented hot paths within noise of the uninstrumented ones.
 //
 // Determinism contract: span IDs are assigned sequentially per Tracer and
 // every record field except the wall-clock ones (Time, Dur) is a pure
@@ -127,22 +130,22 @@ func NewTracer(sink Sink) *Tracer {
 // Enabled reports whether the tracer actually records.
 func (t *Tracer) Enabled() bool { return t != nil }
 
-// StartSpan opens a root span. On a nil tracer it returns a nil span whose
-// methods no-op.
+// StartSpan opens a root span. On a nil tracer it returns an untraced span:
+// it keeps time but emits nothing.
 func (t *Tracer) StartSpan(name string, attrs ...Attr) *Span {
 	return t.startSpan(0, name, attrs)
 }
 
 func (t *Tracer) startSpan(parent uint64, name string, attrs []Attr) *Span {
-	if t == nil {
-		return nil
-	}
 	now := time.Now() //lint:allow determinism Record.Time is wall-clock by contract; Canon strips it
-	t.mu.Lock()
-	t.nextID++
-	id := t.nextID
-	t.sink.Emit(Record{Kind: KindSpanStart, ID: id, Parent: parent, Name: name, Time: now, Attrs: attrs})
-	t.mu.Unlock()
+	var id uint64
+	if t != nil {
+		t.mu.Lock()
+		t.nextID++
+		id = t.nextID
+		t.sink.Emit(Record{Kind: KindSpanStart, ID: id, Parent: parent, Name: name, Time: now, Attrs: attrs})
+		t.mu.Unlock()
+	}
 	return &Span{t: t, id: id, name: name, start: now}
 }
 
@@ -155,8 +158,10 @@ func (t *Tracer) emit(r Record) {
 	t.mu.Unlock()
 }
 
-// Span is one open span. A nil *Span is valid and inert, so callers never
-// need to guard instrumentation sites.
+// Span is one open span. A span opened from a nil tracer is untraced: it
+// keeps time, so End still returns its duration, but emits nothing and
+// reports !Enabled. A nil *Span is valid and inert (End returns 0), so
+// callers never need to guard instrumentation sites.
 type Span struct {
 	t     *Tracer
 	id    uint64
@@ -164,7 +169,12 @@ type Span struct {
 	start time.Time
 }
 
-// StartSpan opens a child span.
+// Enabled reports whether the span emits records, i.e. whether it was
+// opened from a non-nil tracer. Guard attribute work that only a trace
+// reads with it; an untraced span is not nil.
+func (s *Span) Enabled() bool { return s != nil && s.t != nil }
+
+// StartSpan opens a child span; the child of an untraced span is untraced.
 func (s *Span) StartSpan(name string, attrs ...Attr) *Span {
 	if s == nil {
 		return nil
@@ -174,20 +184,24 @@ func (s *Span) StartSpan(name string, attrs ...Attr) *Span {
 
 // Event records a point annotation inside the span.
 func (s *Span) Event(name string, attrs ...Attr) {
-	if s == nil {
+	if !s.Enabled() {
 		return
 	}
 	//lint:allow determinism Record.Time is wall-clock by contract; Canon strips it
 	s.t.emit(Record{Kind: KindEvent, Span: s.id, Name: name, Time: time.Now(), Attrs: attrs})
 }
 
-// End closes the span, recording its duration and any final attributes.
-func (s *Span) End(attrs ...Attr) {
+// End closes the span, recording any final attributes, and returns its
+// duration — the Dur of the end record when the span is traced. It returns
+// 0 on a nil span.
+func (s *Span) End(attrs ...Attr) time.Duration {
 	if s == nil {
-		return
+		return 0
 	}
 	now := time.Now() //lint:allow determinism Record.Time/Dur are wall-clock by contract; Canon strips them
-	s.t.emit(Record{Kind: KindSpanEnd, ID: s.id, Name: s.name, Time: now, Dur: now.Sub(s.start), Attrs: attrs})
+	d := now.Sub(s.start)
+	s.t.emit(Record{Kind: KindSpanEnd, ID: s.id, Name: s.name, Time: now, Dur: d, Attrs: attrs})
+	return d
 }
 
 // RingSink keeps the last N records in memory — the test and debugging

@@ -6,7 +6,7 @@ import "math"
 // a batch of small fixed-width records, so instead of boxing a struct into
 // an interface per transmission (the generic simnet.Envelope.Payload path),
 // the programs pack records into []uint64 words and ship them with
-// SendPacked/BroadcastPacked. The engine copies words into its round arenas
+// BroadcastPacked. The engine copies words into its round arenas
 // — no per-message heap allocation survives a round.
 //
 // All IDs, hop counters, sizes and distances are non-negative int32 values,

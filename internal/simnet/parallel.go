@@ -222,7 +222,7 @@ func (e *parEngine) fit(s *Sim) {
 func (s *Sim) runParallel(limit int) (Stats, error) {
 	e := getParEngine(s)
 	defer putParEngine(e)
-	record := s.RecordRounds || s.Span != nil
+	record := s.RecordRounds || s.Span.Enabled()
 	e.bindWords()
 	e.runChunks(len(s.programs), func(ctx *Context, v int) {
 		ctx.node = v

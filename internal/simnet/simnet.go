@@ -31,8 +31,8 @@ var ErrRoundLimit = errors.New("simnet: round limit exceeded")
 var errEngine = errors.New("simnet: unknown round engine")
 
 // Envelope is a delivered message. The generic Payload carries arbitrary
-// program-defined bodies; messages sent with SendPacked/BroadcastPacked
-// travel on the typed fast path instead and are read back with Packed.
+// program-defined bodies; messages sent with BroadcastPacked travel on the
+// typed fast path instead and are read back with Packed.
 // Envelopes (and any packed words they expose) are engine-owned: they are
 // valid only for the duration of the Step call that receives them.
 type Envelope struct {
@@ -93,26 +93,6 @@ func (c *Context) Send(to int, payload any) {
 	c.sim.noteSend(c.node)
 }
 
-// SendPacked is Send on the typed fast path: the message body is a
-// protocol-defined kind tag plus packed words. The engine copies the words
-// before returning, so the caller may reuse the backing slice immediately
-// (the idiom is a per-program scratch buffer refilled every Step).
-func (c *Context) SendPacked(to int, kind uint8, words []uint64) {
-	if !c.sim.g.HasEdge(c.node, to) {
-		panic(fmt.Sprintf("simnet: node %d sent to non-neighbor %d", c.node, to))
-	}
-	if c.w != nil {
-		c.w.pushPacked(int32(c.node), int32(to), kind, words)
-	} else {
-		c.sim.deliver(to, Envelope{
-			From: c.node, kind: kind, packed: true,
-			words: append([]uint64(nil), words...),
-		})
-		c.sim.stats.Messages++
-	}
-	c.sim.noteSend(c.node)
-}
-
 // Broadcast queues the payload to every neighbor as a single wireless
 // transmission: it counts one message regardless of the neighbor count,
 // matching the paper's accounting (one flooding retransmission = one
@@ -133,8 +113,11 @@ func (c *Context) Broadcast(payload any) {
 	c.sim.noteSend(c.node)
 }
 
-// BroadcastPacked is Broadcast on the typed fast path; see SendPacked for
-// the copy contract. All neighbors receive views of one shared copy.
+// BroadcastPacked is Broadcast on the typed fast path: the message body is
+// a protocol-defined kind tag plus packed words. The engine copies the
+// words before returning, so the caller may reuse the backing slice
+// immediately (the idiom is a per-program scratch buffer refilled every
+// Step). All neighbors receive views of one shared copy.
 func (c *Context) BroadcastPacked(kind uint8, words []uint64) {
 	if c.sim.g.Degree(c.node) == 0 {
 		return
@@ -237,7 +220,7 @@ type Sim struct {
 	// RecordPerNode enables per-node send/receive counters into
 	// Stats.NodeSent / Stats.NodeRecv.
 	RecordPerNode bool
-	// Span, when non-nil, receives one "round" trace event per executed
+	// Span, when recording, receives one "round" trace event per executed
 	// round (including round 0 / Init) with message, delivery and
 	// active-node counts — the round-by-round curve behind the paper's
 	// O(sqrt(n)) claim.
@@ -324,7 +307,7 @@ func (s *Sim) runSerial(limit int) (Stats, error) {
 	if s.pending == nil {
 		s.pending = make(map[int][]delivery)
 	}
-	record := s.RecordRounds || s.Span != nil
+	record := s.RecordRounds || s.Span.Enabled()
 	sent := s.stats.Messages
 	// One Context for the whole run: the pointer escapes into the Program
 	// interface calls, so a per-node Context would heap-allocate per step.

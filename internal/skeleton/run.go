@@ -12,44 +12,40 @@ import (
 // observable shape the staged core engine emits: an "extract" root span
 // (attribute "backend") with one "stage.<name>" child span per stage, one
 // PhaseStats entry per stage, and skeleton_* metrics labelled by backend.
-// Backends that delegate to core.Extractor (the "bfskel" backend) do not
-// use Run — the engine already emits exactly this shape itself.
+// The spans are the only clock: each PhaseStats.Duration and Stats.Total
+// is the duration its span's End returns. Backends that delegate to
+// core.Extractor (the "bfskel" backend) do not use Run — the engine
+// already emits exactly this shape itself.
 type Run struct {
 	backend string
 	stats   *Stats
-	tracer  *obs.Tracer
 	metrics *obs.Registry
 	root    *obs.Span
-	start   time.Time
 }
 
 // NewRun opens the root span and the stats record for one extraction.
 func NewRun(p Params, backend string, g *graph.Graph) *Run {
-	r := &Run{
+	return &Run{
 		backend: backend,
 		stats:   &Stats{},
-		tracer:  p.Tracer,
 		metrics: p.Metrics,
+		root: p.Tracer.StartSpan("extract",
+			obs.Str("backend", backend), obs.Int("nodes", g.N())),
 	}
-	r.root = p.Tracer.StartSpan("extract",
-		obs.Str("backend", backend), obs.Int("nodes", g.N()))
-	r.start = time.Now() //lint:allow determinism Stats.Total is wall-clock timing, not part of the result
-	return r
 }
 
 // Stage runs one named stage under a "stage.<name>" child span, recording
 // its wall time as a PhaseStats entry and a per-stage histogram sample.
 func (r *Run) Stage(name string, fn func() error) error {
 	span := r.root.StartSpan("stage." + name)
-	t0 := time.Now() //lint:allow determinism PhaseStats.Duration is wall-clock timing, not part of the result
 	err := fn()
-	d := time.Since(t0)
+	var d time.Duration
 	if err != nil {
-		span.End(obs.Str("error", err.Error()))
+		d = span.End(obs.Str("error", err.Error()))
 	} else {
-		span.End()
+		d = span.End()
 	}
-	r.stats.Phases = append(r.stats.Phases, obsPhase(name, d))
+	r.stats.Phases = append(r.stats.Phases, PhaseStats{Name: name, Duration: d})
 	if m := r.metrics; m != nil {
 		m.Histogram(obs.Label("skeleton_stage_seconds", "stage", r.backend+"."+name),
 			obs.DurationBuckets).Observe(d.Seconds())
@@ -68,8 +64,7 @@ func (r *Run) Hook() func(name string, fn func()) {
 // Finish closes the root span with the given end attributes and returns the
 // completed stats.
 func (r *Run) Finish(attrs ...obs.Attr) *Stats {
-	r.stats.Total = time.Since(r.start)
-	r.root.End(attrs...)
+	r.stats.Total = r.root.End(attrs...)
 	if m := r.metrics; m != nil {
 		m.Counter(obs.Label("skeleton_extract_runs_total", "backend", r.backend)).Inc()
 		m.Histogram(obs.Label("skeleton_extract_seconds", "backend", r.backend),
@@ -89,8 +84,3 @@ func (r *Run) Fail(err error) {
 
 // PhaseStats is the shared per-stage record (one entry of Stats.Phases).
 type PhaseStats = core.PhaseStats
-
-// obsPhase builds one stage's PhaseStats entry.
-func obsPhase(name string, d time.Duration) PhaseStats {
-	return PhaseStats{Name: name, Duration: d}
-}
