@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sort"
-
-	"bfskel/internal/graph"
-)
+import "sort"
 
 // pairSeg is one (site pair, segment node) membership tuple; the coarse
 // stage collects them flat and sorts once instead of building a per-pair
@@ -14,52 +10,35 @@ type pairSeg struct {
 	v    int32
 }
 
-// coarse runs Phase 3 through a throwaway engine; the staged pipeline calls
-// the Extractor method below so the scratch pools persist.
-func coarse(g *graph.Graph, index []float64, records [][]SiteDist) ([]SiteEdge, *Skeleton) {
-	return NewExtractor(g).coarse(index, records)
-}
-
 // coarse runs Phase 3 (Sec. III-C): for every pair of adjacent Voronoi
 // cells, the segment node with the largest index is selected as the
 // connector; it sends a message along the reverse paths kept during Voronoi
 // construction, building the two paths to its nearest sites, which together
 // connect the sites. The union of all such paths is the coarse skeleton.
 func (e *Extractor) coarse(index []float64, records [][]SiteDist) ([]SiteEdge, *Skeleton) {
-	g := e.g
 	// Collect (pair, segment node) tuples. A Voronoi node recording m >= 3
 	// sites is a segment node for each of its m(m-1)/2 pairs.
 	tuples := e.pairBuf[:0]
 	for v := range records {
-		recs := records[v]
-		if len(recs) < 2 {
-			continue
-		}
-		for i := 0; i < len(recs); i++ {
-			for j := i + 1; j < len(recs); j++ {
-				tuples = append(tuples, pairSeg{pair: MakeSitePair(recs[i].Site, recs[j].Site), v: int32(v)})
-			}
-		}
+		tuples = appendPairTuples(tuples, records[v], int32(v))
 	}
+	sortPairSegs(tuples)
 	e.pairBuf = tuples
+	return e.connectPairs(tuples, index, records, nil)
+}
 
-	// Sort by (A, B, v) and walk the groups: pairs come out in sorted
-	// (A, B) order — the edge list, the path union and the trace all follow
-	// this order, and the fixed-seed determinism tests compare them
-	// bit-for-bit — and each pair's segment nodes come out ascending by
-	// node ID, the order the old per-pair map accumulated them in.
-	sort.Slice(tuples, func(i, j int) bool {
-		if tuples[i].pair.A != tuples[j].pair.A {
-			return tuples[i].pair.A < tuples[j].pair.A
-		}
-		if tuples[i].pair.B != tuples[j].pair.B {
-			return tuples[i].pair.B < tuples[j].pair.B
-		}
-		return tuples[i].v < tuples[j].v
-	})
+// connectPairs walks the (A, B, v)-sorted tuples one pair group at a time
+// and connects each pair through its connector. Pairs come out in sorted
+// (A, B) order — the edge list, the path union and the trace all follow
+// this order, and the fixed-seed determinism tests compare them
+// bit-for-bit — and each pair's segment nodes come out ascending by node
+// ID. splice, nil on full runs, is an incremental update's reuse test: a
+// previous edge it hands back is kept verbatim instead of being recomputed.
+func (e *Extractor) connectPairs(tuples []pairSeg, index []float64, records [][]SiteDist,
+	splice *coarseSplice) ([]SiteEdge, *Skeleton) {
 
-	e.fld.ensure(g.N())
-	skel := NewSkeleton(g.N())
+	e.fld.ensure(e.g.N())
+	skel := NewSkeleton(e.g.N())
 	var edges []SiteEdge
 	segs := make([]int32, 0, 64)
 	for lo := 0; lo < len(tuples); {
@@ -73,6 +52,13 @@ func (e *Extractor) coarse(index []float64, records [][]SiteDist) ([]SiteEdge, *
 			segs = append(segs, t.v)
 		}
 		lo = hi
+		if splice != nil {
+			if pe := splice.reuse(pr, segs); pe != nil {
+				edges = append(edges, *pe)
+				skel.AddPath(pe.Path)
+				continue
+			}
+		}
 		// The paper selects exactly one segment node per adjacent cell
 		// pair, so each pair contributes one connection. (A hole encircled
 		// by only two cells is therefore not representable — as in the
@@ -97,6 +83,32 @@ func (e *Extractor) coarse(index []float64, records [][]SiteDist) ([]SiteEdge, *
 		})
 	}
 	return edges, skel
+}
+
+// appendPairTuples appends one (pair, v) tuple per site pair recorded at v.
+func appendPairTuples(dst []pairSeg, recs []SiteDist, v int32) []pairSeg {
+	for i := 0; i < len(recs); i++ {
+		for j := i + 1; j < len(recs); j++ {
+			dst = append(dst, pairSeg{pair: MakeSitePair(recs[i].Site, recs[j].Site), v: v})
+		}
+	}
+	return dst
+}
+
+// pairSegLess orders tuples by (pair.A, pair.B, v), the coarse grouping
+// order.
+func pairSegLess(a, b pairSeg) bool {
+	if a.pair.A != b.pair.A {
+		return a.pair.A < b.pair.A
+	}
+	if a.pair.B != b.pair.B {
+		return a.pair.B < b.pair.B
+	}
+	return a.v < b.v
+}
+
+func sortPairSegs(t []pairSeg) {
+	sort.Slice(t, func(i, j int) bool { return pairSegLess(t[i], t[j]) })
 }
 
 // selectConnector picks the segment node with the largest index, breaking

@@ -14,13 +14,13 @@ func TestDebugStarLoops(t *testing.T) {
 	}
 	g := nettest.Grid("star", 1394, 6.59, 1).Graph
 	p := DefaultParams()
-	khop, _, index, sites, _, _ := identify(g, p)
-	_ = khop
-	cellOf, _, records := voronoi(g, sites, p.Alpha)
-	edges, coarseSkel := coarse(g, index, records)
+	x := NewExtractor(g)
+	_, _, index, sites, _, _ := x.identify(p, nil)
+	cellOf, _, records := x.voronoi(sites, p.Alpha, nil)
+	edges, coarseSkel := x.coarse(index, records)
 	t.Logf("sites=%d edges=%d coarse rank=%d", len(sites), len(edges), coarseSkel.CycleRank())
 
-	w := newRefiner(g, p, index, records, cellOf)
+	w := x.newRefiner(p, index, records, cellOf)
 	for _, e := range edges {
 		w.edges = append(w.edges, wEdge{
 			a: e.Pair.A, b: e.Pair.B, path: e.Path,

@@ -54,24 +54,11 @@ func CompleteFromVoronoi(g *graph.Graph, p Params, khop []int, index []float64,
 		return nil, fmt.Errorf("core: artifact sizes (%d, %d, %d) do not match graph size %d",
 			len(khop), len(index), len(records), g.N())
 	}
-	// Derive the cell assignment and distances from the records: the
-	// nearest recorded site (lowest ID on ties), matching the flooding
-	// semantics.
 	n := g.N()
 	cellOf := make([]int32, n)
 	distToSite := make([]int32, n)
 	for v := 0; v < n; v++ {
-		cellOf[v] = -1
-		distToSite[v] = graph.Unreachable
-		for _, r := range records[v] {
-			better := distToSite[v] == graph.Unreachable ||
-				r.D < distToSite[v] ||
-				(r.D == distToSite[v] && r.Site < cellOf[v])
-			if better {
-				distToSite[v] = r.D
-				cellOf[v] = r.Site
-			}
-		}
+		cellOf[v], distToSite[v] = nearestSite(records[v])
 	}
 	res := &Result{
 		Params:         p,
@@ -92,18 +79,27 @@ func CompleteFromVoronoi(g *graph.Graph, p Params, khop []int, index []float64,
 	return res, nil
 }
 
+// nearestSite derives a node's cell and distance from its Voronoi records:
+// the nearest recorded site, the lowest site ID on ties (the dmin flood's
+// tie-break). A node without records is unassigned: -1 and Unreachable.
+func nearestSite(recs []SiteDist) (site, d int32) {
+	site, d = -1, graph.Unreachable
+	for _, r := range recs {
+		if d == graph.Unreachable || r.D < d || (r.D == d && r.Site < site) {
+			site, d = r.Site, r.D
+		}
+	}
+	return site, d
+}
+
 // boundaryByProduct classifies boundary nodes from the K-hop neighborhood
 // sizes: nodes close to a boundary see markedly fewer K-hop neighbors than
 // interior nodes (the observation of Fekete et al. the paper builds on).
 // A node is a boundary node when its K-hop size is below boundaryFraction
-// of the component median.
-func (e *Extractor) boundaryByProduct(khop []int) []int32 {
+// of median, the component median medianKHop computes.
+func (e *Extractor) boundaryByProduct(khop []int, median int) []int32 {
 	const boundaryFraction = 0.85
-	if len(khop) == 0 {
-		return nil
-	}
-	median := float64(medianKHop(khop, &e.ints))
-	cut := boundaryFraction * median
+	cut := boundaryFraction * float64(median)
 	var out []int32
 	for v, s := range khop {
 		if float64(s) < cut && e.g.Degree(v) > 0 {

@@ -56,6 +56,8 @@ type Extractor struct {
 	ballsFlat []int                 // n*maxR cumulative ball sizes (identify)
 	balls     [][]int               // row views into ballsFlat
 	wsums     []int                 // centrality sums (identify)
+	satK      []int                 // identify seeds, updates patch: per-radius K saturation counts
+	satS      []int                 // identify seeds, updates patch: per-radius scope saturation counts
 	ints      []int                 // median / boundary sort scratch
 	bools     []bool                // electSites maximality flags
 	visitLog  graph.VisitLog        // identify: recorded ball flood for centrality replay
@@ -282,7 +284,7 @@ func (refineStage) name() string { return "refine" }
 func (refineStage) run(rs *runState) error {
 	res := rs.res
 	res.Loops, res.Skeleton = rs.e.refine(rs.p, res.Index, res.Records,
-		res.CellOf, res.Edges, res.Coarse, rs.stats)
+		res.CellOf, res.Edges, nil, rs.stats)
 	rs.stats.FakeLoops = res.NumFakeLoops()
 	rs.stats.GenuineLoops = res.NumGenuineLoops()
 	return nil
@@ -295,7 +297,8 @@ type boundaryStage struct{}
 func (boundaryStage) name() string { return "boundary" }
 
 func (boundaryStage) run(rs *runState) error {
-	rs.res.Boundary = rs.e.boundaryByProduct(rs.res.KHopSize)
+	khop := rs.res.KHopSize
+	rs.res.Boundary = rs.e.boundaryByProduct(khop, medianKHop(khop, &rs.e.ints))
 	rs.stats.BoundaryNodes = len(rs.res.Boundary)
 	return nil
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"bfskel/internal/graph"
 	"bfskel/internal/obs"
 )
@@ -23,12 +21,6 @@ const (
 // trade below this size and a memory hazard above it.
 const visitLogMaxNodes = 1 << 17
 
-// identify runs Phase 1 (Sec. III-A) through a throwaway engine; the staged
-// pipeline calls the Extractor method below so the scratch pools persist.
-func identify(g *graph.Graph, p Params) (khop []int, cent []float64, index []float64, sites []int32, kEff, scopeEff int) {
-	return NewExtractor(g).identify(p, nil)
-}
-
 // identify runs Phase 1 (Sec. III-A): every node computes its K-hop
 // neighborhood size, its L-centrality and its index; nodes whose index is
 // locally maximal within the scope radius become critical skeleton nodes.
@@ -45,11 +37,8 @@ func (e *Extractor) identify(p Params, st *Stats) (khop []int, cent []float64, i
 	maxR := max(p.K, p.Scope(), p.L)
 	balls := e.ballSizes(maxR, p.L)
 
-	var medianK int
-	kEff, medianK = effectiveRadius(balls, p.K, kSaturationFraction, &e.ints)
-	scopeEff, _ = effectiveRadius(balls, p.Scope(), scopeSaturationFraction, &e.ints)
+	kEff, scopeEff = e.saturationRadii(p, balls)
 	if st != nil {
-		st.MedianKHopBall = medianK
 		st.KAdjustments += p.K - kEff
 		st.ScopeAdjustments += p.Scope() - scopeEff
 	}
@@ -64,15 +53,14 @@ func (e *Extractor) identify(p Params, st *Stats) (khop []int, cent []float64, i
 	for v := range khop {
 		khop[v] = balls[v][kEff-1]
 	}
+	if st != nil {
+		st.MedianKHopBall = medianKHop(khop, &e.ints)
+	}
 
 	// When hop balls outgrow the field's structural features (very dense or
 	// heavy-tailed radio graphs), the index becomes a near-global gradient
 	// with a single maximum. Shrink the scope, then K, until a minimal site
 	// population elects; elections are cheap compared to the ball sweeps.
-	minSites := 4
-	if m := n / 512; m > minSites {
-		minSites = m
-	}
 	cent = make([]float64, n)
 	index = make([]float64, n)
 	round := 0
@@ -85,7 +73,7 @@ func (e *Extractor) identify(p Params, st *Stats) (khop []int, cent []float64, i
 		if st != nil {
 			st.ElectionRounds++
 		}
-		if len(sites) >= minSites {
+		if len(sites) >= minSites(n) {
 			break
 		}
 		switch {
@@ -160,83 +148,120 @@ func (e *Extractor) indexField(p Params, khop []int, cent, index []float64) {
 		e.g.BallWeightedSumsInto(graph.KernelBatched, p.L, khop, wsums, e.getWalker, e.putWalker)
 	}
 	for v := 0; v < n; v++ {
-		cent[v] = float64(khop[v]+wsums[v]) / float64(1+e.balls[v][p.L-1])
-		index[v] = (float64(khop[v]) + cent[v]) / 2
+		cent[v], index[v] = indexOf(khop[v], wsums[v], e.balls[v][p.L-1])
 	}
 }
 
-// electSites applies Def. 5: a node whose index is maximal within its
-// scope-hop neighborhood (ties broken by node ID so exactly one node of an
-// index plateau elects) identifies itself as a critical skeleton node. The
-// flood stops as soon as a dominating neighbor disproves maximality.
+// indexOf applies Defs. 3-4 to one node's integer tallies: its K-hop size,
+// the K-hop sizes summed over N_L (excluding the node itself) and |N_L|. It
+// returns the L-centrality and the index. The incremental update patches
+// the tallies and calls this too, which keeps its values bit-identical to
+// a full run's.
+func indexOf(khop, wsum, ballL int) (cent, index float64) {
+	cent = float64(khop+wsum) / float64(1+ballL)
+	return cent, (float64(khop) + cent) / 2
+}
+
+// minSites is the site population below which the min-site guard shrinks
+// the radii and re-elects.
+func minSites(n int) int { return max(4, n/512) }
+
+// electSites applies Def. 5 to every node and lists the elected sites.
+// The nodes run in degree-weighted chunks (walk cost grows with degree).
 func (e *Extractor) electSites(index []float64, scope int) []int32 {
-	n := e.g.N()
-	e.bools = growBools(e.bools, n)
+	e.bools = growBools(e.bools, e.g.N())
 	isSite := e.bools
-	// Tombstoned nodes are isolated, which would make them trivially
-	// maximal; they must never elect.
 	dead := e.g.DeadMask()
 	graph.ParallelNodes(e.g, e.getWalker, e.putWalker, func(w *graph.Walker, v int) {
-		if dead != nil && dead[v] {
-			isSite[v] = false
-			return
-		}
-		maximal := true
-		w.WalkUntil(v, scope, func(u, _ int32) bool {
-			if index[u] > index[v] || (index[u] == index[v] && u < int32(v)) {
-				maximal = false
-				return false
-			}
-			return true
-		})
-		isSite[v] = maximal
+		isSite[v] = isLocalMax(w, int32(v), index, scope, dead)
 	})
+	return sitesOf(isSite)
+}
+
+// isLocalMax is Def. 5's test: v identifies itself as a critical skeleton
+// node when its index is maximal within its scope-hop neighborhood, ties
+// broken by node ID so exactly one node of an index plateau elects. The
+// flood stops as soon as a dominating neighbor disproves maximality.
+// Tombstoned nodes (dead[v]) are isolated, which would make them trivially
+// maximal; they never elect.
+func isLocalMax(w *graph.Walker, v int32, index []float64, scope int, dead []bool) bool {
+	if dead != nil && dead[v] {
+		return false
+	}
+	maximal := true
+	w.WalkUntil(int(v), scope, func(u, _ int32) bool {
+		if index[u] > index[v] || (index[u] == index[v] && u < v) {
+			maximal = false
+			return false
+		}
+		return true
+	})
+	return maximal
+}
+
+// sitesOf lists the flagged nodes in ascending ID order.
+func sitesOf(isSite []bool) []int32 {
 	count := 0
-	for v := 0; v < n; v++ {
-		if isSite[v] {
+	for _, s := range isSite {
+		if s {
 			count++
 		}
 	}
 	sites := make([]int32, 0, count)
-	for v := 0; v < n; v++ {
-		if isSite[v] {
+	for v, s := range isSite {
+		if s {
 			sites = append(sites, int32(v))
 		}
 	}
 	return sites
 }
 
-// effectiveRadius returns the largest radius r <= want whose median ball
-// size stays below fraction*n (and at least 1), plus that radius' median
-// ball size. Each candidate radius is tested by counting how many balls
-// stay under the limit — sorted[n/2] <= limit exactly when at least n/2+1
-// values do — so nothing is sorted inside the per-radius loop; one sort of
-// the reusable scratch slice yields the returned median.
-func effectiveRadius(balls [][]int, want int, fraction float64, scratch *[]int) (radius, median int) {
+// saturationRadii counts the whole ball matrix into the engine's
+// saturation counts and resolves the effective K and scope from them.
+func (e *Extractor) saturationRadii(p Params, balls [][]int) (kEff, scopeEff int) {
+	e.satK = growInts(e.satK, p.K+1)
+	e.satS = growInts(e.satS, p.Scope()+1)
+	clear(e.satK)
+	clear(e.satS)
+	e.countSaturation(p, balls, +1)
 	n := len(balls)
-	if n == 0 {
-		return 1, 0
-	}
-	limit := fraction * float64(n)
-	need := n/2 + 1
-	radius = 1
-	for r := want; r > 1; r-- {
-		count := 0
-		for v := range balls {
-			if float64(balls[v][r-1]) <= limit {
-				count++
+	return radiusFromCounts(e.satK, p.K, n), radiusFromCounts(e.satS, p.Scope(), n)
+}
+
+// countSaturation adds sign times each ball row's contribution to the
+// saturation counts: satK[r] (satS[r]) counts the rows whose radius-r ball
+// stays at or under the K (scope) saturation limit, for r from 2 to K
+// (scope). Identify counts the whole matrix; an incremental update takes a
+// patched row out (-1) before patching it and puts it back (+1) after, so
+// the counts always describe the current matrix.
+func (e *Extractor) countSaturation(p Params, rows [][]int, sign int) {
+	n := float64(e.g.N())
+	limK := kSaturationFraction * n
+	limS := scopeSaturationFraction * n
+	satK, satS := e.satK[:p.K+1], e.satS[:p.Scope()+1]
+	for _, row := range rows {
+		for r := 2; r < len(satK); r++ {
+			if float64(row[r-1]) <= limK {
+				satK[r] += sign
 			}
 		}
-		if count >= need {
-			radius = r
-			break
+		for r := 2; r < len(satS); r++ {
+			if float64(row[r-1]) <= limS {
+				satS[r] += sign
+			}
 		}
 	}
-	sizes := growInts(*scratch, n)
-	*scratch = sizes
-	for v := range balls {
-		sizes[v] = balls[v][radius-1]
+}
+
+// radiusFromCounts is the saturation guard: the largest radius r <= want
+// at which a strict majority of the n balls stays under the limit (the
+// median ball is under it exactly when n/2+1 balls are), else 1.
+func radiusFromCounts(cnt []int, want, n int) int {
+	need := n/2 + 1
+	for r := want; r > 1; r-- {
+		if cnt[r] >= need {
+			return r
+		}
 	}
-	sort.Ints(sizes)
-	return radius, sizes[n/2]
+	return 1
 }

@@ -23,6 +23,13 @@
 //     skeleton-mask diff plus the adjacency patch list.
 //   - boundary: recomputed outright over the counting-pass median.
 //
+// Every pipeline rule — the index division, the local-maximum test, the
+// connector walk, loop classification and pruning, the saturation counts
+// and the nearest-site rule — is the full pipeline's own function. The
+// update owns only the dirty-region search, the voronoi fixpoint repair,
+// the delta-patched centrality sums and its caches (patchTuples,
+// endFloodCache).
+//
 // Correctness is pinned by equivalence: every Update result is bit-identical
 // to a from-scratch Extract on the mutated graph (see incremental_test.go).
 // When the dirty fraction exceeds dirtyFallback — or a guard radius
@@ -90,7 +97,6 @@ type IncrementalExtractor struct {
 	kEff     int
 	scopeEff int
 	rounds   int // election rounds of the last full extraction
-	minSites int
 
 	// Views into the latest Result (immutable once published).
 	sites   []int32
@@ -103,12 +109,6 @@ type IncrementalExtractor struct {
 	// itself), delta-maintained across updates so the centrality ring never
 	// re-floods clean neighborhoods.
 	wsum []int
-	// satK/satS count, per candidate radius, the nodes whose ball size sits
-	// at or under the K/scope saturation limit — the order statistics the
-	// radius-drift guard needs, maintained from patched ball rows so the
-	// guard never rescans the whole matrix.
-	satK []int
-	satS []int
 	// tup is the sorted (pair, segment node) tuple array of the coarse
 	// splice, patched in place between updates; tupScratch is the merge
 	// target the arrays swap through. tupValid drops on every full run.
@@ -140,10 +140,6 @@ func NewIncrementalExtractor(g *graph.Graph, p Params, tracer *obs.Tracer, metri
 	ix := &IncrementalExtractor{e: NewExtractor(g), p: p}
 	ix.e.Tracer, ix.e.Metrics = tracer, metrics
 	ix.maxR = max(p.K, p.Scope(), p.L)
-	ix.minSites = 4
-	if m := g.N() / 512; m > ix.minSites {
-		ix.minSites = m
-	}
 	if _, err := ix.runFull(); err != nil {
 		return nil, err
 	}
@@ -195,74 +191,9 @@ func (ix *IncrementalExtractor) runFull() (*Result, error) {
 	ix.wsum = growInts(ix.wsum, n)
 	copy(ix.wsum, ix.e.wsums)
 	ix.tupValid = false
-	ix.seedSaturation()
 	ix.fcache.invalidateAll()
 	ix.valid = true
 	return res, nil
-}
-
-// seedSaturation rebuilds the per-radius saturation counts from the full
-// ball matrix; one pass here replaces a whole-matrix rescan on every update.
-func (ix *IncrementalExtractor) seedSaturation() {
-	n := ix.e.g.N()
-	kWant, sWant := ix.p.K, ix.p.Scope()
-	ix.satK = growInts(ix.satK, kWant+1)
-	ix.satS = growInts(ix.satS, sWant+1)
-	for i := range ix.satK {
-		ix.satK[i] = 0
-	}
-	for i := range ix.satS {
-		ix.satS[i] = 0
-	}
-	limK := kSaturationFraction * float64(n)
-	limS := scopeSaturationFraction * float64(n)
-	for v := 0; v < n; v++ {
-		row := ix.e.balls[v]
-		for r := 2; r <= kWant; r++ {
-			if float64(row[r-1]) <= limK {
-				ix.satK[r]++
-			}
-		}
-		for r := 2; r <= sWant; r++ {
-			if float64(row[r-1]) <= limS {
-				ix.satS[r]++
-			}
-		}
-	}
-}
-
-// adjustSaturation applies one ball row's contribution to the saturation
-// counts with the given sign (-1 before a row is patched, +1 after).
-func (ix *IncrementalExtractor) adjustSaturation(rows [][]int, sign int) {
-	n := ix.e.g.N()
-	kWant, sWant := ix.p.K, ix.p.Scope()
-	limK := kSaturationFraction * float64(n)
-	limS := scopeSaturationFraction * float64(n)
-	for _, row := range rows {
-		for r := 2; r <= kWant; r++ {
-			if float64(row[r-1]) <= limK {
-				ix.satK[r] += sign
-			}
-		}
-		for r := 2; r <= sWant; r++ {
-			if float64(row[r-1]) <= limS {
-				ix.satS[r] += sign
-			}
-		}
-	}
-}
-
-// radiusFromCounts replays effectiveRadiusOnly's resolution off the counts:
-// largest radius (scanning downward) whose saturated population reaches a
-// strict majority, else 1.
-func radiusFromCounts(cnt []int, want, n int) int {
-	need := n/2 + 1
-	for r := want; r > 1; r-- {
-		if cnt[r] >= need {
-			return r
-		}
-	}
-	return 1
 }
 
 // Update applies one churn batch — node removals then revivals — and
@@ -431,9 +362,9 @@ func (ix *IncrementalExtractor) update(flipped, newlyDead, patched []int32) (*Re
 		rows = append(rows, e.balls[v])
 	}
 	sc.rows = rows
-	ix.adjustSaturation(rows, -1)
+	e.countSaturation(p, rows, -1)
 	g.BatchBallSizesInto(ix.maxR, srcs, rows, e.getWalker, e.putWalker)
-	ix.adjustSaturation(rows, +1)
+	e.countSaturation(p, rows, +1)
 	// Snapshot the pre-patch khop values: the centrality delta pass below
 	// propagates exactly these integer differences.
 	oldK := growInts(sc.oldK, len(srcs))
@@ -448,10 +379,11 @@ func (ix *IncrementalExtractor) update(flipped, newlyDead, patched []int32) (*Re
 
 	// The saturation guards are global order statistics; if either radius
 	// would resolve differently on the mutated graph, the whole field needs
-	// rebuilding. The counts are kept in lockstep with the ball rows above,
-	// so resolving off them matches effectiveRadiusOnly on the full matrix.
-	if radiusFromCounts(ix.satK, p.K, n) != ix.kEff ||
-		radiusFromCounts(ix.satS, p.Scope(), n) != ix.scopeEff {
+	// rebuilding. The engine's counts, seeded by the last full run's
+	// identify, are kept in lockstep with the ball rows above, so resolving
+	// off them is identify's own resolution on the full matrix.
+	if radiusFromCounts(e.satK, p.K, n) != ix.kEff ||
+		radiusFromCounts(e.satS, p.Scope(), n) != ix.scopeEff {
 		return ix.fallback("radius-drift")
 	}
 
@@ -469,8 +401,7 @@ func (ix *IncrementalExtractor) update(flipped, newlyDead, patched []int32) (*Re
 	// a flipped node), so those sums are rebuilt by a fresh L-walk; every
 	// other affected sum moves by exactly the khop deltas of the ball-ring
 	// nodes it contains, applied by one L-walk per changed source. All
-	// arithmetic stays integer, so the division below is bit-identical to
-	// the full path's.
+	// arithmetic stays integer, and indexOf is the full path's division.
 	wk := e.getWalker()
 	khop, wsum := ix.khop, ix.wsum
 	for _, v := range queue {
@@ -495,8 +426,7 @@ func (ix *IncrementalExtractor) update(flipped, newlyDead, patched []int32) (*Re
 	}
 	e.putWalker(wk)
 	for _, v := range wlist {
-		ix.cent[v] = float64(khop[v]+wsum[v]) / float64(1+e.balls[v][p.L-1])
-		ix.index[v] = (float64(khop[v]) + ix.cent[v]) / 2
+		ix.cent[v], ix.index[v] = indexOf(khop[v], wsum[v], e.balls[v][p.L-1])
 	}
 
 	if ix.sspan.Enabled() {
@@ -518,36 +448,11 @@ func (ix *IncrementalExtractor) update(flipped, newlyDead, patched []int32) (*Re
 	isSite, index, scope := ix.isSite, ix.index, ix.scopeEff
 	dead := g.DeadMask()
 	graph.ParallelRange(g, len(elist), e.getWalker, e.putWalker, func(w *graph.Walker, i int) {
-		v := elist[i]
-		if dead != nil && dead[v] {
-			isSite[v] = false
-			return
-		}
-		maximal := true
-		w.WalkUntil(int(v), scope, func(u, _ int32) bool {
-			if index[u] > index[v] || (index[u] == index[v] && u < v) {
-				maximal = false
-				return false
-			}
-			return true
-		})
-		isSite[v] = maximal
+		isSite[elist[i]] = isLocalMax(w, elist[i], index, scope, dead)
 	})
-
-	count := 0
-	for v := 0; v < n; v++ {
-		if isSite[v] {
-			count++
-		}
-	}
-	if count < ix.minSites {
+	newSites := sitesOf(isSite)
+	if len(newSites) < minSites(n) {
 		return ix.fallback("min-sites")
-	}
-	newSites := make([]int32, 0, count)
-	for v := 0; v < n; v++ {
-		if isSite[v] {
-			newSites = append(newSites, int32(v))
-		}
 	}
 	// Site diff against the previous election (both lists ascending).
 	addS, rmS := sc.addS[:0], sc.rmS[:0]
@@ -678,23 +583,9 @@ func (ix *IncrementalExtractor) update(flipped, newlyDead, patched []int32) (*Re
 			break
 		}
 	}
-	// Commit: derive cell assignments from the repaired records (nearest
-	// recorded site, lowest ID on ties — the dmin flood's tie-break).
+	// Commit: derive cell assignments from the repaired records.
 	for _, v := range r.list {
-		recs := nrec[v]
-		if len(recs) == 0 {
-			ncell[v] = -1
-			ndist[v] = graph.Unreachable
-			continue
-		}
-		best := recs[0]
-		for _, rec := range recs[1:] {
-			if rec.D < best.D {
-				best = rec
-			}
-		}
-		ncell[v] = best.Site
-		ndist[v] = best.D
+		ncell[v], ndist[v] = nearestSite(nrec[v])
 	}
 	ix.last.DirtyNodes = len(r.list)
 	ix.last.DirtyFraction = float64(len(r.list)) / float64(n)
@@ -709,38 +600,35 @@ func (ix *IncrementalExtractor) update(flipped, newlyDead, patched []int32) (*Re
 
 	ix.stage("update.coarse")
 	segNodes, vorNodes := specialNodes(nrec)
-	edges, coarseSkel, reused := ix.spliceCoarse(nrec, distD, wring, r.list)
+	splice := &coarseSplice{prev: ix.prev.Edges, dirty: sc.dirty, distD: distD, wring: wring}
+	edges, coarseSkel := e.connectPairs(ix.patchTuples(nrec, r.list), ix.index, nrec, splice)
 	if ix.sspan.Enabled() {
-		ix.endStage(obs.Int("edges", len(edges)), obs.Int("reused", reused))
+		ix.endStage(obs.Int("edges", len(edges)), obs.Int("reused", splice.reused))
 	}
 
 	// ---- refine: loop classification with cached end floods ----
 
 	ix.stage("update.refine")
-	w := e.newRefiner(p, ix.index, nrec, ncell)
-	w.fcache = &ix.fcache
+	// A single-round election makes the outcome counters a full run would
+	// report known up front; refine adds PrunedNodes.
+	st := newStats()
+	st.ElectionRounds = 1
+	st.KAdjustments = p.K - ix.kEff
+	st.ScopeAdjustments = p.Scope() - ix.scopeEff
 	ix.fcache.notePatched(patched)
-	for _, se := range edges {
-		w.edges = append(w.edges, wEdge{
-			a: se.Pair.A, b: se.Pair.B, path: se.Path,
-			connector: se.Connector, ends: se.EndNodes, segs: se.SegmentCount,
-		})
-	}
-	w.dropRedundantParallels()
-	w.classifyLoops()
-	skel := w.build()
-	pruneBranches(skel, pruneThreshold(p, edges))
+	loops, skel := e.refine(p, ix.index, nrec, ncell, edges, &ix.fcache, st)
 
 	// ---- boundary ----
 
 	ix.stage("update.boundary")
-	boundary := e.boundaryByProduct(ix.khop)
+	// With one election round, khop is the effective-K ball column whose
+	// median identify reports, so one count serves both.
+	st.MedianKHopBall = medianKHop(ix.khop, &e.ints)
+	boundary := e.boundaryByProduct(ix.khop, st.MedianKHopBall)
 	ix.endStage()
 
 	// ---- assemble and persist ----
 
-	st := newStats()
-	st.ElectionRounds = 1
 	st.Sites = len(newSites)
 	st.SegmentNodes = len(segNodes)
 	st.VoronoiNodes = len(vorNodes)
@@ -761,7 +649,7 @@ func (ix *IncrementalExtractor) update(flipped, newlyDead, patched []int32) (*Re
 		VoronoiNodes:   vorNodes,
 		Edges:          edges,
 		Coarse:         coarseSkel,
-		Loops:          w.loops,
+		Loops:          loops,
 		Skeleton:       skel,
 		Boundary:       boundary,
 		Stats:          st,
@@ -775,96 +663,48 @@ func (ix *IncrementalExtractor) update(flipped, newlyDead, patched []int32) (*Re
 	return res, nil
 }
 
-// spliceCoarse rebuilds the Phase 3 edge list, reusing the previous pair's
-// SiteEdge whenever its segment band, paths and two-hop surroundings are
-// provably untouched; only dirty pairs recompute connector, reverse paths
-// and band end nodes. Ring membership: a pair is dirty when any segment node
-// is voronoi-dirty or within the index ring (which covers the two-hop
-// adjacency reads of the band end-node sweep, since wring >= 2), or when any
-// node of the retained path has repaired records. It also returns how many
-// SiteEdges it reused.
-func (ix *IncrementalExtractor) spliceCoarse(nrec [][]SiteDist, distD []int32, wring int, dirtyList []int32) ([]SiteEdge, *Skeleton, int) {
-	e := ix.e
-	g := e.g
-	sc := &e.inc
-	dirty := sc.dirty
+// coarseSplice is the coarse stage's reuse test during an update: the
+// pair walk offers it every pair, and it hands back the previous SiteEdge
+// whenever the pair's segment band, paths and two-hop surroundings are
+// provably untouched, so only dirty pairs recompute connector, reverse
+// paths and band end nodes. A pair is dirty when any segment node is
+// voronoi-dirty or within the index ring (which covers the two-hop
+// adjacency reads of the band end-node sweep, since wring >= 2), or when
+// any node of the retained path has repaired records.
+type coarseSplice struct {
+	prev   []SiteEdge // the previous result's edges, in pair order
+	dirty  []bool     // voronoi dirty flags
+	distD  []int32    // base-graph distance from the churn batch
+	wring  int        // index ring radius
+	pi     int        // cursor into prev
+	reused int        // SiteEdges handed back
+}
 
-	tuples := ix.patchTuples(nrec, dirtyList)
-
-	isND := func(v int32) bool {
-		return dirty[v] || (distD[v] >= 0 && int(distD[v]) <= wring)
+// reuse returns the previous SiteEdge of pair pr if it can be kept
+// verbatim, else nil. Pairs must arrive in ascending order. Same segment
+// count with every current segment clean forces identical segment lists
+// (clean records are unchanged, so current tuples are a subset of the
+// previous ones), and a fully clean path pins the reverse-path walk.
+func (s *coarseSplice) reuse(pr SitePair, segs []int32) *SiteEdge {
+	for s.pi < len(s.prev) && lessPair(s.prev[s.pi].Pair, pr) {
+		s.pi++
 	}
-	prevEdges := ix.prev.Edges
-	e.fld.ensure(g.N())
-	skel := NewSkeleton(g.N())
-	var edges []SiteEdge
-	segs := make([]int32, 0, 64)
-	reused := 0
-	pi := 0
-	for lo := 0; lo < len(tuples); {
-		hi := lo
-		pr := tuples[lo].pair
-		for hi < len(tuples) && tuples[hi].pair == pr {
-			hi++
-		}
-		segs = segs[:0]
-		for _, t := range tuples[lo:hi] {
-			segs = append(segs, t.v)
-		}
-		lo = hi
-		for pi < len(prevEdges) && lessPair(prevEdges[pi].Pair, pr) {
-			pi++
-		}
-		var pe *SiteEdge
-		if pi < len(prevEdges) && prevEdges[pi].Pair == pr {
-			pe = &prevEdges[pi]
-		}
-		// Clean test: same segment count with every current segment clean
-		// forces identical segment lists (clean records are unchanged, so
-		// current tuples are a subset of the previous ones), and a fully
-		// clean path pins the reverse-path walk.
-		clean := pe != nil && pe.SegmentCount == len(segs)
-		if clean {
-			for _, s := range segs {
-				if isND(s) {
-					clean = false
-					break
-				}
-			}
-		}
-		if clean {
-			for _, x := range pe.Path {
-				if dirty[x] {
-					clean = false
-					break
-				}
-			}
-		}
-		if clean {
-			edges = append(edges, *pe)
-			skel.AddPath(pe.Path)
-			reused++
-			continue
-		}
-		connector := selectConnector(segs, ix.index)
-		toA := pathToSite(nrec, connector, pr.A)
-		toB := pathToSite(nrec, connector, pr.B)
-		path := make([]int32, 0, len(toA)+len(toB)-1)
-		for i := len(toA) - 1; i >= 0; i-- {
-			path = append(path, toA[i])
-		}
-		path = append(path, toB[1:]...)
-		skel.AddPath(path)
-		e1, e2 := e.bandEndNodes(segs, connector)
-		edges = append(edges, SiteEdge{
-			Pair:         pr,
-			Connector:    connector,
-			Path:         path,
-			EndNodes:     [2]int32{e1, e2},
-			SegmentCount: len(segs),
-		})
+	if s.pi == len(s.prev) || s.prev[s.pi].Pair != pr || s.prev[s.pi].SegmentCount != len(segs) {
+		return nil
 	}
-	return edges, skel, reused
+	for _, v := range segs {
+		if s.dirty[v] || (s.distD[v] >= 0 && int(s.distD[v]) <= s.wring) {
+			return nil
+		}
+	}
+	pe := &s.prev[s.pi]
+	for _, x := range pe.Path {
+		if s.dirty[x] {
+			return nil
+		}
+	}
+	s.reused++
+	return pe
 }
 
 // patchTuples maintains the sorted (pair, segment node) tuple array the
@@ -918,35 +758,6 @@ func (ix *IncrementalExtractor) patchTuples(nrec [][]SiteDist, dirtyList []int32
 	}
 	ix.tup, ix.tupScratch = out, old[:0]
 	return out
-}
-
-// appendPairTuples appends one (pair, v) tuple per site pair recorded at v.
-func appendPairTuples(dst []pairSeg, recs []SiteDist, v int32) []pairSeg {
-	if len(recs) < 2 {
-		return dst
-	}
-	for i := 0; i < len(recs); i++ {
-		for j := i + 1; j < len(recs); j++ {
-			dst = append(dst, pairSeg{pair: MakeSitePair(recs[i].Site, recs[j].Site), v: v})
-		}
-	}
-	return dst
-}
-
-// pairSegLess orders tuples by (pair.A, pair.B, v), the coarse grouping
-// order.
-func pairSegLess(a, b pairSeg) bool {
-	if a.pair.A != b.pair.A {
-		return a.pair.A < b.pair.A
-	}
-	if a.pair.B != b.pair.B {
-		return a.pair.B < b.pair.B
-	}
-	return a.v < b.v
-}
-
-func sortPairSegs(t []pairSeg) {
-	sort.Slice(t, func(i, j int) bool { return pairSegLess(t[i], t[j]) })
 }
 
 // lessPair orders site pairs lexicographically, the coarse stage's output

@@ -60,15 +60,19 @@ func (c *churnPlan) pickDead(g *graph.Graph, k int) []int32 {
 }
 
 // requireIncrementalEquivalence steps the incremental extractor through the
-// given churn batches and, after every step, asserts the patched Result is
-// bit-identical to a from-scratch extraction on the same mutated graph.
-func requireIncrementalEquivalence(t *testing.T, name string, g *graph.Graph, p Params, batchSizes []int, seed uint64) {
+// given churn batches and, after every step, asserts the patched Result —
+// its Stats outcome counters included — is bit-identical to a from-scratch
+// extraction on the same mutated graph, and that the engine's saturation
+// counts describe its ball matrix. It returns each step's fallback reason
+// ("" for a step that stayed incremental).
+func requireIncrementalEquivalence(t *testing.T, name string, g *graph.Graph, p Params, batchSizes []int, seed uint64) []string {
 	t.Helper()
 	ix, err := NewIncrementalExtractor(g, p, nil, nil)
 	if err != nil {
 		t.Fatalf("%s: NewIncrementalExtractor: %v", name, err)
 	}
 	plan := &churnPlan{state: seed}
+	var reasons []string
 	for step, size := range batchSizes {
 		var remove, revive []int32
 		if step%3 == 2 {
@@ -86,6 +90,65 @@ func requireIncrementalEquivalence(t *testing.T, name string, g *graph.Graph, p 
 			t.Fatalf("%s step %d: reference extract: %v", name, step, err)
 		}
 		requireEqualResults(t, nameStep(name, step, ix), got, want)
+		requireEqualOutcome(t, nameStep(name, step, ix), got.Stats, want.Stats)
+		requireSaturationCounts(t, nameStep(name, step, ix), ix.e, p)
+		reasons = append(reasons, ix.LastUpdate().FallbackReason)
+	}
+	return reasons
+}
+
+// outcome is the part of Stats that describes what a run produced: every
+// counter except Phases, Total and Floods, which measure work.
+type outcome struct {
+	Sites, SegmentNodes, VoronoiNodes, Edges       int
+	FakeLoops, GenuineLoops, PrunedNodes           int
+	BoundaryNodes, MedianKHopBall                  int
+	ElectionRounds, KAdjustments, ScopeAdjustments int
+}
+
+func outcomeOf(s *Stats) outcome {
+	return outcome{
+		s.Sites, s.SegmentNodes, s.VoronoiNodes, s.Edges,
+		s.FakeLoops, s.GenuineLoops, s.PrunedNodes,
+		s.BoundaryNodes, s.MedianKHopBall,
+		s.ElectionRounds, s.KAdjustments, s.ScopeAdjustments,
+	}
+}
+
+// requireEqualOutcome asserts two runs report the same outcome counters.
+func requireEqualOutcome(t *testing.T, name string, got, want *Stats) {
+	t.Helper()
+	if g, w := outcomeOf(got), outcomeOf(want); g != w {
+		t.Fatalf("%s: outcome counters differ:\n got %+v\nwant %+v", name, g, w)
+	}
+}
+
+// requireSaturationCounts asserts the engine's per-radius saturation counts
+// equal a fresh count over its current ball matrix.
+func requireSaturationCounts(t *testing.T, name string, e *Extractor, p Params) {
+	t.Helper()
+	n := float64(e.g.N())
+	for _, c := range []struct {
+		kind   string
+		want   int
+		limit  float64
+		counts []int
+	}{
+		{"K", p.K, kSaturationFraction * n, e.satK},
+		{"scope", p.Scope(), scopeSaturationFraction * n, e.satS},
+	} {
+		for r := 2; r <= c.want; r++ {
+			fresh := 0
+			for _, row := range e.balls {
+				if float64(row[r-1]) <= c.limit {
+					fresh++
+				}
+			}
+			if c.counts[r] != fresh {
+				t.Fatalf("%s: %s saturation count at radius %d is %d, a fresh count gives %d",
+					name, c.kind, r, c.counts[r], fresh)
+			}
+		}
 	}
 }
 
@@ -141,6 +204,32 @@ func TestIncrementalEquivalenceShapes(t *testing.T) {
 			requireIncrementalEquivalence(t, name+"/"+model, g, p,
 				[]int{1, 1, 8, 8, 64, 64}, 7)
 		}
+	}
+}
+
+// TestIncrementalSaturatedField: a dense field whose saturation guard
+// shrinks K and the scope yet still elects in one round, so its updates
+// stay incremental until churn moves a guarded radius. The stream must hit
+// the radius-drift fallback, and every step must match a full extraction.
+func TestIncrementalSaturatedField(t *testing.T) {
+	g := nettest.Grid("window", 300, 25, 1).Graph
+	p := DefaultParams()
+	ref, err := NewExtractor(g).Extract(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.EffectiveK != 2 || ref.EffectiveScope != 1 || ref.Stats.ElectionRounds != 1 {
+		t.Fatalf("field is not saturated single-round: K=%d scope=%d rounds=%d",
+			ref.EffectiveK, ref.EffectiveScope, ref.Stats.ElectionRounds)
+	}
+	reasons := requireIncrementalEquivalence(t, "window-saturated", g, p,
+		[]int{1, 5, 9, 1, 5, 9, 1, 5, 9, 1, 5, 9}, 1)
+	drift := false
+	for _, r := range reasons {
+		drift = drift || r == "radius-drift"
+	}
+	if !drift {
+		t.Fatalf("no update fell back on radius drift: %q", reasons)
 	}
 }
 
@@ -203,6 +292,8 @@ func TestIncrementalFailRestoreStream(t *testing.T) {
 			t.Fatalf("step %d: reference extract: %v", step, err)
 		}
 		requireEqualResults(t, nameStep("window-10k", step, ix), got, want)
+		requireEqualOutcome(t, nameStep("window-10k", step, ix), got.Stats, want.Stats)
+		requireSaturationCounts(t, nameStep("window-10k", step, ix), ix.e, p)
 	}
 	if maxAttempts < 2 {
 		t.Fatalf("no step needed more than one repair attempt (max %d)", maxAttempts)
@@ -233,6 +324,7 @@ func TestIncrementalFallbackTrigger(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireEqualResults(t, "fallback", got, want)
+	requireEqualOutcome(t, "fallback", got.Stats, want.Stats)
 	// Reviving everything must also land on a correct result.
 	got, err = ix.Update(nil, remove)
 	if err != nil {
@@ -243,6 +335,7 @@ func TestIncrementalFallbackTrigger(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireEqualResults(t, "revive-all", got, want)
+	requireEqualOutcome(t, "revive-all", got.Stats, want.Stats)
 }
 
 // TestIncrementalRepeatedDeterminism: the same seed and churn schedule yield

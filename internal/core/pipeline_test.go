@@ -25,11 +25,12 @@ func TestVoronoiInvariants(t *testing.T) {
 	net := nettest.Grid("smile", 1500, 7, 2)
 	g := net.Graph
 	p := DefaultParams()
-	_, _, _, sites, _, _ := identify(g, p)
+	x := NewExtractor(g)
+	_, _, _, sites, _, _ := x.identify(p, nil)
 	if len(sites) < 2 {
 		t.Fatalf("only %d sites", len(sites))
 	}
-	cellOf, distToSite, records := voronoi(g, sites, p.Alpha)
+	cellOf, distToSite, records := x.voronoi(sites, p.Alpha, nil)
 
 	// Slack bound and reverse-path validity.
 	for v := 0; v < g.N(); v++ {
@@ -97,7 +98,7 @@ func TestIdentifyIndexDefinition(t *testing.T) {
 	net := nettest.Grid("star", 500, 7, 1)
 	g := net.Graph
 	p := DefaultParams()
-	khop, cent, index, sites, kEff, scopeEff := identify(g, p)
+	khop, cent, index, sites, kEff, scopeEff := NewExtractor(g).identify(p, nil)
 	if kEff != p.K {
 		t.Fatalf("saturation guard engaged on a normal network: kEff=%d", kEff)
 	}
@@ -254,7 +255,7 @@ func TestSkeletonNodesAreMedial(t *testing.T) {
 // minimal site population instead of collapsing to one.
 func TestMinSiteGuard(t *testing.T) {
 	net := nettest.Grid("star", 900, 18, 1)
-	khop, _, _, sites, kEff, scopeEff := identify(net.Graph, DefaultParams())
+	khop, _, _, sites, kEff, scopeEff := NewExtractor(net.Graph).identify(DefaultParams(), nil)
 	if len(khop) != net.Graph.N() {
 		t.Fatal("khop size")
 	}

@@ -20,10 +20,14 @@ import (
 // "end node loop" stitched from these gaps is short — the loop is fake.
 // Around a hole the end nodes lie on the hole boundary and the stitched
 // loop has to travel the hole perimeter — the loop is genuine.
+//
+// fcache, when non-nil, caches the end-node cluster floods across
+// incremental updates; full extractions pass nil.
 func (e *Extractor) refine(p Params, index []float64, records [][]SiteDist,
-	cellOf []int32, edges []SiteEdge, coarseSkel *Skeleton, st *Stats) ([]Loop, *Skeleton) {
+	cellOf []int32, edges []SiteEdge, fcache *endFloodCache, st *Stats) ([]Loop, *Skeleton) {
 
 	w := e.newRefiner(p, index, records, cellOf)
+	w.fcache = fcache
 	for _, se := range edges {
 		w.edges = append(w.edges, wEdge{
 			a: se.Pair.A, b: se.Pair.B, path: se.Path,
@@ -70,12 +74,6 @@ type refiner struct {
 	fcache *endFloodCache
 	// debugf, when non-nil, receives a trace of every classification.
 	debugf func(format string, args ...any)
-}
-
-// newRefiner sets up the phase state over a throwaway engine, preserving
-// the historical constructor shape for the debug harness.
-func newRefiner(g *graph.Graph, p Params, index []float64, records [][]SiteDist, cellOf []int32) *refiner {
-	return NewExtractor(g).newRefiner(p, index, records, cellOf)
 }
 
 // newRefiner sets up the phase state, sizing the engine's flood scratch to

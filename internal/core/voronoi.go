@@ -20,17 +20,13 @@ import (
 // shortest path toward s the slack dist_s - dmin never increases (triangle
 // inequality in the hop metric), so the visited sets match the paper's
 // forwarding rule while keeping total work near-linear.
-func voronoi(g *graph.Graph, sites []int32, alpha int32) (cellOf, distToSite []int32, records [][]SiteDist) {
-	return NewExtractor(g).voronoi(sites, alpha, nil)
-}
-
-// voronoi is the staged engine's Phase 2. The per-site pruned floods run 64
-// sites per bit-parallel pass over Z-curve site batches (see
-// voronoiPrunedBatched for the tie-break and parent rules), and the dmin
-// pass is level-synchronous over the available workers. The BFS
-// scratch comes from the engine's pools, while everything that escapes into
-// the Result is allocated fresh. st, when non-nil, accumulates the flood
-// counters.
+//
+// The per-site pruned floods run 64 sites per bit-parallel pass over
+// Z-curve site batches (see voronoiPrunedBatched for the tie-break and
+// parent rules), and the dmin pass is level-synchronous over the available
+// workers. The BFS scratch comes from the engine's pools, while everything
+// that escapes into the Result is allocated fresh. st, when non-nil,
+// accumulates the flood counters.
 func (e *Extractor) voronoi(sites []int32, alpha int32, st *Stats) (cellOf, distToSite []int32, records [][]SiteDist) {
 	g := e.g
 	n := g.N()
