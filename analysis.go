@@ -84,6 +84,9 @@ func DetectBoundary(net *Network) *BoundaryResult {
 // saturation guard applies: the protocols run exactly at the configured
 // radii, as real sensor firmware would.
 func ExtractDistributed(net *Network, p Params) (*Result, *DistributedResult, error) {
+	if err := p.Validate(); err != nil {
+		return nil, nil, err
+	}
 	dres, err := protocol.Run(net.Graph, p.K, p.L, p.Scope(), p.Alpha, protocol.Options{})
 	if err != nil {
 		return nil, nil, err

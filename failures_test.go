@@ -93,3 +93,21 @@ func TestExtractDistributedMatchesCentralized(t *testing.T) {
 		t.Error("no transmissions counted")
 	}
 }
+
+// TestExtractDistributedRejectsBadParams: invalid parameters fail before
+// any protocol phase runs, so no distributed result comes back.
+func TestExtractDistributedRejectsBadParams(t *testing.T) {
+	net := testNetwork(t, "window", 800, 7, 1)
+	for name, edit := range map[string]func(*Params){
+		"PruneLen": func(p *Params) { p.PruneLen = -1 },
+		"Alpha":    func(p *Params) { p.Alpha = -1 },
+	} {
+		p := DefaultParams()
+		edit(&p)
+		res, dres, err := ExtractDistributed(net, p)
+		if err == nil || res != nil || dres != nil {
+			t.Errorf("%s < 0: got result %v, distributed result %v, err %v; want only an error",
+				name, res != nil, dres != nil, err)
+		}
+	}
+}

@@ -5,19 +5,11 @@ import (
 	"bfskel/internal/simnet"
 )
 
-// sizeEntry carries one node's K-hop neighborhood size with the hop counter
-// it has traveled.
+// sizeEntry is one node's K-hop neighborhood size, the value centrality
+// flooding spreads.
 type sizeEntry struct {
 	ID   int32
 	Size int32
-	Hops int32
-}
-
-// sizeBatch is one transmission's set of newly learned sizes (the
-// generic-payload form; the program transmits kindSizeBatch packed words
-// but still accepts this shape on receive).
-type sizeBatch struct {
-	Entries []sizeEntry
 }
 
 // sizeHop is the flatmap record of one learned neighbor: its K-hop size and
@@ -48,32 +40,23 @@ func (p *centralityProgram) Init(ctx *simnet.Context) {
 	p.tab.put(p.own.ID, sizeHop{size: p.own.Size, hops: 0})
 	p.words = make([]uint64, 0, 128) // one alloc up front beats append growth
 	p.words = append(p.words, packPair(p.own.ID, p.own.Size), 1)
-	ctx.BroadcastPacked(kindSizeBatch, p.words)
+	ctx.Broadcast(kindSizeBatch, p.words)
 }
 
 func (p *centralityProgram) Step(ctx *simnet.Context, inbox []simnet.Envelope) {
 	p.words = p.words[:0]
 	for _, env := range inbox {
-		if kind, ws, ok := env.Packed(); ok {
-			if kind != kindSizeBatch {
-				continue
-			}
-			for i := 0; i+1 < len(ws); i += 2 {
-				id, size := unpackPair(ws[i])
-				p.learn(id, size, int32(ws[i+1]))
-			}
+		if env.Kind != kindSizeBatch {
 			continue
 		}
-		batch, ok := env.Payload.(sizeBatch)
-		if !ok {
-			continue
-		}
-		for _, e := range batch.Entries {
-			p.learn(e.ID, e.Size, e.Hops)
+		ws := env.Words
+		for i := 0; i+1 < len(ws); i += 2 {
+			id, size := unpackPair(ws[i])
+			p.learn(id, size, int32(ws[i+1]))
 		}
 	}
 	if len(p.words) > 0 {
-		ctx.BroadcastPacked(kindSizeBatch, p.words)
+		ctx.Broadcast(kindSizeBatch, p.words)
 	}
 }
 

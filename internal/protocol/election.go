@@ -43,23 +43,16 @@ func (p *electionProgram) Init(ctx *simnet.Context) {
 	p.best = p.own
 	p.hops = 0
 	p.buf[0], p.buf[1] = packClaim(claim{ID: p.own.ID, Index: p.own.Index, Hops: 1})
-	ctx.BroadcastPacked(kindClaim, p.buf[:])
+	ctx.Broadcast(kindClaim, p.buf[:])
 }
 
 func (p *electionProgram) Step(ctx *simnet.Context, inbox []simnet.Envelope) {
 	improved := false
 	for _, env := range inbox {
-		var c claim
-		if kind, ws, ok := env.Packed(); ok {
-			if kind != kindClaim || len(ws) != 2 {
-				continue
-			}
-			c = unpackClaim(ws[0], ws[1])
-		} else if gc, ok := env.Payload.(claim); ok {
-			c = gc
-		} else {
+		if env.Kind != kindClaim || len(env.Words) != 2 {
 			continue
 		}
+		c := unpackClaim(env.Words[0], env.Words[1])
 		switch {
 		case c.beats(p.best):
 			p.best, p.hops = c, c.Hops
@@ -73,7 +66,7 @@ func (p *electionProgram) Step(ctx *simnet.Context, inbox []simnet.Envelope) {
 	}
 	if improved && p.hops < p.scope {
 		p.buf[0], p.buf[1] = packClaim(claim{ID: p.best.ID, Index: p.best.Index, Hops: p.hops + 1})
-		ctx.BroadcastPacked(kindClaim, p.buf[:])
+		ctx.Broadcast(kindClaim, p.buf[:])
 	}
 }
 

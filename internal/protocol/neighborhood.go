@@ -5,29 +5,15 @@ import (
 	"bfskel/internal/simnet"
 )
 
-// idHop is one flooded node identity with the hop count it has traveled —
-// the "counter" of the paper's controlled-flooding description. Carrying
-// the counter in the payload (rather than inferring distance from delivery
-// rounds) keeps the protocol correct when message timing is not uniform.
-type idHop struct {
-	ID   int32
-	Hops int32
-}
-
-// idBatch is one transmission's set of newly learned identities (the
-// generic-payload form; the program itself transmits kindIDBatch packed
-// words but still accepts this shape on receive).
-type idBatch struct {
-	Entries []idHop
-}
-
 // neighborhoodProgram learns the node's K-hop neighborhood by controlled
 // flooding (paper Sec. III-A, first round of flooding): each entry carries
-// its hop counter; a node records unknown IDs and re-forwards them while
-// the counter is below K, batching everything learned in one step into a
-// single transmission. Batches travel as kindIDBatch packed words — one
-// word per (ID, hops) entry — and the dedup table is a flatmap, so a step
-// allocates only when the table grows.
+// its hop counter, the "counter" of the paper's description. Carrying it in
+// the message rather than inferring distance from delivery rounds keeps
+// the protocol correct when message timing is not uniform. A node records
+// unknown IDs and re-forwards them while the counter is below K, batching
+// everything learned in one step into a single transmission. Batches travel
+// as kindIDBatch packed words — one word per (ID, hops) entry — and the
+// dedup table is a flatmap, so a step allocates only when the table grows.
 type neighborhoodProgram struct {
 	k     int32
 	known flatmap[int32] // ID -> smallest hop counter heard
@@ -43,32 +29,22 @@ func (p *neighborhoodProgram) Init(ctx *simnet.Context) {
 	p.known.put(int32(ctx.ID()), 0)
 	p.words = make([]uint64, 0, 64) // one alloc up front beats append growth
 	p.words = append(p.words, packPair(int32(ctx.ID()), 1))
-	ctx.BroadcastPacked(kindIDBatch, p.words)
+	ctx.Broadcast(kindIDBatch, p.words)
 }
 
 func (p *neighborhoodProgram) Step(ctx *simnet.Context, inbox []simnet.Envelope) {
 	p.words = p.words[:0]
 	for _, env := range inbox {
-		if kind, ws, ok := env.Packed(); ok {
-			if kind != kindIDBatch {
-				continue
-			}
-			for _, w := range ws {
-				id, hops := unpackPair(w)
-				p.learn(id, hops)
-			}
+		if env.Kind != kindIDBatch {
 			continue
 		}
-		batch, ok := env.Payload.(idBatch)
-		if !ok {
-			continue
-		}
-		for _, e := range batch.Entries {
-			p.learn(e.ID, e.Hops)
+		for _, w := range env.Words {
+			id, hops := unpackPair(w)
+			p.learn(id, hops)
 		}
 	}
 	if len(p.words) > 0 {
-		ctx.BroadcastPacked(kindIDBatch, p.words)
+		ctx.Broadcast(kindIDBatch, p.words)
 	}
 }
 

@@ -116,6 +116,9 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(g, 0, 1, 1, 1, Options{}); err == nil {
 		t.Error("k=0 accepted")
 	}
+	if _, err := Run(g, 1, 1, 1, -1, Options{}); err == nil {
+		t.Error("negative alpha accepted")
+	}
 	if _, err := Run(g, 1, 1, 1, 1, Options{Jitter: -1}); err == nil {
 		t.Error("negative jitter accepted")
 	}

@@ -133,6 +133,9 @@ func Run(g *graph.Graph, k, l, scope int, alpha int32, opts Options) (*Result, e
 	if k < 1 || l < 1 || scope < 1 {
 		return nil, fmt.Errorf("protocol: radii must be >= 1 (k=%d l=%d scope=%d)", k, l, scope)
 	}
+	if alpha < 0 {
+		return nil, fmt.Errorf("protocol: alpha must be >= 0, got %d", alpha)
+	}
 	if opts.Jitter < 0 {
 		return nil, fmt.Errorf("protocol: jitter must be >= 0, got %d", opts.Jitter)
 	}

@@ -6,19 +6,6 @@ import (
 	"bfskel/internal/simnet"
 )
 
-// siteAnnounce carries one site's flood wavefront with its hop counter.
-type siteAnnounce struct {
-	Site int32
-	Dist int32
-}
-
-// voronoiBatch is one transmission's set of new or improved site records
-// (the generic-payload form; the program transmits kindVoronoiBatch packed
-// words but still accepts this shape on receive).
-type voronoiBatch struct {
-	Entries []siteAnnounce
-}
-
 // voronoiProgram implements the Voronoi cell construction (paper
 // Sec. III-B): the sites flood simultaneously; every node keeps its nearest
 // site(s), records any site whose distance is within Alpha of the nearest,
@@ -54,33 +41,23 @@ func (p *voronoiProgram) Init(ctx *simnet.Context) {
 		p.dmin = 0
 		p.records = append(p.records, record{site: int32(ctx.ID()), dist: 0, parent: int32(ctx.ID())})
 		p.words = append(p.words[:0], packPair(int32(ctx.ID()), 0))
-		ctx.BroadcastPacked(kindVoronoiBatch, p.words)
+		ctx.Broadcast(kindVoronoiBatch, p.words)
 	}
 }
 
 func (p *voronoiProgram) Step(ctx *simnet.Context, inbox []simnet.Envelope) {
 	p.words = p.words[:0]
 	for _, env := range inbox {
-		if kind, ws, ok := env.Packed(); ok {
-			if kind != kindVoronoiBatch {
-				continue
-			}
-			for _, w := range ws {
-				site, dist := unpackPair(w)
-				p.learn(site, dist, int32(env.From))
-			}
+		if env.Kind != kindVoronoiBatch {
 			continue
 		}
-		batch, ok := env.Payload.(voronoiBatch)
-		if !ok {
-			continue
-		}
-		for _, a := range batch.Entries {
-			p.learn(a.Site, a.Dist, int32(env.From))
+		for _, w := range env.Words {
+			site, dist := unpackPair(w)
+			p.learn(site, dist, int32(env.From))
 		}
 	}
 	if len(p.words) > 0 {
-		ctx.BroadcastPacked(kindVoronoiBatch, p.words)
+		ctx.Broadcast(kindVoronoiBatch, p.words)
 	}
 }
 

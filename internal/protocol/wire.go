@@ -3,19 +3,14 @@ package protocol
 import "math"
 
 // Packed wire formats for the four protocol phases. Every phase message is
-// a batch of small fixed-width records, so instead of boxing a struct into
-// an interface per transmission (the generic simnet.Envelope.Payload path),
-// the programs pack records into []uint64 words and ship them with
-// BroadcastPacked. The engine copies words into its round arenas
-// — no per-message heap allocation survives a round.
+// a batch of small fixed-width records, which the programs pack into
+// []uint64 words and ship with simnet's Broadcast, tagged by one of the
+// kinds below. The engine copies words into its round arenas — no
+// per-message heap allocation survives a round.
 //
 // All IDs, hop counters, sizes and distances are non-negative int32 values,
 // so a pair packs losslessly into one word as high<<32 | low. Election
 // indexes are float64 and ride math.Float64bits, which is exact.
-//
-// The generic struct payloads remain supported by every program's Step as a
-// fallback (the simnet API keeps the any-payload path for external
-// programs); the packed kinds below are what the built-in phases emit.
 const (
 	// kindIDBatch: K-hop discovery. One word per entry: ID<<32 | hops.
 	kindIDBatch uint8 = 1

@@ -2,7 +2,6 @@ package simnet_test
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
 	"bfskel/internal/graph"
@@ -28,60 +27,38 @@ func grid(side int) *graph.Graph {
 	return g
 }
 
-// genChatter rebroadcasts a generic payload every round; packedChatter does
-// the same on the typed fast path. Both saturate the simulator: every node
-// transmits every round, so the benchmark measures raw delivery throughput.
-type genChatter struct{}
-
-func (genChatter) Init(ctx *simnet.Context) { ctx.Broadcast(0) }
-func (genChatter) Step(ctx *simnet.Context, _ []simnet.Envelope) {
-	ctx.Broadcast(0)
-}
-
-type packedChatter struct{ buf [1]uint64 }
-
-func (p *packedChatter) Init(ctx *simnet.Context) { ctx.BroadcastPacked(1, p.buf[:]) }
-func (p *packedChatter) Step(ctx *simnet.Context, _ []simnet.Envelope) {
-	ctx.BroadcastPacked(1, p.buf[:])
-}
-
 // BenchmarkRoundEngine measures simulator delivery throughput with both
-// engines on both payload paths: a 4096-node lattice running 32 saturated
-// rounds per iteration, reported as deliveries per second.
+// engines: a 4096-node lattice where every node broadcasts one word every
+// round (chatter), 32 saturated rounds per iteration, reported as
+// deliveries per second.
 func BenchmarkRoundEngine(b *testing.B) {
 	g := grid(64)
 	const rounds = 32
-	for _, payload := range []string{"generic", "packed"} {
-		for _, eng := range []simnet.Engine{simnet.EngineSerial, simnet.EngineParallel} {
-			b.Run(fmt.Sprintf("payload=%s/%v", payload, eng), func(b *testing.B) {
-				b.ReportAllocs()
-				deliveries := 0
-				for i := 0; i < b.N; i++ {
-					programs := make([]simnet.Program, g.N())
-					for v := range programs {
-						if payload == "packed" {
-							programs[v] = &packedChatter{}
-						} else {
-							programs[v] = genChatter{}
-						}
-					}
-					sim, err := simnet.New(g, programs)
-					if err != nil {
-						b.Fatal(err)
-					}
-					sim.Engine = eng
-					sim.MaxRounds = rounds
-					sim.RecordRounds = true
-					stats, err := sim.Run()
-					if !errors.Is(err, simnet.ErrRoundLimit) {
-						b.Fatalf("expected round-limit stop, got %v", err)
-					}
-					for _, r := range stats.PerRound {
-						deliveries += r.Deliveries
-					}
+	for _, eng := range []simnet.Engine{simnet.EngineSerial, simnet.EngineParallel} {
+		b.Run(eng.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			deliveries := 0
+			for i := 0; i < b.N; i++ {
+				programs := make([]simnet.Program, g.N())
+				for v := range programs {
+					programs[v] = chatter{}
 				}
-				b.ReportMetric(float64(deliveries)/b.Elapsed().Seconds(), "deliveries/s")
-			})
-		}
+				sim, err := simnet.New(g, programs)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sim.Engine = eng
+				sim.MaxRounds = rounds
+				sim.RecordRounds = true
+				stats, err := sim.Run()
+				if !errors.Is(err, simnet.ErrRoundLimit) {
+					b.Fatalf("expected round-limit stop, got %v", err)
+				}
+				for _, r := range stats.PerRound {
+					deliveries += r.Deliveries
+				}
+			}
+			b.ReportMetric(float64(deliveries)/b.Elapsed().Seconds(), "deliveries/s")
+		})
 	}
 }

@@ -4,80 +4,54 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"bfskel/internal/graph"
 	"bfskel/internal/simnet"
 )
 
-// mixProgram floods a TTL token, alternating packed and generic encodings
-// per node, and records every delivery in arrival order — a sensitive probe
-// of inbox order, payload routing and counter parity across engines.
+// mixProgram floods every node's token with a TTL of 2. Each step batches
+// all still-live tokens it heard into one broadcast of several words (one
+// word per token: ID<<32 | TTL), tagged with a kind that varies by sender
+// and refilled into the same scratch buffer every step. It logs every
+// received token in arrival order — a sensitive probe of inbox order, word
+// copying, kind routing and counter parity across engines.
 type mixProgram struct {
-	log []string
+	log   []string
+	words []uint64
 }
 
-type ttlTok struct {
-	ID  int32
-	TTL int32
-}
-
-func (p *mixProgram) send(ctx *simnet.Context, id, ttl int32) {
-	if ctx.ID()%2 == 0 {
-		ctx.BroadcastPacked(7, []uint64{uint64(uint32(id))<<32 | uint64(uint32(ttl))})
-	} else {
-		ctx.Broadcast(ttlTok{ID: id, TTL: ttl})
-	}
-}
+func mixKind(ctx *simnet.Context) uint8 { return uint8(ctx.ID()%3 + 1) }
 
 func (p *mixProgram) Init(ctx *simnet.Context) {
-	p.send(ctx, int32(ctx.ID()), 2)
+	p.words = append(p.words[:0], uint64(ctx.ID())<<32|2)
+	ctx.Broadcast(mixKind(ctx), p.words)
 }
 
 func (p *mixProgram) Step(ctx *simnet.Context, inbox []simnet.Envelope) {
+	p.words = p.words[:0]
 	for _, env := range inbox {
-		var id, ttl int32
-		packed := false
-		if kind, ws, ok := env.Packed(); ok {
-			if kind != 7 || len(ws) != 1 {
-				continue
+		for _, w := range env.Words {
+			id, ttl := w>>32, uint32(w)
+			p.log = append(p.log, fmt.Sprintf("%d<-%d kind=%d id=%d ttl=%d",
+				ctx.ID(), env.From, env.Kind, id, ttl))
+			if ttl > 0 {
+				p.words = append(p.words, id<<32|uint64(ttl-1))
 			}
-			id, ttl = int32(uint32(ws[0]>>32)), int32(uint32(ws[0]))
-			packed = true
-		} else if tok, ok := env.Payload.(ttlTok); ok {
-			id, ttl = tok.ID, tok.TTL
-		} else {
-			continue
 		}
-		p.log = append(p.log, fmt.Sprintf("%d<-%d id=%d ttl=%d packed=%v",
-			ctx.ID(), env.From, id, ttl, packed))
-		if ttl > 0 {
-			p.send(ctx, id, ttl-1)
-		}
+	}
+	if len(p.words) > 0 {
+		ctx.Broadcast(mixKind(ctx), p.words)
 	}
 }
 
-// doubleSender unicasts two messages to its first neighbor at Init —
-// exceeding the degree-capacity inbox window of middle line nodes, which
-// exercises the parallel engine's overflow spill path.
-type doubleSender struct {
-	got []int
-}
-
-func (p *doubleSender) Init(ctx *simnet.Context) {
-	if ctx.ID()%2 == 0 && ctx.Degree() > 0 {
-		nb := int(ctx.Neighbors()[0])
-		ctx.Send(nb, ctx.ID()*10)
-		ctx.Send(nb, ctx.ID()*10+1)
+func mixPrograms(n int) []simnet.Program {
+	ps := make([]simnet.Program, n)
+	for i := range ps {
+		ps[i] = &mixProgram{}
 	}
-}
-
-func (p *doubleSender) Step(_ *simnet.Context, inbox []simnet.Envelope) {
-	for _, env := range inbox {
-		if v, ok := env.Payload.(int); ok {
-			p.got = append(p.got, v)
-		}
-	}
+	return ps
 }
 
 // runEngine executes one fresh simulation with the given engine forced.
@@ -106,21 +80,14 @@ func assertStatsEqual(t *testing.T, label string, serial, parallel simnet.Stats)
 	}
 }
 
-// TestEngineParityMixedPayloads checks that serial and parallel engines
-// produce identical inbox sequences, stats, per-round accounting and
-// per-node counters for a program mixing packed and generic payloads, with
-// and without jitter.
-func TestEngineParityMixedPayloads(t *testing.T) {
+// TestEngineParityFlood checks that serial and parallel engines produce
+// identical inbox sequences, stats, per-round accounting and per-node
+// counters for a batched multi-word flood, with and without jitter.
+func TestEngineParityFlood(t *testing.T) {
 	for _, g := range map[string]*graph.Graph{"line12": line(12), "star9": star(9)} {
 		for _, jitter := range []int{0, 2} {
 			label := fmt.Sprintf("jitter=%d", jitter)
-			build := func() []simnet.Program {
-				ps := make([]simnet.Program, g.N())
-				for i := range ps {
-					ps[i] = &mixProgram{}
-				}
-				return ps
-			}
+			build := func() []simnet.Program { return mixPrograms(g.N()) }
 			sp, ss, err := runEngine(t, g, build, simnet.EngineSerial, jitter, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -144,35 +111,48 @@ func TestEngineParityMixedPayloads(t *testing.T) {
 	}
 }
 
-// TestEngineParityOverflow drives more unicasts into a node than its degree
-// — the parallel engine must spill past its degree-capacity window and
-// still deliver in the serial order.
-func TestEngineParityOverflow(t *testing.T) {
+// twiceProgram broadcasts twice in one call: at Init when atInit is set,
+// otherwise in its first Step.
+type twiceProgram struct{ atInit bool }
+
+func (p twiceProgram) Init(ctx *simnet.Context) {
+	ctx.Broadcast(1, nil)
+	if p.atInit {
+		ctx.Broadcast(1, nil)
+	}
+}
+
+func (p twiceProgram) Step(ctx *simnet.Context, _ []simnet.Envelope) {
+	ctx.Broadcast(1, nil)
+	ctx.Broadcast(1, nil)
+}
+
+// TestSecondBroadcastPanics pins the one-transmission-per-step rule: a
+// second Broadcast in one Init or Step call panics on both engines, with
+// and without jitter.
+func TestSecondBroadcastPanics(t *testing.T) {
 	g := line(6)
-	build := func() []simnet.Program {
-		ps := make([]simnet.Program, g.N())
-		for i := range ps {
-			ps[i] = &doubleSender{}
+	for _, eng := range []simnet.Engine{simnet.EngineSerial, simnet.EngineParallel} {
+		for _, jitter := range []int{0, 2} {
+			for _, atInit := range []bool{true, false} {
+				label := fmt.Sprintf("%v/jitter=%d/atInit=%v", eng, jitter, atInit)
+				build := func() []simnet.Program {
+					ps := make([]simnet.Program, g.N())
+					for i := range ps {
+						ps[i] = twiceProgram{atInit: atInit}
+					}
+					return ps
+				}
+				func() {
+					defer func() {
+						if r := recover(); !strings.Contains(fmt.Sprint(r), "broadcast twice") {
+							t.Errorf("%s: recovered %v, want the second-broadcast panic", label, r)
+						}
+					}()
+					_, _, _ = runEngine(t, g, build, eng, jitter, 0)
+				}()
+			}
 		}
-		return ps
-	}
-	sp, ss, err := runEngine(t, g, build, simnet.EngineSerial, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pp, ps, err := runEngine(t, g, build, simnet.EngineParallel, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertStatsEqual(t, "overflow", ss, ps)
-	for v := range sp {
-		sg, pg := sp[v].(*doubleSender).got, pp[v].(*doubleSender).got
-		if !reflect.DeepEqual(sg, pg) {
-			t.Fatalf("node %d delivery order diverges: serial %v vs parallel %v", v, sg, pg)
-		}
-	}
-	if got := sp[1].(*doubleSender).got; len(got) != 4 {
-		t.Fatalf("node 1 should receive 4 unicasts (2 each from nodes 0 and 2), got %v", got)
 	}
 }
 
@@ -182,13 +162,7 @@ func TestEngineParityOverflow(t *testing.T) {
 // total must always equal the delivered total — on both engines.
 func TestRecvCountedAtDeliveryJitter(t *testing.T) {
 	g := line(8)
-	build := func() []simnet.Program {
-		ps := make([]simnet.Program, g.N())
-		for i := range ps {
-			ps[i] = &mixProgram{}
-		}
-		return ps
-	}
+	build := func() []simnet.Program { return mixPrograms(g.N()) }
 	for _, eng := range []simnet.Engine{simnet.EngineSerial, simnet.EngineParallel} {
 		_, stats, err := runEngine(t, g, build, eng, 3, 0)
 		if err != nil {
@@ -212,13 +186,7 @@ func TestRecvCountedAtDeliveryJitter(t *testing.T) {
 // NodeRecv (the pre-fix engine counted them at enqueue time).
 func TestRecvNotCountedOnAbort(t *testing.T) {
 	g := line(8)
-	build := func() []simnet.Program {
-		ps := make([]simnet.Program, g.N())
-		for i := range ps {
-			ps[i] = &mixProgram{}
-		}
-		return ps
-	}
+	build := func() []simnet.Program { return mixPrograms(g.N()) }
 	for _, eng := range []simnet.Engine{simnet.EngineSerial, simnet.EngineParallel} {
 		_, stats, err := runEngine(t, g, build, eng, 3, 1)
 		if !errors.Is(err, simnet.ErrRoundLimit) {
@@ -252,13 +220,7 @@ func TestRecvNotCountedOnAbort(t *testing.T) {
 // that values naming neither engine are rejected.
 func TestEngineZeroValueIsParallel(t *testing.T) {
 	g := line(4)
-	build := func() []simnet.Program {
-		ps := make([]simnet.Program, g.N())
-		for i := range ps {
-			ps[i] = &mixProgram{}
-		}
-		return ps
-	}
+	build := func() []simnet.Program { return mixPrograms(g.N()) }
 	var def simnet.Engine
 	_, stats, err := runEngine(t, g, build, def, 0, 0)
 	if err != nil {

@@ -3,9 +3,10 @@
 //
 //   - Arena mailboxes. Instead of one heap slice per inbox, all inboxes of
 //     a round live in one flat []Envelope arena laid out with CSR degree
-//     offsets (a synchronous round delivers at most degree envelopes per
-//     node). Two arenas alternate — round r is read from one while round
-//     r+1's deliveries are written into the other.
+//     offsets (every node broadcasts at most once per step, so a
+//     synchronous round delivers at most degree envelopes per node). Two
+//     arenas alternate — round r is read from one while round r+1's
+//     deliveries are written into the other.
 //   - A jitter wheel. With Jitter > 0 a round can deliver more than degree
 //     envelopes per node, so deliveries are staged into Jitter+1
 //     round-indexed buffers and compacted into a per-round arena when their
@@ -13,11 +14,11 @@
 //   - Deterministic chunked stepping. Touched nodes (ascending IDs) are
 //     split into contiguous chunks, one goroutine per chunk; each chunk
 //     appends its sends to a private queue. Queues are merged in chunk
-//     order — i.e. ascending sender ID, FIFO per sender — which is exactly
-//     the enqueue order of the serial engine, so inbox order, jitter draws,
-//     and every counter are bit-identical to the reference.
+//     order — i.e. ascending sender ID — which is exactly the enqueue order
+//     of the serial engine, so inbox order, jitter draws, and every counter
+//     are bit-identical to the reference.
 //
-// Packed payloads ride per-worker word buffers that are round-ring-buffered
+// Message words ride per-worker word buffers that are round-ring-buffered
 // (a word written at send round r is readable until round r+1+Jitter, so a
 // ring of Jitter+2 buffers recycles them without copies or GC traffic).
 package simnet
@@ -30,43 +31,29 @@ import (
 	"bfskel/internal/graph"
 )
 
-// sendOp is one queued transmission: a unicast (to >= 0) or a broadcast
-// (to == -1), carrying either a generic payload or a packed window into the
+// sendOp is one queued broadcast: its sender, kind tag and window into the
 // worker's word buffer.
 type sendOp struct {
-	from   int32
-	to     int32
-	kind   uint8
-	packed bool
-	woff   int32
-	wlen   int32
-	gen    any
+	from int32
+	kind uint8
+	woff int32
+	wlen int32
 }
 
 // parWorker is the per-chunk send queue. Exactly one stepping goroutine
 // owns a worker at a time; the merge phase (single-goroutine) drains all of
 // them after the chunks join.
 type parWorker struct {
-	ops  []sendOp
-	msgs int
-	// words is the current round's packed-word buffer, one slot of ring.
+	ops []sendOp
+	// words is the current round's word buffer, one slot of ring.
 	words []uint64
 	ring  [][]uint64
 }
 
-func (w *parWorker) push(op sendOp) {
-	w.ops = append(w.ops, op)
-	w.msgs++
-}
-
-func (w *parWorker) pushPacked(from, to int32, kind uint8, words []uint64) {
+func (w *parWorker) push(from int32, kind uint8, words []uint64) {
 	off := int32(len(w.words))
 	w.words = append(w.words, words...)
-	w.ops = append(w.ops, sendOp{
-		from: from, to: to, kind: kind, packed: true,
-		woff: off, wlen: int32(len(words)),
-	})
-	w.msgs++
+	w.ops = append(w.ops, sendOp{from: from, kind: kind, woff: off, wlen: int32(len(words))})
 }
 
 // parEngine holds the run-scoped state of the parallel engine.
@@ -84,12 +71,6 @@ type parEngine struct {
 	cur         int     // arena read this round; cur^1 collects next round
 	touched     []int32 // receivers stepping this round, ascending
 	touchedNext []int32 // receivers of the round being collected, unsorted
-	// overflow holds deliveries beyond a window's degree capacity (only
-	// possible for programs that unicast the same neighbor repeatedly in
-	// one round); it is rare enough to pay an allocation when it happens.
-	overflow     []delivery
-	overflowNext []delivery
-	extras       map[int32][]Envelope
 
 	// Jittered mode: round-indexed staging wheel plus a compacted per-round
 	// arena (windows sized by actual arrivals, not degree).
@@ -116,9 +97,9 @@ func getParEngine(s *Sim) *parEngine {
 	return e
 }
 
-// putParEngine scrubs the payload-bearing buffers (so pooled scratch never
-// pins a previous run's Sim, programs or generic payloads) and returns the
-// engine to the pool.
+// putParEngine drops the run's Sim and scrubs the envelope buffers (so
+// pooled scratch never pins a previous run's programs or outgrown word
+// buffers) and returns the engine to the pool.
 func putParEngine(e *parEngine) {
 	e.s = nil
 	e.off = nil
@@ -129,13 +110,9 @@ func putParEngine(e *parEngine) {
 		clear(e.wheel[i][:cap(e.wheel[i])])
 		e.wheel[i] = e.wheel[i][:0]
 	}
-	clear(e.overflow[:cap(e.overflow)])
-	clear(e.overflowNext[:cap(e.overflowNext)])
-	e.extras = nil
 	for i := range e.workers {
 		w := &e.workers[i]
-		clear(w.ops[:cap(w.ops)])
-		w.ops, w.msgs, w.words = w.ops[:0], 0, nil
+		w.ops, w.words = w.ops[:0], nil
 	}
 	parEnginePool.Put(e)
 }
@@ -178,8 +155,6 @@ func (e *parEngine) fit(s *Sim) {
 	}
 	e.cur = 0
 	e.touched, e.touchedNext = e.touched[:0], e.touchedNext[:0]
-	e.overflow, e.overflowNext = e.overflow[:0], e.overflowNext[:0]
-	e.extras = nil
 	if s.Jitter > 0 {
 		for len(e.wheel) < s.Jitter+1 {
 			e.wheel = append(e.wheel, nil)
@@ -225,7 +200,7 @@ func (s *Sim) runParallel(limit int) (Stats, error) {
 	record := s.RecordRounds || s.Span.Enabled()
 	e.bindWords()
 	e.runChunks(len(s.programs), func(ctx *Context, v int) {
-		ctx.node = v
+		ctx.at(v)
 		s.programs[v].Init(ctx)
 	})
 	msgs := e.merge()
@@ -253,7 +228,7 @@ func (s *Sim) runParallel(limit int) (Stats, error) {
 		jittered := s.Jitter > 0
 		e.runChunks(len(touched), func(ctx *Context, i int) {
 			v := int(touched[i])
-			ctx.node = v
+			ctx.at(v)
 			s.programs[v].Step(ctx, e.inbox(v, jittered))
 			if jittered {
 				e.cnt[v] = 0
@@ -268,10 +243,10 @@ func (s *Sim) runParallel(limit int) (Stats, error) {
 	}
 }
 
-// bindWords points every worker's packed-word buffer at this round's ring
-// slot. A slot is reused after ring-length rounds, which is past the last
-// round any envelope referencing it can be delivered (Jitter+1 later), so
-// the recycle never clobbers live payload words.
+// bindWords points every worker's word buffer at this round's ring slot. A
+// slot is reused after ring-length rounds, which is past the last round any
+// envelope referencing it can be delivered (Jitter+1 later), so the recycle
+// never clobbers live message words.
 func (e *parEngine) bindWords() {
 	slot := e.s.round % len(e.workers[0].ring)
 	for i := range e.workers {
@@ -295,8 +270,7 @@ func (e *parEngine) runChunks(count int, fn func(ctx *Context, i int)) {
 }
 
 // inbox returns node v's inbox view for this round. The view aliases the
-// arena (capacity-capped); the rare sync-mode overflow path concatenates
-// the window with the spilled tail.
+// arena (capacity-capped).
 func (e *parEngine) inbox(v int, jittered bool) []Envelope {
 	if jittered {
 		end := e.pos[v]
@@ -305,45 +279,31 @@ func (e *parEngine) inbox(v int, jittered bool) []Envelope {
 	}
 	lo := int(e.off[v])
 	hi := lo + int(e.fill[e.cur][v])
-	window := e.arena[e.cur][lo:hi:hi]
-	if e.extras != nil {
-		if ex := e.extras[int32(v)]; len(ex) > 0 {
-			merged := make([]Envelope, 0, len(window)+len(ex))
-			return append(append(merged, window...), ex...)
-		}
-	}
-	return window
+	return e.arena[e.cur][lo:hi:hi]
 }
 
 // merge drains the per-worker send queues in chunk order — ascending sender
-// ID, FIFO per sender, matching the serial engine's enqueue order exactly —
-// and routes every transmission into next-round mailboxes (or the jitter
-// wheel). It runs on the driving goroutine, so the shared counters and the
-// jitter RNG need no synchronisation.
+// ID, matching the serial engine's enqueue order exactly — and routes every
+// broadcast into next-round mailboxes (or the jitter wheel). It runs on the
+// driving goroutine, so the shared counters and the jitter RNG need no
+// synchronisation.
 func (e *parEngine) merge() (roundMsgs int) {
 	s := e.s
 	for wi := range e.workers {
 		w := &e.workers[wi]
 		for _, op := range w.ops {
-			env := Envelope{From: int(op.from)}
-			if op.packed {
-				env.packed, env.kind = true, op.kind
-				env.words = w.words[op.woff : op.woff+op.wlen : op.woff+op.wlen]
-			} else {
-				env.Payload = op.gen
+			env := Envelope{
+				From: int(op.from), Kind: op.kind,
+				Words: w.words[op.woff : op.woff+op.wlen : op.woff+op.wlen],
 			}
-			if op.to < 0 {
-				for _, nb := range s.g.Neighbors(int(op.from)) {
-					e.enqueue(int(nb), env)
-				}
-			} else {
-				e.enqueue(int(op.to), env)
+			for _, nb := range s.g.Neighbors(int(op.from)) {
+				e.enqueue(int(nb), env)
 			}
 		}
-		roundMsgs += w.msgs
-		s.stats.Messages += w.msgs
+		roundMsgs += len(w.ops)
+		s.stats.Messages += len(w.ops)
 		w.ring[s.round%len(w.ring)] = w.words // keep the grown buffer
-		w.ops, w.msgs = w.ops[:0], 0
+		w.ops = w.ops[:0]
 	}
 	return roundMsgs
 }
@@ -351,7 +311,9 @@ func (e *parEngine) merge() (roundMsgs int) {
 // enqueue routes one envelope to its destination mailbox: the next-round
 // arena window in synchronous mode, the staging wheel under jitter. The
 // jitter draw happens here, in merged deterministic order, so jittered runs
-// are bit-identical across engines and worker counts.
+// are bit-identical across engines and worker counts. A synchronous window
+// cannot fill past the degree: each neighbor broadcasts at most once per
+// round.
 func (e *parEngine) enqueue(to int, env Envelope) {
 	s := e.s
 	s.inFlight++
@@ -363,16 +325,11 @@ func (e *parEngine) enqueue(to int, env Envelope) {
 	}
 	nxt := e.cur ^ 1
 	f := e.fill[nxt][to]
-	at := int(e.off[to]) + int(f)
-	if at < int(e.off[to+1]) {
-		if f == 0 {
-			e.touchedNext = append(e.touchedNext, int32(to))
-		}
-		e.arena[nxt][at] = env
-		e.fill[nxt][to] = f + 1
-		return
+	if f == 0 {
+		e.touchedNext = append(e.touchedNext, int32(to))
 	}
-	e.overflowNext = append(e.overflowNext, delivery{to: to, env: env})
+	e.arena[nxt][int(e.off[to])+int(f)] = env
+	e.fill[nxt][to] = f + 1
 }
 
 // swapSync flips the double-buffered arenas at the top of a synchronous
@@ -383,26 +340,14 @@ func (e *parEngine) swapSync() (deliveries int) {
 	s := e.s
 	e.cur ^= 1
 	e.touched, e.touchedNext = e.touchedNext, e.touched[:0]
-	e.overflow, e.overflowNext = e.overflowNext, e.overflow[:0]
 	slices.Sort(e.touched)
 	fill := e.fill[e.cur]
 	for _, v := range e.touched {
 		deliveries += int(fill[v])
 	}
-	deliveries += len(e.overflow)
 	if s.stats.NodeRecv != nil {
 		for _, v := range e.touched {
 			s.stats.NodeRecv[v] += int(fill[v])
-		}
-		for _, d := range e.overflow {
-			s.stats.NodeRecv[d.to]++
-		}
-	}
-	e.extras = nil
-	if len(e.overflow) > 0 {
-		e.extras = make(map[int32][]Envelope, len(e.overflow))
-		for _, d := range e.overflow {
-			e.extras[int32(d.to)] = append(e.extras[int32(d.to)], d.env)
 		}
 	}
 	return deliveries

@@ -1,9 +1,11 @@
 // Package simnet is a synchronous round-based message-passing simulator for
 // distributed node programs. Each sensor runs a Program; in every round all
 // messages sent in the previous round are delivered, and each node with a
-// non-empty inbox takes a step. The simulator counts messages and rounds,
-// which backs the complexity measurements of paper Sec. V-A (message
-// complexity O((k+l+1)n), time complexity O(sqrt(n))).
+// non-empty inbox takes a step. The only message form is the wireless
+// broadcast of a kind tag plus packed words, at most one per node per step.
+// The simulator counts messages and rounds, which backs the complexity
+// measurements of paper Sec. V-A (message complexity O((k+l+1)n), time
+// complexity O(sqrt(n))).
 //
 // Two round engines execute the same Program/Context contract (see Engine):
 // a straightforward serial reference engine, and an allocation-free engine
@@ -30,42 +32,37 @@ var ErrRoundLimit = errors.New("simnet: round limit exceeded")
 // errEngine rejects a Sim.Engine value naming neither round engine.
 var errEngine = errors.New("simnet: unknown round engine")
 
-// Envelope is a delivered message. The generic Payload carries arbitrary
-// program-defined bodies; messages sent with BroadcastPacked travel on the
-// typed fast path instead and are read back with Packed.
-// Envelopes (and any packed words they expose) are engine-owned: they are
-// valid only for the duration of the Step call that receives them.
+// Envelope is a delivered message: one broadcast's protocol-defined kind
+// tag and packed words. Envelopes and their words are engine-owned: they
+// are valid only for the duration of the Step call that receives them.
 type Envelope struct {
 	// From is the sending node's ID.
 	From int
-	// Payload is the protocol-defined message body; nil for messages sent
-	// on the packed fast path.
-	Payload any
-
-	// Packed fast-path body: a kind tag plus opaque words, arena-allocated
-	// by the round engine so built-in protocols send without boxing.
-	kind   uint8
-	packed bool
-	words  []uint64
+	// Kind is the protocol-defined message type.
+	Kind uint8
+	// Words is the message body. All receivers of one broadcast share
+	// views of one engine-owned copy; they must not retain or modify it.
+	Words []uint64
 }
 
-// Packed returns the typed fast-path body of the message: the
-// protocol-defined kind tag and the packed words. ok is false for generic
-// (Payload) messages. The words alias engine-owned memory and must not be
-// retained beyond the Step call.
-func (e Envelope) Packed() (kind uint8, words []uint64, ok bool) {
-	return e.kind, e.words, e.packed
-}
+// errSecondBroadcast is the panic value of a second Broadcast in one Init
+// or Step call. A sentinel keeps the guard allocation-free.
+var errSecondBroadcast = errors.New("simnet: node broadcast twice in one step")
 
 // Context is handed to a Program during Init and Step; it exposes the node's
-// identity, its neighbor list, and the send primitives.
+// identity, its neighbor list, and the broadcast primitive.
 type Context struct {
 	sim  *Sim
 	node int
+	// sent records a Broadcast during the current Init or Step call.
+	sent bool
 	// w is the parallel engine's per-chunk send queue; nil while the serial
-	// engine is stepping, in which case sends deliver immediately.
+	// engine is stepping, in which case broadcasts deliver immediately.
 	w *parWorker
 }
+
+// at points the context at node v for one Init or Step call.
+func (c *Context) at(v int) { c.node, c.sent = v, false }
 
 // ID returns the node's ID.
 func (c *Context) ID() int { return c.node }
@@ -77,74 +74,46 @@ func (c *Context) Neighbors() []int32 { return c.sim.g.Neighbors(c.node) }
 // Degree returns the node's degree.
 func (c *Context) Degree() int { return c.sim.g.Degree(c.node) }
 
-// Send queues a message to a neighbor for delivery next round. Sending to a
-// non-neighbor is a protocol bug and panics, mirroring the physical
-// impossibility of the radio reaching a non-neighbor.
-func (c *Context) Send(to int, payload any) {
-	if !c.sim.g.HasEdge(c.node, to) {
-		panic(fmt.Sprintf("simnet: node %d sent to non-neighbor %d", c.node, to))
-	}
-	if c.w != nil {
-		c.w.push(sendOp{from: int32(c.node), to: int32(to), gen: payload})
-	} else {
-		c.sim.deliver(to, Envelope{From: c.node, Payload: payload})
-		c.sim.stats.Messages++
-	}
-	c.sim.noteSend(c.node)
-}
-
-// Broadcast queues the payload to every neighbor as a single wireless
-// transmission: it counts one message regardless of the neighbor count,
-// matching the paper's accounting (one flooding retransmission = one
-// message), under which skeleton extraction costs O((k+l+1)n) messages.
-func (c *Context) Broadcast(payload any) {
-	if c.sim.g.Degree(c.node) == 0 {
-		return
-	}
-	if c.w != nil {
-		c.w.push(sendOp{from: int32(c.node), to: -1, gen: payload})
-	} else {
-		env := Envelope{From: c.node, Payload: payload}
-		for _, v := range c.sim.g.Neighbors(c.node) {
-			c.sim.deliver(int(v), env)
-		}
-		c.sim.stats.Messages++
-	}
-	c.sim.noteSend(c.node)
-}
-
-// BroadcastPacked is Broadcast on the typed fast path: the message body is
-// a protocol-defined kind tag plus packed words. The engine copies the
+// Broadcast queues a message — a protocol-defined kind tag plus packed
+// words — to every neighbor as a single wireless transmission: it counts
+// one message regardless of the neighbor count, matching the paper's
+// accounting (one flooding retransmission = one message), under which
+// skeleton extraction costs O((k+l+1)n) messages. The engine copies the
 // words before returning, so the caller may reuse the backing slice
 // immediately (the idiom is a per-program scratch buffer refilled every
-// Step). All neighbors receive views of one shared copy.
-func (c *Context) BroadcastPacked(kind uint8, words []uint64) {
+// Step).
+//
+// A node transmits at most once per Init or Step call, so a program
+// batches everything it learned in a step into one broadcast; a second
+// call is a protocol bug and panics.
+func (c *Context) Broadcast(kind uint8, words []uint64) {
+	if c.sent {
+		panic(errSecondBroadcast)
+	}
+	c.sent = true
 	if c.sim.g.Degree(c.node) == 0 {
 		return
 	}
 	if c.w != nil {
-		c.w.pushPacked(int32(c.node), -1, kind, words)
+		c.w.push(int32(c.node), kind, words)
 	} else {
-		env := Envelope{
-			From: c.node, kind: kind, packed: true,
-			words: append([]uint64(nil), words...),
-		}
+		env := Envelope{From: c.node, Kind: kind, Words: append([]uint64(nil), words...)}
 		for _, v := range c.sim.g.Neighbors(c.node) {
 			c.sim.deliver(int(v), env)
 		}
 		c.sim.stats.Messages++
 	}
-	c.sim.noteSend(c.node)
+	c.sim.noteSent(c.node)
 }
 
 // Program is a per-node protocol state machine.
 type Program interface {
-	// Init runs once, before round 1; the node may send initial messages.
+	// Init runs once, before round 1; the node may broadcast once.
 	Init(ctx *Context)
 	// Step runs whenever the node has incoming messages; inbox holds all
-	// messages delivered this round, in deterministic (sender, FIFO) order.
-	// The inbox (and any packed words) is engine-owned scratch, valid only
-	// until Step returns.
+	// messages delivered this round, in deterministic order (by send
+	// round, then ascending sender). The node may broadcast once. The inbox
+	// and its words are engine-owned scratch, valid only until Step returns.
 	Step(ctx *Context, inbox []Envelope)
 }
 
@@ -242,8 +211,8 @@ func New(g *graph.Graph, programs []Program) (*Sim, error) {
 	return &Sim{g: g, programs: programs}, nil
 }
 
-// noteSend and noteRecv feed the optional per-node counters.
-func (s *Sim) noteSend(from int) {
+// noteSent and noteRecv feed the optional per-node counters.
+func (s *Sim) noteSent(from int) {
 	if s.stats.NodeSent != nil {
 		s.stats.NodeSent[from]++
 	}
@@ -313,7 +282,7 @@ func (s *Sim) runSerial(limit int) (Stats, error) {
 	// interface calls, so a per-node Context would heap-allocate per step.
 	ctx := Context{sim: s}
 	for v := range s.programs {
-		ctx.node = v
+		ctx.at(v)
 		s.programs[v].Init(&ctx)
 	}
 	if record {
@@ -334,7 +303,7 @@ func (s *Sim) runSerial(limit int) (Stats, error) {
 		touched := s.distribute(arrivals)
 		sent = s.stats.Messages
 		for _, v := range touched {
-			ctx.node = v
+			ctx.at(v)
 			s.programs[v].Step(&ctx, s.inboxes[v])
 			s.inboxes[v] = s.inboxes[v][:0]
 		}

@@ -14,14 +14,12 @@ type echoOnce struct {
 }
 
 func (p *echoOnce) Init(ctx *simnet.Context) {
-	ctx.Broadcast(ctx.ID())
+	ctx.Broadcast(0, []uint64{uint64(ctx.ID())})
 }
 
 func (p *echoOnce) Step(_ *simnet.Context, inbox []simnet.Envelope) {
 	for _, env := range inbox {
-		if id, ok := env.Payload.(int); ok {
-			p.heard = append(p.heard, id)
-		}
+		p.heard = append(p.heard, int(env.Words[0]))
 	}
 }
 
@@ -31,27 +29,20 @@ type relay struct {
 	seen  bool
 }
 
-type ttlMsg struct{ ttl int }
-
 func (p *relay) Init(ctx *simnet.Context) {
 	if p.start {
 		p.seen = true
-		ctx.Broadcast(ttlMsg{ttl: 2})
+		ctx.Broadcast(0, []uint64{2})
 	}
 }
 
 func (p *relay) Step(ctx *simnet.Context, inbox []simnet.Envelope) {
-	for _, env := range inbox {
-		m, ok := env.Payload.(ttlMsg)
-		if !ok {
-			continue
-		}
-		if !p.seen {
-			p.seen = true
-			if m.ttl > 0 {
-				ctx.Broadcast(ttlMsg{ttl: m.ttl - 1})
-			}
-		}
+	if p.seen {
+		return
+	}
+	p.seen = true
+	if ttl := inbox[0].Words[0]; ttl > 0 {
+		ctx.Broadcast(0, []uint64{ttl - 1})
 	}
 }
 
@@ -123,12 +114,14 @@ func TestTTLFloodRounds(t *testing.T) {
 	}
 }
 
-// chatter never quiesces: it rebroadcasts every message forever.
+// chatter never quiesces: every node broadcasts one word every round.
 type chatter struct{}
 
-func (chatter) Init(ctx *simnet.Context) { ctx.Broadcast(0) }
-func (chatter) Step(ctx *simnet.Context, inbox []simnet.Envelope) {
-	ctx.Broadcast(0)
+var chatterWords = []uint64{0}
+
+func (chatter) Init(ctx *simnet.Context) { ctx.Broadcast(1, chatterWords) }
+func (chatter) Step(ctx *simnet.Context, _ []simnet.Envelope) {
+	ctx.Broadcast(1, chatterWords)
 }
 
 func TestRoundLimit(t *testing.T) {
@@ -141,56 +134,6 @@ func TestRoundLimit(t *testing.T) {
 	if _, err := sim.Run(); !errors.Is(err, simnet.ErrRoundLimit) {
 		t.Errorf("err = %v, want ErrRoundLimit", err)
 	}
-}
-
-// unicaster sends a single direct message.
-type unicaster struct {
-	to    int
-	heard int
-}
-
-func (p *unicaster) Init(ctx *simnet.Context) {
-	if p.to >= 0 {
-		ctx.Send(p.to, "ping")
-	}
-}
-
-func (p *unicaster) Step(_ *simnet.Context, inbox []simnet.Envelope) {
-	p.heard += len(inbox)
-}
-
-func TestSendUnicast(t *testing.T) {
-	g := line(3)
-	nodes := []*unicaster{{to: 1}, {to: -1}, {to: -1}}
-	sim, err := simnet.New(g, []simnet.Program{nodes[0], nodes[1], nodes[2]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := sim.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Messages != 1 {
-		t.Errorf("messages = %d, want 1", stats.Messages)
-	}
-	if nodes[1].heard != 1 || nodes[2].heard != 0 {
-		t.Errorf("delivery wrong: %d, %d", nodes[1].heard, nodes[2].heard)
-	}
-}
-
-func TestSendToNonNeighborPanics(t *testing.T) {
-	g := line(3)
-	nodes := []*unicaster{{to: 2}, {to: -1}, {to: -1}} // 0 and 2 are not adjacent
-	sim, err := simnet.New(g, []simnet.Program{nodes[0], nodes[1], nodes[2]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for non-neighbor send")
-		}
-	}()
-	_, _ = sim.Run()
 }
 
 // TestJitterDeterminism: the same jitter seed reproduces the same run; a
