@@ -97,9 +97,6 @@ type (
 // DefaultParams returns the paper's parameters (K = L = 4, Alpha = 1).
 func DefaultParams() Params { return core.DefaultParams() }
 
-// newGraph constructs an empty connectivity graph (used by LoadNetwork).
-func newGraph(n int) *Graph { return graph.New(n) }
-
 // ShapeByName looks up one of the paper's deployment fields; see ShapeNames.
 func ShapeByName(name string) (Shape, error) { return shapes.ByName(name) }
 
@@ -213,33 +210,7 @@ func BuildNetwork(spec NetworkSpec) (*Network, error) {
 		}
 		model = radio.UDG{R: RadioRangeForDegree(spec.Shape.Poly.Area(), spec.N, deg)}
 	}
-	var g *graph.Graph
-	if r, ok := radio.BaseRange(model); ok && deg > 0 {
-		// The analytic range sqrt(deg*A/(pi*n)) undershoots in narrow
-		// corridors (border effects), so calibrate the range against the
-		// realised average degree of this very deployment. This applies to
-		// any model with a scalable base range (UDG, QUDG, log-normal).
-		for iter := 0; iter < 4; iter++ {
-			g = graph.Build(pts, model, spec.Seed)
-			actual := g.AvgDegree()
-			if actual <= 0 {
-				r *= 1.5
-			} else {
-				if math.Abs(actual-deg)/deg < 0.01 {
-					break
-				}
-				r *= math.Sqrt(deg / actual)
-			}
-			if scaled, ok := radio.WithRange(model, r); ok {
-				// The model changed since g was built: the final build
-				// below must use it.
-				model, g = scaled, nil
-			}
-		}
-	}
-	if g == nil {
-		g = graph.Build(pts, model, spec.Seed)
-	}
+	g, model := graph.Calibrate(pts, model, deg, spec.Seed)
 	net := &Network{Spec: spec, Points: pts, Graph: g, Radio: model}
 	if !spec.KeepWholeGraph {
 		net = net.largestComponent()

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"bfskel/internal/graph"
 )
 
 // The JSON encodings below make networks and extraction results durable
@@ -85,9 +87,9 @@ func LoadNetwork(r io.Reader) (*Network, error) {
 	for i, xy := range in.Points {
 		pts[i] = Point{X: xy[0], Y: xy[1]}
 	}
-	g := newGraphFromEdges(len(pts), in.Edges)
-	if g == nil {
-		return nil, fmt.Errorf("bfskel: network has an edge referencing a node outside 0..%d", len(pts)-1)
+	g, err := graph.FromEdges(len(pts), in.Edges)
+	if err != nil {
+		return nil, fmt.Errorf("bfskel: network: %w", err)
 	}
 	return &Network{
 		Spec:   NetworkSpec{Shape: shape, N: len(pts), Radio: model, KeepWholeGraph: true},
@@ -148,18 +150,4 @@ func WriteResultJSON(net *Network, res *Result, w io.Writer) error {
 		}
 	}
 	return json.NewEncoder(w).Encode(out)
-}
-
-// newGraphFromEdges builds a graph from an explicit edge list; nil when an
-// endpoint is out of range.
-func newGraphFromEdges(n int, edges [][2]int32) *Graph {
-	g := newGraph(n)
-	for _, e := range edges {
-		if e[0] < 0 || e[1] < 0 || int(e[0]) >= n || int(e[1]) >= n {
-			return nil
-		}
-		g.AddEdge(int(e[0]), int(e[1]))
-	}
-	g.SortAdjacency()
-	return g
 }

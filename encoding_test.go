@@ -86,6 +86,9 @@ func TestLoadNetworkErrors(t *testing.T) {
 		`{"shape":"nope","radio":{"kind":"udg","r":1},"points":[],"edges":[]}`,
 		`{"shape":"star","radio":{"kind":"warp","r":1},"points":[],"edges":[]}`,
 		`{"shape":"star","radio":{"kind":"udg","r":1},"points":[[0,0]],"edges":[[0,5]]}`,
+		// A self-loop, then an edge listed twice (once per orientation).
+		`{"shape":"star","radio":{"kind":"udg","r":1},"points":[[0,0],[1,0],[2,0]],"edges":[[0,1],[1,1]]}`,
+		`{"shape":"star","radio":{"kind":"udg","r":1},"points":[[0,0],[1,0],[2,0]],"edges":[[0,1],[1,2],[1,0]]}`,
 	}
 	for i, c := range cases {
 		if _, err := LoadNetwork(strings.NewReader(c)); err == nil {

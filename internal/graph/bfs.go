@@ -1,6 +1,9 @@
 package graph
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // BFS returns hop distances from src to every node (Unreachable for nodes in
 // other components).
@@ -313,7 +316,7 @@ func (ii *invIndex) grow(n int) []int32 {
 
 // Subgraph returns the induced subgraph over keep (node IDs in the original
 // graph) plus the mapping back to original IDs. Node i of the subgraph is
-// keep[i].
+// keep[i]; the frozen subgraph's rows are sorted whatever keep's order.
 func (g *Graph) Subgraph(keep []int32) (*Graph, []int32) {
 	ii := invIndexPool.Get().(*invIndex)
 	defer invIndexPool.Put(ii)
@@ -321,14 +324,24 @@ func (g *Graph) Subgraph(keep []int32) (*Graph, []int32) {
 	for i, v := range keep {
 		index[v] = int32(i)
 	}
-	sub := New(len(keep))
+	// Node i's forward list: its kept neighbours renamed above i, sorted
+	// only when keep or the parent row is out of order.
+	count := make([]int32, len(keep))
+	fwd := make([]int32, 0, g.edges*len(keep)/max(g.N(), 1))
 	for i, v := range keep {
+		start, sorted := len(fwd), true
 		for _, w := range g.adj[v] {
 			if j := index[w]; j > int32(i) {
-				sub.AddEdge(i, int(j))
+				sorted = sorted && (len(fwd) == start || fwd[len(fwd)-1] < j)
+				fwd = append(fwd, j)
 			}
 		}
+		if !sorted {
+			slices.Sort(fwd[start:])
+		}
+		count[i] = int32(len(fwd) - start)
 	}
+	sub := fromUpper(count, [][]int32{fwd})
 	if len(g.batchOrder) == g.N() {
 		// Carry the spatial batch ordering over: keep's nodes in the
 		// parent's Z-curve order, renamed to subgraph IDs.
@@ -342,7 +355,6 @@ func (g *Graph) Subgraph(keep []int32) (*Graph, []int32) {
 	for _, v := range keep {
 		index[v] = -1
 	}
-	sub.SortAdjacency()
 	orig := make([]int32, len(keep))
 	copy(orig, keep)
 	return sub, orig

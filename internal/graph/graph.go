@@ -8,8 +8,10 @@
 package graph
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"runtime"
+	"slices"
 
 	"bfskel/internal/geom"
 	"bfskel/internal/radio"
@@ -20,12 +22,13 @@ const Unreachable int32 = -1
 
 // Graph is an undirected graph over nodes 0..N-1.
 //
-// A graph has two physical states. While it is being built, each adjacency
-// list is an independently allocated slice. Freeze (called by Build and
-// SortAdjacency) compacts all lists into one CSR (compressed sparse row)
-// pair — offsets/targets — and rewires the per-node lists to views into it,
-// so iteration keeps the same API but walks one contiguous array. The
-// bit-parallel MS-BFS kernel (msbfs.go) requires the frozen form.
+// A graph has two physical states. Frozen, its adjacency is one CSR
+// (compressed sparse row) pair — offsets/targets — and the per-node lists
+// are capacity-capped views into it, so iteration walks one contiguous
+// array; the bit-parallel MS-BFS kernel (msbfs.go) requires this form.
+// Build, Subgraph and FromEdges write it directly. A graph assembled with
+// New and AddEdge is thawed instead: each list is an independently
+// allocated slice until Freeze (or SortAdjacency) compacts them.
 type Graph struct {
 	adj   [][]int32
 	edges int
@@ -53,11 +56,11 @@ func New(n int) *Graph {
 	return &Graph{adj: make([][]int32, n)}
 }
 
-// AddEdge inserts the undirected edge {u, v}. Self-loops and duplicate edges
-// must be avoided by the caller (Build guarantees this). Adding an edge to a
-// frozen graph thaws it: the CSR arrays go stale until the next Freeze, and
-// the two touched lists are copied out of the shared arena on append (their
-// views are capacity-capped, so append cannot clobber a neighbor's window).
+// AddEdge inserts the undirected edge {u, v}. The caller must avoid
+// self-loops and duplicate edges (FromEdges checks edge lists for them).
+// Adding an edge to a frozen graph thaws it: the CSR arrays go stale until
+// the next Freeze, and the two touched lists are copied out of the shared
+// arena on append (capacity-capped views cannot clobber a neighbor).
 func (g *Graph) AddEdge(u, v int) {
 	if g.ov != nil {
 		panic("graph: AddEdge on an overlayed graph; mutate via RemoveNodes/ReviveNodes")
@@ -112,11 +115,11 @@ func (g *Graph) BatchOrder() []int32 {
 }
 
 // SortAdjacency sorts every adjacency list and freezes the graph into its
-// CSR form; Build calls it so iteration order (and thus every downstream
-// tie-break) is deterministic.
+// CSR form, so a hand-built graph iterates in the same ascending order as
+// one from Build (every downstream tie-break depends on it).
 func (g *Graph) SortAdjacency() {
 	for _, nbrs := range g.adj {
-		sort.Slice(nbrs, func(i, j int) bool { return nbrs[i] < nbrs[j] })
+		slices.Sort(nbrs)
 	}
 	g.Freeze()
 }
@@ -125,39 +128,63 @@ func (g *Graph) SortAdjacency() {
 // a radio model. Probabilistic links are drawn once per unordered pair with
 // the pair-seeded deterministic coin, so the same (positions, model, seed)
 // always produces the same graph. A uniform spatial hash keeps the pair scan
-// near-linear for bounded-range models.
+// near-linear for bounded-range models. Node chunks scan in parallel for
+// forward links (j > i); the result does not depend on GOMAXPROCS.
 func Build(pts []geom.Point, m radio.Model, seed int64) *Graph {
-	g := New(len(pts))
-	if len(pts) == 0 {
-		return g
-	}
+	n := len(pts)
 	maxR := m.MaxRange()
-	if maxR <= 0 {
-		return g
+	if n == 0 || maxR <= 0 {
+		return fromUpper(make([]int32, n), nil)
 	}
 	cells := newCellIndex(pts, maxR)
 	maxR2 := maxR * maxR
-	for i := range pts {
-		cells.forNeighborCandidates(i, func(j int) {
-			if j <= i {
-				return // each unordered pair once
+	count := make([]int32, n)
+	runs := make([][]int32, runtime.GOMAXPROCS(0))
+	ParallelChunks(n, len(runs), func(ci, lo, hi int) {
+		var run []int32
+		for i := lo; i < hi; i++ {
+			start := len(run)
+			run = cells.appendLater(run, i)
+			end := start
+			for _, j := range run[start:] {
+				if d2 := pts[i].Dist2(pts[j]); d2 <= maxR2 {
+					if p := m.LinkProb(math.Sqrt(d2)); p >= 1 || p > 0 && pairCoin(seed, i, int(j)) < p {
+						run[end] = j
+						end++
+					}
+				}
 			}
-			d2 := pts[i].Dist2(pts[j])
-			if d2 > maxR2 {
-				return
-			}
-			p := m.LinkProb(math.Sqrt(d2))
-			if p <= 0 {
-				return
-			}
-			if p >= 1 || pairCoin(seed, i, j) < p {
-				g.AddEdge(i, j)
-			}
-		})
-	}
-	g.SortAdjacency()
+			run = run[:end]
+			slices.Sort(run[start:])
+			count[i] = int32(end - start)
+		}
+		runs[ci] = run
+	})
+	g := fromUpper(count, runs)
 	g.batchOrder = cells.zOrder()
 	return g
+}
+
+// Calibrate builds the graph under m, rescaling m's base range until the
+// realised average degree is within 1% of deg (the analytic range
+// undershoots in narrow corridors): up to four builds, then a fifth if the
+// fourth misses. A model without a base range, or deg <= 0, builds once.
+func Calibrate(pts []geom.Point, m radio.Model, deg float64, seed int64) (*Graph, radio.Model) {
+	r, ok := radio.BaseRange(m)
+	for iter := 0; ok && deg > 0 && iter < 4; iter++ {
+		g := Build(pts, m, seed)
+		actual := g.AvgDegree()
+		switch {
+		case actual <= 0:
+			r *= 1.5
+		case math.Abs(actual-deg)/deg < 0.01:
+			return g, m
+		default:
+			r *= math.Sqrt(deg / actual)
+		}
+		m, _ = radio.WithRange(m, r)
+	}
+	return Build(pts, m, seed), m
 }
 
 // pairCoin returns a deterministic uniform [0,1) value for the unordered
@@ -273,7 +300,7 @@ func (ci *cellIndex) zOrder() []int32 {
 			occupied = append(occupied, zCell{morton(c%ci.cols, c/ci.cols), int32(c)})
 		}
 	}
-	sort.Slice(occupied, func(a, b int) bool { return occupied[a].key < occupied[b].key })
+	slices.SortFunc(occupied, func(a, b zCell) int { return cmp.Compare(a.key, b.key) })
 	order := make([]int32, 0, len(ci.items))
 	for _, zc := range occupied {
 		order = append(order, ci.items[ci.start[zc.cell]:ci.start[zc.cell+1]]...)
@@ -298,13 +325,12 @@ func spreadBits(x uint32) uint64 {
 	return v
 }
 
-// forNeighborCandidates calls fn for every point in the 3x3 cell block
-// around point i.
-func (ci *cellIndex) forNeighborCandidates(i int, fn func(j int)) {
+// appendLater appends to dst every point j > i in the 3x3 cell block
+// around point i: the candidates for i's forward links.
+func (ci *cellIndex) appendLater(dst []int32, i int) []int32 {
 	cx, cy := ci.cellOf(ci.pts[i])
-	for dy := -1; dy <= 1; dy++ {
-		for dx := -1; dx <= 1; dx++ {
-			x, y := cx+dx, cy+dy
+	for y := cy - 1; y <= cy+1; y++ {
+		for x := cx - 1; x <= cx+1; x++ {
 			var cellPts []int32
 			if ci.bucket != nil {
 				cellPts = ci.bucket[sparseKey(x, y)]
@@ -316,10 +342,11 @@ func (ci *cellIndex) forNeighborCandidates(i int, fn func(j int)) {
 				cellPts = ci.items[ci.start[k]:ci.start[k+1]]
 			}
 			for _, j := range cellPts {
-				if int(j) != i {
-					fn(int(j))
+				if int(j) > i {
+					dst = append(dst, j)
 				}
 			}
 		}
 	}
+	return dst
 }

@@ -29,27 +29,8 @@ func Grid(shapeName string, n int, deg float64, seed int64) *Network {
 	spacing := math.Sqrt(shape.Poly.Area() / float64(n))
 	pts := deploy.PerturbedGrid(shape.Poly, spacing, 0.45*spacing, seed)
 	r := math.Sqrt(deg * shape.Poly.Area() / (math.Pi * float64(len(pts))))
-	for iter := 0; iter < 4; iter++ {
-		g := graph.Build(pts, radio.UDG{R: r}, seed)
-		actual := g.AvgDegree()
-		if actual <= 0 {
-			r *= 1.5
-			continue
-		}
-		if math.Abs(actual-deg)/deg < 0.01 {
-			break
-		}
-		r *= math.Sqrt(deg / actual)
-	}
-	model := radio.UDG{R: r}
-	g := graph.Build(pts, model, seed)
-	keep := g.LargestComponent()
-	sub, orig := g.Subgraph(keep)
-	kept := make([]geom.Point, len(orig))
-	for i, v := range orig {
-		kept[i] = pts[v]
-	}
-	return &Network{Shape: shape, Points: kept, Graph: sub, Radio: model}
+	g, model := graph.Calibrate(pts, radio.UDG{R: r}, deg, seed)
+	return largest(shape, pts, g, model)
 }
 
 // WithModel builds a jittered-grid network under an explicit radio model,
@@ -58,9 +39,12 @@ func WithModel(shapeName string, n int, m radio.Model, seed int64) *Network {
 	shape := shapes.MustByName(shapeName)
 	spacing := math.Sqrt(shape.Poly.Area() / float64(n))
 	pts := deploy.PerturbedGrid(shape.Poly, spacing, 0.45*spacing, seed)
-	g := graph.Build(pts, m, seed)
-	keep := g.LargestComponent()
-	sub, orig := g.Subgraph(keep)
+	return largest(shape, pts, graph.Build(pts, m, seed), m)
+}
+
+// largest restricts a built network to its largest connected component.
+func largest(shape shapes.Shape, pts []geom.Point, g *graph.Graph, m radio.Model) *Network {
+	sub, orig := g.Subgraph(g.LargestComponent())
 	kept := make([]geom.Point, len(orig))
 	for i, v := range orig {
 		kept[i] = pts[v]
