@@ -60,7 +60,6 @@ type Extractor struct {
 	satS      []int                 // identify seeds, updates patch: per-radius scope saturation counts
 	ints      []int                 // median / boundary sort scratch
 	bools     []bool                // electSites maximality flags
-	visitLog  graph.VisitLog        // identify: recorded ball flood for centrality replay
 	vorQueue  []int32               // voronoi: BFS queue / dmin frontier
 	vorQueue2 []int32               // voronoi: dmin next frontier
 	vorRank   []int32               // voronoi: node -> Z-curve rank for site batching
@@ -298,7 +297,8 @@ func (boundaryStage) name() string { return "boundary" }
 
 func (boundaryStage) run(rs *runState) error {
 	khop := rs.res.KHopSize
-	rs.res.Boundary = rs.e.boundaryByProduct(khop, medianKHop(khop, &rs.e.ints))
+	rs.stats.MedianKHopBall = medianKHop(khop, &rs.e.ints)
+	rs.res.Boundary = rs.e.boundaryByProduct(khop, rs.stats.MedianKHopBall)
 	rs.stats.BoundaryNodes = len(rs.res.Boundary)
 	return nil
 }

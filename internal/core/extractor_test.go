@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"bfskel/internal/nettest"
@@ -80,18 +81,19 @@ func TestExtractorStats(t *testing.T) {
 	}
 }
 
-// TestIdentifySweepsCountLiveWork pins identify's walker tally on a field
-// with tombstoned nodes: ball sizing sweeps from every node ID, and the
-// election floods only from live nodes. With the centrality tallies
-// replayed from the ball-sizing visit log and a single election round,
-// that is n + live sweeps on a clean field and after churn alike.
+// TestIdentifySweepsCountLiveWork pins identify's walker tally: ball sizing
+// sweeps from every node ID and pushes the centrality sums from the same
+// passes, and the election floods only from live nodes. With a single
+// election round that is n + live sweeps on a clean field, after churn, and
+// on a field above 2^17 nodes alike.
 func TestIdentifySweepsCountLiveWork(t *testing.T) {
-	for _, every := range []int{0, 10} {
-		g := nettest.Grid("window", 800, 7, 3).Graph
+	cases := []struct{ n, every int }{{800, 0}, {800, 10}, {140000, 0}}
+	for _, c := range cases {
+		g := nettest.Grid("window", c.n, 7, 3).Graph
 		n := g.N()
-		if every > 0 {
+		if c.every > 0 {
 			var dead []int32
-			for v := 0; v < n; v += every {
+			for v := 0; v < n; v += c.every {
 				dead = append(dead, int32(v))
 			}
 			g.RemoveNodes(dead)
@@ -102,19 +104,35 @@ func TestIdentifySweepsCountLiveWork(t *testing.T) {
 				live++
 			}
 		}
-		x := NewExtractor(g)
-		res, err := x.Extract(DefaultParams())
+		res, err := NewExtractor(g).Extract(DefaultParams())
 		if err != nil {
-			t.Fatalf("every=%d: %v", every, err)
+			t.Fatalf("n=%d every=%d: %v", n, c.every, err)
 		}
-		if res.Stats.ElectionRounds != 1 || !x.visitLog.Recorded() {
-			t.Fatalf("every=%d: want one election round over a replayed visit log, got %d rounds (log recorded %v)",
-				every, res.Stats.ElectionRounds, x.visitLog.Recorded())
+		if res.Stats.ElectionRounds != 1 {
+			t.Fatalf("n=%d every=%d: want one election round, got %d", n, c.every, res.Stats.ElectionRounds)
 		}
 		id, _ := res.Stats.Phase("identify")
 		if want := int64(n + live); id.Sweeps != want {
-			t.Errorf("every=%d: identify Sweeps = %d, want n + live = %d + %d", every, id.Sweeps, n, live)
+			t.Errorf("n=%d every=%d: identify Sweeps = %d, want n + live = %d + %d", n, c.every, id.Sweeps, n, live)
 		}
+	}
+}
+
+// TestMedianKHopBallAtEffectiveK: when the min-site guard shrinks K, the
+// reported median is the median of the final KHopSize, not of the K-ball
+// column the first election round used.
+func TestMedianKHopBallAtEffectiveK(t *testing.T) {
+	res, err := NewExtractor(pathGraph(60)).Extract(DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.EffectiveK >= DefaultParams().K {
+		t.Fatalf("EffectiveK = %d: the path no longer exercises the k-min-sites guard", res.EffectiveK)
+	}
+	sorted := slices.Clone(res.KHopSize)
+	slices.Sort(sorted)
+	if want := sorted[len(sorted)/2]; res.Stats.MedianKHopBall != want {
+		t.Fatalf("Stats.MedianKHopBall = %d, want the K=%d median %d", res.Stats.MedianKHopBall, res.EffectiveK, want)
 	}
 }
 

@@ -15,12 +15,6 @@ const (
 	scopeSaturationFraction = 1.0 / 6
 )
 
-// visitLogMaxNodes bounds the networks whose ball-sizing MS-BFS passes also
-// record a settle log for centrality replay. The log holds one (node, bits)
-// event per settle within L hops — O(n*avgBall_L) words — which is a fine
-// trade below this size and a memory hazard above it.
-const visitLogMaxNodes = 1 << 17
-
 // identify runs Phase 1 (Sec. III-A): every node computes its K-hop
 // neighborhood size, its L-centrality and its index; nodes whose index is
 // locally maximal within the scope radius become critical skeleton nodes.
@@ -28,14 +22,17 @@ const visitLogMaxNodes = 1 << 17
 //
 // This is the centralized analogue of the two rounds of controlled
 // flooding; package protocol implements the same computation as true node
-// programs and the two are cross-checked in tests.
+// programs and the two are cross-checked in tests. Centrally one flood
+// serves both rounds: the ball-sizing sweep also pushes the centrality
+// sums, and only a guard that moves K off p.K, or K > L, costs a second
+// (weighted) sweep.
 func (e *Extractor) identify(p Params, st *Stats) (khop []int, cent []float64, index []float64, sites []int32, kEff, scopeEff int) {
 	g := e.g
 	n := g.N()
 	// The centrality pass reads |N_L| off the ball matrix instead of
 	// counting during a walk, so the matrix must reach L as well.
 	maxR := max(p.K, p.Scope(), p.L)
-	balls := e.ballSizes(maxR, p.L)
+	balls, sumsK := e.ballSizes(p, maxR)
 
 	kEff, scopeEff = e.saturationRadii(p, balls)
 	if st != nil {
@@ -53,9 +50,6 @@ func (e *Extractor) identify(p Params, st *Stats) (khop []int, cent []float64, i
 	for v := range khop {
 		khop[v] = balls[v][kEff-1]
 	}
-	if st != nil {
-		st.MedianKHopBall = medianKHop(khop, &e.ints)
-	}
 
 	// When hop balls outgrow the field's structural features (very dense or
 	// heavy-tailed radio graphs), the index becomes a near-global gradient
@@ -65,7 +59,8 @@ func (e *Extractor) identify(p Params, st *Stats) (khop []int, cent []float64, i
 	index = make([]float64, n)
 	round := 0
 	for {
-		e.indexField(p, khop, cent, index)
+		e.indexField(p, khop, sumsK != kEff, cent, index)
+		sumsK = kEff
 		sites = e.electSites(index, scopeEff)
 		round++
 		e.event("election", obs.Int("round", round), obs.Int("sites", len(sites)),
@@ -105,10 +100,11 @@ func (e *Extractor) identify(p Params, st *Stats) (khop []int, cent []float64, i
 
 // ballSizes returns the cumulative ball-size matrix sizes[v][r-1] over the
 // engine's pooled buffers; the rows stay valid until the next Extract or
-// Bind call. On networks of bounded size the same MS-BFS passes also record
-// the settle log that lets indexField replay the centrality tallies without
-// a second sweep.
-func (e *Extractor) ballSizes(maxR, logRadius int) [][]int {
+// Bind call. When K <= L the same MS-BFS passes push the centrality sums of
+// the K column into e.wsums and sumsK is p.K; when K > L the K-ball sizes
+// are not final once a batch has settled L hops, nothing is pushed and
+// sumsK is 0.
+func (e *Extractor) ballSizes(p Params, maxR int) (balls [][]int, sumsK int) {
 	n := e.g.N()
 	e.ballsFlat = growInts(e.ballsFlat, n*maxR)
 	if cap(e.balls) < n {
@@ -118,36 +114,28 @@ func (e *Extractor) ballSizes(maxR, logRadius int) [][]int {
 	for v := 0; v < n; v++ {
 		e.balls[v] = e.ballsFlat[v*maxR : (v+1)*maxR : (v+1)*maxR]
 	}
-	if n <= visitLogMaxNodes {
-		e.g.BallSizesIntoKernelLogged(graph.KernelBatched, maxR, logRadius, e.balls, &e.visitLog, e.getWalker, e.putWalker)
-	} else {
-		e.visitLog.Invalidate()
-		e.g.BallSizesInto(maxR, e.balls, e.getWalker, e.putWalker)
+	e.wsums = growInts(e.wsums, n)
+	if e.g.BallSizesAndSumsInto(maxR, p.K, p.L, e.balls, e.wsums, e.getWalker, e.putWalker) {
+		sumsK = p.K
 	}
-	return e.balls
+	return e.balls, sumsK
 }
 
 // indexField computes the L-centrality and index of every node (Defs. 3-4)
 // into the provided per-node slices. c_L(v) is the average K-hop size over
-// N_L(v) plus v itself: the weighted tallies ride the same MS-BFS passes as
-// ball sizing and |N_L(v)| comes off the ball matrix, so each value is one
-// integer sum and count before a single float64 division. Including v makes
-// c_L well defined for isolated nodes and only shifts all values
-// consistently, so local-maximum comparisons are unaffected. The tallies
-// are replayed from the ball-sizing visit log when it holds the L-ball
-// settles (the settle events are weight-independent, so the replay stays
-// valid as the election loop reweights khop across rounds) and swept
-// afresh otherwise.
-func (e *Extractor) indexField(p Params, khop []int, cent, index []float64) {
-	n := e.g.N()
-	e.wsums = growInts(e.wsums, n)
-	wsums := e.wsums
-	if e.visitLog.Recorded() && e.visitLog.Radius() == p.L {
-		e.visitLog.WeightedSumsInto(e.g, khop, wsums)
-	} else {
-		e.g.BallWeightedSumsInto(graph.KernelBatched, p.L, khop, wsums, e.getWalker, e.putWalker)
+// N_L(v) plus v itself: e.wsums holds the K-hop sizes summed over N_L(v)
+// and |N_L(v)| comes off the ball matrix, so each value is one integer sum
+// and count before a single float64 division. Including v makes c_L well
+// defined for isolated nodes and only shifts all values consistently, so
+// local-maximum comparisons are unaffected. When stale — the ball sizing
+// pushed no sums, or a guard moved K off the column it pushed — e.wsums
+// does not weigh khop yet and a weighted sweep refills it first.
+func (e *Extractor) indexField(p Params, khop []int, stale bool, cent, index []float64) {
+	if stale {
+		e.g.BallWeightedSumsInto(graph.KernelBatched, p.L, khop, e.wsums, e.getWalker, e.putWalker)
 	}
-	for v := 0; v < n; v++ {
+	wsums := e.wsums
+	for v := range khop {
 		cent[v], index[v] = indexOf(khop[v], wsums[v], e.balls[v][p.L-1])
 	}
 }

@@ -316,6 +316,7 @@ func (ix *IncrementalExtractor) update(flipped, newlyDead, patched []int32) (*Re
 	n := g.N()
 	p := ix.p
 	sc := &e.inc
+	acquire, release := e.getWalker, e.putWalker
 
 	// ---- identify: dirty rings, ball rows, index fields ----
 
@@ -363,7 +364,7 @@ func (ix *IncrementalExtractor) update(flipped, newlyDead, patched []int32) (*Re
 	}
 	sc.rows = rows
 	e.countSaturation(p, rows, -1)
-	g.BatchBallSizesInto(ix.maxR, srcs, rows, e.getWalker, e.putWalker)
+	g.BatchBallSizesInto(ix.maxR, srcs, rows, acquire, release)
 	e.countSaturation(p, rows, +1)
 	// Snapshot the pre-patch khop values: the centrality delta pass below
 	// propagates exactly these integer differences.
@@ -402,16 +403,19 @@ func (ix *IncrementalExtractor) update(flipped, newlyDead, patched []int32) (*Re
 	// other affected sum moves by exactly the khop deltas of the ball-ring
 	// nodes it contains, applied by one L-walk per changed source. All
 	// arithmetic stays integer, and indexOf is the full path's division.
-	wk := e.getWalker()
+	// The fresh walks each write only their own sum, so they run in
+	// parallel; queue is in BFS order, so they are its first nodes.
 	khop, wsum := ix.khop, ix.wsum
-	for _, v := range queue {
-		if int(distD[v]) > p.L {
-			continue
-		}
-		sum := 0
-		wk.Walk(int(v), p.L, func(u, _ int32) { sum += khop[u] })
-		wsum[v] = sum
+	fresh := 0
+	for fresh < len(queue) && int(distD[queue[fresh]]) <= p.L {
+		fresh++
 	}
+	graph.ParallelRange(g, fresh, acquire, release, func(w *graph.Walker, i int) {
+		sum := 0
+		w.Walk(int(queue[i]), p.L, func(u, _ int32) { sum += khop[u] })
+		wsum[queue[i]] = sum
+	})
+	wk := e.getWalker()
 	limit := int32(p.L)
 	for i, v := range srcs {
 		d := khop[v] - oldK[i]
@@ -447,7 +451,7 @@ func (ix *IncrementalExtractor) update(flipped, newlyDead, patched []int32) (*Re
 	sc.elist = elist
 	isSite, index, scope := ix.isSite, ix.index, ix.scopeEff
 	dead := g.DeadMask()
-	graph.ParallelRange(g, len(elist), e.getWalker, e.putWalker, func(w *graph.Walker, i int) {
+	graph.ParallelRange(g, len(elist), acquire, release, func(w *graph.Walker, i int) {
 		isSite[elist[i]] = isLocalMax(w, elist[i], index, scope, dead)
 	})
 	newSites := sitesOf(isSite)
@@ -621,8 +625,8 @@ func (ix *IncrementalExtractor) update(flipped, newlyDead, patched []int32) (*Re
 	// ---- boundary ----
 
 	ix.stage("update.boundary")
-	// With one election round, khop is the effective-K ball column whose
-	// median identify reports, so one count serves both.
+	// khop is the effective-K ball column, as in the full run's boundary
+	// stage, so one median serves the stat and the classification.
 	st.MedianKHopBall = medianKHop(ix.khop, &e.ints)
 	boundary := e.boundaryByProduct(ix.khop, st.MedianKHopBall)
 	ix.endStage()

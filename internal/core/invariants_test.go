@@ -11,7 +11,9 @@ import (
 
 // TestExtractFloodInvariants checks the flooding stages of a full pipeline
 // run against brute-force single-source recomputation, on the four n=900
-// shapes, a field below 512 nodes and a K=1 run:
+// shapes, a field below 512 nodes, a K=1 run, a K > L run and a path on
+// which the min-site guard shrinks K to 1 (the last two take the weighted
+// centrality sweep instead of the sums the ball sizing pushes):
 //
 //   - KHopSize[v] = |N_K(v)| at the effective K;
 //   - LCentrality[v] and Index[v] equal the Def. 3-4 values formed from an
@@ -25,29 +27,52 @@ func TestExtractFloodInvariants(t *testing.T) {
 	type fieldCase struct {
 		name, shape string
 		n           int
-		k           int
+		k, l        int
 	}
 	cases := []fieldCase{
-		{"window", "window", 900, 4},
-		{"onehole", "onehole", 900, 4},
-		{"twoholes", "twoholes", 900, 4},
-		{"spiral", "spiral", 900, 4},
-		{"small-onehole", "onehole", 300, 4},
-		{"k1-window", "window", 900, 1},
+		{"window", "window", 900, 4, 4},
+		{"onehole", "onehole", 900, 4, 4},
+		{"twoholes", "twoholes", 900, 4, 4},
+		{"spiral", "spiral", 900, 4, 4},
+		{"small-onehole", "onehole", 300, 4, 4},
+		{"k1-window", "window", 900, 1, 4},
+		{"k5l3-window", "window", 900, 5, 3},
+		{"path", "", 60, 4, 4},
 	}
 	for _, c := range cases {
-		g := nettest.Grid(c.shape, c.n, 6.5, 1).Graph
+		var g *graph.Graph
+		if c.shape == "" {
+			g = pathGraph(c.n)
+		} else {
+			g = nettest.Grid(c.shape, c.n, 6.5, 1).Graph
+		}
 		if c.n < 512 && g.N() >= 512 {
 			t.Fatalf("%s: field has %d nodes, want < 512", c.name, g.N())
 		}
 		p := DefaultParams()
-		p.K = c.k
+		p.K, p.L = c.k, c.l
 		res, err := NewExtractor(g).Extract(p)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
+		if c.shape == "" && res.EffectiveK != 1 {
+			t.Fatalf("%s: EffectiveK = %d, want the min-site guard to reach 1", c.name, res.EffectiveK)
+		}
 		requireFloodInvariants(t, c.name, g, p, res)
 	}
+}
+
+// pathGraph is the n-node path 0-1-...-(n-1).
+func pathGraph(n int) *graph.Graph {
+	edges := make([][2]int32, n-1)
+	for v := range edges {
+		edges[v] = [2]int32{int32(v), int32(v + 1)}
+	}
+	g, err := graph.FromEdges(n, edges)
+	if err != nil {
+		panic(err)
+	}
+	return g
 }
 
 // requireFloodInvariants is the brute-force oracle of

@@ -224,7 +224,31 @@ func (g *Graph) BallSizesIntoKernel(kern Kernel, k int, out [][]int, acquire fun
 		return
 	}
 	g.Freeze()
-	g.ballSizesBatched(k, out, acquire, release)
+	g.ballSizesBatched(k, out, sumPush{}, acquire, release)
+}
+
+// BallSizesAndSumsInto is BallSizesInto that also yields the centrality
+// tallies of Def. 3 from the same flood: sums[v] (len >= N, overwritten)
+// receives the sum of |N_sumK(u)| over every u != v within sumL hops of v —
+// what BallWeightedSumsInto(KernelBatched, sumL, w, ...) computes for
+// w[u] = out[u][sumK-1] — without a second sweep. Each 64-source batch
+// pushes its ball sizes to the nodes it reached, which hop-distance
+// symmetry makes the same sum (msbfs.go). The push needs
+// 1 <= sumK <= sumL <= k, since a batch's sumK-ball sizes are only final
+// once it has settled sumL hops; otherwise only the ball sizes are
+// computed and sums is left untouched. It reports whether it pushed.
+func (g *Graph) BallSizesAndSumsInto(k, sumK, sumL int, out [][]int, sums []int, acquire func() *Walker, release func(*Walker)) bool {
+	if sumK < 1 || sumK > sumL || sumL > k {
+		g.BallSizesInto(k, out, acquire, release)
+		return false
+	}
+	n := g.N()
+	clear(sums[:n])
+	if n > 0 {
+		g.Freeze()
+		g.ballSizesBatched(k, out, sumPush{width: sumK, radius: sumL, out: sums}, acquire, release)
+	}
+	return true
 }
 
 // Components labels connected components; it returns the label of each node

@@ -265,26 +265,32 @@ func FuzzBuild(f *testing.F) {
 	f.Add([]byte{5, 5, 5, 5, 5, 5}, uint8(3), 1.0, int64(4))
 	f.Add([]byte{}, uint8(0), 1.0, int64(5))
 	f.Fuzz(func(t *testing.T, data []byte, kind uint8, scale float64, seed int64) {
-		if !(scale > 1e-3 && scale < 1e3) {
-			scale = 1
-		}
-		n := min(len(data)/2, 512)
-		pts := make([]geom.Point, n)
-		for i := range pts {
-			pts[i] = geom.Pt(float64(data[2*i])*scale, float64(data[2*i+1])*scale)
-		}
-		const r = 4
-		var m radio.Model
-		switch kind % 4 {
-		case 0:
-			m = radio.UDG{R: r}
-		case 1:
-			m = radio.QUDG{R: r, Alpha: 0.5, P: 0.4}
-		case 2:
-			m = radio.LogNormal{R: r, Epsilon: 2}
-		default:
-			m = radio.UDG{R: 0}
-		}
+		pts, m := fuzzField(data, kind, scale)
 		checkBuild(t, m.String(), pts, m, seed)
 	})
+}
+
+// fuzzField decodes a fuzzer input into a deployment and a radio model:
+// up to 512 points of two bytes each on a grid of pitch scale, and kind
+// picking UDG, QUDG, log-normal or a zero range.
+func fuzzField(data []byte, kind uint8, scale float64) ([]geom.Point, radio.Model) {
+	if !(scale > 1e-3 && scale < 1e3) {
+		scale = 1
+	}
+	n := min(len(data)/2, 512)
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		pts[i] = geom.Pt(float64(data[2*i])*scale, float64(data[2*i+1])*scale)
+	}
+	const r = 4
+	switch kind % 4 {
+	case 0:
+		return pts, radio.UDG{R: r}
+	case 1:
+		return pts, radio.QUDG{R: r, Alpha: 0.5, P: 0.4}
+	case 2:
+		return pts, radio.LogNormal{R: r, Epsilon: 2}
+	default:
+		return pts, radio.UDG{R: 0}
+	}
 }

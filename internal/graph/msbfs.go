@@ -9,9 +9,15 @@
 // Per-source results are exact — the bitmasks keep every source's
 // visited set separate — so outputs are bit-identical to the walker path
 // regardless of batch boundaries or worker count.
+//
+// The same passes also yield the centrality sums of Def. 3 (see sumPush).
 package graph
 
-import "math/bits"
+import (
+	"math/bits"
+	"sync/atomic"
+	"unsafe"
+)
 
 // Kernel names a truncated-BFS implementation for the explicit-kernel entry
 // points (BallSizesIntoKernel, BallSizesIntoKernelLogged,
@@ -62,6 +68,22 @@ func newMSBFSScratch(n int) *msbfsScratch {
 	}
 }
 
+// sumPush asks an all-sources ball-sizing pass for the centrality sums as
+// well. Once a batch has settled radius hops, seen[x] holds the batch
+// sources within radius hops of x, so each touched x receives into out[x]
+// the width-hop ball size of every such source other than x itself. Hop
+// distance is symmetric, so over all batches
+// out[x] = Σ_{s≠x, d(s,x)≤radius} |N_width(s)|. The rows hold per-level
+// tallies while a batch runs, so a source's weight is its row summed
+// through width-1, final once width <= radius. Batches on different
+// workers reach the same node only near chunk seams; their integer adds
+// commute, so the sums do not depend on the schedule. The zero value pushes
+// nothing.
+type sumPush struct {
+	width, radius int
+	out           []int
+}
+
 // run floods up to 64 sources simultaneously, truncated at k hops, over the
 // frozen CSR arrays. For source i it adds the number of nodes first reached
 // at hop d to rows[i][min(d-1, len(rows[i])-1)] — per-radius tallies for
@@ -71,12 +93,14 @@ func newMSBFSScratch(n int) *msbfsScratch {
 // as (node, source-bits) pairs — a replayable record of which sources
 // reached which nodes — and the grown log is returned alongside the total
 // number of (source, node) visits, the same tally the walker's visited
-// counter produces. Pass logRadius 0 to disable logging.
+// counter produces. Pass logRadius 0 to disable logging. A non-zero push
+// (radius <= k, distinct sources, rows at least push.width wide) pushes the
+// batch's ball sizes to the nodes it reached; see sumPush.
 //
 // The scratch arrays must be all-zero on entry; run re-zeroes everything it
 // touched before returning, so the cost of repeated runs is proportional to
 // the flooded region only.
-func (s *msbfsScratch) run(g *Graph, k int, sources []int32, rows [][]int, weight []int, wsums []int, log []VisitEvent, logRadius int) ([]VisitEvent, int) {
+func (s *msbfsScratch) run(g *Graph, k int, sources []int32, rows [][]int, weight []int, wsums []int, log []VisitEvent, logRadius int, push sumPush) ([]VisitEvent, int) {
 	if k <= 0 || len(sources) == 0 {
 		return log, 0
 	}
@@ -172,32 +196,86 @@ func (s *msbfsScratch) run(g *Graph, k int, sources []int32, rows [][]int, weigh
 				}
 			}
 		}
+		if d == push.radius && d < k {
+			// Later levels still expand against seen, so push without
+			// clearing it; the exit below only clears.
+			pushSums(push, sources, rows, seen, touched, false)
+			push.out = nil
+		}
 	}
 	for _, u := range cur {
 		frontier[u] = 0
 	}
-	for _, v := range touched {
-		seen[v] = 0
+	if push.out != nil {
+		// Radius reached at the last level, or the frontier died first:
+		// seen is final either way, so push while clearing it.
+		pushSums(push, sources, rows, seen, touched, true)
+	} else {
+		for _, v := range touched {
+			seen[v] = 0
+		}
 	}
 	s.cur = cur[:0]
 	s.touched = touched[:0]
 	return log, visited
 }
 
+// pushSums adds to push.out[x], for every touched x, the ball sizes of the
+// batch sources in seen[x] other than x itself, zeroing seen[x] as it goes
+// when clear is set. With distinct sources, touched opens with the sources
+// in batch order, so touched[j] for j < len(sources) carries self-bit j.
+func pushSums(push sumPush, sources []int32, rows [][]int, seen []uint64, touched []int32, clear bool) {
+	var wt [msbfsBatch]int
+	for i := range sources {
+		for _, c := range rows[i][:push.width] {
+			wt[i] += c
+		}
+	}
+	out := push.out
+	for j, x := range touched {
+		b := seen[x]
+		if j < len(sources) {
+			b &^= 1 << uint(j)
+		}
+		if clear {
+			seen[x] = 0
+		}
+		sum := 0
+		for ; b != 0; b &= b - 1 {
+			sum += wt[bits.TrailingZeros64(b)]
+		}
+		if sum != 0 {
+			addInt(&out[x], sum)
+		}
+	}
+}
+
+// addInt adds d to *p atomically. int is as wide as a pointer, so the
+// 64-bit atomics apply on 64-bit platforms, where sums of ball sizes can
+// pass 2^31 on saturated graphs, and the 32-bit ones elsewhere.
+func addInt(p *int, d int) {
+	if unsafe.Sizeof(d) == 8 {
+		atomic.AddInt64((*int64)(unsafe.Pointer(p)), int64(d))
+	} else {
+		atomic.AddInt32((*int32)(unsafe.Pointer(p)), int32(d))
+	}
+}
+
 // runBatch floods one batch through the walker's MS-BFS scratch, crediting
 // the work to the walker's counters so pooled-engine observability sees the
 // batched kernel exactly like walker sweeps.
 func (w *Walker) runBatch(k int, sources []int32, rows [][]int, weight []int, wsums []int) {
-	w.runBatchLogged(k, sources, rows, weight, wsums, nil, 0)
+	w.runKernel(k, sources, rows, weight, wsums, nil, 0, sumPush{})
 }
 
-// runBatchLogged is runBatch with the settle log threaded through; the grown
-// log slice is returned so per-batch log buffers can live outside the walker.
-func (w *Walker) runBatchLogged(k int, sources []int32, rows [][]int, weight []int, wsums []int, log []VisitEvent, logRadius int) []VisitEvent {
+// runKernel is runBatch with the settle log and the sum push threaded
+// through; the grown log slice is returned so per-batch log buffers can
+// live outside the walker.
+func (w *Walker) runKernel(k int, sources []int32, rows [][]int, weight []int, wsums []int, log []VisitEvent, logRadius int, push sumPush) []VisitEvent {
 	if w.ms == nil {
 		w.ms = newMSBFSScratch(w.g.N())
 	}
-	log, visited := w.ms.run(w.g, k, sources, rows, weight, wsums, log, logRadius)
+	log, visited := w.ms.run(w.g, k, sources, rows, weight, wsums, log, logRadius, push)
 	w.s.sweeps += len(sources)
 	w.s.visited += visited
 	return log
@@ -215,8 +293,10 @@ func (g *Graph) batchSource(i int) int32 {
 
 // ballSizesBatched fills out[v] (len k each, overwritten) with cumulative
 // ball sizes for every node, batching 64 spatially grouped sources per
-// kernel pass. Rows of width 1 degenerate to plain |N_k| counts.
-func (g *Graph) ballSizesBatched(k int, out [][]int, acquire func() *Walker, release func(*Walker)) {
+// kernel pass. Rows of width 1 degenerate to plain |N_k| counts. A non-zero
+// push accumulates the centrality sums into push.out, which the caller
+// zeroes.
+func (g *Graph) ballSizesBatched(k int, out [][]int, push sumPush, acquire func() *Walker, release func(*Walker)) {
 	n := g.N()
 	batches := (n + msbfsBatch - 1) / msbfsBatch
 	ParallelRange(g, batches, acquire, release, func(w *Walker, b int) {
@@ -240,7 +320,7 @@ func (g *Graph) ballSizesBatched(k int, out [][]int, acquire func() *Walker, rel
 			rows = append(rows, row)
 		}
 		w.ms.srcs, w.ms.rows = srcs, rows
-		w.runBatch(k, srcs, rows, nil, nil)
+		w.runKernel(k, srcs, rows, nil, nil, nil, 0, push)
 		for _, row := range rows {
 			for r := 1; r < len(row); r++ {
 				row[r] += row[r-1]

@@ -1,12 +1,11 @@
-// Visit-log fusion for the batched MS-BFS kernel. The identify stage runs
-// two all-sources floods per election round over the same radius — ball
-// sizes, then a weighted centrality sum — and the second flood visits
-// exactly the nodes the first one did. Recording the first flood's settle
-// events (node, source-bits) lets the weighted pass be replayed as a linear
-// scan of the log instead of a second graph traversal; the log is
-// weight-independent, so one recording serves every replay radius-matching
-// round. Integer sums are commutative, so replayed results are bit-identical
-// to a fresh sweep.
+// Visit-log recording for the batched MS-BFS kernel: the settle events
+// (node, source-bits) of an all-sources flood, replayable as a linear scan
+// that yields weighted sums without a second graph traversal. The log is
+// weight-independent and integer sums commute, so replayed results are
+// bit-identical to a fresh sweep. The pipeline no longer uses it — ball
+// sizing pushes the centrality sums itself (sumPush in msbfs.go) — and it
+// stays as the reference the benchmark's per-layer rows time and check
+// against a fresh weighted sweep.
 package graph
 
 import (
@@ -107,7 +106,7 @@ func (g *Graph) BallSizesIntoKernelLogged(kern Kernel, k, logRadius int, out [][
 			rows = append(rows, row)
 		}
 		w.ms.srcs, w.ms.rows = srcs, rows
-		logs[b] = w.runBatchLogged(k, srcs, rows, nil, nil, logs[b], logRadius)
+		logs[b] = w.runKernel(k, srcs, rows, nil, nil, logs[b], logRadius, sumPush{})
 		for _, row := range rows {
 			for r := 1; r < len(row); r++ {
 				row[r] += row[r-1]
