@@ -2,7 +2,9 @@ package bfskel
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"bfskel/internal/graph"
 )
@@ -204,4 +206,66 @@ func BenchmarkBuildNetwork(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkChurnStep measures single-node churn on the 10^5-node window
+// field (grid layout, degree 7, seed 1): after two untimed warm-up updates,
+// each timed update fails one fresh node and restores the previous one. It
+// reports the from-scratch extraction time over the mean update time as
+// "speedup"; CI holds that ratio at or above 5.
+func BenchmarkChurnStep(b *testing.B) {
+	net, err := BuildNetwork(NetworkSpec{
+		Shape: MustShape("window"), N: 100000, TargetDeg: 7, Seed: 1, Layout: LayoutGrid,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := DefaultParams()
+	// Baseline: the faster of two runs of one pooled engine, so the ratio
+	// compares against a warmed engine, not a cold start.
+	x := net.ExtractorObs(ObsScope{})
+	var extractMs float64
+	for i := 0; i < 2; i++ {
+		runtime.GC()
+		res, err := x.Extract(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if ms := float64(res.Stats.Total) / float64(time.Millisecond); i == 0 || ms < extractMs {
+			extractMs = ms
+		}
+	}
+	s, err := net.ChurnSessionObs(p, ObsScope{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	// A seeded LCG (seed 1, batch size 1) picks the failing nodes, so the
+	// stream is fixed.
+	state, prev := uint64(0x9e3779b97f4a7c15+1), []int32(nil)
+	step := func() error {
+		var v int32
+		for {
+			state = state*6364136223846793005 + 1442695040888963407
+			if v = int32((state >> 33) % uint64(net.N())); s.Alive(v) {
+				break
+			}
+		}
+		_, err := s.Step([]int32{v}, prev)
+		prev = []int32{v}
+		return err
+	}
+	for i := 0; i < 2; i++ {
+		if err := step(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("batch=1", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := step(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		updateMs := float64(b.Elapsed()) / float64(b.N) / float64(time.Millisecond)
+		b.ReportMetric(extractMs/updateMs, "speedup")
+	})
 }

@@ -48,8 +48,10 @@ func (n *Network) ChurnSessionObs(p Params, sc ObsScope) (*ChurnSession, error) 
 }
 
 // Step applies one churn batch — failures then recoveries — and returns
-// the patched extraction result. Unknown or already-matching IDs are
-// ignored; an empty batch returns the previous result untouched.
+// the patched extraction result. An ID outside [0, N) is an error that
+// leaves the session unchanged and usable; IDs already in the requested
+// state, and repeats within a batch, are ignored; an empty batch returns
+// the previous result untouched.
 func (s *ChurnSession) Step(fail, restore []int32) (*Result, error) {
 	return s.ix.Update(fail, restore)
 }

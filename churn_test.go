@@ -1,6 +1,8 @@
 package bfskel
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"bfskel/internal/core"
@@ -59,6 +61,92 @@ func TestChurnSessionFailDisk(t *testing.T) {
 	if u := s.LastUpdate(); u.Revived != len(failed) {
 		t.Errorf("LastUpdate.Revived = %d, want %d", u.Revived, len(failed))
 	}
+}
+
+// TestChurnSessionRejectsOutOfRangeIDs: an ID outside [0, N) fails the
+// update with an error naming it, before the overlay changes, and the
+// session keeps working afterwards.
+func TestChurnSessionRejectsOutOfRangeIDs(t *testing.T) {
+	net := testNetwork(t, "window", 900, 7, 3)
+	s, err := net.ChurnSessionObs(DefaultParams(), ObsScope{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := fingerprint(s.Result())
+	bad := int32(net.N()) + 10
+	for _, tc := range []struct {
+		name          string
+		fail, restore []int32
+		id            int32
+	}{
+		{"fail past N", []int32{4, bad}, nil, bad},
+		{"restore negative", nil, []int32{-1}, -1},
+		{"restore past N after a valid fail", []int32{4}, []int32{bad}, bad},
+	} {
+		_, err := s.Step(tc.fail, tc.restore)
+		if err == nil {
+			t.Fatalf("%s: no error", tc.name)
+		}
+		if want := fmt.Sprint(tc.id); !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %q does not name ID %s", tc.name, err, want)
+		}
+		if !s.Alive(4) || net.Graph.AliveCount() != net.N() {
+			t.Fatalf("%s: the rejected batch changed the overlay", tc.name)
+		}
+		if got := fingerprint(s.Result()); got != before {
+			t.Fatalf("%s: the rejected batch changed the result", tc.name)
+		}
+	}
+	res, err := s.Fail([]int32{4})
+	if err != nil {
+		t.Fatalf("session unusable after rejected batches: %v", err)
+	}
+	want, err := core.Extract(net.Graph, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fingerprint(res) != fingerprint(want) {
+		t.Fatal("update after rejected batches differs from a from-scratch extraction")
+	}
+}
+
+// TestChurnSessionRepeatedIDs: an ID repeated within one batch flips once
+// and counts once, and the result still equals a from-scratch extraction.
+func TestChurnSessionRepeatedIDs(t *testing.T) {
+	net := testNetwork(t, "window", 900, 7, 3)
+	p := DefaultParams()
+	s, err := net.ChurnSessionObs(p, ObsScope{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(step string, res *Result, removed, revived int) {
+		t.Helper()
+		if u := s.LastUpdate(); u.Removed != removed || u.Revived != revived {
+			t.Fatalf("%s: Removed/Revived = %d/%d, want %d/%d", step, u.Removed, u.Revived, removed, revived)
+		}
+		want, err := core.Extract(net.Graph, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fingerprint(res) != fingerprint(want) {
+			t.Fatalf("%s: result differs from a from-scratch extraction", step)
+		}
+	}
+	res, err := s.Fail([]int32{5, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("fail 5,5", res, 1, 0)
+	res, err = s.Step([]int32{9, 12, 9}, []int32{5, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("fail 9,12,9 restore 5,5", res, 2, 1)
+	res, err = s.Step([]int32{7, 7}, []int32{7, 7, 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("fail 7,7 restore 7,7,9", res, 1, 2)
 }
 
 // TestChurnSessionObs: updates through an instrumented session emit update

@@ -17,8 +17,7 @@
 //	skelbench -obs 127.0.0.1:0          # serve the live observability plane
 //	                                    # (/metrics /runs /trace /profile /debug/pprof)
 //	skelbench -obs :6060 -obs-wait      # keep serving after the run, until interrupted
-//	skelbench -scorecard card.json                      # cross-backend scorecard as JSON
-//	skelbench -churn 0.0001,0.001 -churn-out churn.json # incremental-update throughput at 10^5 nodes
+//	skelbench -scorecard card.json      # cross-backend scorecard as JSON
 package main
 
 import (
@@ -27,7 +26,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"time"
 
@@ -74,14 +72,6 @@ func run() error {
 		backends  = flag.String("backends", "bfskel,map,case,localsep", "comma-separated skeleton backends for -scorecard")
 		shapesF   = flag.String("shapes", "window,twoholes,spiral", "comma-separated shapes for -scorecard")
 		nOverride = flag.Int("n", 0, "override the node count of every -scorecard scenario (0 = per-shape paper defaults)")
-		churnF    = flag.String("churn", "", "comma-separated churn rates (fraction of nodes failing per update batch, e.g. 0.0001,0.001,0.01): stream steady-state failure/recovery batches through the incremental extractor and report updates/sec vs from-scratch; with -scorecard the rows embed in the scorecard JSON")
-		churnN    = flag.Int("churn-n", 100000, "node count of the -churn field")
-		churnSh   = flag.String("churn-shape", "window", "deployment field for -churn")
-		churnDeg  = flag.Float64("churn-deg", 7, "target average degree for -churn")
-		churnB    = flag.Int("churn-batches", 20, "timed update batches per -churn rate")
-		churnOut  = flag.String("churn-out", "", "write the -churn rows as standalone JSON to this path (without -scorecard)")
-		churnMax  = flag.Float64("churn-ceiling", 0, "fail when the whole -churn run exceeds this many seconds of wall clock (0 = no ceiling)")
-		churnMin  = flag.Float64("churn-floor", 0, "fail when any -churn rate's incremental speedup vs from-scratch falls below this factor (0 = no floor)")
 	)
 	flag.Parse()
 
@@ -117,26 +107,8 @@ func run() error {
 		}
 	}
 
-	churnFn := func() ([]bfskel.ChurnRow, error) {
-		if *churnF == "" {
-			return nil, nil
-		}
-		return runChurn(*churnF, *churnSh, *churnN, *churnDeg, *churnB, *seed,
-			*churnMax, *churnMin, *churnOut, *scorePath == "")
-	}
-
 	if *scorePath != "" {
-		return runScorecard(*scorePath, *backends, *shapesF, *nOverride, *seed, churnFn, ob, *metricsOn)
-	}
-	if *churnF != "" {
-		if _, err := churnFn(); err != nil {
-			return err
-		}
-		if *fig == "" {
-			// Churn-only invocation: don't drag the full figure sweep
-			// along.
-			return nil
-		}
+		return runScorecard(*scorePath, *backends, *shapesF, *nOverride, *seed, ob, *metricsOn)
 	}
 
 	figures := bfskel.FigureNames()
@@ -183,66 +155,10 @@ func run() error {
 	return nil
 }
 
-// runChurn drives the churn-throughput bench (-churn): a steady stream of
-// failure/recovery batches per rate through the incremental extractor, with
-// updates/sec, fallback and dirty-fraction reporting. A non-zero ceiling or
-// floor turns the bench into a CI gate: the ceiling bounds the whole run's
-// wall clock, the floor asserts a minimum incremental-vs-full speedup.
-func runChurn(rateList, shape string, n int, deg float64, batches int, seed int64, ceiling, floor float64, outPath string, standalone bool) ([]bfskel.ChurnRow, error) {
-	var rates []float64
-	for _, f := range strings.Split(rateList, ",") {
-		r, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil || r <= 0 || r > 1 {
-			return nil, fmt.Errorf("-churn: bad rate %q", f)
-		}
-		rates = append(rates, r)
-	}
-	start := time.Now() //lint:allow determinism churn wall-time report; results are keyed by Seed
-	rows, err := bfskel.RunChurnBench(bfskel.ChurnBenchConfig{
-		Shape: shape, N: n, TargetDeg: deg, Seed: seed,
-		Rates: rates, Batches: batches,
-	})
-	elapsed := time.Since(start)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Println("== churn ==")
-	for _, r := range rows {
-		fmt.Println(" ", r)
-	}
-	if standalone && outPath != "" {
-		card := bfskel.Scorecard{
-			Date:  time.Now().UTC().Format(time.RFC3339), //lint:allow determinism report date stamp; results are keyed by Seed
-			Seed:  seed,
-			Churn: rows,
-		}
-		data, err := json.MarshalIndent(&card, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-			return nil, err
-		}
-		fmt.Println("wrote", outPath)
-	}
-	for _, r := range rows {
-		if r.Err != "" {
-			return nil, fmt.Errorf("-churn: rate %g failed: %s", r.Rate, r.Err)
-		}
-		if floor > 0 && r.Speedup < floor {
-			return nil, fmt.Errorf("-churn-floor: rate %g sustained %.1fx vs from-scratch, below the %.0fx floor", r.Rate, r.Speedup, floor)
-		}
-	}
-	if ceiling > 0 && elapsed > time.Duration(ceiling*float64(time.Second)) {
-		return nil, fmt.Errorf("-churn-ceiling: run took %.1fs, over the %.0fs ceiling", elapsed.Seconds(), ceiling)
-	}
-	return rows, nil
-}
-
 // runScorecard drives the cross-backend comparison: every named backend
 // over every named shape through the facade's quality harness, printed as
 // an aligned table and written as machine-readable JSON.
-func runScorecard(path, backendList, shapeList string, nOverride int, seed int64, churnFn func() ([]bfskel.ChurnRow, error), ob bfskel.ObsScope, metricsOn bool) error {
+func runScorecard(path, backendList, shapeList string, nOverride int, seed int64, ob bfskel.ObsScope, metricsOn bool) error {
 	defaults := map[string]struct {
 		n   int
 		deg float64
@@ -291,10 +207,6 @@ func runScorecard(path, backendList, shapeList string, nOverride int, seed int64
 		return err
 	}
 	card.Date = time.Now().UTC().Format(time.RFC3339) //lint:allow determinism report date stamp; results are keyed by Seed
-	card.Churn, err = churnFn()
-	if err != nil {
-		return err
-	}
 	fmt.Println(card)
 	data, err := json.MarshalIndent(card, "", "  ")
 	if err != nil {

@@ -38,6 +38,7 @@
 package core
 
 import (
+	"fmt"
 	"sort"
 	"time"
 
@@ -200,11 +201,17 @@ func (ix *IncrementalExtractor) runFull() (*Result, error) {
 // returns the post-batch extraction result, bit-identical to a full Extract
 // on the mutated graph. The returned Result is immutable and independent of
 // later updates (clean record rows are shared between consecutive results,
-// which is safe because results are never mutated).
+// which is safe because results are never mutated). A node ID outside
+// [0, N) is rejected with an error before the update starts, leaving the
+// extractor untouched; IDs already in the requested state, and repeats
+// within a batch, are ignored.
 func (ix *IncrementalExtractor) Update(remove, revive []int32) (*Result, error) {
 	e := ix.e
 	g := e.g
 	n := g.N()
+	if err := checkIDs(n, remove, revive); err != nil {
+		return nil, err
+	}
 	span := e.Tracer.StartSpan("update",
 		obs.Int("remove", len(remove)), obs.Int("revive", len(revive)))
 	ix.uspan = span
@@ -214,29 +221,19 @@ func (ix *IncrementalExtractor) Update(remove, revive []int32) (*Result, error) 
 	sc.ensure(n)
 
 	// Apply the churn through the overlay, tracking which nodes actually
-	// flipped and the union of rebuilt adjacency windows. RemoveNodes and
-	// ReviveNodes reuse one patch buffer, so the first result is copied out
-	// before the second call.
-	flipped := sc.seeds[:0]
-	removed, revived := 0, 0
-	for _, v := range remove {
-		if g.Alive(v) {
-			flipped = append(flipped, v)
-			removed++
-		}
-	}
+	// flipped (once each, however often a batch repeats them) and the union
+	// of rebuilt adjacency windows. RemoveNodes and ReviveNodes reuse one
+	// patch buffer, so the first result is copied out before the second
+	// call.
+	flipped := sc.appendFlips(g, sc.seeds[:0], remove, true)
+	removed := len(flipped)
 	newlyDead := flipped[:removed:removed]
 	patched := sc.patched[:0]
 	patched = append(patched, g.RemoveNodes(remove)...)
-	for _, v := range revive {
-		if !g.Alive(v) {
-			flipped = append(flipped, v)
-			revived++
-		}
-	}
+	flipped = sc.appendFlips(g, flipped, revive, false)
 	patched = append(patched, g.ReviveNodes(revive)...)
 	sc.seeds, sc.patched = flipped, patched
-	ix.last = UpdateStats{Removed: removed, Revived: revived}
+	ix.last = UpdateStats{Removed: removed, Revived: len(flipped) - removed}
 
 	if len(flipped) == 0 {
 		// Nothing changed; the previous result still holds.
@@ -257,6 +254,19 @@ func (ix *IncrementalExtractor) Update(remove, revive []int32) (*Result, error) 
 		obs.Str("fallback", ix.last.FallbackReason))
 	ix.observe()
 	return res, nil
+}
+
+// checkIDs returns an error naming the first node ID of the batches that
+// lies outside [0, n).
+func checkIDs(n int, remove, revive []int32) error {
+	for _, batch := range [2][]int32{remove, revive} {
+		for _, v := range batch {
+			if v < 0 || int(v) >= n {
+				return fmt.Errorf("core: update: node ID %d out of range [0, %d)", v, n)
+			}
+		}
+	}
+	return nil
 }
 
 // observe publishes the last update's counters to the engine's metrics.
@@ -787,7 +797,7 @@ type incScratch struct {
 	settled   []int32   // V1 settle stamps
 	fdist     []int32   // per-site flood distances
 	fstamp    []int32   // per-site flood stamps
-	checked   []int32   // parent-pass dedup stamps
+	checked   []int32   // parent-pass and flip dedup stamps
 	smark     []int32   // repair-site dedup stamps
 	sslot     []int32   // repair-site injection slot (valid where smark is current)
 	injOff    []int32   // per-slot offsets into injV/injD
@@ -826,6 +836,20 @@ func (s *incScratch) ensure(n int) {
 		}
 		s.epoch = 0
 	}
+}
+
+// appendFlips appends to flipped each node of batch whose alive status is
+// alive, i.e. the ones the batch will flip, skipping repeats.
+func (s *incScratch) appendFlips(g *graph.Graph, flipped, batch []int32, alive bool) []int32 {
+	s.epoch++
+	ep := s.epoch
+	for _, v := range batch {
+		if g.Alive(v) == alive && s.checked[v] != ep {
+			s.checked[v] = ep
+			flipped = append(flipped, v)
+		}
+	}
+	return flipped
 }
 
 // vrepair is the voronoi fixpoint repair of one update. All BFS passes are

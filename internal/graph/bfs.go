@@ -186,22 +186,8 @@ func (g *Graph) AllKHopCounts(k int) []int {
 	return out
 }
 
-// AllBallSizes computes, for every node v and every radius r in 1..k, the
-// cumulative ball size |N_r(v)| (excluding v), in parallel. The result is
-// indexed sizes[v][r-1]. It backs the saturation guard: when balls approach
-// the network size, neighborhood counts stop being informative.
-func (g *Graph) AllBallSizes(k int) [][]int {
-	n := g.N()
-	out := make([][]int, n)
-	flat := make([]int, n*k)
-	for v := range out {
-		out[v] = flat[v*k : (v+1)*k : (v+1)*k]
-	}
-	g.BallSizesInto(k, out, nil, nil)
-	return out
-}
-
-// BallSizesInto is AllBallSizes over caller-provided row buffers (each row
+// BallSizesInto computes, for every node v and every radius r in 1..k, the
+// cumulative ball size |N_r(v)| (excluding v) into out[v][r-1] (each row
 // must have length k; previous contents are overwritten), with an optional
 // Walker acquire/release pair for pooling — see ParallelNodes. It runs the
 // batched kernel, freezing the graph if needed.

@@ -110,11 +110,12 @@ func TestKHop(t *testing.T) {
 	}
 }
 
-// TestAllBallSizesCumulative: ball sizes are cumulative and match
-// KHopCount at every radius.
+// TestAllBallSizesCumulative: BallSizesInto's ball sizes are cumulative and
+// match KHopCount at every radius.
 func TestAllBallSizesCumulative(t *testing.T) {
 	g := cycleGraph(12)
-	balls := g.AllBallSizes(4)
+	balls := ballRows(g.N(), 4)
+	g.BallSizesInto(4, balls, nil, nil)
 	for v := 0; v < g.N(); v++ {
 		prev := 0
 		for r := 1; r <= 4; r++ {

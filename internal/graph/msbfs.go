@@ -329,54 +329,13 @@ func (g *Graph) ballSizesBatched(k int, out [][]int, push sumPush, acquire func(
 	})
 }
 
-// BatchBallSizes computes, for each source, the cumulative ball sizes
-// |N_r(source)| for r in 1..k (excluding the source), indexed out[i][r-1].
-// It is AllBallSizes over an arbitrary source set: sources are advanced 64
-// at a time by the MS-BFS kernel when the graph is frozen, per-source walker
-// sweeps otherwise. Duplicate sources are allowed and computed per entry.
-func (g *Graph) BatchBallSizes(k int, sources []int32) [][]int {
-	if k < 0 {
-		k = 0
-	}
-	out := make([][]int, len(sources))
-	flat := make([]int, len(sources)*k)
-	for i := range out {
-		out[i] = flat[i*k : (i+1)*k : (i+1)*k]
-	}
-	if len(sources) == 0 || k == 0 {
-		return out
-	}
-	if !g.frozen {
-		ParallelRange(g, len(sources), nil, nil, func(w *Walker, i int) {
-			ballSizesWalker(w, int(sources[i]), out[i])
-		})
-		return out
-	}
-	batches := (len(sources) + msbfsBatch - 1) / msbfsBatch
-	ParallelRange(g, batches, nil, nil, func(w *Walker, b int) {
-		lo := b * msbfsBatch
-		hi := lo + msbfsBatch
-		if hi > len(sources) {
-			hi = len(sources)
-		}
-		rows := out[lo:hi]
-		w.runBatch(k, sources[lo:hi], rows, nil, nil)
-		for _, row := range rows {
-			for r := 1; r < len(row); r++ {
-				row[r] += row[r-1]
-			}
-		}
-	})
-	return out
-}
-
 // BatchBallSizesInto recomputes the cumulative ball-size rows of an
 // arbitrary source set in place: rows[i] (len k, overwritten) receives
-// |N_r(sources[i])| for r in 1..k. This is BatchBallSizes writing into
-// caller-owned rows — the incremental extractor patches exactly the dirty
-// rows of its persistent ball matrix with it. Sources run 64 per MS-BFS
-// pass on frozen graphs, per-source walker sweeps otherwise; the values are
-// identical either way.
+// |N_r(sources[i])| for r in 1..k (excluding the source); duplicate
+// sources are computed per entry. The incremental extractor patches exactly
+// the dirty rows of its persistent ball matrix with it. Sources run 64 per
+// MS-BFS pass on frozen graphs, per-source walker sweeps otherwise; the
+// values are identical either way.
 func (g *Graph) BatchBallSizesInto(k int, sources []int32, rows [][]int, acquire func() *Walker, release func(*Walker)) {
 	if len(sources) == 0 || k <= 0 {
 		return
@@ -460,7 +419,7 @@ func (g *Graph) BallWeightedSumsInto(kern Kernel, k int, weight []int, out []int
 }
 
 // ballSizesWalker fills one node's cumulative ball-size row with a walker
-// sweep; shared by the walker paths of BallSizesIntoKernel and BatchBallSizes.
+// sweep; shared by the walker paths of BallSizesIntoKernel and BatchBallSizesInto.
 func ballSizesWalker(w *Walker, v int, counts []int) {
 	for r := range counts {
 		counts[r] = 0

@@ -214,9 +214,9 @@ func cloneThawed(src *graph.Graph) *graph.Graph {
 	return g
 }
 
-// TestBatchBallSizes: the arbitrary-source entry matches per-source
-// KHopCount at every radius, splits across batch boundaries correctly, and
-// handles duplicates and unfrozen graphs.
+// TestBatchBallSizes: the arbitrary-source entry BatchBallSizesInto matches
+// per-source KHopCount at every radius, splits across batch boundaries
+// correctly, and handles duplicates and unfrozen graphs.
 func TestBatchBallSizes(t *testing.T) {
 	net := nettest.Grid("window", 400, 6.5, 3)
 	g := net.Graph
@@ -226,10 +226,8 @@ func TestBatchBallSizes(t *testing.T) {
 	}
 	sources = append(sources, sources[0], sources[1]) // duplicates
 	const k = 4
-	out := g.BatchBallSizes(k, sources)
-	if len(out) != len(sources) {
-		t.Fatalf("rows = %d, want %d", len(out), len(sources))
-	}
+	out := ballRows(len(sources), k)
+	g.BatchBallSizesInto(k, sources, out, nil, nil)
 	for i, s := range sources {
 		for r := 1; r <= k; r++ {
 			if want := g.KHopCount(int(s), r); out[i][r-1] != want {
@@ -249,7 +247,8 @@ func TestBatchBallSizes(t *testing.T) {
 	if thawed.Frozen() {
 		t.Fatal("hand-built graph unexpectedly frozen")
 	}
-	out2 := thawed.BatchBallSizes(k, sources)
+	out2 := ballRows(len(sources), k)
+	thawed.BatchBallSizesInto(k, sources, out2, nil, nil)
 	for i := range out {
 		for r := 0; r < k; r++ {
 			if out[i][r] != out2[i][r] {
@@ -257,9 +256,7 @@ func TestBatchBallSizes(t *testing.T) {
 			}
 		}
 	}
-	if got := g.BatchBallSizes(3, nil); len(got) != 0 {
-		t.Fatalf("nil sources rows = %d", len(got))
-	}
+	g.BatchBallSizesInto(3, nil, nil, nil, nil) // no sources: a no-op
 }
 
 // TestFreezeSemantics: freezing keeps the adjacency API intact, AddEdge

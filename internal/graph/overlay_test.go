@@ -129,8 +129,12 @@ func TestOverlayKernelsMatchRebuiltGraph(t *testing.T) {
 	for v := int32(0); v < int32(n); v += 3 {
 		sources = append(sources, v)
 	}
-	got := g.BatchBallSizes(k, sources)
-	want := ref.BatchBallSizes(k, sources)
+	got, want := make([][]int, len(sources)), make([][]int, len(sources))
+	for i := range sources {
+		got[i], want[i] = make([]int, k), make([]int, k)
+	}
+	g.BatchBallSizesInto(k, sources, got, nil, nil)
+	ref.BatchBallSizesInto(k, sources, want, nil, nil)
 	for i, src := range sources {
 		for r := 0; r < k; r++ {
 			if got[i][r] != want[i][r] {

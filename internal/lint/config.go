@@ -24,8 +24,8 @@ type Config struct {
 //     and the backend seam above them (skeleton, localsep), plus
 //     internal/obs (whose contract confines wall-clock to Time/Dur), the
 //     CLIs (so a stray report timestamp needs a sanction comment), and the
-//     module root ("" — the facade plus the churn and scorecard
-//     harnesses, whose timing loops are the only sanctioned wall-clock).
+//     module root ("" — the facade plus the scorecard harness, whose
+//     timing loops are the only sanctioned wall-clock).
 //   - obsnil runs everywhere except inside internal/obs itself, which owns
 //     the handle internals.
 //   - poolpair and atomicmix run everywhere (the empty scope), which

@@ -59,61 +59,6 @@ func (s Score) String() string {
 		s.ClearanceRatio, s.MedialCoverage, s.MeanDistToRef)
 }
 
-// ChurnHistBounds are the dirty-fraction histogram bucket upper bounds of
-// ChurnRow.DirtyHist: bucket i counts updates whose dirty fraction was at
-// most ChurnHistBounds[i] (and above the previous bound).
-var ChurnHistBounds = []float64{0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.25, 1}
-
-// ChurnRow is one churn rate's throughput measurement: a steady stream of
-// failure/recovery batches of the given size driven through the
-// incremental extractor, compared against from-scratch extraction on the
-// same field.
-type ChurnRow struct {
-	// Shape and N describe the requested field; Nodes and AvgDeg the
-	// realised largest component the session ran on.
-	Shape  string  `json:"shape"`
-	N      int     `json:"n"`
-	Nodes  int     `json:"nodes"`
-	AvgDeg float64 `json:"avgDeg"`
-
-	// Rate is the churn fraction per batch (BatchSize/Nodes); each of the
-	// Batches updates fails BatchSize fresh nodes and recovers the
-	// previous batch.
-	Rate      float64 `json:"rate"`
-	BatchSize int     `json:"batchSize"`
-	Batches   int     `json:"batches"`
-
-	// Throughput: sustained updates per second over the whole stream, the
-	// mean and worst single update, the from-scratch baseline on the same
-	// field, and their ratio (FullExtractMs / MeanUpdateMs).
-	UpdatesPerSec float64 `json:"updatesPerSec"`
-	MeanUpdateMs  float64 `json:"meanUpdateMs"`
-	MaxUpdateMs   float64 `json:"maxUpdateMs"`
-	FullExtractMs float64 `json:"fullExtractMs"`
-	Speedup       float64 `json:"speedup"`
-
-	// Repair shape: how many updates fell back to a full extraction, the
-	// mean dirty fraction, and the dirty-fraction histogram over
-	// ChurnHistBounds.
-	Fallbacks     int     `json:"fallbacks"`
-	MeanDirtyFrac float64 `json:"meanDirtyFrac"`
-	DirtyHist     []int   `json:"dirtyHist,omitempty"`
-
-	// Err records a failed row (the other fields may be partial then).
-	Err string `json:"err,omitempty"`
-}
-
-// String renders one churn row for the text harness.
-func (r ChurnRow) String() string {
-	if r.Err != "" {
-		return fmt.Sprintf("%-9s n=%-8d rate=%-7.4f ERROR %s", r.Shape, r.N, r.Rate, r.Err)
-	}
-	return fmt.Sprintf("%-9s n=%-8d rate=%-7.4f batch=%-5d %8.1f up/s mean=%8.2fms max=%8.2fms full=%8.1fms speedup=%6.1fx dirty=%5.3f fallbacks=%d/%d",
-		r.Shape, r.Nodes, r.Rate, r.BatchSize, r.UpdatesPerSec,
-		r.MeanUpdateMs, r.MaxUpdateMs, r.FullExtractMs, r.Speedup,
-		r.MeanDirtyFrac, r.Fallbacks, r.Batches)
-}
-
 // Scorecard is the machine-readable cross-backend comparison: every
 // requested backend run over every scenario through one quality harness.
 type Scorecard struct {
@@ -127,9 +72,6 @@ type Scorecard struct {
 	Scenarios []string `json:"scenarios"`
 	// Scores holds one entry per (scenario, backend), scenario-major.
 	Scores []Score `json:"scores"`
-	// Churn optionally holds incremental-update throughput rows measured
-	// alongside the quality matrix (skelbench -churn).
-	Churn []ChurnRow `json:"churn,omitempty"`
 }
 
 // String renders the scorecard as an aligned text table.
