@@ -6,8 +6,10 @@
 //
 //   - identify: base-graph BFS rings around the churn batch bound which ball
 //     rows (radius maxR), centrality/index values (maxR+L) and election
-//     outcomes (maxR+L+scope) can have changed; only those are recomputed,
-//     64 sources per MS-BFS pass.
+//     outcomes (maxR+L+scope) can have changed; only those are recomputed.
+//     The ball rows, a push of each changed K-ball size's delta to the
+//     centrality sums within L, and the fresh sums within L of a flip run
+//     as three batched floods, 64 Z-ordered sources per MS-BFS pass.
 //   - voronoi: a fixpoint repair over the dirty node set — a dial (bucket)
 //     multi-source BFS re-derives dmin with clean-boundary injections, then
 //     per-site pruned floods rebuild the records, growing the dirty set
@@ -107,7 +109,8 @@ type IncrementalExtractor struct {
 	prev    *Result
 
 	// wsum holds the centrality sums (Σ khop over N_L, excluding the node
-	// itself), delta-maintained across updates so the centrality ring never
+	// itself), maintained across updates by a batched delta push plus a
+	// fresh tally within L of the flips, so the centrality ring never
 	// re-floods clean neighborhoods.
 	wsum []int
 	// tup is the sorted (pair, segment node) tuple array of the coarse
@@ -361,13 +364,26 @@ func (ix *IncrementalExtractor) update(flipped, newlyDead, patched []int32) (*Re
 		}
 	}
 
-	// Ball rows within maxR of a flip.
-	srcs := sc.srcs[:0]
-	for _, v := range queue {
-		if int(distD[v]) <= ix.maxR {
+	// Ball rows within maxR of a flip, and the fresh sums within L of one
+	// (L <= maxR). Both lists are taken along the graph's batch order, so
+	// each 64-source MS-BFS pass below floods one compact patch; the
+	// horizon BFS order would interleave the flips' neighborhoods and leave
+	// a pass's balls barely overlapping.
+	srcs, fresh := sc.srcs[:0], sc.fresh[:0]
+	order := g.BatchOrder()
+	for i := range distD {
+		v := int32(i)
+		if order != nil {
+			v = order[i]
+		}
+		if d := int(distD[v]); d >= 0 && d <= ix.maxR {
 			srcs = append(srcs, v)
+			if d <= p.L {
+				fresh = append(fresh, v)
+			}
 		}
 	}
+	sc.srcs, sc.fresh = srcs, fresh
 	rows := sc.rows[:0]
 	for _, v := range srcs {
 		rows = append(rows, e.balls[v])
@@ -376,17 +392,19 @@ func (ix *IncrementalExtractor) update(flipped, newlyDead, patched []int32) (*Re
 	e.countSaturation(p, rows, -1)
 	g.BatchBallSizesInto(ix.maxR, srcs, rows, acquire, release)
 	e.countSaturation(p, rows, +1)
-	// Snapshot the pre-patch khop values: the centrality delta pass below
-	// propagates exactly these integer differences.
-	oldK := growInts(sc.oldK, len(srcs))
-	sc.oldK = oldK
-	for i, v := range srcs {
-		oldK[i] = ix.khop[v]
-	}
+	// The sources whose khop changed, with the integer differences the
+	// centrality delta pass below propagates.
+	khop, wsum := ix.khop, ix.wsum
+	pushed, delta := sc.pushed[:0], sc.delta[:0]
 	for _, v := range srcs {
-		ix.khop[v] = e.balls[v][ix.kEff-1]
+		k := e.balls[v][ix.kEff-1]
+		if d := k - khop[v]; d != 0 {
+			pushed = append(pushed, v)
+			delta = append(delta, d)
+			khop[v] = k
+		}
 	}
-	sc.srcs = srcs
+	sc.pushed, sc.delta = pushed, delta
 
 	// The saturation guards are global order statistics; if either radius
 	// would resolve differently on the mutated graph, the whole field needs
@@ -409,42 +427,21 @@ func (ix *IncrementalExtractor) update(flipped, newlyDead, patched []int32) (*Re
 	// Delta-patch the persistent sums instead of re-flooding the whole ring.
 	// N_L membership can only change within L of a flip (an entering or
 	// leaving member needs an old- or new-graph path of length <= L through
-	// a flipped node), so those sums are rebuilt by a fresh L-walk; every
-	// other affected sum moves by exactly the khop deltas of the ball-ring
-	// nodes it contains, applied by one L-walk per changed source. All
-	// arithmetic stays integer, and indexOf is the full path's division.
-	// The fresh walks each write only their own sum, so they run in
-	// parallel; queue is in BFS order, so they are its first nodes.
-	khop, wsum := ix.khop, ix.wsum
-	fresh := 0
-	for fresh < len(queue) && int(distD[queue[fresh]]) <= p.L {
-		fresh++
-	}
-	graph.ParallelRange(g, fresh, acquire, release, func(w *graph.Walker, i int) {
-		sum := 0
-		w.Walk(int(queue[i]), p.L, func(u, _ int32) { sum += khop[u] })
-		wsum[queue[i]] = sum
-	})
-	wk := e.getWalker()
-	limit := int32(p.L)
-	for i, v := range srcs {
-		d := khop[v] - oldK[i]
-		if d == 0 {
-			continue
-		}
-		wk.Walk(int(v), p.L, func(u, _ int32) {
-			if distD[u] > limit {
-				wsum[u] += d
-			}
-		})
-	}
-	e.putWalker(wk)
+	// a flipped node), so those sums are rebuilt fresh; every other affected
+	// sum moves by exactly the khop deltas of the ball-ring nodes within L
+	// of it. Each changed source pushes its delta to every node within L,
+	// 64 sources per pass; the fresh pass then overwrites the sums within L
+	// of a flip, whatever the push added to them. All arithmetic stays
+	// integer, and indexOf is the full path's division.
+	g.PushSumsInto(p.L, pushed, delta, wsum, acquire, release)
+	g.BallWeightedSumsInto(graph.KernelBatched, p.L, khop, wsum, acquire, release, fresh...)
 	for _, v := range wlist {
 		ix.cent[v], ix.index[v] = indexOf(khop[v], wsum[v], e.balls[v][p.L-1])
 	}
 
 	if ix.sspan.Enabled() {
-		ix.endStage(obs.Int("balls", len(srcs)), obs.Int("horizon", horizon))
+		ix.endStage(obs.Int("balls", len(srcs)), obs.Int("fresh", len(fresh)),
+			obs.Int("pushed", len(pushed)), obs.Int("horizon", horizon))
 	}
 
 	// ---- election ----
@@ -808,8 +805,10 @@ type incScratch struct {
 	rs        []int32   // sites to re-flood
 	fqueueBuf []int32   // per-site flood settle order
 	rows      [][]int   // ball-row views for the MS-BFS patch pass
-	srcs      []int32   // ball-ring sources
-	oldK      []int     // pre-patch khop snapshot of the ball ring
+	srcs      []int32   // ball-ring sources, in batch order
+	fresh     []int32   // nodes within L of a flip, in batch order
+	pushed    []int32   // ball-ring sources whose khop changed
+	delta     []int     // khop change of each pushed source
 	delT      []pairSeg // coarse tuples dropped by the splice merge
 	addT      []pairSeg // coarse tuples added by the splice merge
 	rmMark    []bool    // removed-site mark

@@ -260,43 +260,70 @@ func TestIncrementalSmallBatchesStayIncremental(t *testing.T) {
 }
 
 // TestIncrementalFailRestoreStream: the steady-state stream shape of the
-// churn benchmarks at a size where repairs span dozens of cells and need
-// several fixpoint attempts — each step fails ten fresh nodes and restores
-// the previous ten on a ~10^4-node field. Every step must stay on the repair
-// path and match a from-scratch extraction bit for bit, and the stream must
-// exercise the multi-attempt fixpoint at least once.
+// churn benchmarks at sizes where repairs span dozens of cells and need
+// several fixpoint attempts. Each step fails a batch of fresh nodes and
+// restores the previous batch: ten-node batches on a ~10^4-node field, and
+// hundred-node bursts, whose ball, delta and fresh passes each fill many
+// 64-source batches, on a ~6·10^4-node one (at 3·10^4 nodes a burst
+// dirties over a quarter of the field and falls back). Every step must
+// stay on the repair path and match a from-scratch extraction bit for bit
+// at GOMAXPROCS 1 and 4 alike, the two runs each other too (the batched
+// passes push their sums with atomic adds, so the schedule must not
+// show), and each stream must exercise the multi-attempt fixpoint at
+// least once.
 func TestIncrementalFailRestoreStream(t *testing.T) {
-	g := nettest.Grid("window", 10_000, 7, 1).Graph
-	p := DefaultParams()
-	ix, err := NewIncrementalExtractor(g, p, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := &churnPlan{state: 1}
-	var prev []int32
-	maxAttempts := 0
-	for step := 0; step < 8; step++ {
-		batch := plan.pickAlive(g, 10)
-		got, err := ix.Update(batch, prev)
-		if err != nil {
-			t.Fatalf("step %d: Update: %v", step, err)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, c := range []struct {
+		name     string
+		n, batch int
+		steps    int
+	}{
+		{"window-10k", 10_000, 10, 8},
+		{"window-60k-burst", 60_000, 100, 3},
+	} {
+		var first []*Result
+		for _, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			g := nettest.Grid("window", c.n, 7, 1).Graph
+			p := DefaultParams()
+			ix, err := NewIncrementalExtractor(g, p, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan := &churnPlan{state: 1}
+			var prev []int32
+			maxAttempts := 0
+			for step := 0; step < c.steps; step++ {
+				batch := plan.pickAlive(g, c.batch)
+				got, err := ix.Update(batch, prev)
+				if err != nil {
+					t.Fatalf("%s procs=%d step %d: Update: %v", c.name, procs, step, err)
+				}
+				prev = batch
+				u := ix.LastUpdate()
+				if u.Fallback {
+					t.Fatalf("%s procs=%d step %d: fell back (%s)", c.name, procs, step, u.FallbackReason)
+				}
+				maxAttempts = max(maxAttempts, u.Attempts)
+				name := nameStep(c.name+"/procs"+itoa(procs), step, ix)
+				want, err := NewExtractor(g).Extract(p)
+				if err != nil {
+					t.Fatalf("%s: reference extract: %v", name, err)
+				}
+				requireEqualResults(t, name, got, want)
+				requireEqualOutcome(t, name, got.Stats, want.Stats)
+				requireSaturationCounts(t, name, ix.e, p)
+				if procs == 1 {
+					first = append(first, got)
+				} else {
+					requireEqualResults(t, name+" vs procs1", got, first[step])
+					requireEqualOutcome(t, name+" vs procs1", got.Stats, first[step].Stats)
+				}
+			}
+			if maxAttempts < 2 {
+				t.Fatalf("%s procs=%d: no step needed more than one repair attempt (max %d)", c.name, procs, maxAttempts)
+			}
 		}
-		prev = batch
-		u := ix.LastUpdate()
-		if u.Fallback {
-			t.Fatalf("step %d: fell back (%s)", step, u.FallbackReason)
-		}
-		maxAttempts = max(maxAttempts, u.Attempts)
-		want, err := NewExtractor(g).Extract(p)
-		if err != nil {
-			t.Fatalf("step %d: reference extract: %v", step, err)
-		}
-		requireEqualResults(t, nameStep("window-10k", step, ix), got, want)
-		requireEqualOutcome(t, nameStep("window-10k", step, ix), got.Stats, want.Stats)
-		requireSaturationCounts(t, nameStep("window-10k", step, ix), ix.e, p)
-	}
-	if maxAttempts < 2 {
-		t.Fatalf("no step needed more than one repair attempt (max %d)", maxAttempts)
 	}
 }
 

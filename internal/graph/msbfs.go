@@ -39,11 +39,6 @@ const (
 // one bit of a machine word per source.
 const msbfsBatch = 64
 
-// smallSourceFactor gates the arbitrary-source BatchBallSizesInto: below
-// N/smallSourceFactor sources, per-source walker sweeps beat the MS-BFS
-// batches even on frozen graphs (both paths produce identical values).
-const smallSourceFactor = 16
-
 // msbfsScratch holds one worker's MS-BFS state: one word of source bits per
 // node for the visited set, the current frontier and the next frontier, plus
 // the frontier node lists and a touched list for O(visited) reset.
@@ -68,19 +63,22 @@ func newMSBFSScratch(n int) *msbfsScratch {
 	}
 }
 
-// sumPush asks an all-sources ball-sizing pass for the centrality sums as
-// well. Once a batch has settled radius hops, seen[x] holds the batch
-// sources within radius hops of x, so each touched x receives into out[x]
-// the width-hop ball size of every such source other than x itself. Hop
-// distance is symmetric, so over all batches
-// out[x] = Σ_{s≠x, d(s,x)≤radius} |N_width(s)|. The rows hold per-level
-// tallies while a batch runs, so a source's weight is its row summed
-// through width-1, final once width <= radius. Batches on different
-// workers reach the same node only near chunk seams; their integer adds
-// commute, so the sums do not depend on the schedule. The zero value pushes
-// nothing.
+// sumPush asks a pass to push a weight from every source to the nodes
+// within radius hops of it. Once a batch has settled radius hops, seen[x]
+// holds the batch sources within radius hops of x, so each touched x
+// receives into out[x] the weight of every such source other than x
+// itself. Hop distance is symmetric, so over all batches
+// out[x] += Σ_{s≠x, d(s,x)≤radius} weight(s): with ball sizes as weights
+// these are the centrality sums of Def. 3. weight, when set, gives each
+// batch source's weight explicitly (PushSumsInto); otherwise a source
+// weighs its width-hop ball size, its row summed through width-1 (the rows
+// hold per-level tallies while a batch runs), final once width <= radius.
+// Batches on different workers reach the same node only near chunk seams;
+// their integer adds commute, so the sums do not depend on the schedule.
+// The zero value pushes nothing.
 type sumPush struct {
 	width, radius int
+	weight        []int
 	out           []int
 }
 
@@ -220,15 +218,19 @@ func (s *msbfsScratch) run(g *Graph, k int, sources []int32, rows [][]int, weigh
 	return log, visited
 }
 
-// pushSums adds to push.out[x], for every touched x, the ball sizes of the
+// pushSums adds to push.out[x], for every touched x, the weights of the
 // batch sources in seen[x] other than x itself, zeroing seen[x] as it goes
 // when clear is set. With distinct sources, touched opens with the sources
 // in batch order, so touched[j] for j < len(sources) carries self-bit j.
 func pushSums(push sumPush, sources []int32, rows [][]int, seen []uint64, touched []int32, clear bool) {
 	var wt [msbfsBatch]int
-	for i := range sources {
-		for _, c := range rows[i][:push.width] {
-			wt[i] += c
+	if push.weight != nil {
+		copy(wt[:], push.weight)
+	} else {
+		for i := range sources {
+			for _, c := range rows[i][:push.width] {
+				wt[i] += c
+			}
 		}
 	}
 	out := push.out
@@ -261,16 +263,11 @@ func addInt(p *int, d int) {
 	}
 }
 
-// runBatch floods one batch through the walker's MS-BFS scratch, crediting
-// the work to the walker's counters so pooled-engine observability sees the
-// batched kernel exactly like walker sweeps.
-func (w *Walker) runBatch(k int, sources []int32, rows [][]int, weight []int, wsums []int) {
-	w.runKernel(k, sources, rows, weight, wsums, nil, 0, sumPush{})
-}
-
-// runKernel is runBatch with the settle log and the sum push threaded
-// through; the grown log slice is returned so per-batch log buffers can
-// live outside the walker.
+// runKernel floods one batch through the walker's MS-BFS scratch (see
+// run), crediting the work to the walker's counters so pooled-engine
+// observability sees the batched kernel exactly like walker sweeps; the
+// grown log slice is returned so per-batch log buffers can live outside the
+// walker.
 func (w *Walker) runKernel(k int, sources []int32, rows [][]int, weight []int, wsums []int, log []VisitEvent, logRadius int, push sumPush) []VisitEvent {
 	if w.ms == nil {
 		w.ms = newMSBFSScratch(w.g.N())
@@ -291,41 +288,60 @@ func (g *Graph) batchSource(i int) int32 {
 	return int32(i)
 }
 
+// forBatches splits the index space 0..count-1 into 64-wide batches and
+// runs fn(w, lo, hi) on each under ParallelRange, with the walker's MS-BFS
+// scratch allocated.
+func (g *Graph) forBatches(count int, acquire func() *Walker, release func(*Walker), fn func(w *Walker, lo, hi int)) {
+	batches := (count + msbfsBatch - 1) / msbfsBatch
+	ParallelRange(g, batches, acquire, release, func(w *Walker, b int) {
+		if w.ms == nil {
+			w.ms = newMSBFSScratch(g.N())
+		}
+		lo := b * msbfsBatch
+		fn(w, lo, min(lo+msbfsBatch, count))
+	})
+}
+
+// nodeBatch gathers batch slots lo..hi-1 as sources, in batchSource order,
+// with their rows of out, into the walker's batch buffers.
+func (w *Walker) nodeBatch(lo, hi int, out [][]int) ([]int32, [][]int) {
+	srcs, rows := w.ms.srcs[:0], w.ms.rows[:0]
+	for i := lo; i < hi; i++ {
+		v := w.g.batchSource(i)
+		srcs = append(srcs, v)
+		if out != nil {
+			rows = append(rows, out[v])
+		}
+	}
+	w.ms.srcs, w.ms.rows = srcs, rows
+	return srcs, rows
+}
+
+// ballRows floods one batch into its rows (overwritten) and leaves them
+// cumulative: rows[i][r-1] = |N_r(sources[i])|. The log and push thread
+// through to the kernel; the grown log is returned.
+func (w *Walker) ballRows(k int, sources []int32, rows [][]int, log []VisitEvent, logRadius int, push sumPush) []VisitEvent {
+	for _, row := range rows {
+		clear(row)
+	}
+	log = w.runKernel(k, sources, rows, nil, nil, log, logRadius, push)
+	for _, row := range rows {
+		for r := 1; r < len(row); r++ {
+			row[r] += row[r-1]
+		}
+	}
+	return log
+}
+
 // ballSizesBatched fills out[v] (len k each, overwritten) with cumulative
 // ball sizes for every node, batching 64 spatially grouped sources per
 // kernel pass. Rows of width 1 degenerate to plain |N_k| counts. A non-zero
 // push accumulates the centrality sums into push.out, which the caller
 // zeroes.
 func (g *Graph) ballSizesBatched(k int, out [][]int, push sumPush, acquire func() *Walker, release func(*Walker)) {
-	n := g.N()
-	batches := (n + msbfsBatch - 1) / msbfsBatch
-	ParallelRange(g, batches, acquire, release, func(w *Walker, b int) {
-		lo := b * msbfsBatch
-		hi := lo + msbfsBatch
-		if hi > n {
-			hi = n
-		}
-		if w.ms == nil {
-			w.ms = newMSBFSScratch(n)
-		}
-		srcs := w.ms.srcs[:0]
-		rows := w.ms.rows[:0]
-		for i := lo; i < hi; i++ {
-			v := g.batchSource(i)
-			srcs = append(srcs, v)
-			row := out[v]
-			for r := range row {
-				row[r] = 0
-			}
-			rows = append(rows, row)
-		}
-		w.ms.srcs, w.ms.rows = srcs, rows
-		w.runKernel(k, srcs, rows, nil, nil, nil, 0, push)
-		for _, row := range rows {
-			for r := 1; r < len(row); r++ {
-				row[r] += row[r-1]
-			}
-		}
+	g.forBatches(g.N(), acquire, release, func(w *Walker, lo, hi int) {
+		srcs, rows := w.nodeBatch(lo, hi, out)
+		w.ballRows(k, srcs, rows, nil, 0, push)
 	})
 }
 
@@ -334,59 +350,42 @@ func (g *Graph) ballSizesBatched(k int, out [][]int, push sumPush, acquire func(
 // |N_r(sources[i])| for r in 1..k (excluding the source); duplicate
 // sources are computed per entry. The incremental extractor patches exactly
 // the dirty rows of its persistent ball matrix with it. Sources run 64 per
-// MS-BFS pass on frozen graphs, per-source walker sweeps otherwise; the
-// values are identical either way.
+// MS-BFS pass in the order given, so a list sorted along BatchOrder keeps
+// each pass's balls overlapping; the graph is frozen if needed.
 func (g *Graph) BatchBallSizesInto(k int, sources []int32, rows [][]int, acquire func() *Walker, release func(*Walker)) {
 	if len(sources) == 0 || k <= 0 {
 		return
 	}
-	if !g.frozen || len(sources)*smallSourceFactor < g.N() {
-		// Small source sets: per-source sweeps cost the sum of the ball
-		// volumes, which undercuts the per-batch frontier machinery of the
-		// MS-BFS path long before the set grows to a graph-sized fraction.
-		ParallelRange(g, len(sources), acquire, release, func(w *Walker, i int) {
-			ballSizesWalker(w, int(sources[i]), rows[i][:k])
-		})
-		return
-	}
-	batches := (len(sources) + msbfsBatch - 1) / msbfsBatch
-	ParallelRange(g, batches, acquire, release, func(w *Walker, b int) {
-		lo := b * msbfsBatch
-		hi := lo + msbfsBatch
-		if hi > len(sources) {
-			hi = len(sources)
-		}
-		if w.ms == nil {
-			w.ms = newMSBFSScratch(g.N())
-		}
+	g.Freeze()
+	g.forBatches(len(sources), acquire, release, func(w *Walker, lo, hi int) {
 		batchRows := w.ms.rows[:0]
-		for i := lo; i < hi; i++ {
-			row := rows[i][:k]
-			for r := range row {
-				row[r] = 0
-			}
-			batchRows = append(batchRows, row)
+		for _, row := range rows[lo:hi] {
+			batchRows = append(batchRows, row[:k])
 		}
 		w.ms.rows = batchRows
-		w.runBatch(k, sources[lo:hi], batchRows, nil, nil)
-		for _, row := range batchRows {
-			for r := 1; r < len(row); r++ {
-				row[r] += row[r-1]
-			}
-		}
+		w.ballRows(k, sources[lo:hi], batchRows, nil, 0, sumPush{})
 	})
 }
 
-// BallWeightedSumsInto computes, for every node v, the sum of weight[u] over
-// all u in N_k(v) (excluding v itself) into out (len >= N, overwritten).
-// This is the bulk form of the centrality accumulation (Def. 3): one walker
-// sweep per node, or — for the batched kernel — a per-level weighted tally
-// rolled into the same MS-BFS passes as the ball sizes. Results are
-// identical across kernels.
-func (g *Graph) BallWeightedSumsInto(kern Kernel, k int, weight []int, out []int, acquire func() *Walker, release func(*Walker)) {
-	n := g.N()
+// BallWeightedSumsInto computes, for every listed source v, the sum of
+// weight[u] over all u in N_k(v) (excluding v itself) into out[v]
+// (overwritten; other entries are left alone). With no sources it covers
+// every node, and out must hold N entries. This is the bulk form of the
+// centrality accumulation (Def. 3): one walker sweep per source, or — for
+// the batched kernel — a per-level weighted tally over 64 sources per
+// MS-BFS pass, taken in the order given (batch order for every node).
+// Results are identical across kernels.
+func (g *Graph) BallWeightedSumsInto(kern Kernel, k int, weight []int, out []int, acquire func() *Walker, release func(*Walker), sources ...int32) {
+	count := len(sources)
+	if count == 0 {
+		count = g.N()
+	}
 	if kern == KernelWalker {
-		ParallelNodes(g, acquire, release, func(w *Walker, v int) {
+		ParallelRange(g, count, acquire, release, func(w *Walker, i int) {
+			v := i
+			if len(sources) > 0 {
+				v = int(sources[i])
+			}
 			sum := 0
 			w.Walk(v, k, func(u, _ int32) { sum += weight[u] })
 			out[v] = sum
@@ -394,32 +393,41 @@ func (g *Graph) BallWeightedSumsInto(kern Kernel, k int, weight []int, out []int
 		return
 	}
 	g.Freeze()
-	batches := (n + msbfsBatch - 1) / msbfsBatch
-	ParallelRange(g, batches, acquire, release, func(w *Walker, b int) {
-		lo := b * msbfsBatch
-		hi := lo + msbfsBatch
-		if hi > n {
-			hi = n
+	g.forBatches(count, acquire, release, func(w *Walker, lo, hi int) {
+		var srcs []int32
+		if len(sources) > 0 {
+			srcs = sources[lo:hi]
+		} else {
+			srcs, _ = w.nodeBatch(lo, hi, nil)
 		}
-		if w.ms == nil {
-			w.ms = newMSBFSScratch(n)
-		}
-		srcs := w.ms.srcs[:0]
-		for i := lo; i < hi; i++ {
-			srcs = append(srcs, g.batchSource(i))
-		}
-		w.ms.srcs = srcs
 		var wbuf [msbfsBatch]int
 		wb := wbuf[:len(srcs)]
-		w.runBatch(k, srcs, nil, weight, wb)
+		w.runKernel(k, srcs, nil, weight, wb, nil, 0, sumPush{})
 		for i, v := range srcs {
 			out[v] = wb[i]
 		}
 	})
 }
 
+// PushSumsInto is the transpose of BallWeightedSumsInto: it adds weight[i]
+// to out[x] for every x within k hops of sources[i], other than
+// sources[i] itself. Sources must be distinct; they run 64 per MS-BFS pass
+// in the order given, and the graph is frozen if needed. The incremental
+// extractor pushes each changed K-ball size's delta to the centrality sums
+// it enters this way. Weights may be negative; the adds are atomic and
+// commute, so out does not depend on the schedule.
+func (g *Graph) PushSumsInto(k int, sources []int32, weight []int, out []int, acquire func() *Walker, release func(*Walker)) {
+	if len(sources) == 0 || k <= 0 {
+		return
+	}
+	g.Freeze()
+	g.forBatches(len(sources), acquire, release, func(w *Walker, lo, hi int) {
+		w.runKernel(k, sources[lo:hi], nil, nil, nil, nil, 0, sumPush{radius: k, weight: weight[lo:hi], out: out})
+	})
+}
+
 // ballSizesWalker fills one node's cumulative ball-size row with a walker
-// sweep; shared by the walker paths of BallSizesIntoKernel and BatchBallSizesInto.
+// sweep; the walker path of BallSizesIntoKernel and BallSizesIntoKernelLogged.
 func ballSizesWalker(w *Walker, v int, counts []int) {
 	for r := range counts {
 		counts[r] = 0

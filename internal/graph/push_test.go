@@ -11,8 +11,9 @@ import (
 
 // checkPushedSums compares BallSizesAndSumsInto at GOMAXPROCS 1 and 4 with
 // the walker oracles: the ball rows with per-node walker sweeps, the sums
-// with BallWeightedSumsInto(KernelWalker) over the rows' sumK column.
-func checkPushedSums(t *testing.T, name string, g *Graph, k, sumK, sumL int) {
+// with BallWeightedSumsInto(KernelWalker) over the rows' sumK column. At
+// each GOMAXPROCS it also runs checkSourceLists at radius sumL.
+func checkPushedSums(t *testing.T, name string, g *Graph, k, sumK, sumL int, seed int64) {
 	t.Helper()
 	n := g.N()
 	want := pushRows(n, k)
@@ -47,6 +48,86 @@ func checkPushedSums(t *testing.T, name string, g *Graph, k, sumK, sumL int) {
 					name, k, sumK, sumL, procs, v, sums[v], wantSums[v])
 			}
 		}
+		checkSourceLists(t, fmt.Sprintf("%s L=%d procs=%d", name, sumL, procs), g, sumL, rand.New(rand.NewSource(seed)))
+	}
+}
+
+// checkSourceLists checks the source-list drivers the incremental update
+// floods with against one Walker.Walk per source at radius l: PushSumsInto
+// with signed per-source weights (removals push negative deltas) added onto
+// arbitrary prior sums, and the source-list form of BallWeightedSumsInto
+// under both kernels with signed node weights, which must leave unlisted
+// nodes alone. Each runs over a strided source subset in ID order and a
+// random one in batch (Z-curve) order; dead nodes are sources like any
+// other.
+func checkSourceLists(t *testing.T, name string, g *Graph, l int, rng *rand.Rand) {
+	t.Helper()
+	n := g.N()
+	order := g.BatchOrder()
+	var byID, byZ []int32
+	for v := 0; v < n; v += 3 {
+		byID = append(byID, int32(v))
+	}
+	for i := 0; i < n; i++ {
+		v := int32(i)
+		if order != nil {
+			v = order[i]
+		}
+		if i == 0 || rng.Intn(3) == 0 {
+			byZ = append(byZ, v)
+		}
+	}
+	node := make([]int, n)
+	for v := range node {
+		node[v] = rng.Intn(19) - 9
+	}
+	w := NewWalker(g)
+	for _, src := range []struct {
+		order string
+		list  []int32
+	}{{"id", byID}, {"z", byZ}} {
+		if len(src.list) == 0 {
+			continue
+		}
+		weight := make([]int, len(src.list))
+		got, want := make([]int, n), make([]int, n)
+		for v := range got {
+			got[v] = rng.Intn(100) - 50
+			want[v] = got[v]
+		}
+		wantSum := make([]int, n)
+		for v := range wantSum {
+			wantSum[v] = -1 << 40 // unlisted: left alone
+		}
+		for i, s := range src.list {
+			weight[i] = rng.Intn(19) - 9
+			sum := 0
+			w.Walk(int(s), l, func(u, _ int32) {
+				want[u] += weight[i]
+				sum += node[u]
+			})
+			wantSum[s] = sum
+		}
+		g.PushSumsInto(l, src.list, weight, got, nil, nil)
+		for v := range got {
+			if got[v] != want[v] {
+				t.Fatalf("%s %s-order push of %d sources: out[%d] = %d, want %d",
+					name, src.order, len(src.list), v, got[v], want[v])
+			}
+		}
+		for _, kern := range []Kernel{KernelWalker, KernelBatched} {
+			sums := make([]int, n)
+			for v := range sums {
+				sums[v] = -1 << 40
+			}
+			g.BallWeightedSumsInto(kern, l, node, sums, nil, nil, src.list...)
+			for v := range sums {
+				if sums[v] != wantSum[v] {
+					t.Fatalf("%s %s-order kernel %d weighted sums of %d sources: out[%d] = %d, want %d",
+						name, src.order, kern, len(src.list), v, sums[v], wantSum[v])
+				}
+			}
+		}
 	}
 }
 
@@ -61,10 +142,11 @@ func pushRows(n, k int) [][]int {
 
 // TestPushedSumsMatchWalker: the sums the ball-sizing batches push equal a
 // per-node weighted walk on a field whose size is not a multiple of 64,
-// the same field with tombstones, several components with isolated nodes,
-// and paths on which every source's frontier dies before L; each at a
-// flood radius equal to L (the push fused with the final clear) and above
-// it (the push at the end of level L).
+// the same field with tombstones (the churn overlay the incremental update
+// floods), several components with isolated nodes, and paths on which
+// every source's frontier dies before L; each at a flood radius equal to L
+// (the push fused with the final clear) and above it (the push at the end
+// of level L). The source-list pushes and tallies are checked on each too.
 func TestPushedSumsMatchWalker(t *testing.T) {
 	field := func() *Graph {
 		return Build(uniformPoints(rand.New(rand.NewSource(1)), 1000, 85), radio.UDG{R: 4}, 1)
@@ -118,15 +200,15 @@ func TestPushedSumsMatchWalker(t *testing.T) {
 			t.Fatalf("%s: %d nodes fill whole batches", c.name, c.g.N())
 		}
 		for _, r := range radii {
-			checkPushedSums(t, c.name, c.g, r[0], r[1], r[2])
+			checkPushedSums(t, c.name, c.g, r[0], r[1], r[2], int64(r[0]*7+r[2]))
 		}
 	}
 }
 
-// FuzzPushedSums checks the pushed centrality sums against the walker
-// oracle on FuzzBuild's generated fields, with K <= L drawn from 1..6, the
-// flood radius up to two hops past L, and every fifth node tombstoned when
-// kind asks for it.
+// FuzzPushedSums checks the pushed centrality sums and the source-list
+// drivers against the walker oracle on FuzzBuild's generated fields, with
+// K <= L drawn from 1..6, the flood radius up to two hops past L, and every
+// fifth node tombstoned when kind asks for it.
 func FuzzPushedSums(f *testing.F) {
 	f.Add([]byte("connectivity graphs from radio models"), uint8(1), 0.5, int64(2), uint8(3), uint8(3), uint8(0))
 	f.Add([]byte{0, 0, 1, 1, 2, 2, 0, 0, 9, 3, 3, 3, 4, 4}, uint8(4), 1.0, int64(1), uint8(1), uint8(5), uint8(1))
@@ -146,6 +228,6 @@ func FuzzPushedSums(f *testing.F) {
 		if sumK > sumL {
 			sumK, sumL = sumL, sumK
 		}
-		checkPushedSums(t, fmt.Sprintf("%s n=%d", m, g.N()), g, sumL+int(extra%3), sumK, sumL)
+		checkPushedSums(t, fmt.Sprintf("%s n=%d", m, g.N()), g, sumL+int(extra%3), sumK, sumL, seed)
 	})
 }

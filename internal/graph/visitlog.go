@@ -81,37 +81,12 @@ func (g *Graph) BallSizesIntoKernelLogged(kern Kernel, k, logRadius int, out [][
 		return
 	}
 	g.Freeze()
-	n := g.N()
-	lg.Reset(n, logRadius)
+	lg.Reset(g.N(), logRadius)
 	logs := lg.batches
-	batches := len(logs)
-	ParallelRange(g, batches, acquire, release, func(w *Walker, b int) {
-		lo := b * msbfsBatch
-		hi := lo + msbfsBatch
-		if hi > n {
-			hi = n
-		}
-		if w.ms == nil {
-			w.ms = newMSBFSScratch(n)
-		}
-		srcs := w.ms.srcs[:0]
-		rows := w.ms.rows[:0]
-		for i := lo; i < hi; i++ {
-			v := g.batchSource(i)
-			srcs = append(srcs, v)
-			row := out[v]
-			for r := range row {
-				row[r] = 0
-			}
-			rows = append(rows, row)
-		}
-		w.ms.srcs, w.ms.rows = srcs, rows
-		logs[b] = w.runKernel(k, srcs, rows, nil, nil, logs[b], logRadius, sumPush{})
-		for _, row := range rows {
-			for r := 1; r < len(row); r++ {
-				row[r] += row[r-1]
-			}
-		}
+	g.forBatches(g.N(), acquire, release, func(w *Walker, lo, hi int) {
+		srcs, rows := w.nodeBatch(lo, hi, out)
+		b := lo / msbfsBatch
+		logs[b] = w.ballRows(k, srcs, rows, logs[b], logRadius, sumPush{})
 	})
 }
 
