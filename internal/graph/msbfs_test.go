@@ -235,7 +235,7 @@ func TestBatchBallSizes(t *testing.T) {
 			}
 		}
 	}
-	// Unfrozen graphs fall back to walker sweeps with identical results.
+	// Unfrozen graphs are frozen on demand, with identical results.
 	thawed := graph.New(g.N())
 	for v := 0; v < g.N(); v++ {
 		for _, w := range g.Neighbors(v) {
@@ -249,6 +249,9 @@ func TestBatchBallSizes(t *testing.T) {
 	}
 	out2 := ballRows(len(sources), k)
 	thawed.BatchBallSizesInto(k, sources, out2, nil, nil)
+	if !thawed.Frozen() {
+		t.Fatal("BatchBallSizesInto left the graph unfrozen")
+	}
 	for i := range out {
 		for r := 0; r < k; r++ {
 			if out[i][r] != out2[i][r] {
