@@ -1,7 +1,8 @@
 // Command skeltrace summarizes a JSONL trace emitted by skelextract or
-// skelbench (-trace): per-span duration statistics, the round-by-round
-// message curve of every distributed protocol phase, and the hottest nodes
-// by per-node send/receive counters.
+// skelbench (-trace): per-span duration statistics (with the mean heap
+// allocation of spans that measure it: extraction stages and churn
+// updates), the round-by-round message curve of every distributed protocol
+// phase, and the hottest nodes by per-node send/receive counters.
 //
 // Usage:
 //
@@ -48,6 +49,7 @@ type span struct {
 	id      uint64
 	name    string
 	dur     time.Duration
+	alloc   uint64 // heap bytes allocated inside the span, when measured
 	ended   bool
 	end     map[string]any // end-record attributes
 	rounds  []roundEvent
@@ -137,7 +139,7 @@ func parseFile(path string) (*trace, error) {
 				tr.spans[rec.ID] = sp
 				tr.order = append(tr.order, rec.ID)
 			}
-			sp.ended, sp.dur, sp.end = true, rec.Dur, attrs
+			sp.ended, sp.dur, sp.alloc, sp.end = true, rec.Dur, rec.AllocBytes, attrs
 		case bfskel.TraceEvent:
 			tr.events++
 			sp := tr.spans[rec.Span]
@@ -221,6 +223,8 @@ type durStats struct {
 	total, min, max    time.Duration
 	rounds, messages   int
 	hasRounds, hasMsgs bool
+	alloc              uint64 // summed AllocBytes of the measured spans
+	allocN             int    // spans that carried AllocBytes
 }
 
 func summarize(tr *trace, topK int) {
@@ -251,6 +255,10 @@ func summarize(tr *trace, topK int) {
 		if sp.dur > st.max {
 			st.max = sp.dur
 		}
+		if sp.alloc > 0 {
+			st.alloc += sp.alloc
+			st.allocN++
+		}
 		if v, ok := sp.end["rounds"]; ok {
 			st.rounds += int(v.(float64))
 			st.hasRounds = true
@@ -272,6 +280,9 @@ func summarize(tr *trace, topK int) {
 		}
 		if st.hasRounds {
 			line += fmt.Sprintf(" rounds=%d", st.rounds)
+		}
+		if st.allocN > 0 {
+			line += fmt.Sprintf("  alloc avg=%.1fMiB", float64(st.alloc)/float64(st.allocN)/(1<<20))
 		}
 		fmt.Println(line)
 	}

@@ -38,7 +38,6 @@ func (e *Extractor) connectPairs(tuples []pairSeg, index []float64, records [][]
 	splice *coarseSplice) ([]SiteEdge, *Skeleton) {
 
 	e.fld.ensure(e.g.N())
-	skel := NewSkeleton(e.g.N())
 	var edges []SiteEdge
 	segs := make([]int32, 0, 64)
 	for lo := 0; lo < len(tuples); {
@@ -55,7 +54,6 @@ func (e *Extractor) connectPairs(tuples []pairSeg, index []float64, records [][]
 		if splice != nil {
 			if pe := splice.reuse(pr, segs); pe != nil {
 				edges = append(edges, *pe)
-				skel.AddPath(pe.Path)
 				continue
 			}
 		}
@@ -72,7 +70,6 @@ func (e *Extractor) connectPairs(tuples []pairSeg, index []float64, records [][]
 			path = append(path, toA[i])
 		}
 		path = append(path, toB[1:]...)
-		skel.AddPath(path)
 		e1, e2 := e.bandEndNodes(segs, connector)
 		edges = append(edges, SiteEdge{
 			Pair:         pr,
@@ -82,6 +79,7 @@ func (e *Extractor) connectPairs(tuples []pairSeg, index []float64, records [][]
 			SegmentCount: len(segs),
 		})
 	}
+	skel := skeletonOf(e.g.N(), len(edges), func(i int) []int32 { return edges[i].Path })
 	return edges, skel
 }
 

@@ -35,8 +35,9 @@ type Extractor struct {
 	// adjustments, election rounds and flood counts. The spans are the
 	// run's only clock: each PhaseStats.Duration and Stats.Total is the
 	// duration its span's End returns, so a traced run's stats equal the
-	// Dur of the matching end records. Nil disables emission; the spans
-	// still keep time.
+	// Dur of the matching end records. Each stage span's end record also
+	// carries the bytes allocated inside the stage (Record.AllocBytes).
+	// Nil disables emission; the spans still keep time.
 	Tracer *obs.Tracer
 	// Metrics, when non-nil, accumulates run/stage counters and timing
 	// histograms across extractions (see DESIGN.md for the name taxonomy).
@@ -53,21 +54,17 @@ type Extractor struct {
 	visited atomic.Int64
 
 	// Reusable scratch; none of it escapes into results.
-	ballsFlat []int                 // n*maxR cumulative ball sizes (identify)
-	balls     [][]int               // row views into ballsFlat
+	balls     []int32               // identify: n rows of ballW cumulative ball sizes
+	ballW     int                   // identify: ball matrix stride (maxR)
 	wsums     []int                 // centrality sums (identify)
 	satK      []int                 // identify seeds, updates patch: per-radius K saturation counts
 	satS      []int                 // identify seeds, updates patch: per-radius scope saturation counts
 	ints      []int                 // median / boundary sort scratch
 	bools     []bool                // electSites maximality flags
-	vorQueue  []int32               // voronoi: BFS queue / dmin frontier
-	vorQueue2 []int32               // voronoi: dmin next frontier
-	vorRank   []int32               // voronoi: node -> Z-curve rank for site batching
 	vorSites  []int32               // voronoi: Z-sorted site buffer
-	vorCnt    []int32               // voronoi: per-node record counts for arena layout
 	vorVisits [][]graph.PrunedVisit // voronoi: per-batch pruned-flood outputs
 	vorCand   [][]int32             // voronoi: per-chunk frontier candidates (parallel dmin)
-	fld       floodScratch          // coarse/refine: stamped BFS + mark scratch
+	fld       floodScratch          // coarse/refine: stamped BFS + mark scratch; voronoi borrows its buffers
 	uf        stampedUF             // refine: dense stamped union-find (end clusters, forests)
 	pairBuf   []pairSeg             // coarse: (pair, segment node) tuples
 	cmask     []bool                // refine: classify skeleton-membership mask
@@ -201,6 +198,7 @@ func (rs *runState) runStage(st stage) error {
 	}
 	sweeps0, visited0 := e.sweeps.Load(), e.visited.Load()
 	e.span = e.root.StartSpan("stage." + st.name())
+	e.span.MeasureAllocs()
 	err := st.run(rs)
 	sweeps, visited := e.sweeps.Load()-sweeps0, e.visited.Load()-visited0
 	var d time.Duration

@@ -32,9 +32,9 @@ func (e *Extractor) identify(p Params, st *Stats) (khop []int, cent []float64, i
 	// The centrality pass reads |N_L| off the ball matrix instead of
 	// counting during a walk, so the matrix must reach L as well.
 	maxR := max(p.K, p.Scope(), p.L)
-	balls, sumsK := e.ballSizes(p, maxR)
+	sumsK := e.ballSizes(p, maxR)
 
-	kEff, scopeEff = e.saturationRadii(p, balls)
+	kEff, scopeEff = e.saturationRadii(p)
 	if st != nil {
 		st.KAdjustments += p.K - kEff
 		st.ScopeAdjustments += p.Scope() - scopeEff
@@ -48,7 +48,7 @@ func (e *Extractor) identify(p Params, st *Stats) (khop []int, cent []float64, i
 
 	khop = make([]int, n)
 	for v := range khop {
-		khop[v] = balls[v][kEff-1]
+		khop[v] = e.ball(v, kEff)
 	}
 
 	// When hop balls outgrow the field's structural features (very dense or
@@ -89,7 +89,7 @@ func (e *Extractor) identify(p Params, st *Stats) (khop []int, cent []float64, i
 				st.KAdjustments++
 			}
 			for v := range khop {
-				khop[v] = balls[v][kEff-1]
+				khop[v] = e.ball(v, kEff)
 			}
 		default:
 			return khop, cent, index, sites, kEff, scopeEff
@@ -98,27 +98,30 @@ func (e *Extractor) identify(p Params, st *Stats) (khop []int, cent []float64, i
 	return khop, cent, index, sites, kEff, scopeEff
 }
 
-// ballSizes returns the cumulative ball-size matrix sizes[v][r-1] over the
-// engine's pooled buffers; the rows stay valid until the next Extract or
-// Bind call. When K <= L the same MS-BFS passes push the centrality sums of
-// the K column into e.wsums and sumsK is p.K; when K > L the K-ball sizes
-// are not final once a batch has settled L hops, nothing is pushed and
-// sumsK is 0.
-func (e *Extractor) ballSizes(p Params, maxR int) (balls [][]int, sumsK int) {
+// ballSizes fills the engine's ball matrix, one flat int32 row of maxR
+// cumulative ball sizes per node (see ball); it stays valid until the next
+// Extract or Bind call. When K <= L the same MS-BFS passes push the
+// centrality sums of the K column into e.wsums and sumsK is p.K; when
+// K > L the K-ball sizes are not final once a batch has settled L hops,
+// nothing is pushed and sumsK is 0.
+func (e *Extractor) ballSizes(p Params, maxR int) (sumsK int) {
 	n := e.g.N()
-	e.ballsFlat = growInts(e.ballsFlat, n*maxR)
-	if cap(e.balls) < n {
-		e.balls = make([][]int, n)
-	}
-	e.balls = e.balls[:n]
-	for v := 0; v < n; v++ {
-		e.balls[v] = e.ballsFlat[v*maxR : (v+1)*maxR : (v+1)*maxR]
-	}
+	e.ballW = maxR
+	e.balls = growInt32s(e.balls, n*maxR)
 	e.wsums = growInts(e.wsums, n)
 	if e.g.BallSizesAndSumsInto(maxR, p.K, p.L, e.balls, e.wsums, e.getWalker, e.putWalker) {
 		sumsK = p.K
 	}
-	return e.balls, sumsK
+	return sumsK
+}
+
+// ball reads |N_r(v)| off the engine's ball matrix, for r in 1..maxR.
+func (e *Extractor) ball(v, r int) int { return int(e.balls[v*e.ballW+r-1]) }
+
+// ballRow is node v's row of the ball matrix.
+func (e *Extractor) ballRow(v int32) []int32 {
+	i := int(v) * e.ballW
+	return e.balls[i : i+e.ballW]
 }
 
 // indexField computes the L-centrality and index of every node (Defs. 3-4)
@@ -136,7 +139,7 @@ func (e *Extractor) indexField(p Params, khop []int, stale bool, cent, index []f
 	}
 	wsums := e.wsums
 	for v := range khop {
-		cent[v], index[v] = indexOf(khop[v], wsums[v], e.balls[v][p.L-1])
+		cent[v], index[v] = indexOf(khop[v], wsums[v], e.ball(v, p.L))
 	}
 }
 
@@ -206,28 +209,38 @@ func sitesOf(isSite []bool) []int32 {
 
 // saturationRadii counts the whole ball matrix into the engine's
 // saturation counts and resolves the effective K and scope from them.
-func (e *Extractor) saturationRadii(p Params, balls [][]int) (kEff, scopeEff int) {
+func (e *Extractor) saturationRadii(p Params) (kEff, scopeEff int) {
 	e.satK = growInts(e.satK, p.K+1)
 	e.satS = growInts(e.satS, p.Scope()+1)
 	clear(e.satK)
 	clear(e.satS)
-	e.countSaturation(p, balls, +1)
-	n := len(balls)
+	n := e.g.N()
+	e.countSaturation(p, nil, +1)
 	return radiusFromCounts(e.satK, p.K, n), radiusFromCounts(e.satS, p.Scope(), n)
 }
 
-// countSaturation adds sign times each ball row's contribution to the
-// saturation counts: satK[r] (satS[r]) counts the rows whose radius-r ball
-// stays at or under the K (scope) saturation limit, for r from 2 to K
-// (scope). Identify counts the whole matrix; an incremental update takes a
-// patched row out (-1) before patching it and puts it back (+1) after, so
-// the counts always describe the current matrix.
-func (e *Extractor) countSaturation(p Params, rows [][]int, sign int) {
-	n := float64(e.g.N())
-	limK := kSaturationFraction * n
-	limS := scopeSaturationFraction * n
+// countSaturation adds sign times the listed nodes' ball rows (every row
+// when nodes is nil) to the saturation counts: satK[r] (satS[r]) counts the
+// rows whose radius-r ball stays at or under the K (scope) saturation
+// limit, for r from 2 to K (scope). Identify counts the whole matrix; an
+// incremental update takes its patched rows out (-1) before patching them
+// and puts them back (+1) after, so the counts always describe the current
+// matrix.
+func (e *Extractor) countSaturation(p Params, nodes []int32, sign int) {
+	n := e.g.N()
+	limK := kSaturationFraction * float64(n)
+	limS := scopeSaturationFraction * float64(n)
 	satK, satS := e.satK[:p.K+1], e.satS[:p.Scope()+1]
-	for _, row := range rows {
+	count := len(nodes)
+	if nodes == nil {
+		count = n
+	}
+	for i := 0; i < count; i++ {
+		v := int32(i)
+		if nodes != nil {
+			v = nodes[i]
+		}
+		row := e.ballRow(v)
 		for r := 2; r < len(satK); r++ {
 			if float64(row[r-1]) <= limK {
 				satK[r] += sign

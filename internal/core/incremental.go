@@ -217,6 +217,7 @@ func (ix *IncrementalExtractor) Update(remove, revive []int32) (*Result, error) 
 	}
 	span := e.Tracer.StartSpan("update",
 		obs.Int("remove", len(remove)), obs.Int("revive", len(revive)))
+	span.MeasureAllocs()
 	ix.uspan = span
 	defer func() { ix.uspan = nil }()
 
@@ -384,20 +385,15 @@ func (ix *IncrementalExtractor) update(flipped, newlyDead, patched []int32) (*Re
 		}
 	}
 	sc.srcs, sc.fresh = srcs, fresh
-	rows := sc.rows[:0]
-	for _, v := range srcs {
-		rows = append(rows, e.balls[v])
-	}
-	sc.rows = rows
-	e.countSaturation(p, rows, -1)
-	g.BatchBallSizesInto(ix.maxR, srcs, rows, acquire, release)
-	e.countSaturation(p, rows, +1)
+	e.countSaturation(p, srcs, -1)
+	g.BatchBallSizesInto(ix.maxR, srcs, e.balls, acquire, release)
+	e.countSaturation(p, srcs, +1)
 	// The sources whose khop changed, with the integer differences the
 	// centrality delta pass below propagates.
 	khop, wsum := ix.khop, ix.wsum
 	pushed, delta := sc.pushed[:0], sc.delta[:0]
 	for _, v := range srcs {
-		k := e.balls[v][ix.kEff-1]
+		k := e.ball(int(v), ix.kEff)
 		if d := k - khop[v]; d != 0 {
 			pushed = append(pushed, v)
 			delta = append(delta, d)
@@ -436,7 +432,7 @@ func (ix *IncrementalExtractor) update(flipped, newlyDead, patched []int32) (*Re
 	g.PushSumsInto(p.L, pushed, delta, wsum, acquire, release)
 	g.BallWeightedSumsInto(graph.KernelBatched, p.L, khop, wsum, acquire, release, fresh...)
 	for _, v := range wlist {
-		ix.cent[v], ix.index[v] = indexOf(khop[v], wsum[v], e.balls[v][p.L-1])
+		ix.cent[v], ix.index[v] = indexOf(khop[v], wsum[v], e.ball(int(v), p.L))
 	}
 
 	if ix.sspan.Enabled() {
@@ -804,7 +800,6 @@ type incScratch struct {
 	bv, bu    []int32   // dirty-boundary edge list (dirty node, clean neighbor)
 	rs        []int32   // sites to re-flood
 	fqueueBuf []int32   // per-site flood settle order
-	rows      [][]int   // ball-row views for the MS-BFS patch pass
 	srcs      []int32   // ball-ring sources, in batch order
 	fresh     []int32   // nodes within L of a flip, in batch order
 	pushed    []int32   // ball-ring sources whose khop changed

@@ -139,8 +139,8 @@ func requireSaturationCounts(t *testing.T, name string, e *Extractor, p Params) 
 	} {
 		for r := 2; r <= c.want; r++ {
 			fresh := 0
-			for _, row := range e.balls {
-				if float64(row[r-1]) <= c.limit {
+			for v := 0; v < e.g.N(); v++ {
+				if float64(e.ball(v, r)) <= c.limit {
 					fresh++
 				}
 			}

@@ -92,13 +92,12 @@ func (e *Extractor) newRefiner(p Params, index []float64, records [][]SiteDist, 
 // near the site), so the skeleton is always rebuilt rather than updated
 // incrementally.
 func (w *refiner) build() *Skeleton {
-	skel := NewSkeleton(w.g.N())
-	for _, e := range w.edges {
-		if !e.deleted {
-			skel.AddPath(e.path)
+	return skeletonOf(w.g.N(), len(w.edges), func(i int) []int32 {
+		if w.edges[i].deleted {
+			return nil
 		}
-	}
-	return skel
+		return w.edges[i].path
+	})
 }
 
 // dropRedundantParallels removes duplicate connections between the same

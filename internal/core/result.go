@@ -106,6 +106,29 @@ func NewSkeleton(n int) *Skeleton {
 	return &Skeleton{n: n, isOn: make([]bool, n), off: make([]int32, n), arena: make([]int32, 1, 64)}
 }
 
+// skeletonOf builds the skeleton of count paths, adding path(i) in index
+// order (a nil path is skipped). A first pass marks the nodes, so the
+// arena is allocated once: one initial chunk per node plus a quarter word
+// per node for the few junctions that relocate, instead of growing by
+// append, which at large sizes copies the whole arena every 25%.
+func skeletonOf(n, count int, path func(i int) []int32) *Skeleton {
+	s := NewSkeleton(n)
+	nodes := 0
+	for i := 0; i < count; i++ {
+		for _, v := range path(i) {
+			if !s.isOn[v] {
+				s.isOn[v] = true
+				nodes++
+			}
+		}
+	}
+	s.arena = make([]int32, 1, 1+(skelChunk+2)*nodes+nodes/4)
+	for i := 0; i < count; i++ {
+		s.AddPath(path(i))
+	}
+	return s
+}
+
 // AddPath marks every node of the path as a skeleton node and links
 // consecutive nodes.
 func (s *Skeleton) AddPath(path []int32) {
@@ -255,32 +278,7 @@ func (s *Skeleton) NumEdges() int { return s.edges }
 // equal the number of holes for the skeleton to be homotopic to the network
 // region (Sec. III-D).
 func (s *Skeleton) CycleRank() int {
-	nodes := s.Nodes()
-	if len(nodes) == 0 {
-		return 0
-	}
-	seen := make(map[int32]bool, len(nodes))
-	comps := 0
-	var stack []int32
-	for _, v := range nodes {
-		if seen[v] {
-			continue
-		}
-		comps++
-		seen[v] = true
-		stack = append(stack[:0], v)
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, w := range s.Neighbors(u) {
-				if !seen[w] {
-					seen[w] = true
-					stack = append(stack, w)
-				}
-			}
-		}
-	}
-	return s.edges - len(nodes) + comps
+	return s.edges - s.NumNodes() + s.Components()
 }
 
 // Components returns the number of connected components of the skeleton.

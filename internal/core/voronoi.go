@@ -2,7 +2,6 @@ package core
 
 import (
 	"runtime"
-	"sort"
 
 	"bfskel/internal/graph"
 	"bfskel/internal/obs"
@@ -24,9 +23,11 @@ import (
 // The per-site pruned floods run 64 sites per bit-parallel pass over
 // Z-curve site batches (see voronoiPrunedBatched for the tie-break and
 // parent rules), and the dmin pass is level-synchronous over the available
-// workers. The BFS scratch comes from the engine's pools, while everything
-// that escapes into the Result is allocated fresh. st, when non-nil,
-// accumulates the flood counters.
+// workers. The BFS scratch comes from the engine's pools — the n-sized
+// buffers are borrowed from the coarse/refine flood scratch, whose
+// lifetime never overlaps this stage — while everything that escapes into
+// the Result is allocated fresh. st, when non-nil, accumulates the flood
+// counters.
 func (e *Extractor) voronoi(sites []int32, alpha int32, st *Stats) (cellOf, distToSite []int32, records [][]SiteDist) {
 	g := e.g
 	n := g.N()
@@ -45,7 +46,7 @@ func (e *Extractor) voronoi(sites []int32, alpha int32, st *Stats) (cellOf, dist
 	g.Freeze()
 
 	// Pass 1: multi-source BFS for dmin; ties go to the lowest site ID.
-	e.vorQueue = growInt32s(e.vorQueue, n)
+	e.fld.ensure(n)
 	e.voronoiDmin(sites, cellOf, distToSite)
 	if st != nil {
 		st.Floods += 1 + len(sites)
@@ -55,7 +56,7 @@ func (e *Extractor) voronoi(sites []int32, alpha int32, st *Stats) (cellOf, dist
 	// Pass 2: per-site pruned floods recording (site, dist, parent) wherever
 	// dist <= dmin + alpha. The recorded parent is canonical: the lowest-ID
 	// neighbor one hop closer within the site's pruned visited set.
-	e.voronoiPrunedBatched(sites, alpha, distToSite, records)
+	e.voronoiPrunedBatched(sites, alpha, cellOf, distToSite, records)
 	return cellOf, distToSite, records
 }
 
@@ -74,12 +75,14 @@ func (e *Extractor) voronoi(sites []int32, alpha int32, st *Stats) (cellOf, dist
 // neighbor at the previous level. Computing that minimum directly gives the
 // same assignment with no dependence on chunk boundaries or worker count.
 // The FIFO pass is the test oracle (TestVoronoiDminMatchesFIFO).
+//
+// The two frontier lists borrow the flood scratch's queue and dist arrays
+// (n-sized after ensure); dist's values are only read under a matching
+// stamp, which this pass never writes, so the borrow leaves no trace.
 func (e *Extractor) voronoiDmin(sites []int32, cellOf, distToSite []int32) {
 	g := e.g
-	n := g.N()
-	e.vorQueue2 = growInt32s(e.vorQueue2, n)
-	frontier := e.vorQueue[:0]
-	next := e.vorQueue2[:0]
+	frontier := e.fld.queue[:0]
+	next := e.fld.dist[:0]
 	for _, s := range sites {
 		distToSite[s] = 0
 		cellOf[s] = s
@@ -149,42 +152,45 @@ func (e *Extractor) voronoiDmin(sites []int32, cellOf, distToSite []int32) {
 // visited set and distances are independent of its batch; the per-bit
 // parent is the lowest-ID predecessor; and the merge sorts each node's
 // records by site ID.
-func (e *Extractor) voronoiPrunedBatched(sites []int32, alpha int32, distToSite []int32, records [][]SiteDist) {
+func (e *Extractor) voronoiPrunedBatched(sites []int32, alpha int32, cellOf, distToSite []int32, records [][]SiteDist) {
 	g := e.g
 	n := g.N()
 
-	// Z-sort the sites. Rank by Build's Z-curve permutation when present
-	// (ID order otherwise — then the sort is a no-op since sites arrive
-	// sorted by ID).
-	srt := growInt32s(e.vorSites, len(sites))
-	copy(srt, sites)
-	e.vorSites = srt
+	// Z-sort the sites: one walk of Build's Z-curve permutation picks them
+	// out in curve order (a site is the one node of its own cell). Without
+	// a permutation they stay in ID order.
+	srt := e.vorSites[:0]
 	if zorder := g.BatchOrder(); zorder != nil {
-		rank := growInt32s(e.vorRank, n)
-		e.vorRank = rank
-		for i, v := range zorder {
-			rank[v] = int32(i)
-		}
-		sort.Slice(srt, func(i, j int) bool {
-			if rank[srt[i]] != rank[srt[j]] {
-				return rank[srt[i]] < rank[srt[j]]
+		for _, v := range zorder {
+			if cellOf[v] == v {
+				srt = append(srt, v)
 			}
-			return srt[i] < srt[j]
-		})
+		}
+	} else {
+		srt = append(srt, sites...)
 	}
+	e.vorSites = srt
 
+	// Each batch's visits are at least its cells' nodes (every node is
+	// reached by its own site); the alpha band adds about half as many
+	// again. Sizing a fresh buffer from that keeps the first extraction
+	// from growing each buffer by doubling.
 	const batchSize = 64
 	batches := (len(srt) + batchSize - 1) / batchSize
 	if cap(e.vorVisits) < batches {
 		e.vorVisits = append(e.vorVisits[:cap(e.vorVisits)], make([][]graph.PrunedVisit, batches-cap(e.vorVisits))...)
 	}
 	visits := e.vorVisits[:batches]
+	cnt := e.fld.markVal // borrowed like voronoiDmin's lists: per-cell, then per-node counts
+	clear(cnt)
+	for _, c := range cellOf {
+		if c >= 0 {
+			cnt[c]++
+		}
+	}
 	offsets, _ := g.Offsets()
 	batchWeight := func(b int) int {
-		lo, hi := b*batchSize, (b+1)*batchSize
-		if hi > len(srt) {
-			hi = len(srt)
-		}
+		lo, hi := b*batchSize, min((b+1)*batchSize, len(srt))
 		wsum := 0
 		for _, s := range srt[lo:hi] {
 			wsum += int(offsets[s+1] - offsets[s])
@@ -192,9 +198,13 @@ func (e *Extractor) voronoiPrunedBatched(sites []int32, alpha int32, distToSite 
 		return wsum + 1
 	}
 	graph.ParallelRangeWeighted(g, batches, batchWeight, e.getWalker, e.putWalker, func(w *graph.Walker, b int) {
-		lo, hi := b*batchSize, (b+1)*batchSize
-		if hi > len(srt) {
-			hi = len(srt)
+		lo, hi := b*batchSize, min((b+1)*batchSize, len(srt))
+		if cap(visits[b]) == 0 {
+			cells := 0
+			for _, s := range srt[lo:hi] {
+				cells += int(cnt[s])
+			}
+			visits[b] = make([]graph.PrunedVisit, 0, cells+cells/2)
 		}
 		visits[b] = w.PrunedBatch(srt[lo:hi], distToSite, alpha, visits[b][:0])
 	})
@@ -202,11 +212,7 @@ func (e *Extractor) voronoiPrunedBatched(sites []int32, alpha int32, distToSite 
 	// Merge: count records per node (every site seeds its own record), lay
 	// out an exactly-sized arena, append, then order each node's records by
 	// site ID.
-	cnt := growInt32s(e.vorCnt, n)
-	e.vorCnt = cnt
-	for i := range cnt {
-		cnt[i] = 0
-	}
+	clear(cnt)
 	total := len(sites)
 	for _, s := range sites {
 		cnt[s]++

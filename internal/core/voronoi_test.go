@@ -71,7 +71,7 @@ func TestVoronoiDminMatchesFIFO(t *testing.T) {
 			for _, procs := range []int{1, 2, 4} {
 				runtime.GOMAXPROCS(procs)
 				cell, dist := dminArrays(n)
-				x.vorQueue = growInt32s(x.vorQueue, n)
+				x.fld.ensure(n)
 				x.voronoiDmin(sites, cell, dist)
 				for v := 0; v < n; v++ {
 					if cell[v] != wantCell[v] || dist[v] != wantDist[v] {

@@ -9,48 +9,15 @@ import (
 // other components).
 func (g *Graph) BFS(src int) []int32 {
 	dist := make([]int32, g.N())
-	for i := range dist {
-		dist[i] = Unreachable
-	}
-	dist[src] = 0
-	queue := make([]int32, 0, g.N())
-	queue = append(queue, int32(src))
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		du := dist[u]
-		for _, v := range g.adj[u] {
-			if dist[v] == Unreachable {
-				dist[v] = du + 1
-				queue = append(queue, v)
-			}
-		}
-	}
+	NewWalker(g).BFSInto(src, dist)
 	return dist
 }
 
 // BFSPaths returns hop distances and a parent array (parent[src] == src,
 // Unreachable elsewhere when unvisited) for shortest-path reconstruction.
 func (g *Graph) BFSPaths(src int) (dist, parent []int32) {
-	dist = make([]int32, g.N())
-	parent = make([]int32, g.N())
-	for i := range dist {
-		dist[i] = Unreachable
-		parent[i] = Unreachable
-	}
-	dist[src] = 0
-	parent[src] = int32(src)
-	queue := []int32{int32(src)}
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		du := dist[u]
-		for _, v := range g.adj[u] {
-			if dist[v] == Unreachable {
-				dist[v] = du + 1
-				parent[v] = u
-				queue = append(queue, v)
-			}
-		}
-	}
+	dist, parent = make([]int32, g.N()), make([]int32, g.N())
+	NewWalker(g).BFSPathsInto(src, dist, parent)
 	return dist, parent
 }
 
@@ -74,10 +41,11 @@ func PathTo(parent []int32, dst int) []int32 {
 }
 
 // khopScratch holds reusable buffers for truncated BFS sweeps, plus
-// since-last-drain work counters (see Walker.TakeCounts).
+// since-last-drain work counters (see Walker.TakeCounts). Levels are read
+// off the queue's level boundaries, so the only n-sized buffer is the
+// epoch stamp; the queue grows with the largest region flooded.
 type khopScratch struct {
 	stamp   []int32
-	dist    []int32
 	queue   []int32
 	epoch   int32
 	sweeps  int
@@ -85,104 +53,71 @@ type khopScratch struct {
 }
 
 func newKHopScratch(n int) *khopScratch {
-	return &khopScratch{
-		stamp: make([]int32, n),
-		dist:  make([]int32, n),
-		queue: make([]int32, 0, n),
-	}
+	return &khopScratch{stamp: make([]int32, n)}
 }
 
-// run performs BFS from src truncated at k hops and calls visit(node, dist)
-// for every reached node other than src.
-func (s *khopScratch) run(g *Graph, src, k int, visit func(v, d int32)) {
-	s.sweeps++
-	s.epoch++
-	s.stamp[src] = s.epoch
-	s.dist[src] = 0
-	s.queue = s.queue[:0]
-	s.queue = append(s.queue, int32(src))
-	for head := 0; head < len(s.queue); head++ {
-		u := s.queue[head]
-		du := s.dist[u]
-		if int(du) == k {
-			continue
-		}
-		for _, v := range g.adj[u] {
-			if s.stamp[v] != s.epoch {
-				s.stamp[v] = s.epoch
-				s.dist[v] = du + 1
-				s.queue = append(s.queue, v)
-				s.visited++
-				if visit != nil {
-					visit(v, du+1)
-				}
-			}
-		}
-	}
-}
-
-// runUntil is run with early termination: visit returning false abandons
-// the sweep immediately. The scratch stays consistent for the next sweep
-// (the epoch stamp makes partially filled buffers harmless).
+// runUntil performs BFS from src truncated at k hops and calls visit(node,
+// dist) for every reached node other than src; visit returning false
+// abandons the sweep immediately. The scratch stays consistent for the
+// next sweep (the epoch stamp makes partially filled buffers harmless).
+// Level d's nodes are queue[lo:hi] while level d+1 is appended behind
+// them.
 func (s *khopScratch) runUntil(g *Graph, src, k int, visit func(v, d int32) bool) {
 	s.sweeps++
 	s.epoch++
 	s.stamp[src] = s.epoch
-	s.dist[src] = 0
-	s.queue = s.queue[:0]
-	s.queue = append(s.queue, int32(src))
-	for head := 0; head < len(s.queue); head++ {
-		u := s.queue[head]
-		du := s.dist[u]
-		if int(du) == k {
-			continue
-		}
-		for _, v := range g.adj[u] {
-			if s.stamp[v] != s.epoch {
-				s.stamp[v] = s.epoch
-				s.dist[v] = du + 1
-				s.queue = append(s.queue, v)
-				s.visited++
-				if !visit(v, du+1) {
-					return
+	queue := append(s.queue[:0], int32(src))
+	for d, lo := int32(1), 0; int(d) <= k && lo < len(queue); d++ {
+		hi := len(queue)
+		for i := lo; i < hi; i++ {
+			for _, v := range g.adj[queue[i]] {
+				if s.stamp[v] != s.epoch {
+					s.stamp[v] = s.epoch
+					queue = append(queue, v)
+					s.visited++
+					if !visit(v, d) {
+						s.queue = queue
+						return
+					}
 				}
 			}
 		}
+		lo = hi
 	}
+	s.queue = queue
 }
 
 // KHopNeighbors returns the nodes at hop distance 1..k from src.
 func (g *Graph) KHopNeighbors(src, k int) []int32 {
-	s := newKHopScratch(g.N())
 	var out []int32
-	s.run(g, src, k, func(v, _ int32) { out = append(out, v) })
+	NewWalker(g).Walk(src, k, func(v, _ int32) { out = append(out, v) })
 	return out
 }
 
 // KHopCount returns |N_k(src)|, the k-hop neighborhood size of src
 // excluding src itself.
 func (g *Graph) KHopCount(src, k int) int {
-	s := newKHopScratch(g.N())
 	n := 0
-	s.run(g, src, k, func(_, _ int32) { n++ })
+	NewWalker(g).Walk(src, k, func(_, _ int32) { n++ })
 	return n
 }
 
 // AllKHopCounts computes |N_k(v)| for every node, in parallel. This is the
 // centralized analogue of the paper's first round of controlled flooding
-// (Sec. III-A); the counts run as width-1 rows through the MS-BFS kernel,
-// which freezes the graph if needed.
+// (Sec. III-A); it runs the MS-BFS kernel, which freezes the graph if
+// needed.
 func (g *Graph) AllKHopCounts(k int) []int {
 	n := g.N()
 	out := make([]int, n)
 	if k <= 0 || n == 0 {
 		return out
 	}
-	rows := make([][]int, n)
-	for v := range rows {
-		rows[v] = out[v : v+1 : v+1]
-	}
-	g.BallSizesInto(k, rows, nil, nil)
+	g.Freeze()
+	g.ballBatches(k, sumPush{}, nil, 0, nil, nil, func(v int32, levels []int32) {
+		for _, c := range levels {
+			out[v] += int(c)
+		}
+	})
 	return out
 }
 
@@ -198,7 +133,8 @@ func (g *Graph) BallSizesInto(k int, out [][]int, acquire func() *Walker, releas
 // BallSizesIntoKernel is BallSizesInto under an explicit kernel choice:
 // per-source walker sweeps, or the bit-parallel MS-BFS kernel advancing 64
 // sources per pass (msbfs.go). Both kernels produce identical results; only
-// the sweep cost differs.
+// the sweep cost differs. The batched path runs the level-tally kernel of
+// BallSizesAndSumsInto and writes the rows from its tallies.
 func (g *Graph) BallSizesIntoKernel(kern Kernel, k int, out [][]int, acquire func() *Walker, release func(*Walker)) {
 	if k <= 0 || g.N() == 0 {
 		return
@@ -210,31 +146,39 @@ func (g *Graph) BallSizesIntoKernel(kern Kernel, k int, out [][]int, acquire fun
 		return
 	}
 	g.Freeze()
-	g.ballSizesBatched(k, out, sumPush{}, acquire, release)
+	g.ballBatches(k, sumPush{}, nil, 0, acquire, release, func(v int32, levels []int32) {
+		cumulateInts(out[v], levels)
+	})
 }
 
-// BallSizesAndSumsInto is BallSizesInto that also yields the centrality
-// tallies of Def. 3 from the same flood: sums[v] (len >= N, overwritten)
-// receives the sum of |N_sumK(u)| over every u != v within sumL hops of v —
-// what BallWeightedSumsInto(KernelBatched, sumL, w, ...) computes for
-// w[u] = out[u][sumK-1] — without a second sweep. Each 64-source batch
+// BallSizesAndSumsInto computes the ball-size matrix of every node as one
+// flat matrix of stride k — balls[v*k+r-1] = |N_r(v)| (excluding v) for r
+// in 1..k, N*k entries, all overwritten — and from the same flood the
+// centrality tallies of Def. 3: sums[v] (len >= N, overwritten) receives
+// the sum of |N_sumK(u)| over every u != v within sumL hops of v — what
+// BallWeightedSumsInto(KernelBatched, sumL, w, ...) computes for
+// w[u] = balls[u*k+sumK-1] — without a second sweep. Each 64-source batch
 // pushes its ball sizes to the nodes it reached, which hop-distance
 // symmetry makes the same sum (msbfs.go). The push needs
 // 1 <= sumK <= sumL <= k, since a batch's sumK-ball sizes are only final
 // once it has settled sumL hops; otherwise only the ball sizes are
-// computed and sums is left untouched. It reports whether it pushed.
-func (g *Graph) BallSizesAndSumsInto(k, sumK, sumL int, out [][]int, sums []int, acquire func() *Walker, release func(*Walker)) bool {
-	if sumK < 1 || sumK > sumL || sumL > k {
-		g.BallSizesInto(k, out, acquire, release)
-		return false
-	}
+// computed and sums is left untouched. It reports whether it pushed. The
+// batched kernel runs, freezing the graph if needed.
+func (g *Graph) BallSizesAndSumsInto(k, sumK, sumL int, balls []int32, sums []int, acquire func() *Walker, release func(*Walker)) bool {
 	n := g.N()
-	clear(sums[:n])
-	if n > 0 {
-		g.Freeze()
-		g.ballSizesBatched(k, out, sumPush{width: sumK, radius: sumL, out: sums}, acquire, release)
+	pushing := sumK >= 1 && sumK <= sumL && sumL <= k
+	var push sumPush
+	if pushing {
+		clear(sums[:n])
+		push = sumPush{width: sumK, radius: sumL, out: sums}
 	}
-	return true
+	if k > 0 && n > 0 {
+		g.Freeze()
+		g.ballBatches(k, push, nil, 0, acquire, release, func(v int32, levels []int32) {
+			cumulate(balls[int(v)*k:(int(v)+1)*k], levels)
+		})
+	}
+	return pushing
 }
 
 // Components labels connected components; it returns the label of each node

@@ -15,6 +15,7 @@ package graph
 
 import (
 	"math/bits"
+	"slices"
 	"sync/atomic"
 	"unsafe"
 )
@@ -40,27 +41,58 @@ const (
 const msbfsBatch = 64
 
 // msbfsScratch holds one worker's MS-BFS state: one word of source bits per
-// node for the visited set, the current frontier and the next frontier, plus
-// the frontier node lists and a touched list for O(visited) reset.
+// node for the visited set and for the next frontier, plus the frontier as
+// a node list with its bits alongside (fbits[j] belongs to cur[j]), the
+// next level's node list and a touched list for O(visited) reset. Only the
+// two bit words are n-sized; the lists grow with the flooded region.
 type msbfsScratch struct {
-	seen     []uint64
-	frontier []uint64
-	next     []uint64
-	cur      []int32
-	nxt      []int32
-	touched  []int32
-	srcs     []int32 // batch source buffer for range drivers
-	rows     [][]int // batch row views for range drivers
+	seen    []uint64
+	next    []uint64
+	cur     []int32
+	fbits   []uint64
+	nxt     []int32
+	touched []int32
+	srcs    []int32 // batch source buffer for range drivers
+	tally   []int32 // per-source, per-level settle counts for ball drivers
 }
 
 func newMSBFSScratch(n int) *msbfsScratch {
 	return &msbfsScratch{
-		seen:     make([]uint64, n),
-		frontier: make([]uint64, n),
-		next:     make([]uint64, n),
-		srcs:     make([]int32, 0, msbfsBatch),
-		rows:     make([][]int, 0, msbfsBatch),
+		seen: make([]uint64, n),
+		next: make([]uint64, n),
+		srcs: make([]int32, 0, msbfsBatch),
 	}
+}
+
+// seed opens a batch: source i carries bit i in seen and in the frontier.
+// Sources are listed once in touched (first occurrence order) and once in
+// the frontier, where a repeated source ORs its bit into the existing
+// entry. seen must be all-zero on entry.
+func (s *msbfsScratch) seed(sources []int32) {
+	cur, fbits, touched := s.cur[:0], s.fbits[:0], s.touched[:0]
+	for i, src := range sources {
+		bit := uint64(1) << uint(i)
+		if s.seen[src] == 0 {
+			touched = append(touched, src)
+			cur = append(cur, src)
+			fbits = append(fbits, bit)
+		} else {
+			fbits[slices.Index(cur, src)] |= bit
+		}
+		s.seen[src] |= bit
+	}
+	s.cur, s.fbits, s.touched = cur, fbits, touched
+}
+
+// finish re-zeroes seen over the touched nodes (unless the caller already
+// did) and parks the grown lists for the next batch.
+func (s *msbfsScratch) finish(cur, nxt, touched []int32, fbits []uint64, clearSeen bool) {
+	if clearSeen {
+		for _, v := range touched {
+			s.seen[v] = 0
+		}
+	}
+	s.cur, s.nxt, s.touched, s.fbits = cur[:0], nxt[:0], touched[:0], fbits[:0]
 }
 
 // sumPush asks a pass to push a weight from every source to the nodes
@@ -71,11 +103,10 @@ func newMSBFSScratch(n int) *msbfsScratch {
 // out[x] += Σ_{s≠x, d(s,x)≤radius} weight(s): with ball sizes as weights
 // these are the centrality sums of Def. 3. weight, when set, gives each
 // batch source's weight explicitly (PushSumsInto); otherwise a source
-// weighs its width-hop ball size, its row summed through width-1 (the rows
-// hold per-level tallies while a batch runs), final once width <= radius.
-// Batches on different workers reach the same node only near chunk seams;
-// their integer adds commute, so the sums do not depend on the schedule.
-// The zero value pushes nothing.
+// weighs its width-hop ball size, its level tallies summed through width
+// (final once width <= radius). Batches on different workers reach the
+// same node only near chunk seams; their integer adds commute, so the sums
+// do not depend on the schedule. The zero value pushes nothing.
 type sumPush struct {
 	width, radius int
 	weight        []int
@@ -83,22 +114,21 @@ type sumPush struct {
 }
 
 // run floods up to 64 sources simultaneously, truncated at k hops, over the
-// frozen CSR arrays. For source i it adds the number of nodes first reached
-// at hop d to rows[i][min(d-1, len(rows[i])-1)] — per-radius tallies for
-// k-wide rows, a running total for width-1 rows — and, when weight is
-// non-nil, adds weight[v] for every reached v to wsums[i]. Either rows or
-// wsums may be nil. Settle events within logRadius hops are appended to log
-// as (node, source-bits) pairs — a replayable record of which sources
-// reached which nodes — and the grown log is returned alongside the total
-// number of (source, node) visits, the same tally the walker's visited
-// counter produces. Pass logRadius 0 to disable logging. A non-zero push
-// (radius <= k, distinct sources, rows at least push.width wide) pushes the
+// frozen CSR arrays. When tally is non-nil (len(sources)*k entries) it sets
+// tally[i*k+d-1] to the number of nodes source i first reaches at hop d;
+// when weight is non-nil it adds weight[v] for every v source i reaches to
+// wsums[i]. Settle events within logRadius hops are appended to log as
+// (node, source-bits) pairs — a replayable record of which sources reached
+// which nodes — and the grown log is returned alongside the total number
+// of (source, node) visits, the same tally the walker's visited counter
+// produces. Pass logRadius 0 to disable logging. A non-zero push (radius
+// <= k, distinct sources, a tally when push.weight is nil) pushes the
 // batch's ball sizes to the nodes it reached; see sumPush.
 //
-// The scratch arrays must be all-zero on entry; run re-zeroes everything it
+// The scratch words must be all-zero on entry; run re-zeroes everything it
 // touched before returning, so the cost of repeated runs is proportional to
 // the flooded region only.
-func (s *msbfsScratch) run(g *Graph, k int, sources []int32, rows [][]int, weight []int, wsums []int, log []VisitEvent, logRadius int, push sumPush) ([]VisitEvent, int) {
+func (s *msbfsScratch) run(g *Graph, k int, sources []int32, tally []int32, weight []int, wsums []int, log []VisitEvent, logRadius int, push sumPush) ([]VisitEvent, int) {
 	if k <= 0 || len(sources) == 0 {
 		return log, 0
 	}
@@ -106,22 +136,11 @@ func (s *msbfsScratch) run(g *Graph, k int, sources []int32, rows [][]int, weigh
 	if !ok || len(sources) > msbfsBatch {
 		panic("graph: msbfs kernel needs a frozen graph and at most 64 sources")
 	}
+	s.seed(sources)
 	// Locals pin the scratch slice headers so element stores inside the hot
 	// loops cannot force header reloads.
-	seen, frontier, next := s.seen, s.frontier, s.next
-	cur := s.cur[:0]
-	touched := s.touched[:0]
-	for i, src := range sources {
-		bit := uint64(1) << uint(i)
-		if seen[src] == 0 {
-			touched = append(touched, src)
-		}
-		if frontier[src] == 0 {
-			cur = append(cur, src)
-		}
-		seen[src] |= bit
-		frontier[src] |= bit
-	}
+	seen, next := s.seen, s.next
+	cur, fbits, nxt, touched := s.cur, s.fbits, s.nxt, s.touched
 	visited := 0
 	for d := 1; d <= k && len(cur) > 0; d++ {
 		// Expand: OR every frontier word into the neighbors' next words,
@@ -130,9 +149,9 @@ func (s *msbfsScratch) run(g *Graph, k int, sources []int32, rows [][]int, weigh
 		// filter keeps interior nodes (every bit seen) out of next/nxt
 		// entirely, so the common already-visited edge costs one load and
 		// no store.
-		nxt := s.nxt[:0]
-		for _, u := range cur {
-			f := frontier[u]
+		nxt = nxt[:0]
+		for j, u := range cur {
+			f := fbits[j]
 			for _, v := range targets[offsets[u]:ends[u]] {
 				add := f &^ seen[v]
 				if add == 0 {
@@ -147,15 +166,11 @@ func (s *msbfsScratch) run(g *Graph, k int, sources []int32, rows [][]int, weigh
 				}
 			}
 		}
-		s.nxt = nxt
-		for _, u := range cur {
-			frontier[u] = 0
-		}
-		cur = cur[:0]
 		// Settle: every queued node carries first-time bits (the expand
-		// mask guarantees it); tally them per source and promote them to
-		// the next frontier.
-		var cnt [msbfsBatch]int
+		// mask guarantees it); tally them per source and make them the
+		// next frontier, which is nxt itself with its bits alongside.
+		var cnt [msbfsBatch]int32
+		fbits = fbits[:0]
 		for _, v := range nxt {
 			newBits := next[v]
 			next[v] = 0
@@ -163,8 +178,7 @@ func (s *msbfsScratch) run(g *Graph, k int, sources []int32, rows [][]int, weigh
 				touched = append(touched, v)
 			}
 			seen[v] |= newBits
-			frontier[v] = newBits
-			cur = append(cur, v)
+			fbits = append(fbits, newBits)
 			visited += bits.OnesCount64(newBits)
 			if d <= logRadius {
 				log = append(log, VisitEvent{V: v, Bits: newBits})
@@ -182,39 +196,26 @@ func (s *msbfsScratch) run(g *Graph, k int, sources []int32, rows [][]int, weigh
 				}
 			}
 		}
-		if rows != nil {
+		cur, nxt = nxt, cur
+		if tally != nil {
 			for i := range sources {
-				if cnt[i] != 0 {
-					row := rows[i]
-					r := d - 1
-					if r >= len(row) {
-						r = len(row) - 1
-					}
-					row[r] += cnt[i]
-				}
+				tally[i*k+d-1] = cnt[i]
 			}
 		}
 		if d == push.radius && d < k {
 			// Later levels still expand against seen, so push without
 			// clearing it; the exit below only clears.
-			pushSums(push, sources, rows, seen, touched, false)
+			pushSums(push, sources, k, tally, seen, touched, false)
 			push.out = nil
 		}
 	}
-	for _, u := range cur {
-		frontier[u] = 0
-	}
-	if push.out != nil {
+	pushed := push.out != nil
+	if pushed {
 		// Radius reached at the last level, or the frontier died first:
 		// seen is final either way, so push while clearing it.
-		pushSums(push, sources, rows, seen, touched, true)
-	} else {
-		for _, v := range touched {
-			seen[v] = 0
-		}
+		pushSums(push, sources, k, tally, seen, touched, true)
 	}
-	s.cur = cur[:0]
-	s.touched = touched[:0]
+	s.finish(cur, nxt, touched, fbits, !pushed)
 	return log, visited
 }
 
@@ -222,14 +223,14 @@ func (s *msbfsScratch) run(g *Graph, k int, sources []int32, rows [][]int, weigh
 // batch sources in seen[x] other than x itself, zeroing seen[x] as it goes
 // when clear is set. With distinct sources, touched opens with the sources
 // in batch order, so touched[j] for j < len(sources) carries self-bit j.
-func pushSums(push sumPush, sources []int32, rows [][]int, seen []uint64, touched []int32, clear bool) {
+func pushSums(push sumPush, sources []int32, k int, tally []int32, seen []uint64, touched []int32, clear bool) {
 	var wt [msbfsBatch]int
 	if push.weight != nil {
 		copy(wt[:], push.weight)
 	} else {
 		for i := range sources {
-			for _, c := range rows[i][:push.width] {
-				wt[i] += c
+			for _, c := range tally[i*k : i*k+push.width] {
+				wt[i] += int(c)
 			}
 		}
 	}
@@ -268,11 +269,11 @@ func addInt(p *int, d int) {
 // observability sees the batched kernel exactly like walker sweeps; the
 // grown log slice is returned so per-batch log buffers can live outside the
 // walker.
-func (w *Walker) runKernel(k int, sources []int32, rows [][]int, weight []int, wsums []int, log []VisitEvent, logRadius int, push sumPush) []VisitEvent {
+func (w *Walker) runKernel(k int, sources []int32, tally []int32, weight []int, wsums []int, log []VisitEvent, logRadius int, push sumPush) []VisitEvent {
 	if w.ms == nil {
 		w.ms = newMSBFSScratch(w.g.N())
 	}
-	log, visited := w.ms.run(w.g, k, sources, rows, weight, wsums, log, logRadius, push)
+	log, visited := w.ms.run(w.g, k, sources, tally, weight, wsums, log, logRadius, push)
 	w.s.sweeps += len(sources)
 	w.s.visited += visited
 	return log
@@ -303,67 +304,93 @@ func (g *Graph) forBatches(count int, acquire func() *Walker, release func(*Walk
 }
 
 // nodeBatch gathers batch slots lo..hi-1 as sources, in batchSource order,
-// with their rows of out, into the walker's batch buffers.
-func (w *Walker) nodeBatch(lo, hi int, out [][]int) ([]int32, [][]int) {
-	srcs, rows := w.ms.srcs[:0], w.ms.rows[:0]
+// into the walker's batch buffer.
+func (w *Walker) nodeBatch(lo, hi int) []int32 {
+	srcs := w.ms.srcs[:0]
 	for i := lo; i < hi; i++ {
-		v := w.g.batchSource(i)
-		srcs = append(srcs, v)
-		if out != nil {
-			rows = append(rows, out[v])
-		}
+		srcs = append(srcs, w.g.batchSource(i))
 	}
-	w.ms.srcs, w.ms.rows = srcs, rows
-	return srcs, rows
+	w.ms.srcs = srcs
+	return srcs
 }
 
-// ballRows floods one batch into its rows (overwritten) and leaves them
-// cumulative: rows[i][r-1] = |N_r(sources[i])|. The log and push thread
-// through to the kernel; the grown log is returned.
-func (w *Walker) ballRows(k int, sources []int32, rows [][]int, log []VisitEvent, logRadius int, push sumPush) []VisitEvent {
-	for _, row := range rows {
-		clear(row)
+// ballTally floods one batch truncated at k hops and returns the walker's
+// tally of it: tally[i*k+d-1] nodes are first reached from sources[i] at
+// hop d. The log and push thread through to the kernel; the grown log is
+// returned.
+func (w *Walker) ballTally(k int, sources []int32, log []VisitEvent, logRadius int, push sumPush) ([]int32, []VisitEvent) {
+	t := w.ms.tally
+	if cap(t) < len(sources)*k {
+		t = make([]int32, msbfsBatch*k)
 	}
-	log = w.runKernel(k, sources, rows, nil, nil, log, logRadius, push)
-	for _, row := range rows {
-		for r := 1; r < len(row); r++ {
-			row[r] += row[r-1]
-		}
-	}
-	return log
+	t = t[:len(sources)*k]
+	clear(t)
+	w.ms.tally = t
+	log = w.runKernel(k, sources, t, nil, nil, log, logRadius, push)
+	return t, log
 }
 
-// ballSizesBatched fills out[v] (len k each, overwritten) with cumulative
-// ball sizes for every node, batching 64 spatially grouped sources per
-// kernel pass. Rows of width 1 degenerate to plain |N_k| counts. A non-zero
-// push accumulates the centrality sums into push.out, which the caller
-// zeroes.
-func (g *Graph) ballSizesBatched(k int, out [][]int, push sumPush, acquire func() *Walker, release func(*Walker)) {
+// ballBatches floods every node truncated at k hops, 64 spatially grouped
+// sources per kernel pass, and hands each node's level tallies (levels[d-1]
+// nodes first reached at hop d) to emit. emit runs concurrently across
+// batches and must write only state owned by v. A non-zero push
+// accumulates the centrality sums into push.out, which the caller zeroes;
+// a non-nil lg, already Reset, records each batch's settle events within
+// logRadius hops. The graph must be frozen.
+func (g *Graph) ballBatches(k int, push sumPush, lg *VisitLog, logRadius int, acquire func() *Walker, release func(*Walker), emit func(v int32, levels []int32)) {
 	g.forBatches(g.N(), acquire, release, func(w *Walker, lo, hi int) {
-		srcs, rows := w.nodeBatch(lo, hi, out)
-		w.ballRows(k, srcs, rows, nil, 0, push)
+		srcs := w.nodeBatch(lo, hi)
+		var log []VisitEvent
+		if lg != nil {
+			log = lg.batches[lo/msbfsBatch]
+		}
+		tally, log := w.ballTally(k, srcs, log, logRadius, push)
+		if lg != nil {
+			lg.batches[lo/msbfsBatch] = log
+		}
+		for i, v := range srcs {
+			emit(v, tally[i*k:(i+1)*k])
+		}
 	})
 }
 
-// BatchBallSizesInto recomputes the cumulative ball-size rows of an
-// arbitrary source set in place: rows[i] (len k, overwritten) receives
-// |N_r(sources[i])| for r in 1..k (excluding the source); duplicate
-// sources are computed per entry. The incremental extractor patches exactly
-// the dirty rows of its persistent ball matrix with it. Sources run 64 per
+// cumulate writes the running totals of one source's level tallies into a
+// flat ball row: row[r] = |N_{r+1}|.
+func cumulate(row []int32, levels []int32) {
+	c := int32(0)
+	for r, x := range levels {
+		c += x
+		row[r] = c
+	}
+}
+
+// cumulateInts is cumulate for the [][]int entry points.
+func cumulateInts(row []int, levels []int32) {
+	c := 0
+	for r, x := range levels {
+		c += int(x)
+		row[r] = c
+	}
+}
+
+// BatchBallSizesInto recomputes the ball rows of an arbitrary set of
+// distinct sources in a flat node-indexed matrix of stride k: for each
+// listed v, balls[v*k+r-1] receives |N_r(v)| for r in 1..k (excluding v);
+// other rows are left alone. The incremental extractor patches exactly the
+// dirty rows of its persistent ball matrix with it. Sources run 64 per
 // MS-BFS pass in the order given, so a list sorted along BatchOrder keeps
 // each pass's balls overlapping; the graph is frozen if needed.
-func (g *Graph) BatchBallSizesInto(k int, sources []int32, rows [][]int, acquire func() *Walker, release func(*Walker)) {
+func (g *Graph) BatchBallSizesInto(k int, sources []int32, balls []int32, acquire func() *Walker, release func(*Walker)) {
 	if len(sources) == 0 || k <= 0 {
 		return
 	}
 	g.Freeze()
 	g.forBatches(len(sources), acquire, release, func(w *Walker, lo, hi int) {
-		batchRows := w.ms.rows[:0]
-		for _, row := range rows[lo:hi] {
-			batchRows = append(batchRows, row[:k])
+		srcs := sources[lo:hi]
+		tally, _ := w.ballTally(k, srcs, nil, 0, sumPush{})
+		for i, v := range srcs {
+			cumulate(balls[int(v)*k:(int(v)+1)*k], tally[i*k:(i+1)*k])
 		}
-		w.ms.rows = batchRows
-		w.ballRows(k, sources[lo:hi], batchRows, nil, 0, sumPush{})
 	})
 }
 
@@ -398,7 +425,7 @@ func (g *Graph) BallWeightedSumsInto(kern Kernel, k int, weight []int, out []int
 		if len(sources) > 0 {
 			srcs = sources[lo:hi]
 		} else {
-			srcs, _ = w.nodeBatch(lo, hi, nil)
+			srcs = w.nodeBatch(lo, hi)
 		}
 		var wbuf [msbfsBatch]int
 		wb := wbuf[:len(srcs)]

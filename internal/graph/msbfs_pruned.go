@@ -5,8 +5,8 @@
 // Voronoi dmin+alpha prune — the check depends only on the node and the
 // level, never on which source is flooding, so batching cannot change which
 // nodes any single source visits), and a min-ID parent choice resolved by
-// rescanning each settled node's sorted adjacency against the still-intact
-// previous-level frontier.
+// rescanning each settled node's sorted adjacency against the visited words
+// before they take the new level.
 package graph
 
 import "math/bits"
@@ -41,25 +41,14 @@ func (w *Walker) PrunedBatch(sources []int32, bound []int32, slack int32, buf []
 		w.ms = newMSBFSScratch(g.N())
 	}
 	s := w.ms
-	seen, frontier, next := s.seen, s.frontier, s.next
-	cur := s.cur[:0]
-	touched := s.touched[:0]
-	for i, src := range sources {
-		bit := uint64(1) << uint(i)
-		if seen[src] == 0 {
-			touched = append(touched, src)
-		}
-		if frontier[src] == 0 {
-			cur = append(cur, src)
-		}
-		seen[src] |= bit
-		frontier[src] |= bit
-	}
+	s.seed(sources)
+	seen, next := s.seen, s.next
+	cur, fbits, nxt, touched := s.cur, s.fbits, s.nxt, s.touched
 	emitted := 0
 	for d := int32(1); len(cur) > 0; d++ {
-		nxt := s.nxt[:0]
-		for _, u := range cur {
-			f := frontier[u]
+		nxt = nxt[:0]
+		for j, u := range cur {
+			f := fbits[j]
 			for _, v := range targets[offsets[u]:ends[u]] {
 				if b := bound[v]; b < 0 || d > b+slack {
 					continue
@@ -77,19 +66,19 @@ func (w *Walker) PrunedBatch(sources []int32, bound []int32, slack int32, buf []
 				}
 			}
 		}
-		s.nxt = nxt
-		// Settle phase A: resolve parents while frontier still holds only
-		// level d-1 bits. Scanning v's sorted adjacency ascending and taking
-		// the first neighbor carrying each still-needed bit yields the min-ID
-		// predecessor per source. (Clearing the old frontier first would be
-		// wrong the other way around too: a neighbor settled earlier in this
-		// same level would already carry its level-d bits.)
+		// Settle phase A: resolve parents while seen still holds only
+		// levels below d. A neighbor u whose seen word carries a bit b new
+		// at v reached it at level d-1 exactly: had it reached it earlier,
+		// v — whose admission depends only on (v, level) — would have
+		// settled b at that earlier level plus one. So scanning v's sorted
+		// adjacency ascending and taking the first neighbor carrying each
+		// still-needed bit yields the min-ID predecessor per source.
 		for _, v := range nxt {
 			newBits := next[v]
 			var parents [msbfsBatch]int32
 			needed := newBits
 			for _, u := range targets[offsets[v]:ends[v]] {
-				avail := frontier[u] & needed
+				avail := seen[u] & needed
 				if avail == 0 {
 					continue
 				}
@@ -107,11 +96,9 @@ func (w *Walker) PrunedBatch(sources []int32, bound []int32, slack int32, buf []
 			}
 			emitted += bits.OnesCount64(newBits)
 		}
-		for _, u := range cur {
-			frontier[u] = 0
-		}
-		cur = cur[:0]
-		// Settle phase B: promote the new bits to the next frontier.
+		// Settle phase B: mark the new bits seen and make them the next
+		// frontier.
+		fbits = fbits[:0]
 		for _, v := range nxt {
 			newBits := next[v]
 			next[v] = 0
@@ -119,15 +106,11 @@ func (w *Walker) PrunedBatch(sources []int32, bound []int32, slack int32, buf []
 				touched = append(touched, v)
 			}
 			seen[v] |= newBits
-			frontier[v] = newBits
-			cur = append(cur, v)
+			fbits = append(fbits, newBits)
 		}
+		cur, nxt = nxt, cur
 	}
-	for _, v := range touched {
-		seen[v] = 0
-	}
-	s.cur = cur[:0]
-	s.touched = touched[:0]
+	s.finish(cur, nxt, touched, fbits, true)
 	w.s.sweeps += len(sources)
 	w.s.visited += emitted
 	return buf
@@ -177,25 +160,14 @@ func (w *Walker) boundedBatch(sources []int32, radius int32, blocked []bool, vis
 		w.ms = newMSBFSScratch(g.N())
 	}
 	s := w.ms
-	seen, frontier, next := s.seen, s.frontier, s.next
-	cur := s.cur[:0]
-	touched := s.touched[:0]
-	for i, src := range sources {
-		bit := uint64(1) << uint(i)
-		if seen[src] == 0 {
-			touched = append(touched, src)
-		}
-		if frontier[src] == 0 {
-			cur = append(cur, src)
-		}
-		seen[src] |= bit
-		frontier[src] |= bit
-	}
+	s.seed(sources)
+	seen, next := s.seen, s.next
+	cur, fbits, nxt, touched := s.cur, s.fbits, s.nxt, s.touched
 	visited := 0
 	for d := int32(1); d <= radius && len(cur) > 0; d++ {
-		nxt := s.nxt[:0]
-		for _, u := range cur {
-			f := frontier[u]
+		nxt = nxt[:0]
+		for j, u := range cur {
+			f := fbits[j]
 			for _, v := range targets[offsets[u]:ends[u]] {
 				if blocked != nil && blocked[v] {
 					continue
@@ -213,11 +185,7 @@ func (w *Walker) boundedBatch(sources []int32, radius int32, blocked []bool, vis
 				}
 			}
 		}
-		s.nxt = nxt
-		for _, u := range cur {
-			frontier[u] = 0
-		}
-		cur = cur[:0]
+		fbits = fbits[:0]
 		for _, v := range nxt {
 			newBits := next[v]
 			next[v] = 0
@@ -225,25 +193,18 @@ func (w *Walker) boundedBatch(sources []int32, radius int32, blocked []bool, vis
 				touched = append(touched, v)
 			}
 			seen[v] |= newBits
-			frontier[v] = newBits
-			cur = append(cur, v)
+			fbits = append(fbits, newBits)
 			visited += bits.OnesCount64(newBits)
 			if visit != nil {
 				visit(v, newBits)
 			}
 		}
+		cur, nxt = nxt, cur
 	}
 	for j, p := range probes {
 		reach[j] = seen[p]
 	}
-	for _, u := range cur {
-		frontier[u] = 0
-	}
-	for _, v := range touched {
-		seen[v] = 0
-	}
-	s.cur = cur[:0]
-	s.touched = touched[:0]
+	s.finish(cur, nxt, touched, fbits, true)
 	w.s.sweeps += len(sources)
 	w.s.visited += visited
 }

@@ -216,23 +216,33 @@ func cloneThawed(src *graph.Graph) *graph.Graph {
 
 // TestBatchBallSizes: the arbitrary-source entry BatchBallSizesInto matches
 // per-source KHopCount at every radius, splits across batch boundaries
-// correctly, and handles duplicates and unfrozen graphs.
+// correctly, leaves unlisted rows alone and freezes unfrozen graphs.
 func TestBatchBallSizes(t *testing.T) {
 	net := nettest.Grid("window", 400, 6.5, 3)
 	g := net.Graph
+	n := g.N()
 	sources := make([]int32, 0, 150)
-	for v := 0; v < 140; v++ { // spans three 64-wide batches
-		sources = append(sources, int32(v*2%g.N()))
+	for v := 0; v < 140 && 2*v < n; v++ { // spans three 64-wide batches
+		sources = append(sources, int32(2*v))
 	}
-	sources = append(sources, sources[0], sources[1]) // duplicates
 	const k = 4
-	out := ballRows(len(sources), k)
+	out := make([]int32, n*k)
+	for i := range out {
+		out[i] = -1
+	}
 	g.BatchBallSizesInto(k, sources, out, nil, nil)
-	for i, s := range sources {
+	listed := make([]bool, n)
+	for _, s := range sources {
+		listed[s] = true
 		for r := 1; r <= k; r++ {
-			if want := g.KHopCount(int(s), r); out[i][r-1] != want {
-				t.Fatalf("source %d r=%d: got %d, want %d", s, r, out[i][r-1], want)
+			if want := g.KHopCount(int(s), r); int(out[int(s)*k+r-1]) != want {
+				t.Fatalf("source %d r=%d: got %d, want %d", s, r, out[int(s)*k+r-1], want)
 			}
+		}
+	}
+	for v := 0; v < n; v++ {
+		if !listed[v] && out[v*k] != -1 {
+			t.Fatalf("unlisted row %d written", v)
 		}
 	}
 	// Unfrozen graphs are frozen on demand, with identical results.
@@ -247,16 +257,17 @@ func TestBatchBallSizes(t *testing.T) {
 	if thawed.Frozen() {
 		t.Fatal("hand-built graph unexpectedly frozen")
 	}
-	out2 := ballRows(len(sources), k)
+	out2 := make([]int32, n*k)
+	for i := range out2 {
+		out2[i] = -1
+	}
 	thawed.BatchBallSizesInto(k, sources, out2, nil, nil)
 	if !thawed.Frozen() {
 		t.Fatal("BatchBallSizesInto left the graph unfrozen")
 	}
 	for i := range out {
-		for r := 0; r < k; r++ {
-			if out[i][r] != out2[i][r] {
-				t.Fatalf("frozen/thawed mismatch at %d/%d", i, r)
-			}
+		if out[i] != out2[i] {
+			t.Fatalf("frozen/thawed mismatch at %d/%d", i/k, i%k)
 		}
 	}
 	g.BatchBallSizesInto(3, nil, nil, nil, nil) // no sources: a no-op

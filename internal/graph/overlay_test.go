@@ -129,16 +129,13 @@ func TestOverlayKernelsMatchRebuiltGraph(t *testing.T) {
 	for v := int32(0); v < int32(n); v += 3 {
 		sources = append(sources, v)
 	}
-	got, want := make([][]int, len(sources)), make([][]int, len(sources))
-	for i := range sources {
-		got[i], want[i] = make([]int, k), make([]int, k)
-	}
+	got, want := make([]int32, n*k), make([]int32, n*k)
 	g.BatchBallSizesInto(k, sources, got, nil, nil)
 	ref.BatchBallSizesInto(k, sources, want, nil, nil)
-	for i, src := range sources {
+	for _, src := range sources {
 		for r := 0; r < k; r++ {
-			if got[i][r] != want[i][r] {
-				t.Fatalf("ball size of %d at r=%d: overlay %d, rebuilt %d", src, r+1, got[i][r], want[i][r])
+			if i := int(src)*k + r; got[i] != want[i] {
+				t.Fatalf("ball size of %d at r=%d: overlay %d, rebuilt %d", src, r+1, got[i], want[i])
 			}
 		}
 	}

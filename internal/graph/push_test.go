@@ -28,19 +28,19 @@ func checkPushedSums(t *testing.T, name string, g *Graph, k, sumK, sumL int, see
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
-		rows := pushRows(n, k)
+		balls := make([]int32, n*k)
 		sums := make([]int, n)
 		for v := range sums {
 			sums[v] = -1 // overwritten, never accumulated into
 		}
-		if !g.BallSizesAndSumsInto(k, sumK, sumL, rows, sums, nil, nil) {
+		if !g.BallSizesAndSumsInto(k, sumK, sumL, balls, sums, nil, nil) {
 			t.Fatalf("%s k=%d K=%d L=%d: sums not pushed", name, k, sumK, sumL)
 		}
 		for v := 0; v < n; v++ {
-			for r := range rows[v] {
-				if rows[v][r] != want[v][r] {
+			for r := range want[v] {
+				if got := int(balls[v*k+r]); got != want[v][r] {
 					t.Fatalf("%s k=%d K=%d L=%d procs=%d: ball[%d][%d] = %d, want %d",
-						name, k, sumK, sumL, procs, v, r, rows[v][r], want[v][r])
+						name, k, sumK, sumL, procs, v, r, got, want[v][r])
 				}
 			}
 			if sums[v] != wantSums[v] {
@@ -188,12 +188,12 @@ func TestPushedSumsMatchWalker(t *testing.T) {
 	radii := [][3]int{{4, 4, 4}, {4, 2, 4}, {6, 3, 4}, {6, 6, 6}, {5, 1, 1}}
 	// K > L cannot push: the ball sizes still come out, the sums are left.
 	g := graphs[0].g
-	rows, sums := pushRows(g.N(), 5), []int{-1}
-	if g.BallSizesAndSumsInto(5, 5, 3, rows, sums, nil, nil) || sums[0] != -1 {
+	balls, sums := make([]int32, g.N()*5), []int{-1}
+	if g.BallSizesAndSumsInto(5, 5, 3, balls, sums, nil, nil) || sums[0] != -1 {
 		t.Fatal("K > L: sums pushed")
 	}
-	if want := g.KHopCount(0, 5); rows[0][4] != want {
-		t.Fatalf("K > L: ball[0][4] = %d, want %d", rows[0][4], want)
+	if want := g.KHopCount(0, 5); int(balls[4]) != want {
+		t.Fatalf("K > L: ball[0][4] = %d, want %d", balls[4], want)
 	}
 	for _, c := range graphs {
 		if c.g.N()%64 == 0 {

@@ -82,11 +82,8 @@ func (g *Graph) BallSizesIntoKernelLogged(kern Kernel, k, logRadius int, out [][
 	}
 	g.Freeze()
 	lg.Reset(g.N(), logRadius)
-	logs := lg.batches
-	g.forBatches(g.N(), acquire, release, func(w *Walker, lo, hi int) {
-		srcs, rows := w.nodeBatch(lo, hi, out)
-		b := lo / msbfsBatch
-		logs[b] = w.ballRows(k, srcs, rows, logs[b], logRadius, sumPush{})
+	g.ballBatches(k, sumPush{}, lg, logRadius, acquire, release, func(v int32, levels []int32) {
+		cumulateInts(out[v], levels)
 	})
 }
 

@@ -66,7 +66,10 @@ func (w *Walker) bfsInto(src int, dist, parent []int32) {
 // Walk runs BFS from src truncated at k hops, calling visit(v, d) for every
 // node reached at hop distance d in 1..k. src itself is not visited.
 func (w *Walker) Walk(src, k int, visit func(v, d int32)) {
-	w.s.run(w.g, src, k, visit)
+	w.s.runUntil(w.g, src, k, func(v, d int32) bool {
+		visit(v, d)
+		return true
+	})
 }
 
 // WalkUntil is Walk with early termination: the sweep stops as soon as

@@ -235,3 +235,52 @@ func TestPrometheusExposition(t *testing.T) {
 		}
 	}
 }
+
+// allocSink keeps the allocating buffer reachable so the compiler cannot
+// drop the allocation the test measures.
+var allocSink []byte
+
+// TestSpanMeasureAllocs: a measuring span's end record carries at least
+// the bytes allocated inside it, survives the JSONL round trip, and stays
+// out of Canon; an untraced span measures nothing and stays inert.
+func TestSpanMeasureAllocs(t *testing.T) {
+	sink := NewRingSink(0)
+	tr := NewTracer(sink)
+	s := tr.StartSpan("stage.voronoi")
+	s.MeasureAllocs()
+	allocSink = make([]byte, 4<<20)
+	s.End()
+	end := sink.Records()[1]
+	if end.AllocBytes < 4<<20 {
+		t.Fatalf("AllocBytes = %d, want at least %d", end.AllocBytes, 4<<20)
+	}
+	line, err := EncodeJSONL(end)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := ParseJSONL(line)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.AllocBytes != end.AllocBytes {
+		t.Fatalf("JSONL round trip: AllocBytes %d, want %d", back.AllocBytes, end.AllocBytes)
+	}
+	if strings.Contains(sink.Canon(), "alloc") {
+		t.Fatalf("Canon carries the allocation tally:\n%s", sink.Canon())
+	}
+	// Without MeasureAllocs the end record reads 0, and an untraced span
+	// ignores the call.
+	plain := tr.StartSpan("stage.coarse")
+	allocSink = make([]byte, 1<<20)
+	plain.End()
+	if got := sink.Records()[3].AllocBytes; got != 0 {
+		t.Fatalf("unmeasured span: AllocBytes = %d", got)
+	}
+	var nilTracer *Tracer
+	u := nilTracer.StartSpan("stage.refine")
+	u.MeasureAllocs()
+	if u.measure {
+		t.Fatal("untraced span read the allocation counter")
+	}
+	u.End()
+}

@@ -15,10 +15,10 @@
 // instrumented hot paths within noise of the uninstrumented ones.
 //
 // Determinism contract: span IDs are assigned sequentially per Tracer and
-// every record field except the wall-clock ones (Time, Dur) is a pure
-// function of the computation. Two runs over the same inputs emit identical
-// record sequences up to timestamps — see Record.Canon and the trace
-// determinism test.
+// every record field except the wall-clock ones (Time, Dur) and the
+// allocation tally (AllocBytes) is a pure function of the computation.
+// Two runs over the same inputs emit identical record sequences up to
+// timestamps — see Record.Canon and the trace determinism test.
 package obs
 
 import (
@@ -26,6 +26,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"runtime/metrics"
 	"sort"
 	"strings"
 	"sync"
@@ -82,8 +83,8 @@ func F64(key string, v float64) Attr { return Attr{Key: key, Val: v} }
 // (e.g. a per-node counter slice).
 func Any(key string, v any) Attr { return Attr{Key: key, Val: v} }
 
-// Record is one emitted trace record. Time and Dur are the only
-// non-deterministic fields.
+// Record is one emitted trace record. Time, Dur and AllocBytes are the
+// only non-deterministic fields.
 type Record struct {
 	Kind   RecordKind
 	ID     uint64 // span ID (span start/end)
@@ -92,12 +93,17 @@ type Record struct {
 	Name   string
 	Time   time.Time
 	Dur    time.Duration // span end only
-	Attrs  []Attr
+	// AllocBytes is the heap bytes the process allocated while the span
+	// was open, on the end record of a span that measures them (see
+	// Span.MeasureAllocs); 0 otherwise.
+	AllocBytes uint64
+	Attrs      []Attr
 }
 
-// Canon renders the record without its wall-clock fields, in attribute
-// declaration order. Two runs of a deterministic computation produce equal
-// Canon sequences; the trace determinism test compares exactly this.
+// Canon renders the record without its wall-clock and allocation fields,
+// in attribute declaration order. Two runs of a deterministic computation
+// produce equal Canon sequences; the trace determinism test compares
+// exactly this.
 func (r Record) Canon() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s id=%d parent=%d span=%d name=%s", r.Kind, r.ID, r.Parent, r.Span, r.Name)
@@ -167,6 +173,26 @@ type Span struct {
 	id    uint64
 	name  string
 	start time.Time
+	// measure is set by MeasureAllocs; alloc0 is the heap allocation
+	// counter it read.
+	measure bool
+	alloc0  uint64
+}
+
+// MeasureAllocs makes the span's end record carry the heap bytes allocated
+// from now until End (Record.AllocBytes), read from runtime/metrics. Only
+// an Enabled span reads them, so an untraced span stays one clock read.
+func (s *Span) MeasureAllocs() {
+	if s.Enabled() {
+		s.measure, s.alloc0 = true, heapAllocs()
+	}
+}
+
+// heapAllocs is the process's cumulative heap allocation in bytes.
+func heapAllocs() uint64 {
+	sample := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(sample)
+	return sample[0].Value.Uint64()
 }
 
 // Enabled reports whether the span emits records, i.e. whether it was
@@ -200,7 +226,11 @@ func (s *Span) End(attrs ...Attr) time.Duration {
 	}
 	now := time.Now() //lint:allow determinism Record.Time/Dur are wall-clock by contract; Canon strips them
 	d := now.Sub(s.start)
-	s.t.emit(Record{Kind: KindSpanEnd, ID: s.id, Name: s.name, Time: now, Dur: d, Attrs: attrs})
+	var alloc uint64
+	if s.measure {
+		alloc = heapAllocs() - s.alloc0
+	}
+	s.t.emit(Record{Kind: KindSpanEnd, ID: s.id, Name: s.name, Time: now, Dur: d, AllocBytes: alloc, Attrs: attrs})
 	return d
 }
 
@@ -260,6 +290,7 @@ type jsonRecord struct {
 	Name   string         `json:"name"`
 	TS     int64          `json:"ts_us"`
 	DurNS  int64          `json:"dur_ns,omitempty"`
+	Alloc  uint64         `json:"alloc_bytes,omitempty"`
 	Attrs  map[string]any `json:"attrs,omitempty"`
 }
 
@@ -312,6 +343,7 @@ func EncodeJSONL(rec Record) ([]byte, error) {
 		Name:   rec.Name,
 		TS:     rec.Time.UnixMicro(),
 		DurNS:  rec.Dur.Nanoseconds(),
+		Alloc:  rec.AllocBytes,
 	}
 	if len(rec.Attrs) > 0 {
 		out.Attrs = make(map[string]any, len(rec.Attrs))
@@ -376,12 +408,13 @@ func ParseJSONL(line []byte) (Record, error) {
 		return Record{}, err
 	}
 	rec := Record{
-		ID:     in.ID,
-		Parent: in.Parent,
-		Span:   in.Span,
-		Name:   in.Name,
-		Time:   time.UnixMicro(in.TS),
-		Dur:    time.Duration(in.DurNS),
+		ID:         in.ID,
+		Parent:     in.Parent,
+		Span:       in.Span,
+		Name:       in.Name,
+		Time:       time.UnixMicro(in.TS),
+		Dur:        time.Duration(in.DurNS),
+		AllocBytes: in.Alloc,
 	}
 	switch in.Kind {
 	case "span":
