@@ -25,6 +25,11 @@ func main() {
 	}
 }
 
+// discard is a trace sink that drops every record.
+type discard struct{}
+
+func (discard) Emit(bfskel.TraceRecord) {}
+
 func run() error {
 	var (
 		shapeName = flag.String("shape", "window", "deployment field (see -list)")
@@ -137,7 +142,11 @@ func run() error {
 		return runBackend(net, shape, *backendNm, params, ob, *n)
 	}
 	engine := net.ExtractorObs(ob)
-	engine.CollectMemStats = true
+	if engine.Tracer == nil {
+		// A traced stage span measures the bytes its stage allocates,
+		// which the per-phase KB column prints.
+		engine.Tracer = bfskel.NewTracer(discard{})
+	}
 	res, err := engine.Extract(params)
 	if err != nil {
 		return err

@@ -11,6 +11,7 @@
 //	skeltrace -folded trace.jsonl > stacks.folded   # flamegraph.pl / inferno input
 //	skeltrace -check -require-stages identify,voronoi,coarse,refine,boundary \
 //	    -require-phases neighborhood,centrality,election,voronoi trace.jsonl
+//	skeltrace -check -require-stages identify,update.identify,update.voronoi churn.jsonl
 //
 // With -folded the command emits the trace's span-aggregation profile as
 // folded stacks (one "root;child;leaf self-microseconds" line per call
@@ -19,9 +20,12 @@
 //
 // With -check the command validates the trace instead of describing it: it
 // must be non-empty and fully parseable, every required stage/phase span
-// must be present, and each protocol phase's per-round message counts must
-// sum to the phase span's total. Any violation exits non-zero — CI runs
-// this against a freshly emitted trace.
+// must be present (a required stage containing a dot, such as
+// update.voronoi, names its span verbatim; any other names stage.<name>),
+// every span must end no later than its parent, the direct children of a
+// span must last no longer than it in total, and each protocol phase's
+// per-round message counts must sum to the phase span's total. Any
+// violation exits non-zero — CI runs this against freshly emitted traces.
 package main
 
 import (
@@ -47,8 +51,10 @@ func main() {
 // that fired inside it.
 type span struct {
 	id      uint64
+	parent  uint64 // 0 for a root span
 	name    string
 	dur     time.Duration
+	endAt   time.Time
 	alloc   uint64 // heap bytes allocated inside the span, when measured
 	ended   bool
 	end     map[string]any // end-record attributes
@@ -81,7 +87,7 @@ func run() error {
 		topK      = flag.Int("top", 5, "how many hottest nodes to list")
 		check     = flag.Bool("check", false, "validate the trace instead of summarizing; exit non-zero on failure")
 		folded    = flag.Bool("folded", false, "emit the span profile as folded stacks (flamegraph input) instead of summarizing")
-		reqStages = flag.String("require-stages", "", "comma-separated stage names that must appear as stage.<name> spans (-check)")
+		reqStages = flag.String("require-stages", "", "comma-separated stage names that must appear as stage.<name> spans, or verbatim when they contain a dot (-check)")
 		reqPhases = flag.String("require-phases", "", "comma-separated phase names that must appear as phase.<name> spans (-check)")
 	)
 	flag.Parse()
@@ -128,7 +134,7 @@ func parseFile(path string) (*trace, error) {
 		attrs := attrMap(rec.Attrs)
 		switch rec.Kind {
 		case bfskel.TraceSpanStart:
-			tr.spans[rec.ID] = &span{id: rec.ID, name: rec.Name}
+			tr.spans[rec.ID] = &span{id: rec.ID, parent: rec.Parent, name: rec.Name}
 			tr.order = append(tr.order, rec.ID)
 			tr.spanRecs = append(tr.spanRecs, rec)
 		case bfskel.TraceSpanEnd:
@@ -139,7 +145,7 @@ func parseFile(path string) (*trace, error) {
 				tr.spans[rec.ID] = sp
 				tr.order = append(tr.order, rec.ID)
 			}
-			sp.ended, sp.dur, sp.alloc, sp.end = true, rec.Dur, rec.AllocBytes, attrs
+			sp.ended, sp.dur, sp.alloc, sp.end, sp.endAt = true, rec.Dur, rec.AllocBytes, attrs, rec.Time
 		case bfskel.TraceEvent:
 			tr.events++
 			sp := tr.spans[rec.Span]
@@ -384,13 +390,35 @@ func validate(tr *trace, stages, phases []string) error {
 		}
 	}
 	for _, s := range stages {
-		if !have["stage."+s] {
-			return fmt.Errorf("check: missing stage span %q", "stage."+s)
+		if !strings.Contains(s, ".") {
+			s = "stage." + s
+		}
+		if !have[s] {
+			return fmt.Errorf("check: missing stage span %q", s)
 		}
 	}
 	for _, p := range phases {
 		if !have["phase."+p] {
 			return fmt.Errorf("check: missing phase span %q", "phase."+p)
+		}
+	}
+	// Nesting: a span ends no later than its parent, and a parent's direct
+	// children together last no longer than it does.
+	children := make(map[uint64]time.Duration)
+	for _, id := range tr.order {
+		sp := tr.spans[id]
+		par := tr.spans[sp.parent]
+		if sp.parent == 0 || par == nil || !par.ended {
+			continue
+		}
+		if !sp.ended || sp.endAt.After(par.endAt) {
+			return fmt.Errorf("check: span %s #%d ends after its parent %s #%d", sp.name, sp.id, par.name, par.id)
+		}
+		children[par.id] += sp.dur
+	}
+	for _, id := range tr.order {
+		if sp := tr.spans[id]; children[id] > sp.dur {
+			return fmt.Errorf("check: the children of span %s #%d last %v, longer than its %v", sp.name, sp.id, children[id], sp.dur)
 		}
 	}
 	// Every phase span with per-round events must account for its exact

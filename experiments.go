@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 
+	"bfskel/internal/deploy"
 	"bfskel/internal/obs"
 )
 
@@ -368,18 +369,18 @@ func runFig7(seed int64, ob ObsScope) ([]ExperimentRow, error) {
 }
 
 func runFig8(seed int64, ob ObsScope) ([]ExperimentRow, error) {
-	window := MustShape("window")
-	star := MustShape("star")
+	wb := MustShape("window").Poly.Bounds()
+	sb := MustShape("star").Poly.Bounds()
 	scs := []Scenario{
 		{
 			Figure: "fig8", Name: "a-window-gradient", ShapeName: "window",
 			N: 2592, Deg: 8.15,
-			Accept: verticalGradient(window.Poly.Bounds(), 0.45, 1.0),
+			Accept: deploy.VerticalGradient(wb.Min.Y, wb.Max.Y, 0.45, 1.0),
 		},
 		{
 			Figure: "fig8", Name: "b-star-halfplane", ShapeName: "star",
 			N: 1394, Deg: 7.16,
-			Accept: halfPlane(star.Poly.Bounds(), 0.65, 1.0),
+			Accept: deploy.HalfPlane((sb.Min.X+sb.Max.X)/2, 0.65, 1.0),
 		},
 	}
 	var rows []ExperimentRow
@@ -391,32 +392,6 @@ func runFig8(seed int64, ob ObsScope) ([]ExperimentRow, error) {
 		rows = append(rows, rowFor(sc, net, res))
 	}
 	return rows, nil
-}
-
-// verticalGradient mirrors deploy.VerticalGradient at facade level.
-func verticalGradient(b Rect, bottomProb, topProb float64) func(Point) float64 {
-	span := b.Max.Y - b.Min.Y
-	return func(p Point) float64 {
-		t := (p.Y - b.Min.Y) / span
-		if t < 0 {
-			t = 0
-		}
-		if t > 1 {
-			t = 1
-		}
-		return bottomProb + t*(topProb-bottomProb)
-	}
-}
-
-// halfPlane mirrors deploy.HalfPlane at facade level.
-func halfPlane(b Rect, leftProb, rightProb float64) func(Point) float64 {
-	split := (b.Min.X + b.Max.X) / 2
-	return func(p Point) float64 {
-		if p.X < split {
-			return leftProb
-		}
-		return rightProb
-	}
 }
 
 func runComplexity(seed int64, ob ObsScope) ([]ExperimentRow, error) {

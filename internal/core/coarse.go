@@ -15,16 +15,26 @@ type pairSeg struct {
 // connector; it sends a message along the reverse paths kept during Voronoi
 // construction, building the two paths to its nearest sites, which together
 // connect the sites. The union of all such paths is the coarse skeleton.
-func (e *Extractor) coarse(index []float64, records [][]SiteDist) ([]SiteEdge, *Skeleton) {
-	// Collect (pair, segment node) tuples. A Voronoi node recording m >= 3
-	// sites is a segment node for each of its m(m-1)/2 pairs.
-	tuples := e.pairBuf[:0]
-	for v := range records {
-		tuples = appendPairTuples(tuples, records[v], int32(v))
+//
+// upd, nil on full runs, is an incremental update: it patches the previous
+// run's sorted tuples instead of rebuilding them, and its coarse splice
+// hands back the previous edge of every untouched pair.
+func (e *Extractor) coarse(index []float64, records [][]SiteDist, upd *update) ([]SiteEdge, *Skeleton) {
+	var splice *coarseSplice
+	if upd != nil {
+		splice = &upd.splice
 	}
-	sortPairSegs(tuples)
-	e.pairBuf = tuples
-	return e.connectPairs(tuples, index, records, nil)
+	if upd == nil || !upd.patchTuples(records) {
+		// Collect (pair, segment node) tuples. A Voronoi node recording
+		// m >= 3 sites is a segment node for each of its m(m-1)/2 pairs.
+		tuples := e.pairBuf[:0]
+		for v := range records {
+			tuples = appendPairTuples(tuples, records[v], int32(v))
+		}
+		sortPairSegs(tuples)
+		e.pairBuf = tuples
+	}
+	return e.connectPairs(e.pairBuf, index, records, splice)
 }
 
 // connectPairs walks the (A, B, v)-sorted tuples one pair group at a time

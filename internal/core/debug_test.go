@@ -17,7 +17,7 @@ func TestDebugStarLoops(t *testing.T) {
 	x := NewExtractor(g)
 	_, _, index, sites, _, _ := x.identify(p, nil)
 	cellOf, _, records := x.voronoi(sites, p.Alpha, nil)
-	edges, coarseSkel := x.coarse(index, records)
+	edges, coarseSkel := x.coarse(index, records, nil)
 	t.Logf("sites=%d edges=%d coarse rank=%d", len(sites), len(edges), coarseSkel.CycleRank())
 
 	w := x.newRefiner(p, index, records, cellOf)

@@ -73,7 +73,7 @@ func CompleteFromVoronoi(g *graph.Graph, p Params, khop []int, index []float64,
 	}
 	rs := &runState{e: NewExtractor(g), g: g, p: p, res: res, stats: newStats()}
 	rs.stats.Sites = len(sites)
-	if err := rs.runStages(stages[2:]); err != nil {
+	if err := rs.extract(stages[2:]); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -124,7 +124,7 @@ func medianKHop(khop []int, scratch *[]int) int {
 		}
 	}
 	if maxV <= 4*n {
-		counts := growInts(*scratch, maxV+1)
+		counts := grow(*scratch, maxV+1)
 		*scratch = counts
 		for i := range counts {
 			counts[i] = 0
@@ -142,7 +142,7 @@ func medianKHop(khop []int, scratch *[]int) int {
 			}
 		}
 	}
-	sorted := growInts(*scratch, n)
+	sorted := grow(*scratch, n)
 	*scratch = sorted
 	copy(sorted, khop)
 	sort.Ints(sorted)

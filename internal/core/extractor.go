@@ -1,10 +1,8 @@
 package core
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"bfskel/internal/graph"
 	"bfskel/internal/obs"
@@ -13,9 +11,12 @@ import (
 // Extractor is the staged extraction engine: it runs the pipeline stages
 // Identify → Voronoi → Coarse → Refine → Boundary over one graph while
 // owning every piece of reusable scratch state — the ball-size matrix, BFS
-// distance/stamp/queue buffers, a Walker pool, per-node flag arrays sized
-// to the graph — so repeated extractions (parameter sweeps, the experiment
-// harness, benchmarks) stop paying the allocation cost of a cold start.
+// distance/stamp/queue buffers, a free list of Walkers, per-node flag
+// arrays sized to the graph — so repeated extractions (parameter sweeps,
+// the experiment harness, benchmarks) stop paying the allocation cost of a
+// cold start. An incremental update (IncrementalExtractor) is one more run
+// of the same stage runner: three repair stages, then the shared pipeline
+// from coarse on.
 //
 // Reuse contract: an Extractor is NOT safe for concurrent use; run one
 // extraction at a time per engine and create several engines for
@@ -25,35 +26,37 @@ import (
 type Extractor struct {
 	g *graph.Graph
 
-	// CollectMemStats enables per-phase allocation accounting
-	// (Stats.Phases[i].BytesAlloc) via runtime.ReadMemStats. Off by
-	// default: the read is stop-the-world and would distort benchmarks.
-	CollectMemStats bool
-
 	// Tracer, when non-nil, receives one "extract" span per run with one
 	// "stage.<name>" child span per pipeline stage, plus events for guard
 	// adjustments, election rounds and flood counts. The spans are the
 	// run's only clock: each PhaseStats.Duration and Stats.Total is the
 	// duration its span's End returns, so a traced run's stats equal the
 	// Dur of the matching end records. Each stage span's end record also
-	// carries the bytes allocated inside the stage (Record.AllocBytes).
-	// Nil disables emission; the spans still keep time.
+	// carries the bytes allocated inside the stage (Record.AllocBytes),
+	// which PhaseStats.BytesAlloc reports. Nil disables emission; the
+	// spans still keep time.
 	Tracer *obs.Tracer
 	// Metrics, when non-nil, accumulates run/stage counters and timing
 	// histograms across extractions (see DESIGN.md for the name taxonomy).
 	Metrics *obs.Registry
 
-	walkers *sync.Pool // of *graph.Walker bound to g
+	// walkers is the free list of Walkers bound to g. Each holds n-sized
+	// scratch, so the engine keeps them for its lifetime: a sync.Pool
+	// would drop them at the second collection after their release.
+	walkerMu sync.Mutex
+	walkers  []*graph.Walker
 
-	// root and span track the active run's trace spans; sweeps/visited
-	// aggregate BFS work drained from pooled walkers (atomic: walkers are
-	// released from parallel workers).
-	root    *obs.Span
+	// span is the active stage span; sweeps/visited aggregate BFS work
+	// drained from released walkers (atomic: walkers are released from
+	// parallel workers).
 	span    *obs.Span
 	sweeps  atomic.Int64
 	visited atomic.Int64
 
-	// Reusable scratch; none of it escapes into results.
+	// Reusable scratch; none of it escapes into results. An incremental
+	// update also reads the last full run's identify state off it: the
+	// ball matrix, the centrality sums, the saturation counts, the
+	// election flags and the sorted coarse tuples.
 	balls     []int32               // identify: n rows of ballW cumulative ball sizes
 	ballW     int                   // identify: ball matrix stride (maxR)
 	wsums     []int                 // centrality sums (identify)
@@ -66,7 +69,8 @@ type Extractor struct {
 	vorCand   [][]int32             // voronoi: per-chunk frontier candidates (parallel dmin)
 	fld       floodScratch          // coarse/refine: stamped BFS + mark scratch; voronoi borrows its buffers
 	uf        stampedUF             // refine: dense stamped union-find (end clusters, forests)
-	pairBuf   []pairSeg             // coarse: (pair, segment node) tuples
+	pairBuf   []pairSeg             // coarse: sorted (pair, segment node) tuples of the last run
+	cls       classifyScratch       // refine: loop classification's per-end and per-edge tables
 	cmask     []bool                // refine: classify skeleton-membership mask
 	cmaskOn   []int32               // refine: set bits of cmask, for O(set) clearing
 	inc       incScratch            // incremental updates: dirty queue, dial buckets, repair stamps
@@ -75,30 +79,34 @@ type Extractor struct {
 // NewExtractor creates a staged engine bound to g. The scratch pools are
 // filled lazily on first use.
 func NewExtractor(g *graph.Graph) *Extractor {
-	e := &Extractor{}
-	e.rebind(g)
-	return e
+	return &Extractor{g: g}
 }
 
 // Bind re-targets the engine at a different graph, keeping whatever
 // scratch capacity carries over (buffers only grow). Binding the current
-// graph is a no-op, preserving the Walker pool.
+// graph is a no-op, keeping the walkers.
 func (e *Extractor) Bind(g *graph.Graph) {
 	if e.g != g {
-		e.rebind(g)
+		// Walkers hold per-graph buffers; a graph change drops them.
+		e.g, e.walkers = g, nil
 	}
-}
-
-func (e *Extractor) rebind(g *graph.Graph) {
-	e.g = g
-	// Walkers hold per-graph buffers; a graph change invalidates the pool.
-	e.walkers = &sync.Pool{New: func() any { return graph.NewWalker(g) }}
 }
 
 // Graph returns the graph the engine is bound to.
 func (e *Extractor) Graph() *graph.Graph { return e.g }
 
-func (e *Extractor) getWalker() *graph.Walker { return e.walkers.Get().(*graph.Walker) }
+func (e *Extractor) getWalker() *graph.Walker {
+	e.walkerMu.Lock()
+	var w *graph.Walker
+	if n := len(e.walkers); n > 0 {
+		w, e.walkers = e.walkers[n-1], e.walkers[:n-1]
+	}
+	e.walkerMu.Unlock()
+	if w == nil {
+		w = graph.NewWalker(e.g)
+	}
+	return w
+}
 
 func (e *Extractor) putWalker(w *graph.Walker) {
 	// Drain the walker's BFS work tally into the per-stage aggregate. This
@@ -107,7 +115,9 @@ func (e *Extractor) putWalker(w *graph.Walker) {
 	sweeps, visited := w.TakeCounts()
 	e.sweeps.Add(int64(sweeps))
 	e.visited.Add(int64(visited))
-	e.walkers.Put(w)
+	e.walkerMu.Lock()
+	e.walkers = append(e.walkers, w)
+	e.walkerMu.Unlock()
 }
 
 // event annotates the active stage span; inert when tracing is off.
@@ -125,59 +135,62 @@ func (e *Extractor) Extract(p Params) (*Result, error) {
 		return nil, ErrEmptyGraph
 	}
 	rs := &runState{e: e, g: e.g, p: p, res: &Result{Params: p}, stats: newStats()}
-	if err := rs.runStages(stages); err != nil {
+	if err := rs.extract(stages); err != nil {
 		return nil, err
 	}
 	return rs.res, nil
 }
 
 // stage is one named phase of the staged engine.
-type stage interface {
-	name() string
-	run(rs *runState) error
+type stage struct {
+	name string
+	run  func(rs *runState) error
 }
 
 // stages is the full pipeline in execution order. CompleteFromVoronoi
-// enters at coarseStage with externally computed phase 1-2 artifacts.
+// enters at coarse with externally computed phase 1-2 artifacts, and an
+// incremental update enters there with repaired ones (updateStages).
 var stages = []stage{
-	identifyStage{}, voronoiStage{}, coarseStage{}, refineStage{}, boundaryStage{},
+	{"identify", identifyStage}, {"voronoi", voronoiStage},
+	{"coarse", coarseStage}, {"refine", refineStage}, {"boundary", boundaryStage},
 }
 
-// runState carries one extraction through the stage pipeline.
+// runState carries one run through the stage pipeline.
 type runState struct {
 	e     *Extractor
 	g     *graph.Graph
 	p     Params
 	res   *Result
 	stats *Stats
+	// upd is an incremental update's context: the repair stages' state and
+	// the caches the shared stages consult (the tuple patch, the coarse
+	// splice and the end-flood cache). Nil on full runs.
+	upd *update
+	// attrs are the active stage's extra end-record attributes; stages
+	// add them only when the stage span is traced.
+	attrs []obs.Attr
 }
 
 func newStats() *Stats {
-	return &Stats{Phases: make([]PhaseStats, 0, len(stages))}
+	return &Stats{Phases: make([]PhaseStats, 0, len(updateStages))}
 }
 
-// runStages executes the given pipeline suffix, wrapping the run in an
-// "extract" trace span with one child span per stage, and attaches the
-// stats to the result. Stats.Total and each PhaseStats.Duration are the
-// durations of those spans.
-func (rs *runState) runStages(todo []stage) error {
+// extract runs the given pipeline suffix as one "extract" span and
+// attaches the stats to the result; Stats.Total is that span's duration.
+func (rs *runState) extract(todo []stage) error {
 	e := rs.e
-	e.root = e.Tracer.StartSpan("extract",
+	root := e.Tracer.StartSpan("extract",
 		obs.Int("nodes", rs.g.N()), obs.Int("k", rs.p.K), obs.Int("l", rs.p.L),
 		obs.Int("scope", rs.p.Scope()), obs.Int("alpha", int(rs.p.Alpha)),
 		obs.Int("stages", len(todo)))
-	for _, st := range todo {
-		if err := rs.runStage(st); err != nil {
-			e.root.End(obs.Str("error", err.Error()))
-			e.root = nil
-			return err
-		}
+	if err := rs.runStages(root, todo); err != nil {
+		root.End(obs.Str("error", err.Error()))
+		return err
 	}
-	rs.stats.Total = e.root.End(
+	rs.stats.Total = root.End(
 		obs.Int("sites", rs.stats.Sites), obs.Int("edges", rs.stats.Edges),
 		obs.Int("boundaryNodes", rs.stats.BoundaryNodes))
 	rs.res.Stats = rs.stats
-	e.root = nil
 	if m := e.Metrics; m != nil {
 		m.Counter("bfskel_extract_runs_total").Inc()
 		m.Histogram("bfskel_extract_seconds", obs.DurationBuckets).Observe(rs.stats.Total.Seconds())
@@ -190,47 +203,54 @@ func (rs *runState) runStages(todo []stage) error {
 	return nil
 }
 
-func (rs *runState) runStage(st stage) error {
+// runStages executes the stages in order, each as a child span of root:
+// "stage.<name>" on extraction runs, "update.<name>" on incremental
+// updates. It stops at the first error.
+func (rs *runState) runStages(root *obs.Span, todo []stage) error {
+	for _, st := range todo {
+		if err := rs.runStage(root, st); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (rs *runState) runStage(root *obs.Span, st stage) error {
 	e := rs.e
-	var before runtime.MemStats
-	if e.CollectMemStats {
-		runtime.ReadMemStats(&before)
+	prefix := "stage."
+	if rs.upd != nil {
+		prefix = "update."
 	}
 	sweeps0, visited0 := e.sweeps.Load(), e.visited.Load()
-	e.span = e.root.StartSpan("stage." + st.name())
+	e.span = root.StartSpan(prefix + st.name)
 	e.span.MeasureAllocs()
+	rs.attrs = nil
 	err := st.run(rs)
 	sweeps, visited := e.sweeps.Load()-sweeps0, e.visited.Load()-visited0
-	var d time.Duration
-	if err != nil {
-		d = e.span.End(obs.Int64("sweeps", sweeps), obs.Int64("visited", visited),
-			obs.Str("error", err.Error()))
-	} else {
-		d = e.span.End(obs.Int64("sweeps", sweeps), obs.Int64("visited", visited))
+	attrs := append([]obs.Attr{obs.Int64("sweeps", sweeps), obs.Int64("visited", visited)}, rs.attrs...)
+	if _, fb := err.(fallback); err != nil && !fb {
+		attrs = append(attrs, obs.Str("error", err.Error()))
 	}
+	d := e.span.End(attrs...)
+	rs.stats.Phases = append(rs.stats.Phases, PhaseStats{Name: st.name, Duration: d,
+		BytesAlloc: e.span.Allocs(), Sweeps: sweeps, Visited: visited})
 	e.span = nil
-	ps := PhaseStats{Name: st.name(), Duration: d, Sweeps: sweeps, Visited: visited}
-	if e.CollectMemStats {
-		var after runtime.MemStats
-		runtime.ReadMemStats(&after)
-		ps.BytesAlloc = after.TotalAlloc - before.TotalAlloc
-	}
-	rs.stats.Phases = append(rs.stats.Phases, ps)
-	if m := e.Metrics; m != nil {
-		m.Histogram(obs.Label("bfskel_stage_seconds", "stage", st.name()), obs.DurationBuckets).Observe(d.Seconds())
+	// bfskel_stage_seconds and the BFS counters measure extraction runs.
+	if m := e.Metrics; m != nil && rs.upd == nil {
+		m.Histogram(obs.Label("bfskel_stage_seconds", "stage", st.name), obs.DurationBuckets).Observe(d.Seconds())
 		m.Counter("bfskel_bfs_sweeps_total").Add(sweeps)
 		m.Counter("bfskel_bfs_visited_nodes_total").Add(visited)
 	}
 	return err
 }
 
+// annotate adds end-record attributes to the active stage span. Callers
+// guard it with the span's Enabled, so untraced runs build no attributes.
+func (rs *runState) annotate(attrs ...obs.Attr) { rs.attrs = append(rs.attrs, attrs...) }
+
 // identifyStage is Phase 1 (Sec. III-A): neighborhood statistics and site
 // election.
-type identifyStage struct{}
-
-func (identifyStage) name() string { return "identify" }
-
-func (identifyStage) run(rs *runState) error {
+func identifyStage(rs *runState) error {
 	khop, cent, index, sites, kEff, scopeEff := rs.e.identify(rs.p, rs.stats)
 	if len(sites) == 0 {
 		return ErrNoSites
@@ -247,11 +267,7 @@ func (identifyStage) run(rs *runState) error {
 
 // voronoiStage is Phase 2 (Sec. III-B): cell construction with
 // almost-equidistant records.
-type voronoiStage struct{}
-
-func (voronoiStage) name() string { return "voronoi" }
-
-func (voronoiStage) run(rs *runState) error {
+func voronoiStage(rs *runState) error {
 	rs.res.CellOf, rs.res.DistToSite, rs.res.Records =
 		rs.e.voronoi(rs.res.Sites, rs.p.Alpha, rs.stats)
 	return nil
@@ -259,29 +275,28 @@ func (voronoiStage) run(rs *runState) error {
 
 // coarseStage is Phase 3 (Sec. III-C): connecting adjacent cells through
 // max-index segment nodes.
-type coarseStage struct{}
-
-func (coarseStage) name() string { return "coarse" }
-
-func (coarseStage) run(rs *runState) error {
+func coarseStage(rs *runState) error {
 	res := rs.res
 	res.SegmentNodes, res.VoronoiNodes = specialNodes(res.Records)
-	res.Edges, res.Coarse = rs.e.coarse(res.Index, res.Records)
+	res.Edges, res.Coarse = rs.e.coarse(res.Index, res.Records, rs.upd)
 	rs.stats.SegmentNodes = len(res.SegmentNodes)
 	rs.stats.VoronoiNodes = len(res.VoronoiNodes)
 	rs.stats.Edges = len(res.Edges)
+	if rs.upd != nil && rs.e.span.Enabled() {
+		rs.annotate(obs.Int("edges", len(res.Edges)), obs.Int("reused", rs.upd.splice.reused))
+	}
 	return nil
 }
 
 // refineStage is Phase 4 (Sec. III-D): loop classification and pruning.
-type refineStage struct{}
-
-func (refineStage) name() string { return "refine" }
-
-func (refineStage) run(rs *runState) error {
+func refineStage(rs *runState) error {
 	res := rs.res
+	var fcache *endFloodCache
+	if rs.upd != nil {
+		fcache = &rs.upd.ix.fcache
+	}
 	res.Loops, res.Skeleton = rs.e.refine(rs.p, res.Index, res.Records,
-		res.CellOf, res.Edges, nil, rs.stats)
+		res.CellOf, res.Edges, fcache, rs.stats)
 	rs.stats.FakeLoops = res.NumFakeLoops()
 	rs.stats.GenuineLoops = res.NumGenuineLoops()
 	return nil
@@ -289,11 +304,7 @@ func (refineStage) run(rs *runState) error {
 
 // boundaryStage computes the boundary by-product (Sec. III-E) from the
 // Phase 1 neighborhood statistics.
-type boundaryStage struct{}
-
-func (boundaryStage) name() string { return "boundary" }
-
-func (boundaryStage) run(rs *runState) error {
+func boundaryStage(rs *runState) error {
 	khop := rs.res.KHopSize
 	rs.stats.MedianKHopBall = medianKHop(khop, &rs.e.ints)
 	rs.res.Boundary = rs.e.boundaryByProduct(khop, rs.stats.MedianKHopBall)
@@ -301,33 +312,11 @@ func (boundaryStage) run(rs *runState) error {
 	return nil
 }
 
-// Scratch growth helpers: keep capacity, reallocate only when the bound
-// graph outgrew the buffer.
-
-func growInts(buf []int, n int) []int {
+// grow is the scratch growth helper: it keeps capacity and reallocates
+// only when the bound graph outgrew the buffer.
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]int, n)
-	}
-	return buf[:n]
-}
-
-func growInt32s(buf []int32, n int) []int32 {
-	if cap(buf) < n {
-		return make([]int32, n)
-	}
-	return buf[:n]
-}
-
-func growBools(buf []bool, n int) []bool {
-	if cap(buf) < n {
-		return make([]bool, n)
-	}
-	return buf[:n]
-}
-
-func growFloats(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }

@@ -2,17 +2,21 @@ package core
 
 import (
 	"slices"
+	"strings"
 	"testing"
 
 	"bfskel/internal/nettest"
+	"bfskel/internal/obs"
 )
 
 // TestExtractorStats checks that the staged engine instruments every phase
-// and that the work counters agree with the result it produced.
+// and that the work counters agree with the result it produced. The run is
+// traced, so each phase's BytesAlloc is its stage span's AllocBytes.
 func TestExtractorStats(t *testing.T) {
 	net := nettest.Grid("window", 800, 7, 3)
 	x := NewExtractor(net.Graph)
-	x.CollectMemStats = true
+	ring := obs.NewRingSink(0)
+	x.Tracer = obs.NewTracer(ring)
 	res, err := x.Extract(DefaultParams())
 	if err != nil {
 		t.Fatal(err)
@@ -26,8 +30,23 @@ func TestExtractorStats(t *testing.T) {
 	if len(st.Phases) != len(wantPhases) {
 		t.Fatalf("got %d phases, want %d: %+v", len(st.Phases), len(wantPhases), st.Phases)
 	}
+	var allocs []uint64
+	for _, rec := range ring.Records() {
+		if rec.Kind == obs.KindSpanEnd && strings.HasPrefix(rec.Name, "stage.") {
+			allocs = append(allocs, rec.AllocBytes)
+		}
+	}
+	if len(allocs) != len(wantPhases) {
+		t.Fatalf("got %d stage end records, want %d", len(allocs), len(wantPhases))
+	}
+	if st.Phases[0].BytesAlloc == 0 {
+		t.Error("identify BytesAlloc is 0; the stage allocates the result's per-node arrays")
+	}
 	for i, name := range wantPhases {
 		ph := st.Phases[i]
+		if ph.BytesAlloc != allocs[i] {
+			t.Errorf("phase %q BytesAlloc %d, stage span AllocBytes %d", name, ph.BytesAlloc, allocs[i])
+		}
 		if ph.Name != name {
 			t.Errorf("phase %d is %q, want %q", i, ph.Name, name)
 		}

@@ -107,8 +107,8 @@ func (e *Extractor) identify(p Params, st *Stats) (khop []int, cent []float64, i
 func (e *Extractor) ballSizes(p Params, maxR int) (sumsK int) {
 	n := e.g.N()
 	e.ballW = maxR
-	e.balls = growInt32s(e.balls, n*maxR)
-	e.wsums = growInts(e.wsums, n)
+	e.balls = grow(e.balls, n*maxR)
+	e.wsums = grow(e.wsums, n)
 	if e.g.BallSizesAndSumsInto(maxR, p.K, p.L, e.balls, e.wsums, e.getWalker, e.putWalker) {
 		sumsK = p.K
 	}
@@ -160,7 +160,7 @@ func minSites(n int) int { return max(4, n/512) }
 // electSites applies Def. 5 to every node and lists the elected sites.
 // The nodes run in degree-weighted chunks (walk cost grows with degree).
 func (e *Extractor) electSites(index []float64, scope int) []int32 {
-	e.bools = growBools(e.bools, e.g.N())
+	e.bools = grow(e.bools, e.g.N())
 	isSite := e.bools
 	dead := e.g.DeadMask()
 	graph.ParallelNodes(e.g, e.getWalker, e.putWalker, func(w *graph.Walker, v int) {
@@ -210,8 +210,8 @@ func sitesOf(isSite []bool) []int32 {
 // saturationRadii counts the whole ball matrix into the engine's
 // saturation counts and resolves the effective K and scope from them.
 func (e *Extractor) saturationRadii(p Params) (kEff, scopeEff int) {
-	e.satK = growInts(e.satK, p.K+1)
-	e.satS = growInts(e.satS, p.Scope()+1)
+	e.satK = grow(e.satK, p.K+1)
+	e.satS = grow(e.satS, p.Scope()+1)
 	clear(e.satK)
 	clear(e.satS)
 	n := e.g.N()

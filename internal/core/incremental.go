@@ -1,8 +1,11 @@
-// Incremental re-extraction under churn. An IncrementalExtractor holds the
-// full artifact state of its latest extraction (ball matrix, index fields,
-// election flags, Voronoi records, skeleton) and, given a batch of node
-// removals and revivals, repairs exactly the dirty region instead of
-// re-running the pipeline from scratch:
+// Incremental re-extraction under churn. An IncrementalExtractor keeps its
+// latest Result and the engine scratch of the full run that seeded it (ball
+// matrix, centrality sums, election flags, sorted coarse tuples) and, given
+// a batch of node removals and revivals, repairs exactly the dirty region
+// instead of re-running the pipeline from scratch. An update is a run of
+// the engine's stage runner: three repair stages replace identify and
+// voronoi, and the shared coarse, refine and boundary stages follow with
+// the update's caches.
 //
 //   - identify: base-graph BFS rings around the churn batch bound which ball
 //     rows (radius maxR), centrality/index values (maxR+L) and election
@@ -10,19 +13,20 @@
 //     The ball rows, a push of each changed K-ball size's delta to the
 //     centrality sums within L, and the fresh sums within L of a flip run
 //     as three batched floods, 64 Z-ordered sources per MS-BFS pass.
+//   - election: the local-maximum test re-runs within maxR+L+scope.
 //   - voronoi: a fixpoint repair over the dirty node set — a dial (bucket)
 //     multi-source BFS re-derives dmin with clean-boundary injections, then
 //     per-site pruned floods rebuild the records, growing the dirty set
 //     whenever a clean node's distance, membership or canonical parent is
 //     contradicted, and restarting until nothing grows (see DESIGN.md for
 //     the soundness argument).
-//   - coarse: segment tuples are rebuilt (cheap), but pairs whose segment
-//     lists, paths and two-hop surroundings are untouched reuse the previous
-//     SiteEdge verbatim; only dirty pairs recompute connector, paths and
-//     band end nodes.
+//   - coarse: the sorted segment tuples are patched (patchTuples), and
+//     pairs whose segment lists, paths and two-hop surroundings are
+//     untouched reuse the previous SiteEdge verbatim (coarseSplice); only
+//     dirty pairs recompute connector, paths and band end nodes.
 //   - refine: the end-node cluster floods — the stage's dominant cost — are
 //     cached per end node and invalidated by a one-hop dilation of the
-//     skeleton-mask diff plus the adjacency patch list.
+//     skeleton-mask diff plus the adjacency patch list (endFloodCache).
 //   - boundary: recomputed outright over the counting-pass median.
 //
 // Every pipeline rule — the index division, the local-maximum test, the
@@ -30,7 +34,7 @@
 // and the nearest-site rule — is the full pipeline's own function. The
 // update owns only the dirty-region search, the voronoi fixpoint repair,
 // the delta-patched centrality sums and its caches (patchTuples,
-// endFloodCache).
+// coarseSplice, endFloodCache).
 //
 // Correctness is pinned by equivalence: every Update result is bit-identical
 // to a from-scratch Extract on the mutated graph (see incremental_test.go).
@@ -41,6 +45,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -82,47 +87,17 @@ type UpdateStats struct {
 }
 
 // IncrementalExtractor maintains an extraction under node churn. It owns a
-// staged engine (whose scratch pools it shares), the persistent per-node
-// artifact state, and the flood caches that make repeated updates cheap.
-// Like the Extractor it is not safe for concurrent use.
+// staged engine, whose scratch holds the last full run's identify state
+// (ball matrix, centrality sums, saturation counts, election flags, sorted
+// coarse tuples) and which an update patches in place; the latest Result
+// holds everything else an update repairs. Like the Extractor it is not
+// safe for concurrent use.
 type IncrementalExtractor struct {
-	e *Extractor
-	p Params
-
-	maxR int // ball matrix width: max(K, Scope, L)
-
-	// Persistent identify state. khop/cent/index/isSite are mutable and
-	// patched in place; the ball matrix itself lives in e.balls.
-	khop     []int
-	cent     []float64
-	index    []float64
-	isSite   []bool
-	kEff     int
-	scopeEff int
-	rounds   int // election rounds of the last full extraction
-
-	// Views into the latest Result (immutable once published).
-	sites   []int32
-	cellOf  []int32
-	dmin    []int32
-	records [][]SiteDist
-	prev    *Result
-
-	// wsum holds the centrality sums (Σ khop over N_L, excluding the node
-	// itself), maintained across updates by a batched delta push plus a
-	// fresh tally within L of the flips, so the centrality ring never
-	// re-floods clean neighborhoods.
-	wsum []int
-	// tup is the sorted (pair, segment node) tuple array of the coarse
-	// splice, patched in place between updates; tupScratch is the merge
-	// target the arrays swap through. tupValid drops on every full run.
-	tup        []pairSeg
-	tupScratch []pairSeg
-	tupValid   bool
+	e    *Extractor
+	p    Params
+	prev *Result // the latest result (immutable once published)
 
 	fcache endFloodCache
-	uspan  *obs.Span // active Update span (nil outside Update)
-	sspan  *obs.Span // active update.* stage span (nil between stages)
 	last   UpdateStats
 	valid  bool
 }
@@ -143,7 +118,6 @@ func NewIncrementalExtractor(g *graph.Graph, p Params, tracer *obs.Tracer, metri
 	g.BeginOverlay()
 	ix := &IncrementalExtractor{e: NewExtractor(g), p: p}
 	ix.e.Tracer, ix.e.Metrics = tracer, metrics
-	ix.maxR = max(p.K, p.Scope(), p.L)
 	if _, err := ix.runFull(); err != nil {
 		return nil, err
 	}
@@ -160,43 +134,16 @@ func (ix *IncrementalExtractor) Result() *Result { return ix.prev }
 func (ix *IncrementalExtractor) LastUpdate() UpdateStats { return ix.last }
 
 // runFull executes a from-scratch extraction on the current (overlayed)
-// graph and captures the persistent state the incremental path patches.
+// graph; the engine's scratch and the result are the state the next
+// update patches.
 func (ix *IncrementalExtractor) runFull() (*Result, error) {
 	res, err := ix.e.Extract(ix.p)
+	ix.fcache.invalidateAll()
+	ix.valid = err == nil
 	if err != nil {
-		ix.valid = false
 		return nil, err
 	}
-	n := ix.e.g.N()
-	ix.kEff, ix.scopeEff = res.EffectiveK, res.EffectiveScope
-	ix.rounds = res.Stats.ElectionRounds
-	ix.khop = growInts(ix.khop, n)
-	copy(ix.khop, res.KHopSize)
-	ix.cent = growFloats(ix.cent, n)
-	copy(ix.cent, res.LCentrality)
-	ix.index = growFloats(ix.index, n)
-	copy(ix.index, res.Index)
-	if cap(ix.isSite) < n {
-		ix.isSite = make([]bool, n)
-	}
-	ix.isSite = ix.isSite[:n]
-	for i := range ix.isSite {
-		ix.isSite[i] = false
-	}
-	for _, s := range res.Sites {
-		ix.isSite[s] = true
-	}
-	ix.sites = res.Sites
-	ix.cellOf, ix.dmin, ix.records = res.CellOf, res.DistToSite, res.Records
 	ix.prev = res
-	// The identify stage leaves its centrality sums on the engine, computed
-	// with the khop weights of the final election round — exactly the
-	// Σ khop over N_L the delta patch maintains.
-	ix.wsum = growInts(ix.wsum, n)
-	copy(ix.wsum, ix.e.wsums)
-	ix.tupValid = false
-	ix.fcache.invalidateAll()
-	ix.valid = true
 	return res, nil
 }
 
@@ -208,6 +155,13 @@ func (ix *IncrementalExtractor) runFull() (*Result, error) {
 // [0, N) is rejected with an error before the update starts, leaving the
 // extractor untouched; IDs already in the requested state, and repeats
 // within a batch, are ignored.
+//
+// An update is a run of the engine's stage runner under an "update" span:
+// three repair stages (identify, election, voronoi) patch the previous
+// phase 1-2 artifacts, and the shared coarse, refine and boundary stages
+// finish the result with the update's caches. Its Stats list the six
+// stages, and Stats.Total is the update span's duration, which also covers
+// applying the batch to the graph.
 func (ix *IncrementalExtractor) Update(remove, revive []int32) (*Result, error) {
 	e := ix.e
 	g := e.g
@@ -218,8 +172,6 @@ func (ix *IncrementalExtractor) Update(remove, revive []int32) (*Result, error) 
 	span := e.Tracer.StartSpan("update",
 		obs.Int("remove", len(remove)), obs.Int("revive", len(revive)))
 	span.MeasureAllocs()
-	ix.uspan = span
-	defer func() { ix.uspan = nil }()
 
 	sc := &e.inc
 	sc.ensure(n)
@@ -246,7 +198,7 @@ func (ix *IncrementalExtractor) Update(remove, revive []int32) (*Result, error) 
 		return ix.prev, nil
 	}
 
-	res, err := ix.update(flipped, newlyDead, patched)
+	res, err := ix.update(span, &update{ix: ix, flipped: flipped, newlyDead: newlyDead, patched: patched})
 	if err != nil {
 		ix.last.Duration = span.End(obs.Str("error", err.Error()))
 		return nil, err
@@ -256,6 +208,9 @@ func (ix *IncrementalExtractor) Update(remove, revive []int32) (*Result, error) 
 		obs.Int("repairedCells", ix.last.RepairedCells),
 		obs.Int("attempts", ix.last.Attempts),
 		obs.Str("fallback", ix.last.FallbackReason))
+	if !ix.last.Fallback {
+		res.Stats.Total = ix.last.Duration
+	}
 	ix.observe()
 	return res, nil
 }
@@ -288,82 +243,118 @@ func (ix *IncrementalExtractor) observe() {
 	}
 }
 
-// stage closes the open update stage span, if any, and opens the named
-// child of the Update span. Without a tracer both spans are untraced and
-// this is two clock reads.
-func (ix *IncrementalExtractor) stage(name string) {
-	ix.endStage()
-	ix.sspan = ix.uspan.StartSpan(name)
+// fallback is the error a repair stage returns to abandon the incremental
+// path; its value is the reason UpdateStats and the "update.fallback" event
+// report.
+type fallback string
+
+func (f fallback) Error() string { return "incremental update falls back: " + string(f) }
+
+// updateStages is an incremental update: the repair stages, then the shared
+// pipeline from coarse on.
+var updateStages = append([]stage{{"identify", identifyRepair}, {"election", electionRepair},
+	{"voronoi", voronoiRepair}}, stages[2:]...)
+
+// update is one Update call's incremental context: what the repair stages
+// hand on to each other and to the shared stages. It lives for one call.
+type update struct {
+	ix   *IncrementalExtractor
+	prev *Result
+	// flipped lists the nodes whose alive status changed (newlyDead is its
+	// removal prefix), patched the nodes whose adjacency windows were
+	// rebuilt.
+	flipped, newlyDead, patched []int32
+
+	horizon int     // dirty-region radius: maxR + L + scope
+	wring   int     // index ring radius: maxR + L
+	queue   []int32 // the horizon BFS, in visit order
+
+	rep    vrepair      // the voronoi fixpoint; its dirty list feeds coarse
+	splice coarseSplice // coarse: the previous edges' reuse test
 }
 
-// endStage closes the open update stage span with the given attributes.
-func (ix *IncrementalExtractor) endStage(attrs ...obs.Attr) {
-	ix.sspan.End(attrs...)
-	ix.sspan = nil
-}
-
-// fallback records the reason and runs the full path.
-func (ix *IncrementalExtractor) fallback(reason string) (*Result, error) {
-	ix.endStage()
+// update runs the incremental path, or the full pipeline when the state
+// cannot be patched or a repair stage falls back.
+func (ix *IncrementalExtractor) update(span *obs.Span, u *update) (*Result, error) {
+	var reason fallback
+	switch {
+	case !ix.valid:
+		// A previous full extraction failed (e.g. ErrNoSites at high
+		// churn); retry it — the state is only usable once it succeeds.
+		reason = "stale-state"
+	case ix.prev.Stats.ElectionRounds > 1:
+		// The last full run needed the min-site radius loop; the scoped
+		// re-election only replicates single-round elections.
+		reason = "multi-round-election"
+	default:
+		u.prev = ix.prev
+		rs := &runState{e: ix.e, g: ix.e.g, p: ix.p, stats: newStats(), upd: u,
+			res: &Result{Params: ix.p, EffectiveK: u.prev.EffectiveK, EffectiveScope: u.prev.EffectiveScope}}
+		ix.fcache.notePatched(u.patched)
+		err := rs.runStages(span, updateStages)
+		u.rep.release()
+		if err == nil {
+			rs.res.Stats = rs.stats
+			ix.prev = rs.res
+			return rs.res, nil
+		}
+		var ok bool
+		if reason, ok = err.(fallback); !ok {
+			return nil, err
+		}
+	}
 	ix.last.Fallback = true
-	ix.last.FallbackReason = reason
-	ix.uspan.Event("update.fallback", obs.Str("reason", reason))
+	ix.last.FallbackReason = string(reason)
+	span.Event("update.fallback", obs.Str("reason", string(reason)))
 	return ix.runFull()
 }
 
-// update is the incremental path proper; flipped lists the nodes whose
-// alive status changed (newlyDead is its removal prefix), patched the nodes
-// whose adjacency windows were rebuilt.
-func (ix *IncrementalExtractor) update(flipped, newlyDead, patched []int32) (*Result, error) {
-	if !ix.valid {
-		// A previous full extraction failed (e.g. ErrNoSites at high
-		// churn); retry it — the state is only usable once it succeeds.
-		return ix.fallback("stale-state")
-	}
-	if ix.rounds > 1 {
-		// The last full run needed the min-site radius loop; the scoped
-		// re-election below only replicates single-round elections.
-		return ix.fallback("multi-round-election")
-	}
-	e := ix.e
+// identifyRepair recomputes the ball rows, centrality sums and index values
+// the churn batch can have changed: those within base-graph distance maxR,
+// and maxR+L, of a flip.
+func identifyRepair(rs *runState) error {
+	e, u, p, res := rs.e, rs.upd, rs.p, rs.res
 	g := e.g
 	n := g.N()
-	p := ix.p
 	sc := &e.inc
 	acquire, release := e.getWalker, e.putWalker
+	maxR, kEff := e.ballW, res.EffectiveK
+	// A single-round election makes the outcome counters a full run would
+	// report known up front.
+	rs.stats.ElectionRounds = 1
+	rs.stats.KAdjustments = p.K - kEff
+	rs.stats.ScopeAdjustments = p.Scope() - res.EffectiveScope
 
-	// ---- identify: dirty rings, ball rows, index fields ----
-
-	ix.stage("update.identify")
 	// Dirty-region horizon: base-graph (pre-churn superset) BFS from the
 	// flipped nodes. Every quantity recomputed below changes only within a
 	// bounded base-distance of a flip — see DESIGN.md for the per-ring
 	// arguments — so ring membership is read straight off this pass.
-	horizon := ix.maxR + p.L + ix.scopeEff
+	u.horizon = maxR + p.L + res.EffectiveScope
 	distD := sc.distD
 	for i := range distD {
 		distD[i] = graph.Unreachable
 	}
 	queue := sc.list[:0]
-	for _, v := range flipped {
+	for _, v := range u.flipped {
 		if distD[v] < 0 {
 			distD[v] = 0
 			queue = append(queue, v)
 		}
 	}
 	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		du := distD[u]
-		if int(du) >= horizon {
+		v := queue[head]
+		dv := distD[v]
+		if int(dv) >= u.horizon {
 			continue
 		}
-		for _, v := range g.BaseNeighbors(u) {
-			if distD[v] < 0 {
-				distD[v] = du + 1
-				queue = append(queue, v)
+		for _, w := range g.BaseNeighbors(v) {
+			if distD[w] < 0 {
+				distD[w] = dv + 1
+				queue = append(queue, w)
 			}
 		}
 	}
+	u.queue = queue
 
 	// Ball rows within maxR of a flip, and the fresh sums within L of one
 	// (L <= maxR). Both lists are taken along the graph's batch order, so
@@ -377,7 +368,7 @@ func (ix *IncrementalExtractor) update(flipped, newlyDead, patched []int32) (*Re
 		if order != nil {
 			v = order[i]
 		}
-		if d := int(distD[v]); d >= 0 && d <= ix.maxR {
+		if d := int(distD[v]); d >= 0 && d <= maxR {
 			srcs = append(srcs, v)
 			if d <= p.L {
 				fresh = append(fresh, v)
@@ -386,14 +377,25 @@ func (ix *IncrementalExtractor) update(flipped, newlyDead, patched []int32) (*Re
 	}
 	sc.srcs, sc.fresh = srcs, fresh
 	e.countSaturation(p, srcs, -1)
-	g.BatchBallSizesInto(ix.maxR, srcs, e.balls, acquire, release)
+	g.BatchBallSizesInto(maxR, srcs, e.balls, acquire, release)
 	e.countSaturation(p, srcs, +1)
+
+	// The saturation guards are global order statistics; if either radius
+	// would resolve differently on the mutated graph, the whole field needs
+	// rebuilding. The engine's counts, seeded by the last full run's
+	// identify, are kept in lockstep with the ball rows above, so resolving
+	// off them is identify's own resolution on the full matrix.
+	if radiusFromCounts(e.satK, p.K, n) != kEff ||
+		radiusFromCounts(e.satS, p.Scope(), n) != res.EffectiveScope {
+		return fallback("radius-drift")
+	}
+
 	// The sources whose khop changed, with the integer differences the
 	// centrality delta pass below propagates.
-	khop, wsum := ix.khop, ix.wsum
+	khop := slices.Clone(u.prev.KHopSize)
 	pushed, delta := sc.pushed[:0], sc.delta[:0]
 	for _, v := range srcs {
-		k := e.ball(int(v), ix.kEff)
+		k := e.ball(int(v), kEff)
 		if d := k - khop[v]; d != 0 {
 			pushed = append(pushed, v)
 			delta = append(delta, d)
@@ -402,25 +404,16 @@ func (ix *IncrementalExtractor) update(flipped, newlyDead, patched []int32) (*Re
 	}
 	sc.pushed, sc.delta = pushed, delta
 
-	// The saturation guards are global order statistics; if either radius
-	// would resolve differently on the mutated graph, the whole field needs
-	// rebuilding. The engine's counts, seeded by the last full run's
-	// identify, are kept in lockstep with the ball rows above, so resolving
-	// off them is identify's own resolution on the full matrix.
-	if radiusFromCounts(e.satK, p.K, n) != ix.kEff ||
-		radiusFromCounts(e.satS, p.Scope(), n) != ix.scopeEff {
-		return ix.fallback("radius-drift")
-	}
-
 	// Centrality and index within maxR+L of a flip.
+	u.wring = maxR + p.L
 	wlist := sc.elist[:0]
-	wring := ix.maxR + p.L
 	for _, v := range queue {
-		if int(distD[v]) <= wring {
+		if int(distD[v]) <= u.wring {
 			wlist = append(wlist, v)
 		}
 	}
-	// Delta-patch the persistent sums instead of re-flooding the whole ring.
+	sc.elist = wlist
+	// Delta-patch the engine's sums instead of re-flooding the whole ring.
 	// N_L membership can only change within L of a flip (an entering or
 	// leaving member needs an old- or new-graph path of length <= L through
 	// a flipped node), so those sums are rebuilt fresh; every other affected
@@ -429,47 +422,54 @@ func (ix *IncrementalExtractor) update(flipped, newlyDead, patched []int32) (*Re
 	// 64 sources per pass; the fresh pass then overwrites the sums within L
 	// of a flip, whatever the push added to them. All arithmetic stays
 	// integer, and indexOf is the full path's division.
-	g.PushSumsInto(p.L, pushed, delta, wsum, acquire, release)
-	g.BallWeightedSumsInto(graph.KernelBatched, p.L, khop, wsum, acquire, release, fresh...)
+	g.PushSumsInto(p.L, pushed, delta, e.wsums, acquire, release)
+	g.BallWeightedSumsInto(graph.KernelBatched, p.L, khop, e.wsums, acquire, release, fresh...)
+	cent, index := slices.Clone(u.prev.LCentrality), slices.Clone(u.prev.Index)
 	for _, v := range wlist {
-		ix.cent[v], ix.index[v] = indexOf(khop[v], wsum[v], e.ball(int(v), p.L))
+		cent[v], index[v] = indexOf(khop[v], e.wsums[v], e.ball(int(v), p.L))
 	}
+	res.KHopSize, res.LCentrality, res.Index = khop, cent, index
 
-	if ix.sspan.Enabled() {
-		ix.endStage(obs.Int("balls", len(srcs)), obs.Int("fresh", len(fresh)),
-			obs.Int("pushed", len(pushed)), obs.Int("horizon", horizon))
+	if rs.e.span.Enabled() {
+		rs.annotate(obs.Int("balls", len(srcs)), obs.Int("fresh", len(fresh)),
+			obs.Int("pushed", len(pushed)), obs.Int("horizon", u.horizon))
 	}
+	return nil
+}
 
-	// ---- election ----
-
-	ix.stage("update.election")
-	// Re-elect within maxR+L+scope of a flip (index values an election
-	// reads live one scope-ball away from the last changed index).
-	elist := wlist
-	for _, v := range queue {
-		if d := int(distD[v]); d > wring && d <= horizon {
+// electionRepair re-elects within maxR+L+scope of a flip (index values an
+// election reads live one scope-ball away from the last changed index),
+// patching the engine's election flags.
+func electionRepair(rs *runState) error {
+	e, u, res := rs.e, rs.upd, rs.res
+	g := e.g
+	sc := &e.inc
+	elist := sc.elist
+	for _, v := range u.queue {
+		if d := int(sc.distD[v]); d > u.wring && d <= u.horizon {
 			elist = append(elist, v)
 		}
 	}
 	sc.elist = elist
-	isSite, index, scope := ix.isSite, ix.index, ix.scopeEff
+	isSite, index, scope := e.bools, res.Index, res.EffectiveScope
 	dead := g.DeadMask()
-	graph.ParallelRange(g, len(elist), acquire, release, func(w *graph.Walker, i int) {
+	graph.ParallelRange(g, len(elist), e.getWalker, e.putWalker, func(w *graph.Walker, i int) {
 		isSite[elist[i]] = isLocalMax(w, elist[i], index, scope, dead)
 	})
-	newSites := sitesOf(isSite)
-	if len(newSites) < minSites(n) {
-		return ix.fallback("min-sites")
+	sites := sitesOf(isSite)
+	if len(sites) < minSites(g.N()) {
+		return fallback("min-sites")
 	}
 	// Site diff against the previous election (both lists ascending).
+	prevSites := u.prev.Sites
 	addS, rmS := sc.addS[:0], sc.rmS[:0]
-	for i, j := 0, 0; i < len(ix.sites) || j < len(newSites); {
+	for i, j := 0, 0; i < len(prevSites) || j < len(sites); {
 		switch {
-		case j == len(newSites) || (i < len(ix.sites) && ix.sites[i] < newSites[j]):
-			rmS = append(rmS, ix.sites[i])
+		case j == len(sites) || (i < len(prevSites) && prevSites[i] < sites[j]):
+			rmS = append(rmS, prevSites[i])
 			i++
-		case i == len(ix.sites) || newSites[j] < ix.sites[i]:
-			addS = append(addS, newSites[j])
+		case i == len(prevSites) || sites[j] < prevSites[i]:
+			addS = append(addS, sites[j])
 			j++
 		default:
 			i++
@@ -477,72 +477,79 @@ func (ix *IncrementalExtractor) update(flipped, newlyDead, patched []int32) (*Re
 		}
 	}
 	sc.addS, sc.rmS = addS, rmS
-	if ix.sspan.Enabled() {
-		ix.endStage(obs.Int("sites", len(newSites)),
+	res.Sites = sites
+	rs.stats.Sites = len(sites)
+	if rs.e.span.Enabled() {
+		rs.annotate(obs.Int("sites", len(sites)),
 			obs.Int("gained", len(addS)), obs.Int("lost", len(rmS)))
 	}
+	return nil
+}
 
-	// ---- voronoi: fixpoint repair over the dirty region ----
+// voronoiRepair rebuilds the Voronoi records of the dirty region by a
+// fixpoint repair, then derives the cell assignments of the repaired nodes.
+func voronoiRepair(rs *runState) error {
+	e, u, p, res := rs.e, rs.upd, rs.p, rs.res
+	g := e.g
+	n := g.N()
+	sc := &e.inc
+	prevRec := u.prev.Records
+	ncell := slices.Clone(u.prev.CellOf)
+	ndist := slices.Clone(u.prev.DistToSite)
+	nrec := slices.Clone(prevRec)
 
-	ix.stage("update.voronoi")
-	ncell := make([]int32, n)
-	copy(ncell, ix.cellOf)
-	ndist := make([]int32, n)
-	copy(ndist, ix.dmin)
-	nrec := make([][]SiteDist, n)
-	copy(nrec, ix.records)
-
-	r := &vrepair{
+	r := &u.rep
+	*r = vrepair{
 		g: g, alpha: p.Alpha, sc: sc,
 		dirty: sc.dirty, list: sc.list[:0],
 		ndist: ndist, nrec: nrec,
-		prevRec: ix.records, prevDmin: ix.dmin,
-		sites: newSites,
+		prevRec: prevRec, prevDmin: u.prev.DistToSite,
+		sites: res.Sites,
 	}
 	// Seed the dirty set: flipped nodes, rebuilt adjacency windows (their
 	// sorted-neighbor parent scans changed), the zones of removed or
 	// de-elected sites, newly elected sites, and — for distance increases —
 	// the record-descendants of newly dead nodes.
-	for _, v := range patched {
+	for _, v := range u.patched {
 		r.markDirty(v)
 	}
-	for _, v := range flipped {
+	for _, v := range u.flipped {
 		r.markDirty(v) // dead nodes are not in patched's alive filter
 	}
-	if len(rmS) > 0 {
+	if len(sc.rmS) > 0 {
 		rmMark := sc.rmMark
-		for _, s := range rmS {
+		for _, s := range sc.rmS {
 			rmMark[s] = true
 		}
 		for v := 0; v < n; v++ {
 			if r.dirty[v] {
 				continue
 			}
-			for _, rec := range ix.records[v] {
+			for _, rec := range prevRec[v] {
 				if rmMark[rec.Site] {
 					r.markDirty(int32(v))
 					break
 				}
 			}
 		}
-		for _, s := range rmS {
+		for _, s := range sc.rmS {
 			rmMark[s] = false
 		}
 	}
-	for _, s := range addS {
+	for _, s := range sc.addS {
 		r.markDirty(s)
 	}
 	// Dead-node closure: a broken recorded parent chain can only raise
 	// distances, and every broken chain passes through a newly dead node,
 	// so dirty the downstream record-trees of exactly those.
-	closure := append(sc.bv[:0], newlyDead...)
+	closure := append(sc.bv[:0], u.newlyDead...)
 	for head := 0; head < len(closure); head++ {
 		w := closure[head]
 		for _, c := range g.BaseNeighbors(w) {
 			if !g.Alive(c) || r.dirty[c] {
 				continue
 			}
-			for _, rec := range ix.records[c] {
+			for _, rec := range prevRec[c] {
 				if rec.Parent == w {
 					r.markDirty(c)
 					closure = append(closure, c)
@@ -553,20 +560,17 @@ func (ix *IncrementalExtractor) update(flipped, newlyDead, patched []int32) (*Re
 	}
 	sc.bv = closure[:0]
 
+	last := &u.ix.last
 	maxDirty := int(dirtyFallback * float64(n))
 	for {
 		r.attempts++
-		if len(r.list) > maxDirty {
-			ix.last.DirtyNodes = len(r.list)
-			ix.last.DirtyFraction = float64(len(r.list)) / float64(n)
-			r.release()
-			return ix.fallback("dirty-fraction")
-		}
-		if r.attempts > maxRepairAttempts {
-			ix.last.DirtyNodes = len(r.list)
-			ix.last.DirtyFraction = float64(len(r.list)) / float64(n)
-			r.release()
-			return ix.fallback("repair-divergence")
+		if len(r.list) > maxDirty || r.attempts > maxRepairAttempts {
+			last.DirtyNodes = len(r.list)
+			last.DirtyFraction = float64(len(r.list)) / float64(n)
+			if len(r.list) > maxDirty {
+				return fallback("dirty-fraction")
+			}
+			return fallback("repair-divergence")
 		}
 		r.grown = false
 		for _, v := range r.list {
@@ -594,80 +598,17 @@ func (ix *IncrementalExtractor) update(flipped, newlyDead, patched []int32) (*Re
 	for _, v := range r.list {
 		ncell[v], ndist[v] = nearestSite(nrec[v])
 	}
-	ix.last.DirtyNodes = len(r.list)
-	ix.last.DirtyFraction = float64(len(r.list)) / float64(n)
-	ix.last.RepairedCells = len(r.rs)
-	ix.last.Attempts = r.attempts
-	if ix.sspan.Enabled() {
-		ix.endStage(obs.Int("dirty", len(r.list)),
+	res.CellOf, res.DistToSite, res.Records = ncell, ndist, nrec
+	last.DirtyNodes = len(r.list)
+	last.DirtyFraction = float64(len(r.list)) / float64(n)
+	last.RepairedCells = len(r.rs)
+	last.Attempts = r.attempts
+	u.splice = coarseSplice{prev: u.prev.Edges, dirty: sc.dirty, distD: sc.distD, wring: u.wring}
+	if rs.e.span.Enabled() {
+		rs.annotate(obs.Int("dirty", len(r.list)),
 			obs.Int("cells", len(r.rs)), obs.Int("attempts", r.attempts))
 	}
-
-	// ---- coarse: splice repaired pairs into the retained edge list ----
-
-	ix.stage("update.coarse")
-	segNodes, vorNodes := specialNodes(nrec)
-	splice := &coarseSplice{prev: ix.prev.Edges, dirty: sc.dirty, distD: distD, wring: wring}
-	edges, coarseSkel := e.connectPairs(ix.patchTuples(nrec, r.list), ix.index, nrec, splice)
-	if ix.sspan.Enabled() {
-		ix.endStage(obs.Int("edges", len(edges)), obs.Int("reused", splice.reused))
-	}
-
-	// ---- refine: loop classification with cached end floods ----
-
-	ix.stage("update.refine")
-	// A single-round election makes the outcome counters a full run would
-	// report known up front; refine adds PrunedNodes.
-	st := newStats()
-	st.ElectionRounds = 1
-	st.KAdjustments = p.K - ix.kEff
-	st.ScopeAdjustments = p.Scope() - ix.scopeEff
-	ix.fcache.notePatched(patched)
-	loops, skel := e.refine(p, ix.index, nrec, ncell, edges, &ix.fcache, st)
-
-	// ---- boundary ----
-
-	ix.stage("update.boundary")
-	// khop is the effective-K ball column, as in the full run's boundary
-	// stage, so one median serves the stat and the classification.
-	st.MedianKHopBall = medianKHop(ix.khop, &e.ints)
-	boundary := e.boundaryByProduct(ix.khop, st.MedianKHopBall)
-	ix.endStage()
-
-	// ---- assemble and persist ----
-
-	st.Sites = len(newSites)
-	st.SegmentNodes = len(segNodes)
-	st.VoronoiNodes = len(vorNodes)
-	st.Edges = len(edges)
-	st.BoundaryNodes = len(boundary)
-	res := &Result{
-		Params:         p,
-		EffectiveK:     ix.kEff,
-		EffectiveScope: ix.scopeEff,
-		KHopSize:       append([]int(nil), ix.khop...),
-		LCentrality:    append([]float64(nil), ix.cent...),
-		Index:          append([]float64(nil), ix.index...),
-		Sites:          newSites,
-		CellOf:         ncell,
-		DistToSite:     ndist,
-		Records:        nrec,
-		SegmentNodes:   segNodes,
-		VoronoiNodes:   vorNodes,
-		Edges:          edges,
-		Coarse:         coarseSkel,
-		Loops:          loops,
-		Skeleton:       skel,
-		Boundary:       boundary,
-		Stats:          st,
-	}
-	st.FakeLoops = res.NumFakeLoops()
-	st.GenuineLoops = res.NumGenuineLoops()
-	ix.sites = newSites
-	ix.cellOf, ix.dmin, ix.records = ncell, ndist, nrec
-	ix.prev = res
-	r.release()
-	return res, nil
+	return nil
 }
 
 // coarseSplice is the coarse stage's reuse test during an update: the
@@ -714,35 +655,28 @@ func (s *coarseSplice) reuse(pr SitePair, segs []int32) *SiteEdge {
 	return pe
 }
 
-// patchTuples maintains the sorted (pair, segment node) tuple array the
-// coarse splice groups over. The first update after a full run rebuilds and
-// sorts every tuple; later updates only delete the previous tuples of
-// repaired nodes and merge in their rebuilt ones — clean record rows are
-// shared between consecutive results, so every other tuple is unchanged by
-// construction. The merge keeps the array in (A, B, v) order without
-// re-sorting it.
-func (ix *IncrementalExtractor) patchTuples(nrec [][]SiteDist, dirtyList []int32) []pairSeg {
-	if !ix.tupValid {
-		tuples := ix.tup[:0]
-		for v := range nrec {
-			tuples = appendPairTuples(tuples, nrec[v], int32(v))
-		}
-		sortPairSegs(tuples)
-		ix.tup = tuples
-		ix.tupValid = true
-		return tuples
-	}
-	sc := &ix.e.inc
+// patchTuples maintains the engine's sorted (pair, segment node) tuple
+// array, which the coarse splice groups over. The full run that seeded the
+// state left it sorted over the previous records; an update deletes the
+// previous tuples of repaired nodes and merges in their rebuilt ones —
+// clean record rows are shared between consecutive results, so every other
+// tuple is unchanged by construction. The merge keeps the array in
+// (A, B, v) order without re-sorting it. It reports false, leaving the
+// coarse stage to rebuild the array, when a deletion has no counterpart:
+// the array diverged from the records (must not happen).
+func (u *update) patchTuples(nrec [][]SiteDist) bool {
+	e := u.ix.e
+	sc := &e.inc
 	del, add := sc.delT[:0], sc.addT[:0]
-	for _, v := range dirtyList {
-		del = appendPairTuples(del, ix.records[v], v)
+	for _, v := range u.rep.list {
+		del = appendPairTuples(del, u.prev.Records[v], v)
 		add = appendPairTuples(add, nrec[v], v)
 	}
 	sortPairSegs(del)
 	sortPairSegs(add)
 	sc.delT, sc.addT = del, add
-	old := ix.tup
-	out := ix.tupScratch[:0]
+	old := e.pairBuf
+	out := sc.mergeT[:0]
 	j, k := 0, 0
 	for i := 0; i < len(old); i++ {
 		for k < len(add) && pairSegLess(add[k], old[i]) {
@@ -757,14 +691,11 @@ func (ix *IncrementalExtractor) patchTuples(nrec [][]SiteDist, dirtyList []int32
 	}
 	out = append(out, add[k:]...)
 	if j != len(del) {
-		// A deletion had no counterpart: the persistent array diverged from
-		// the records (must not happen). Rebuild rather than splice garbage.
-		ix.tupValid = false
-		ix.tupScratch = out[:0]
-		return ix.patchTuples(nrec, dirtyList)
+		sc.mergeT = out[:0]
+		return false
 	}
-	ix.tup, ix.tupScratch = out, old[:0]
-	return out
+	e.pairBuf, sc.mergeT = out, old[:0]
+	return true
 }
 
 // lessPair orders site pairs lexicographically, the coarse stage's output
@@ -806,6 +737,7 @@ type incScratch struct {
 	delta     []int     // khop change of each pushed source
 	delT      []pairSeg // coarse tuples dropped by the splice merge
 	addT      []pairSeg // coarse tuples added by the splice merge
+	mergeT    []pairSeg // splice merge target, swapped with the engine's pairBuf
 	rmMark    []bool    // removed-site mark
 	addS      []int32   // gained sites
 	rmS       []int32   // lost sites
@@ -813,15 +745,15 @@ type incScratch struct {
 }
 
 func (s *incScratch) ensure(n int) {
-	s.distD = growInt32s(s.distD, n)
-	s.dirty = growBools(s.dirty, n)
-	s.settled = growInt32s(s.settled, n)
-	s.fdist = growInt32s(s.fdist, n)
-	s.fstamp = growInt32s(s.fstamp, n)
-	s.checked = growInt32s(s.checked, n)
-	s.smark = growInt32s(s.smark, n)
-	s.sslot = growInt32s(s.sslot, n)
-	s.rmMark = growBools(s.rmMark, n)
+	s.distD = grow(s.distD, n)
+	s.dirty = grow(s.dirty, n)
+	s.settled = grow(s.settled, n)
+	s.fdist = grow(s.fdist, n)
+	s.fstamp = grow(s.fstamp, n)
+	s.checked = grow(s.checked, n)
+	s.smark = grow(s.smark, n)
+	s.sslot = grow(s.sslot, n)
+	s.rmMark = grow(s.rmMark, n)
 	if s.epoch > 1<<30 {
 		// Stamp wrap: epochs are shared across updates; reset well before
 		// int32 overflow.
@@ -884,8 +816,11 @@ func (r *vrepair) markDirty(v int32) {
 }
 
 // release returns borrowed buffers to the scratch pool and clears the dirty
-// flags for the next update.
+// flags for the next update; a repair that never started holds none.
 func (r *vrepair) release() {
+	if r.sc == nil {
+		return
+	}
 	for _, v := range r.list {
 		r.dirty[v] = false
 	}
@@ -1015,7 +950,7 @@ func (r *vrepair) collectSites() {
 	// Fill with off[k] as slot k's cursor; afterwards off[k] holds slot k's
 	// end, so shifting one place restores the start offsets.
 	total := int(off[len(off)-1])
-	injV, injD := growInt32s(sc.injV, total), growInt32s(sc.injD, total)
+	injV, injD := grow(sc.injV, total), grow(sc.injD, total)
 	for i, u := range sc.bu {
 		for _, rec := range r.prevRec[u] {
 			k := sc.sslot[rec.Site]
@@ -1154,7 +1089,7 @@ func (r *vrepair) parentPass() {
 			for _, w := range r.g.Neighbors(int(u)) {
 				var dw int32 = -2
 				if r.dirty[w] {
-					if rw, ok := rowRecord(r.nrec[w], rec.Site); ok {
+					if rw, ok := recordFor(r.nrec, w, rec.Site); ok {
 						dw = rw.D
 					}
 				} else if rw, ok := recordFor(r.prevRec, w, rec.Site); ok {
@@ -1184,7 +1119,7 @@ func (r *vrepair) childrenPass() {
 	for li := 0; li < end; li++ {
 		v := r.list[li]
 		for _, rp := range r.prevRec[v] {
-			if nr, ok := rowRecord(r.nrec[v], rp.Site); ok && nr.D == rp.D {
+			if nr, ok := recordFor(r.nrec, v, rp.Site); ok && nr.D == rp.D {
 				continue
 			}
 			for _, c := range r.g.Neighbors(int(v)) {
@@ -1198,16 +1133,6 @@ func (r *vrepair) childrenPass() {
 			}
 		}
 	}
-}
-
-// rowRecord scans one record row for a site.
-func rowRecord(recs []SiteDist, site int32) (SiteDist, bool) {
-	for _, r := range recs {
-		if r.Site == site {
-			return r, true
-		}
-	}
-	return SiteDist{}, false
 }
 
 // endFloodCache caches the refine stage's end-node cluster floods across

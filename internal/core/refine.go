@@ -199,7 +199,7 @@ func (w *refiner) classifyLoops() {
 	// The clustering floods only read skeleton membership, never adjacency,
 	// so a pooled mask over the active edges' paths stands in for the full
 	// skeleton build; the set bits are tracked for O(set) clearing below.
-	mask := growBools(w.e.cmask, w.g.N())
+	mask := grow(w.e.cmask, w.g.N())
 	w.e.cmask = mask
 	maskOn := w.e.cmaskOn[:0]
 	for _, e := range w.edges {
@@ -219,13 +219,10 @@ func (w *refiner) classifyLoops() {
 	}
 
 	// Gather the end nodes of all active edges; endsOf maps each edge to
-	// its one or two entries.
-	type endRef struct {
-		edge int
-		node int32
-	}
-	var ends []endRef
-	endsOf := make([][2]int32, len(w.edges))
+	// its one or two entries. The tables below live on the engine.
+	cs := &w.e.cls
+	ends := cs.ends[:0]
+	endsOf := grow(cs.endsOf, len(w.edges))
 	for i, e := range w.edges {
 		endsOf[i] = [2]int32{-1, -1}
 		if e.deleted {
@@ -315,9 +312,12 @@ func (w *refiner) classifyLoops() {
 	// root, which depends on union order), and it equals the root the
 	// historical serial unions produced, so cluster processing order — which
 	// decides which shared edges get deleted first — is unchanged.
-	root := make([]int, len(ends))
-	size := make([]int, len(ends))
-	maxMember := make([]int, len(ends))
+	cs.ends, cs.endsOf = ends, endsOf
+	m := len(ends)
+	cs.ints = grow(cs.ints, 5*m+1)
+	clear(cs.ints)
+	root, size, maxMember := cs.ints[:m], cs.ints[m:2*m], cs.ints[2*m:3*m]
+	offset, fill := cs.ints[3*m:4*m+1], cs.ints[4*m+1:]
 	// Copy the roots out: the per-cluster forest below resets uf.
 	for i := range ends {
 		root[i] = int(uf.find(int32(i)))
@@ -338,7 +338,6 @@ func (w *refiner) classifyLoops() {
 	// Bucket members by root once (counting sort, ascending within each
 	// cluster) so the per-cluster pass below reads its own slice instead of
 	// rescanning every end node per cluster.
-	offset := make([]int, len(ends)+1)
 	for i := range ends {
 		if root[i] == i {
 			offset[i+1] = size[i]
@@ -347,8 +346,8 @@ func (w *refiner) classifyLoops() {
 	for i := 0; i < len(ends); i++ {
 		offset[i+1] += offset[i]
 	}
-	members := make([]int32, len(ends))
-	fill := make([]int, len(ends))
+	cs.members = grow(cs.members, m)
+	members := cs.members
 	for i := range ends {
 		r := root[i]
 		members[offset[r]+fill[r]] = int32(i)
@@ -369,7 +368,9 @@ func (w *refiner) classifyLoops() {
 	// Per cluster, break every cycle among its edges: add edges to a
 	// spanning forest in keep-priority order; edges closing a cycle are
 	// fake and get deleted.
-	edgeMark := make([]int32, len(w.edges))
+	cs.edgeMark = grow(cs.edgeMark, len(w.edges))
+	edgeMark := cs.edgeMark
+	clear(edgeMark)
 	var clusterStamp int32
 	var edgeIdx []int
 	var clusterSites []int32
@@ -444,6 +445,26 @@ func (w *refiner) classifyLoops() {
 			})
 		}
 	}
+}
+
+// endRef is one end node of a working edge, as loop classification
+// clusters them.
+type endRef struct {
+	edge int
+	node int32
+}
+
+// classifyScratch holds classifyLoops' tables on the engine, so a warm
+// extraction allocates none of them: the end nodes, each edge's entries
+// among them, the cluster tables (root, size, max member, bucket offsets
+// and fill cursors, one int slice cut five ways) with the bucketed
+// members, and the per-edge cluster stamps.
+type classifyScratch struct {
+	ends     []endRef
+	endsOf   [][2]int32
+	ints     []int
+	members  []int32
+	edgeMark []int32
 }
 
 // junctionRadius is the flood radius for end-node clustering. Junction

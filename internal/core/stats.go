@@ -8,14 +8,18 @@ import (
 
 // PhaseStats instruments one named stage of an extraction run.
 type PhaseStats struct {
-	// Name is the stage name: identify, voronoi, coarse, refine, boundary.
+	// Name is the stage name: identify, voronoi, coarse, refine, boundary,
+	// and on an incremental update also election.
 	Name string
 	// Duration is the stage's wall-clock time: the duration of its
-	// "stage.<name>" span.
+	// "stage.<name>" span, or "update.<name>" on an incremental update.
 	Duration time.Duration
-	// BytesAlloc is the heap allocated while the stage ran. It is collected
-	// only when Extractor.CollectMemStats is set (0 otherwise), because the
-	// underlying runtime.ReadMemStats call is stop-the-world.
+	// BytesAlloc is the heap allocated while the stage ran, as its span
+	// measured it (the end record's AllocBytes). Only a traced span reads
+	// the allocation counter, so it is 0 on untraced runs. The runtime
+	// counts small objects a span of them at a time, when the allocator
+	// takes the span, so a stage allocating a few KB can read 0 or a
+	// span's worth more; large stages are exact to within that.
 	BytesAlloc uint64
 	// Sweeps and Visited are the BFS work counters drained from the pooled
 	// walkers while the stage ran: the number of sweeps started (one per
@@ -28,12 +32,16 @@ type PhaseStats struct {
 // Stats instruments one run of the staged extraction engine: per-phase wall
 // time plus the pipeline's work and outcome counters. The engine attaches
 // it to the produced Result (Result.Stats). Runs entering the pipeline
-// midway (CompleteFromVoronoi) only list the stages they executed.
+// midway (CompleteFromVoronoi) only list the stages they executed; an
+// incremental update lists its three repair stages (identify, election,
+// voronoi) and the shared coarse, refine and boundary stages. An update
+// that fell back to a full extraction returns that extraction's Stats.
 type Stats struct {
 	// Phases lists the executed stages in pipeline order.
 	Phases []PhaseStats
-	// Total is the wall-clock time of the whole run: the duration of its
-	// "extract" span.
+	// Total is the wall-clock time of the whole run: the duration of the
+	// run's root span, "extract" for an extraction and "update" for an
+	// incremental update (which also covers applying the churn batch).
 	Total time.Duration
 
 	// Floods counts network-wide floods during Voronoi construction: the

@@ -255,8 +255,24 @@ func (e *Extractor) voronoiPrunedBatched(sites []int32, alpha int32, cellOf, dis
 }
 
 // specialNodes extracts the sorted segment-node and Voronoi-node lists from
-// the per-node records.
+// the per-node records. A counting pass sizes each list, so both are
+// allocated once (nil when empty).
 func specialNodes(records [][]SiteDist) (segment, voronoiNodes []int32) {
+	nseg, nvor := 0, 0
+	for _, recs := range records {
+		if len(recs) >= 2 {
+			nseg++
+		}
+		if len(recs) >= 3 {
+			nvor++
+		}
+	}
+	if nseg > 0 {
+		segment = make([]int32, 0, nseg)
+	}
+	if nvor > 0 {
+		voronoiNodes = make([]int32, 0, nvor)
+	}
 	for v, recs := range records {
 		switch {
 		case len(recs) >= 3:

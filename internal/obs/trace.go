@@ -174,9 +174,10 @@ type Span struct {
 	name  string
 	start time.Time
 	// measure is set by MeasureAllocs; alloc0 is the heap allocation
-	// counter it read.
+	// counter it read, allocs the bytes End measured.
 	measure bool
 	alloc0  uint64
+	allocs  uint64
 }
 
 // MeasureAllocs makes the span's end record carry the heap bytes allocated
@@ -226,12 +227,21 @@ func (s *Span) End(attrs ...Attr) time.Duration {
 	}
 	now := time.Now() //lint:allow determinism Record.Time/Dur are wall-clock by contract; Canon strips them
 	d := now.Sub(s.start)
-	var alloc uint64
 	if s.measure {
-		alloc = heapAllocs() - s.alloc0
+		s.allocs = heapAllocs() - s.alloc0
 	}
-	s.t.emit(Record{Kind: KindSpanEnd, ID: s.id, Name: s.name, Time: now, Dur: d, AllocBytes: alloc, Attrs: attrs})
+	s.t.emit(Record{Kind: KindSpanEnd, ID: s.id, Name: s.name, Time: now, Dur: d, AllocBytes: s.allocs, Attrs: attrs})
 	return d
+}
+
+// Allocs returns the heap bytes allocated while the span was open, the
+// AllocBytes of its end record: 0 before End, on a nil or untraced span,
+// and on a span that does not measure them.
+func (s *Span) Allocs() uint64 {
+	if s == nil {
+		return 0
+	}
+	return s.allocs
 }
 
 // RingSink keeps the last N records in memory — the test and debugging

@@ -69,8 +69,12 @@ func TestStatsDurationsAreSpanDurations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Fail([]int32{3, 40}); err != nil {
+		res, err := s.Fail([]int32{3, 40})
+		if err != nil {
 			t.Fatal(err)
+		}
+		if u := s.LastUpdate(); u.Fallback {
+			t.Fatalf("update fell back (%s); the subtest needs the incremental path", u.FallbackReason)
 		}
 		_, durs := spanEnds(ring, func(name string) bool { return name == "update" })
 		if len(durs) != 1 {
@@ -78,6 +82,50 @@ func TestStatsDurationsAreSpanDurations(t *testing.T) {
 		}
 		if got := s.LastUpdate().Duration; got != durs[0] {
 			t.Errorf("UpdateStats.Duration %v, update span Dur %v", got, durs[0])
+		}
+		// The churn result's stats are the update run's: one phase per
+		// update.<name> span, and the update span as the total.
+		st := res.Stats
+		if st.Total != durs[0] {
+			t.Errorf("update result Total %v, update span Dur %v", st.Total, durs[0])
+		}
+		want := []string{"identify", "election", "voronoi", "coarse", "refine", "boundary"}
+		names, stageDurs := spanEnds(ring, func(name string) bool { return strings.HasPrefix(name, "update.") })
+		if len(st.Phases) != len(want) || len(names) != len(want) {
+			t.Fatalf("update result has %d phases and the trace %d update.* end records, want %d each",
+				len(st.Phases), len(names), len(want))
+		}
+		for i, ph := range st.Phases {
+			if ph.Name != want[i] || names[i] != "update."+want[i] {
+				t.Errorf("phase %d is %q with end record %q, want %q", i, ph.Name, names[i], want[i])
+			}
+			if ph.Duration != stageDurs[i] {
+				t.Errorf("phase %q Duration %v, span Dur %v", ph.Name, ph.Duration, stageDurs[i])
+			}
+		}
+		// Every update stage span carries the stage.* work attributes and
+		// its measured allocations, which BytesAlloc reports.
+		i := 0
+		var allocs uint64
+		for _, rec := range ring.Records() {
+			if rec.Kind != TraceSpanEnd || !strings.HasPrefix(rec.Name, "update.") {
+				continue
+			}
+			keys := map[string]bool{}
+			for _, a := range rec.Attrs {
+				keys[a.Key] = true
+			}
+			if !keys["sweeps"] || !keys["visited"] {
+				t.Errorf("%s end record lacks sweeps/visited: %v", rec.Name, rec.Attrs)
+			}
+			if st.Phases[i].BytesAlloc != rec.AllocBytes {
+				t.Errorf("phase %q BytesAlloc %d, span AllocBytes %d", st.Phases[i].Name, st.Phases[i].BytesAlloc, rec.AllocBytes)
+			}
+			allocs += rec.AllocBytes
+			i++
+		}
+		if allocs == 0 {
+			t.Error("update stage spans measured no allocations; the update allocates the result's per-node arrays")
 		}
 		if _, err := s.Restore([]int32{3, 40}); err != nil {
 			t.Fatal(err)
