@@ -19,8 +19,8 @@ type (
 )
 
 // ChurnSession streams failure and recovery batches through the
-// incremental extraction path. Opening a session freezes the network's
-// graph and switches it into overlay mode: nodes die and revive in place,
+// incremental extraction path. The session's first batch switches the
+// network's graph into overlay mode: nodes die and revive in place,
 // IDs stay stable (so NodesWithin keeps working mid-session), and each
 // batch yields a freshly patched Result without re-running the full
 // pipeline. Contrast with FailNodesReport, which rebuilds a re-numbered

@@ -45,11 +45,11 @@ func TestLabelBranches(t *testing.T) {
 }
 
 func TestHopDistCapped(t *testing.T) {
-	g := graph.New(6)
+	b := graph.New(6)
 	for i := 0; i+1 < 6; i++ {
-		g.AddEdge(i, i+1)
+		b.AddEdge(i, i+1)
 	}
-	g.SortAdjacency()
+	g := b.Freeze()
 	if got := hopDistCapped(g, 0, 3, 10); got != 3 {
 		t.Errorf("dist = %d", got)
 	}
@@ -72,22 +72,22 @@ func TestDetectCornersSyntheticL(t *testing.T) {
 	// The graph is a 2D lattice; the "cycle" is the ordered node list we
 	// hand to detectCorners, mimicking an ordered boundary chain.
 	const w = 21
-	g := graph.New(w * w)
+	b := graph.New(w * w)
 	id := func(x, y int) int32 { return int32(y*w + x) }
 	for y := 0; y < w; y++ {
 		for x := 0; x < w; x++ {
 			if x+1 < w {
-				g.AddEdge(int(id(x, y)), int(id(x+1, y)))
+				b.AddEdge(int(id(x, y)), int(id(x+1, y)))
 			}
 			if y+1 < w {
-				g.AddEdge(int(id(x, y)), int(id(x, y+1)))
+				b.AddEdge(int(id(x, y)), int(id(x, y+1)))
 			}
 			if x+1 < w && y+1 < w {
-				g.AddEdge(int(id(x, y)), int(id(x+1, y+1))) // diagonals make the L cut shorter
+				b.AddEdge(int(id(x, y)), int(id(x+1, y+1))) // diagonals make the L cut shorter
 			}
 		}
 	}
-	g.SortAdjacency()
+	g := b.Freeze()
 
 	// L-band: along the bottom row then up the right column.
 	var lband []int32

@@ -102,9 +102,9 @@ type IncrementalExtractor struct {
 	valid  bool
 }
 
-// NewIncrementalExtractor freezes the graph, enters overlay mode and runs
-// the initial full extraction that seeds the persistent state. The graph
-// must not be mutated except through Update. The tracer and metrics
+// NewIncrementalExtractor runs the initial full extraction that seeds the
+// persistent state; the first Update puts the graph into overlay mode. The
+// graph must not be mutated except through Update. The tracer and metrics
 // (either may be nil) attach to the owned engine before the seed
 // extraction runs, so the initial full run is traced like any fallback.
 func NewIncrementalExtractor(g *graph.Graph, p Params, tracer *obs.Tracer, metrics *obs.Registry) (*IncrementalExtractor, error) {
@@ -114,8 +114,6 @@ func NewIncrementalExtractor(g *graph.Graph, p Params, tracer *obs.Tracer, metri
 	if g.N() == 0 {
 		return nil, ErrEmptyGraph
 	}
-	g.Freeze()
-	g.BeginOverlay()
 	ix := &IncrementalExtractor{e: NewExtractor(g), p: p}
 	ix.e.Tracer, ix.e.Metrics = tracer, metrics
 	if _, err := ix.runFull(); err != nil {

@@ -8,12 +8,12 @@ import (
 )
 
 func TestExtractErrors(t *testing.T) {
-	if _, err := Extract(graph.New(0), DefaultParams()); err != ErrEmptyGraph {
+	if _, err := Extract(graph.New(0).Freeze(), DefaultParams()); err != ErrEmptyGraph {
 		t.Errorf("empty graph err = %v", err)
 	}
 	bad := DefaultParams()
 	bad.K = 0
-	if _, err := Extract(graph.New(3), bad); err == nil {
+	if _, err := Extract(graph.New(3).Freeze(), bad); err == nil {
 		t.Error("invalid params accepted")
 	}
 }

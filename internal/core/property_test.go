@@ -139,7 +139,7 @@ func TestCompleteFromVoronoiMatchesExtract(t *testing.T) {
 func TestCompleteFromVoronoiValidation(t *testing.T) {
 	g := randomNetwork(1, 100)
 	p := DefaultParams()
-	if _, err := CompleteFromVoronoi(graph.New(0), p, nil, nil, nil, nil); err != ErrEmptyGraph {
+	if _, err := CompleteFromVoronoi(graph.New(0).Freeze(), p, nil, nil, nil, nil); err != ErrEmptyGraph {
 		t.Errorf("empty graph err = %v", err)
 	}
 	if _, err := CompleteFromVoronoi(g, p, make([]int, g.N()), make([]float64, g.N()), nil, make([][]SiteDist, g.N())); err != ErrNoSites {

@@ -77,11 +77,9 @@ type refiner struct {
 }
 
 // newRefiner sets up the phase state, sizing the engine's flood scratch to
-// the graph and freezing it for the batched floods (Freeze must never run
-// inside parallel workers).
+// the graph.
 func (e *Extractor) newRefiner(p Params, index []float64, records [][]SiteDist, cellOf []int32) *refiner {
 	e.fld.ensure(e.g.N())
-	e.g.Freeze()
 	return &refiner{
 		e: e, g: e.g, p: p, index: index, records: records, cellOf: cellOf,
 	}

@@ -41,10 +41,6 @@ func (e *Extractor) voronoi(sites []int32, alpha int32, st *Stats) (cellOf, dist
 	if len(sites) == 0 {
 		return cellOf, distToSite, records
 	}
-	// Freeze up front: the batched floods read the CSR arrays, and Freeze
-	// must never run inside parallel workers.
-	g.Freeze()
-
 	// Pass 1: multi-source BFS for dmin; ties go to the lowest site ID.
 	e.fld.ensure(n)
 	e.voronoiDmin(sites, cellOf, distToSite)
@@ -188,7 +184,7 @@ func (e *Extractor) voronoiPrunedBatched(sites []int32, alpha int32, cellOf, dis
 			cnt[c]++
 		}
 	}
-	offsets, _ := g.Offsets()
+	offsets := g.Offsets()
 	batchWeight := func(b int) int {
 		lo, hi := b*batchSize, min((b+1)*batchSize, len(srt))
 		wsum := 0

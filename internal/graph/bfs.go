@@ -70,7 +70,7 @@ func (s *khopScratch) runUntil(g *Graph, src, k int, visit func(v, d int32) bool
 	for d, lo := int32(1), 0; int(d) <= k && lo < len(queue); d++ {
 		hi := len(queue)
 		for i := lo; i < hi; i++ {
-			for _, v := range g.adj[queue[i]] {
+			for _, v := range g.Neighbors(int(queue[i])) {
 				if s.stamp[v] != s.epoch {
 					s.stamp[v] = s.epoch
 					queue = append(queue, v)
@@ -104,15 +104,13 @@ func (g *Graph) KHopCount(src, k int) int {
 
 // AllKHopCounts computes |N_k(v)| for every node, in parallel. This is the
 // centralized analogue of the paper's first round of controlled flooding
-// (Sec. III-A); it runs the MS-BFS kernel, which freezes the graph if
-// needed.
+// (Sec. III-A); it runs the MS-BFS kernel.
 func (g *Graph) AllKHopCounts(k int) []int {
 	n := g.N()
 	out := make([]int, n)
 	if k <= 0 || n == 0 {
 		return out
 	}
-	g.Freeze()
 	g.ballBatches(k, sumPush{}, nil, 0, nil, nil, func(v int32, levels []int32) {
 		for _, c := range levels {
 			out[v] += int(c)
@@ -125,7 +123,7 @@ func (g *Graph) AllKHopCounts(k int) []int {
 // cumulative ball size |N_r(v)| (excluding v) into out[v][r-1] (each row
 // must have length k; previous contents are overwritten), with an optional
 // Walker acquire/release pair for pooling — see ParallelNodes. It runs the
-// batched kernel, freezing the graph if needed.
+// batched kernel.
 func (g *Graph) BallSizesInto(k int, out [][]int, acquire func() *Walker, release func(*Walker)) {
 	g.BallSizesIntoKernel(KernelBatched, k, out, acquire, release)
 }
@@ -145,7 +143,6 @@ func (g *Graph) BallSizesIntoKernel(kern Kernel, k int, out [][]int, acquire fun
 		})
 		return
 	}
-	g.Freeze()
 	g.ballBatches(k, sumPush{}, nil, 0, acquire, release, func(v int32, levels []int32) {
 		cumulateInts(out[v], levels)
 	})
@@ -162,8 +159,7 @@ func (g *Graph) BallSizesIntoKernel(kern Kernel, k int, out [][]int, acquire fun
 // symmetry makes the same sum (msbfs.go). The push needs
 // 1 <= sumK <= sumL <= k, since a batch's sumK-ball sizes are only final
 // once it has settled sumL hops; otherwise only the ball sizes are
-// computed and sums is left untouched. It reports whether it pushed. The
-// batched kernel runs, freezing the graph if needed.
+// computed and sums is left untouched. It reports whether it pushed.
 func (g *Graph) BallSizesAndSumsInto(k, sumK, sumL int, balls []int32, sums []int, acquire func() *Walker, release func(*Walker)) bool {
 	n := g.N()
 	pushing := sumK >= 1 && sumK <= sumL && sumL <= k
@@ -173,7 +169,6 @@ func (g *Graph) BallSizesAndSumsInto(k, sumK, sumL int, balls []int32, sums []in
 		push = sumPush{width: sumK, radius: sumL, out: sums}
 	}
 	if k > 0 && n > 0 {
-		g.Freeze()
 		g.ballBatches(k, push, nil, 0, acquire, release, func(v int32, levels []int32) {
 			cumulate(balls[int(v)*k:(int(v)+1)*k], levels)
 		})
@@ -199,7 +194,7 @@ func (g *Graph) Components() (label []int, count int) {
 		queue = append(queue, int32(v))
 		for head := 0; head < len(queue); head++ {
 			u := queue[head]
-			for _, w := range g.adj[u] {
+			for _, w := range g.Neighbors(int(u)) {
 				if label[w] == -1 {
 					label[w] = count
 					queue = append(queue, w)
@@ -270,7 +265,7 @@ func (ii *invIndex) grow(n int) []int32 {
 
 // Subgraph returns the induced subgraph over keep (node IDs in the original
 // graph) plus the mapping back to original IDs. Node i of the subgraph is
-// keep[i]; the frozen subgraph's rows are sorted whatever keep's order.
+// keep[i]; the subgraph's rows are sorted whatever keep's order.
 func (g *Graph) Subgraph(keep []int32) (*Graph, []int32) {
 	ii := invIndexPool.Get().(*invIndex)
 	defer invIndexPool.Put(ii)
@@ -284,7 +279,7 @@ func (g *Graph) Subgraph(keep []int32) (*Graph, []int32) {
 	fwd := make([]int32, 0, g.edges*len(keep)/max(g.N(), 1))
 	for i, v := range keep {
 		start, sorted := len(fwd), true
-		for _, w := range g.adj[v] {
+		for _, w := range g.Neighbors(int(v)) {
 			if j := index[w]; j > int32(i) {
 				sorted = sorted && (len(fwd) == start || fwd[len(fwd)-1] < j)
 				fwd = append(fwd, j)

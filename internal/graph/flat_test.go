@@ -83,14 +83,14 @@ func TestFlatBallMatrixMatchesWalker(t *testing.T) {
 // as 7, so its bits are not yet seen when 7's parent is resolved), then 3
 // and 5 (both settled at hop 1: the tie goes to 3).
 func TestPrunedBatchMinIDParentFromSeen(t *testing.T) {
-	g := graph.New(13)
+	b := graph.New(13)
 	for _, e := range [][2]int{
 		{10, 3}, {10, 5}, {10, 0}, {11, 3}, {11, 5},
 		{3, 7}, {5, 7}, {0, 7}, {2, 3}, {2, 7},
 	} {
-		g.AddEdge(e[0], e[1])
+		b.AddEdge(e[0], e[1])
 	}
-	g.SortAdjacency()
+	g := b.Freeze()
 	bound := make([]int32, g.N())
 	for v := range bound {
 		bound[v] = 5

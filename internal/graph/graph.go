@@ -20,24 +20,19 @@ import (
 // Unreachable marks nodes a BFS did not reach.
 const Unreachable int32 = -1
 
-// Graph is an undirected graph over nodes 0..N-1.
-//
-// A graph has two physical states. Frozen, its adjacency is one CSR
-// (compressed sparse row) pair — offsets/targets — and the per-node lists
-// are capacity-capped views into it, so iteration walks one contiguous
-// array; the bit-parallel MS-BFS kernel (msbfs.go) requires this form.
-// Build, Subgraph and FromEdges write it directly. A graph assembled with
-// New and AddEdge is thawed instead: each list is an independently
-// allocated slice until Freeze (or SortAdjacency) compacts them.
+// Graph is an undirected graph over nodes 0..N-1, stored as one CSR
+// (compressed sparse row) pair: the neighbors of v are
+// targets[offsets[v]:ends[v]], ascending, so iteration walks one contiguous
+// array and the bit-parallel MS-BFS kernel (msbfs.go) indexes edges
+// directly. Build, Subgraph and FromEdges write it; New returns an
+// edge-list Builder for hand-made graphs.
 type Graph struct {
-	adj   [][]int32
-	edges int
-
-	// CSR form, valid while frozen: the neighbors of v are
-	// targets[offsets[v]:offsets[v+1]], and adj[v] aliases that window.
 	offsets []int32
 	targets []int32
-	frozen  bool
+	// ends[v] is the end of v's row: an alias of offsets[1:] until the
+	// first churn mutation gives the overlay its own copy (overlay.go).
+	ends  []int32
+	edges int
 
 	// batchOrder is an optional node permutation grouping spatially close
 	// nodes (Z-curve over Build's cell grid). The batched MS-BFS kernel
@@ -47,59 +42,65 @@ type Graph struct {
 	batchOrder []int32
 
 	// ov, when non-nil, is the churn overlay (overlay.go): tombstoned
-	// nodes plus shortened adjacency windows, applied without thawing.
+	// nodes plus shortened adjacency rows, edited in place.
 	ov *overlay
 }
 
-// New returns an empty graph with n nodes.
-func New(n int) *Graph {
-	return &Graph{adj: make([][]int32, n)}
+// Builder collects the edges of a hand-made graph; Freeze assembles it.
+type Builder struct {
+	n     int
+	edges [][2]int32
 }
 
-// AddEdge inserts the undirected edge {u, v}. The caller must avoid
-// self-loops and duplicate edges (FromEdges checks edge lists for them).
-// Adding an edge to a frozen graph thaws it: the CSR arrays go stale until
-// the next Freeze, and the two touched lists are copied out of the shared
-// arena on append (capacity-capped views cannot clobber a neighbor).
-func (g *Graph) AddEdge(u, v int) {
-	if g.ov != nil {
-		panic("graph: AddEdge on an overlayed graph; mutate via RemoveNodes/ReviveNodes")
+// New returns an edge-list builder for a graph with n nodes.
+func New(n int) *Builder {
+	return &Builder{n: n}
+}
+
+// AddEdge records the undirected edge {u, v}.
+func (b *Builder) AddEdge(u, v int) {
+	b.edges = append(b.edges, [2]int32{int32(u), int32(v)})
+}
+
+// Freeze assembles the recorded edges through FromEdges, panicking on an
+// edge FromEdges rejects (out of range, a self-loop, or listed twice).
+func (b *Builder) Freeze() *Graph {
+	g, err := FromEdges(b.n, b.edges)
+	if err != nil {
+		panic(err)
 	}
-	g.adj[u] = append(g.adj[u], int32(v))
-	g.adj[v] = append(g.adj[v], int32(u))
-	g.edges++
-	g.frozen = false
+	return g
 }
 
 // N returns the number of nodes.
-func (g *Graph) N() int { return len(g.adj) }
+func (g *Graph) N() int { return len(g.ends) }
 
 // NumEdges returns the number of undirected edges.
 func (g *Graph) NumEdges() int { return g.edges }
 
 // Degree returns the degree of v.
-func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
+func (g *Graph) Degree(v int) int { return int(g.ends[v] - g.offsets[v]) }
 
-// Neighbors returns the adjacency list of v. The returned slice is shared
-// with the graph and must not be modified.
-func (g *Graph) Neighbors(v int) []int32 { return g.adj[v] }
+// Neighbors returns the adjacency list of v, ascending, capacity-capped so
+// an append cannot clobber the next row. The returned slice is shared with
+// the graph and must not be modified.
+func (g *Graph) Neighbors(v int) []int32 {
+	end := g.ends[v]
+	return g.targets[g.offsets[v]:end:end]
+}
 
 // AvgDegree returns the average node degree 2E/N.
 func (g *Graph) AvgDegree() float64 {
-	if len(g.adj) == 0 {
+	if g.N() == 0 {
 		return 0
 	}
-	return 2 * float64(g.edges) / float64(len(g.adj))
+	return 2 * float64(g.edges) / float64(g.N())
 }
 
-// HasEdge reports whether u and v are adjacent. O(deg(u)).
+// HasEdge reports whether u and v are adjacent. O(log deg(u)).
 func (g *Graph) HasEdge(u, v int) bool {
-	for _, w := range g.adj[u] {
-		if int(w) == v {
-			return true
-		}
-	}
-	return false
+	_, ok := slices.BinarySearch(g.Neighbors(u), int32(v))
+	return ok
 }
 
 // BatchOrder exposes the Z-curve node permutation recorded by Build, or nil
@@ -112,16 +113,6 @@ func (g *Graph) BatchOrder() []int32 {
 		return g.batchOrder
 	}
 	return nil
-}
-
-// SortAdjacency sorts every adjacency list and freezes the graph into its
-// CSR form, so a hand-built graph iterates in the same ascending order as
-// one from Build (every downstream tie-break depends on it).
-func (g *Graph) SortAdjacency() {
-	for _, nbrs := range g.adj {
-		slices.Sort(nbrs)
-	}
-	g.Freeze()
 }
 
 // Build constructs the connectivity graph for the given node positions under
@@ -202,7 +193,7 @@ func pairCoin(seed int64, i, j int) float64 {
 
 // cellIndex is a uniform-grid bucketing of points used by Build. The grid is
 // stored as a counting-sorted flat layout (start/items, the same CSR idea as
-// the frozen adjacency): cell c holds items[start[c]:start[c+1]], each bucket
+// the adjacency): cell c holds items[start[c]:start[c+1]], each bucket
 // keeping ascending point order. A hash map fallback covers degenerate
 // inputs whose bounding box spans far more cells than points — there the
 // dense array would be mostly empty padding.

@@ -13,22 +13,20 @@ import (
 
 // pathGraph builds 0-1-2-...-n-1.
 func pathGraph(n int) *graph.Graph {
-	g := graph.New(n)
+	b := graph.New(n)
 	for i := 0; i+1 < n; i++ {
-		g.AddEdge(i, i+1)
+		b.AddEdge(i, i+1)
 	}
-	g.SortAdjacency()
-	return g
+	return b.Freeze()
 }
 
 // cycleGraph builds a ring of n nodes.
 func cycleGraph(n int) *graph.Graph {
-	g := graph.New(n)
+	b := graph.New(n)
 	for i := 0; i < n; i++ {
-		g.AddEdge(i, (i+1)%n)
+		b.AddEdge(i, (i+1)%n)
 	}
-	g.SortAdjacency()
-	return g
+	return b.Freeze()
 }
 
 func TestBasicAccessors(t *testing.T) {
@@ -45,7 +43,7 @@ func TestBasicAccessors(t *testing.T) {
 	if got := g.AvgDegree(); got != 1.5 {
 		t.Errorf("AvgDegree = %v", got)
 	}
-	if empty := graph.New(0); empty.AvgDegree() != 0 {
+	if empty := graph.New(0).Freeze(); empty.AvgDegree() != 0 {
 		t.Error("empty AvgDegree")
 	}
 }
@@ -59,9 +57,9 @@ func TestBFS(t *testing.T) {
 		}
 	}
 	// Disconnected node.
-	g2 := graph.New(3)
-	g2.AddEdge(0, 1)
-	d := g2.BFS(0)
+	b := graph.New(3)
+	b.AddEdge(0, 1)
+	d := b.Freeze().BFS(0)
 	if d[2] != graph.Unreachable {
 		t.Errorf("unreachable dist = %d", d[2])
 	}
@@ -83,8 +81,7 @@ func TestBFSPathsAndPathTo(t *testing.T) {
 		}
 	}
 	// Unreachable.
-	g2 := graph.New(2)
-	_, p2 := g2.BFSPaths(0)
+	_, p2 := graph.New(2).Freeze().BFSPaths(0)
 	if got := graph.PathTo(p2, 1); got != nil {
 		t.Errorf("unreachable path = %v", got)
 	}
@@ -131,10 +128,11 @@ func TestAllBallSizesCumulative(t *testing.T) {
 }
 
 func TestComponents(t *testing.T) {
-	g := graph.New(6)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(3, 4)
+	b := graph.New(6)
+	b.AddEdge(0, 1)
+	b.AddEdge(1, 2)
+	b.AddEdge(3, 4)
+	g := b.Freeze()
 	label, count := g.Components()
 	if count != 3 {
 		t.Fatalf("count = %d", count)
@@ -152,7 +150,7 @@ func TestComponents(t *testing.T) {
 	if !pathGraph(4).IsConnected() {
 		t.Error("path graph reported disconnected")
 	}
-	if !graph.New(0).IsConnected() {
+	if !graph.New(0).Freeze().IsConnected() {
 		t.Error("empty graph should count as connected")
 	}
 }

@@ -26,8 +26,7 @@ func prunedNets(t *testing.T) map[string]*graph.Graph {
 		d.AddEdge(v, 60+(v-60+1)%50)
 	}
 	// 110..119 isolated
-	d.Freeze()
-	nets["disconnected"] = d
+	nets["disconnected"] = d.Freeze()
 	return nets
 }
 
@@ -117,7 +116,6 @@ func sortVisits(vs []graph.PrunedVisit) {
 // parents — for every slack the pipeline uses.
 func TestPrunedBatchBruteForce(t *testing.T) {
 	for name, g := range prunedNets(t) {
-		g.Freeze()
 		sources := testSources(g.N(), 17)
 		bound := bruteDmin(g, sources)
 		for _, slack := range []int32{0, 1, 2} {
@@ -182,7 +180,6 @@ func bruteBounded(g *graph.Graph, src int32, radius int32, blocked []bool) []int
 // correct per-source levels, under a blocked mask.
 func TestBoundedBatchBruteForce(t *testing.T) {
 	for name, g := range prunedNets(t) {
-		g.Freeze()
 		n := g.N()
 		blocked := make([]bool, n)
 		for v := 0; v < n; v += 5 {
@@ -227,7 +224,6 @@ func TestBoundedBatchBruteForce(t *testing.T) {
 // when probe j is within the radius of source i, seeds included.
 func TestBoundedReachBruteForce(t *testing.T) {
 	for name, g := range prunedNets(t) {
-		g.Freeze()
 		n := g.N()
 		sources := testSources(n, 29)
 		if len(sources) > 64 {
@@ -261,7 +257,6 @@ func TestBoundedReachBruteForce(t *testing.T) {
 // weight vector, and reports its recorded state truthfully.
 func TestVisitLogReplay(t *testing.T) {
 	g := nettest.Grid("onehole", 400, 6.5, 1).Graph
-	g.Freeze()
 	n := g.N()
 	maxR := 4
 	for _, logRadius := range []int{2, 4} {
@@ -373,12 +368,11 @@ func TestParallelChunksWeighted(t *testing.T) {
 	}
 }
 
-// TestParallelRangeDegreeWeighting: ParallelRange over a frozen graph's node
-// range remains a correct cover (the degree weighting only moves chunk
+// TestParallelRangeDegreeWeighting: ParallelRange over a graph's node range
+// remains a correct cover (the degree weighting only moves chunk
 // boundaries).
 func TestParallelRangeDegreeWeighting(t *testing.T) {
 	g := nettest.Grid("window", 300, 6.5, 1).Graph
-	g.Freeze()
 	n := g.N()
 	hit := make([]int32, n)
 	graph.ParallelRange(g, n, nil, nil, func(w *graph.Walker, v int) {

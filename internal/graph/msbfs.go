@@ -4,7 +4,7 @@
 // paper's pipeline (|N_k(v)| for every node, Sec. III-A) runs one BFS per
 // node; MS-BFS advances up to 64 sources together, one bit per source, so a
 // node shared by many balls is expanded once per level per batch instead of
-// once per source, and the whole sweep runs over the frozen CSR arrays.
+// once per source, and the whole sweep runs over the CSR arrays.
 //
 // Per-source results are exact — the bitmasks keep every source's
 // visited set separate — so outputs are bit-identical to the walker path
@@ -31,8 +31,7 @@ const (
 	// KernelWalker runs one truncated BFS per source over pooled walker
 	// scratch.
 	KernelWalker Kernel = iota
-	// KernelBatched runs the bit-parallel MS-BFS kernel; it freezes the
-	// graph if needed.
+	// KernelBatched runs the bit-parallel MS-BFS kernel.
 	KernelBatched
 )
 
@@ -114,7 +113,7 @@ type sumPush struct {
 }
 
 // run floods up to 64 sources simultaneously, truncated at k hops, over the
-// frozen CSR arrays. When tally is non-nil (len(sources)*k entries) it sets
+// CSR arrays. When tally is non-nil (len(sources)*k entries) it sets
 // tally[i*k+d-1] to the number of nodes source i first reaches at hop d;
 // when weight is non-nil it adds weight[v] for every v source i reaches to
 // wsums[i]. Settle events within logRadius hops are appended to log as
@@ -132,9 +131,9 @@ func (s *msbfsScratch) run(g *Graph, k int, sources []int32, tally []int32, weig
 	if k <= 0 || len(sources) == 0 {
 		return log, 0
 	}
-	offsets, targets, ends, ok := g.csrEff()
-	if !ok || len(sources) > msbfsBatch {
-		panic("graph: msbfs kernel needs a frozen graph and at most 64 sources")
+	offsets, targets, ends := g.offsets, g.targets, g.ends
+	if len(sources) > msbfsBatch {
+		panic("graph: msbfs kernel takes at most 64 sources")
 	}
 	s.seed(sources)
 	// Locals pin the scratch slice headers so element stores inside the hot
@@ -336,7 +335,7 @@ func (w *Walker) ballTally(k int, sources []int32, log []VisitEvent, logRadius i
 // batches and must write only state owned by v. A non-zero push
 // accumulates the centrality sums into push.out, which the caller zeroes;
 // a non-nil lg, already Reset, records each batch's settle events within
-// logRadius hops. The graph must be frozen.
+// logRadius hops.
 func (g *Graph) ballBatches(k int, push sumPush, lg *VisitLog, logRadius int, acquire func() *Walker, release func(*Walker), emit func(v int32, levels []int32)) {
 	g.forBatches(g.N(), acquire, release, func(w *Walker, lo, hi int) {
 		srcs := w.nodeBatch(lo, hi)
@@ -379,12 +378,11 @@ func cumulateInts(row []int, levels []int32) {
 // other rows are left alone. The incremental extractor patches exactly the
 // dirty rows of its persistent ball matrix with it. Sources run 64 per
 // MS-BFS pass in the order given, so a list sorted along BatchOrder keeps
-// each pass's balls overlapping; the graph is frozen if needed.
+// each pass's balls overlapping.
 func (g *Graph) BatchBallSizesInto(k int, sources []int32, balls []int32, acquire func() *Walker, release func(*Walker)) {
 	if len(sources) == 0 || k <= 0 {
 		return
 	}
-	g.Freeze()
 	g.forBatches(len(sources), acquire, release, func(w *Walker, lo, hi int) {
 		srcs := sources[lo:hi]
 		tally, _ := w.ballTally(k, srcs, nil, 0, sumPush{})
@@ -419,7 +417,6 @@ func (g *Graph) BallWeightedSumsInto(kern Kernel, k int, weight []int, out []int
 		})
 		return
 	}
-	g.Freeze()
 	g.forBatches(count, acquire, release, func(w *Walker, lo, hi int) {
 		var srcs []int32
 		if len(sources) > 0 {
@@ -439,7 +436,7 @@ func (g *Graph) BallWeightedSumsInto(kern Kernel, k int, weight []int, out []int
 // PushSumsInto is the transpose of BallWeightedSumsInto: it adds weight[i]
 // to out[x] for every x within k hops of sources[i], other than
 // sources[i] itself. Sources must be distinct; they run 64 per MS-BFS pass
-// in the order given, and the graph is frozen if needed. The incremental
+// in the order given. The incremental
 // extractor pushes each changed K-ball size's delta to the centrality sums
 // it enters this way. Weights may be negative; the adds are atomic and
 // commute, so out does not depend on the schedule.
@@ -447,7 +444,6 @@ func (g *Graph) PushSumsInto(k int, sources []int32, weight []int, out []int, ac
 	if len(sources) == 0 || k <= 0 {
 		return
 	}
-	g.Freeze()
 	g.forBatches(len(sources), acquire, release, func(w *Walker, lo, hi int) {
 		w.runKernel(k, sources[lo:hi], nil, nil, nil, nil, 0, sumPush{radius: k, weight: weight[lo:hi], out: out})
 	})

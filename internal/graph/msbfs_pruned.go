@@ -26,16 +26,15 @@ type PrunedVisit struct {
 // rule d <= bound[v]+slack (nodes with bound[v] < 0 admit nothing): exactly
 // the Voronoi stage's per-site pruned flood, batched. Every admitted settle
 // is appended to buf as a PrunedVisit whose Parent is the canonical min-ID
-// predecessor; the grown buffer is returned. Requires a frozen graph and
-// sorted adjacency (Build guarantees both).
+// predecessor; the grown buffer is returned.
 func (w *Walker) PrunedBatch(sources []int32, bound []int32, slack int32, buf []PrunedVisit) []PrunedVisit {
 	if len(sources) == 0 {
 		return buf
 	}
 	g := w.g
-	offsets, targets, ends, ok := g.csrEff()
-	if !ok || len(sources) > msbfsBatch {
-		panic("graph: pruned batch kernel needs a frozen graph and at most 64 sources")
+	offsets, targets, ends := g.offsets, g.targets, g.ends
+	if len(sources) > msbfsBatch {
+		panic("graph: pruned batch kernel takes at most 64 sources")
 	}
 	if w.ms == nil {
 		w.ms = newMSBFSScratch(g.N())
@@ -120,7 +119,7 @@ func (w *Walker) PrunedBatch(sources []int32, bound []int32, slack int32, buf []
 // hops, never expanding into nodes with blocked[v] set (sources are seeded
 // regardless): the batched form of the refine stage's skeleton-avoiding
 // floodFrom. visit is called once per settled (node, bits) pair in level
-// order; seeds are not reported. Requires a frozen graph.
+// order; seeds are not reported.
 func (w *Walker) BoundedBatch(sources []int32, radius int32, blocked []bool, visit func(v int32, bits uint64)) {
 	w.boundedBatch(sources, radius, blocked, visit, nil, nil)
 }
@@ -129,7 +128,7 @@ func (w *Walker) BoundedBatch(sources []int32, radius int32, blocked []bool, vis
 // hops, and records which sources reached each probe: bit i of reach[j] is
 // set iff probes[j] lies within radius hops of sources[i] (a probe that IS
 // source i counts, distance 0). reach must have len(probes) entries; they
-// are overwritten. Requires a frozen graph.
+// are overwritten.
 func (w *Walker) BoundedReach(sources []int32, radius int32, probes []int32, reach []uint64) {
 	w.boundedBatch(sources, radius, nil, nil, probes, reach)
 }
@@ -152,9 +151,9 @@ func (w *Walker) boundedBatch(sources []int32, radius int32, blocked []bool, vis
 		return
 	}
 	g := w.g
-	offsets, targets, ends, ok := g.csrEff()
-	if !ok || len(sources) > msbfsBatch {
-		panic("graph: bounded batch kernel needs a frozen graph and at most 64 sources")
+	offsets, targets, ends := g.offsets, g.targets, g.ends
+	if len(sources) > msbfsBatch {
+		panic("graph: bounded batch kernel takes at most 64 sources")
 	}
 	if w.ms == nil {
 		w.ms = newMSBFSScratch(g.N())

@@ -2,6 +2,7 @@ package graph_test
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"bfskel/internal/graph"
@@ -95,19 +96,19 @@ func ballRows(n, k int) [][]int {
 // on graphs with several components and isolated nodes, where floods must
 // stay inside their component.
 func TestKernelEquivalenceDisconnected(t *testing.T) {
-	g := graph.New(600)
+	b := graph.New(600)
 	// Component A: path 0..249. Component B: cycle 250..549. 550..599 isolated.
 	for i := 0; i+1 < 250; i++ {
-		g.AddEdge(i, i+1)
+		b.AddEdge(i, i+1)
 	}
 	for i := 250; i < 550; i++ {
 		next := i + 1
 		if next == 550 {
 			next = 250
 		}
-		g.AddEdge(i, next)
+		b.AddEdge(i, next)
 	}
-	g.SortAdjacency()
+	g := b.Freeze()
 	for k := 0; k <= 5; k++ {
 		requireKHopCounts(t, "disconnected", g, k)
 	}
@@ -121,11 +122,11 @@ func TestKernelEquivalenceDisconnected(t *testing.T) {
 // TestKernelK0AndEmpty: k=0 yields all-zero counts and leaves empty ball
 // rows untouched, on both kernels; empty graphs are a no-op.
 func TestKernelK0AndEmpty(t *testing.T) {
-	g := graph.New(700)
+	b := graph.New(700)
 	for i := 0; i+1 < 700; i++ {
-		g.AddEdge(i, i+1)
+		b.AddEdge(i, i+1)
 	}
-	g.SortAdjacency()
+	g := b.Freeze()
 	for _, c := range g.AllKHopCounts(0) {
 		if c != 0 {
 			t.Fatalf("k=0 count %d", c)
@@ -134,18 +135,16 @@ func TestKernelK0AndEmpty(t *testing.T) {
 	for _, kern := range []graph.Kernel{graph.KernelWalker, graph.KernelBatched} {
 		g.BallSizesIntoKernel(kern, 0, ballRows(g.N(), 0), nil, nil)
 	}
-	empty := graph.New(0)
-	empty.SortAdjacency()
+	empty := graph.New(0).Freeze()
 	if got := empty.AllKHopCounts(3); len(got) != 0 {
 		t.Fatalf("empty graph counts = %v", got)
 	}
 }
 
-// TestKernelSmallAndUnfrozen: the all-sources floods are exact below one
-// 64-source batch, at k = 1, and on hand-built graphs that were never
-// frozen (the batched kernel freezes them on demand). Each entry point is
-// checked against per-node KHopCount and Walker sweeps.
-func TestKernelSmallAndUnfrozen(t *testing.T) {
+// TestKernelSmall: the all-sources floods are exact below one 64-source
+// batch and at k = 1. Each entry point is checked against per-node
+// KHopCount and Walker sweeps.
+func TestKernelSmall(t *testing.T) {
 	// A 40-node ring with chords: fewer sources than one batch.
 	small := graph.New(40)
 	for i := 0; i < 40; i++ {
@@ -155,13 +154,9 @@ func TestKernelSmallAndUnfrozen(t *testing.T) {
 		}
 	}
 	grid := nettest.Grid("window", 400, 6.5, 3).Graph
-	for name, base := range map[string]*graph.Graph{"small": small, "window": grid} {
+	for name, g := range map[string]*graph.Graph{"small": small.Freeze(), "window": grid} {
 		for _, k := range []int{1, 2, 4} {
 			for entry := 0; entry < 3; entry++ {
-				g := cloneThawed(base)
-				if g.Frozen() {
-					t.Fatalf("%s: hand-built graph unexpectedly frozen", name)
-				}
 				n := g.N()
 				switch entry {
 				case 0:
@@ -192,31 +187,14 @@ func TestKernelSmallAndUnfrozen(t *testing.T) {
 						}
 					}
 				}
-				if !g.Frozen() {
-					t.Fatalf("%s k=%d entry %d: batched flood did not freeze the graph", name, k, entry)
-				}
 			}
 		}
 	}
-}
-
-// cloneThawed copies a graph edge by edge into a fresh, unfrozen graph with
-// the same adjacency order.
-func cloneThawed(src *graph.Graph) *graph.Graph {
-	g := graph.New(src.N())
-	for v := 0; v < src.N(); v++ {
-		for _, u := range src.Neighbors(v) {
-			if int(u) > v {
-				g.AddEdge(v, int(u))
-			}
-		}
-	}
-	return g
 }
 
 // TestBatchBallSizes: the arbitrary-source entry BatchBallSizesInto matches
 // per-source KHopCount at every radius, splits across batch boundaries
-// correctly, leaves unlisted rows alone and freezes unfrozen graphs.
+// correctly and leaves unlisted rows alone.
 func TestBatchBallSizes(t *testing.T) {
 	net := nettest.Grid("window", 400, 6.5, 3)
 	g := net.Graph
@@ -245,69 +223,46 @@ func TestBatchBallSizes(t *testing.T) {
 			t.Fatalf("unlisted row %d written", v)
 		}
 	}
-	// Unfrozen graphs are frozen on demand, with identical results.
-	thawed := graph.New(g.N())
-	for v := 0; v < g.N(); v++ {
-		for _, w := range g.Neighbors(v) {
-			if int(w) > v {
-				thawed.AddEdge(v, int(w))
-			}
-		}
-	}
-	if thawed.Frozen() {
-		t.Fatal("hand-built graph unexpectedly frozen")
-	}
-	out2 := make([]int32, n*k)
-	for i := range out2 {
-		out2[i] = -1
-	}
-	thawed.BatchBallSizesInto(k, sources, out2, nil, nil)
-	if !thawed.Frozen() {
-		t.Fatal("BatchBallSizesInto left the graph unfrozen")
-	}
-	for i := range out {
-		if out[i] != out2[i] {
-			t.Fatalf("frozen/thawed mismatch at %d/%d", i/k, i%k)
-		}
-	}
 	g.BatchBallSizesInto(3, nil, nil, nil, nil) // no sources: a no-op
 }
 
-// TestFreezeSemantics: freezing keeps the adjacency API intact, AddEdge
-// thaws without corrupting neighboring rows, and re-freezing restores the
-// CSR form.
+// TestFreezeSemantics: Builder.Freeze assembles rows sorted whatever the
+// insertion order and orientation, hands out capacity-capped rows (an
+// append to one cannot clobber the next), and rejects the edge lists
+// FromEdges rejects.
 func TestFreezeSemantics(t *testing.T) {
-	g := graph.New(5)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	g.SortAdjacency()
-	if !g.Frozen() {
-		t.Fatal("SortAdjacency did not freeze")
+	b := graph.New(5)
+	b.AddEdge(3, 2)
+	b.AddEdge(1, 4)
+	b.AddEdge(2, 1)
+	b.AddEdge(0, 1)
+	g := b.Freeze()
+	if g.N() != 5 || g.NumEdges() != 4 {
+		t.Fatalf("N=%d E=%d", g.N(), g.NumEdges())
 	}
-	if got := g.Neighbors(1); len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Fatalf("frozen Neighbors(1) = %v", got)
+	if got := g.Neighbors(1); !slices.Equal(got, []int32{0, 2, 4}) {
+		t.Fatalf("Neighbors(1) = %v, want [0 2 4]", got)
 	}
-	before2 := append([]int32(nil), g.Neighbors(2)...)
-	g.AddEdge(1, 4) // thaw; must not clobber node 2's window
-	if g.Frozen() {
-		t.Fatal("AddEdge did not thaw")
+	before2 := slices.Clone(g.Neighbors(2))
+	_ = append(g.Neighbors(1), 3)
+	if got := g.Neighbors(2); !slices.Equal(got, before2) {
+		t.Fatalf("append to row 1 clobbered row 2: %v, want %v", got, before2)
 	}
-	if got := g.Neighbors(2); len(got) != len(before2) || got[0] != before2[0] || got[1] != before2[1] {
-		t.Fatalf("AddEdge corrupted neighbor row: %v, want %v", got, before2)
+	requireKHopCounts(t, "builder", g, 2)
+
+	for name, e := range map[string][2]int{"self-loop": {2, 2}, "duplicate": {1, 0}, "out of range": {0, 5}} {
+		bad := graph.New(5)
+		bad.AddEdge(0, 1)
+		bad.AddEdge(e[0], e[1])
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Freeze did not panic", name)
+				}
+			}()
+			bad.Freeze()
+		}()
 	}
-	if !g.HasEdge(1, 4) || !g.HasEdge(4, 1) {
-		t.Fatal("thawed edge missing")
-	}
-	g.SortAdjacency()
-	if !g.Frozen() {
-		t.Fatal("re-freeze failed")
-	}
-	if got := g.Neighbors(1); len(got) != 3 || got[2] != 4 {
-		t.Fatalf("refrozen Neighbors(1) = %v", got)
-	}
-	// The batched counts stay exact across the thaw/refreeze cycle.
-	requireKHopCounts(t, "refrozen", g, 2)
 }
 
 // TestWalkerBFSInto: the allocation-free full-BFS variants match BFS and

@@ -41,7 +41,7 @@ func (g *Graph) MultiSourceRecords(sources []int32, slack int32) (dmin []int32, 
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
 		du := dmin[u]
-		for _, v := range g.adj[u] {
+		for _, v := range g.Neighbors(int(u)) {
 			if dmin[v] == Unreachable {
 				dmin[v] = du + 1
 				queue = append(queue, v)
@@ -67,7 +67,7 @@ func (g *Graph) MultiSourceRecords(sources []int32, slack int32) (dmin []int32, 
 		for head := 0; head < len(queue); head++ {
 			u := queue[head]
 			du := dist[u]
-			for _, v := range g.adj[u] {
+			for _, v := range g.Neighbors(int(u)) {
 				if stamp[v] == epoch {
 					continue
 				}

@@ -76,8 +76,9 @@ func TestMultiSourceRecordsBruteForce(t *testing.T) {
 }
 
 func TestMultiSourceRecordsEdgeCases(t *testing.T) {
-	g := graph.New(3)
-	g.AddEdge(0, 1)
+	b := graph.New(3)
+	b.AddEdge(0, 1)
+	g := b.Freeze()
 	// No sources.
 	dmin, records := g.MultiSourceRecords(nil, 1)
 	for v := range dmin {

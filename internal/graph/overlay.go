@@ -1,66 +1,30 @@
-// Thaw-free CSR overlay for node churn. Removing or reviving nodes through
-// the overlay keeps the graph frozen: a tombstone bitmap marks dead nodes and
-// every affected adjacency window is re-filtered in place against a pristine
-// copy of the CSR arena, with a per-node effective-end array consulted by the
-// bit-parallel kernels. The walker paths need no changes at all — the
-// per-node list views are rewired to the shortened windows.
+// CSR overlay for node churn. Removing or reviving nodes through the overlay
+// edits the graph in place: a tombstone bitmap marks dead nodes and every
+// affected adjacency row is re-filtered against a pristine copy of the CSR
+// arena, shortening its end in the graph's ends array, which Neighbors,
+// Degree and every kernel read.
 //
 // The overlay supports exactly the churn model of the incremental extractor:
 // node IDs are stable, removals tombstone a node and detach its edges, and
 // additions revive previously removed nodes (restoring their base edges to
 // whatever endpoints are alive). Because base adjacency is a superset of
-// every effective adjacency, windows can always be rebuilt by filtering the
+// every effective adjacency, rows can always be rebuilt by filtering the
 // pristine arena, which also keeps them sorted — the property every
 // canonical tie-break in the pipeline relies on.
 package graph
 
-import "sort"
+import "slices"
 
-// overlay carries the churn state of a frozen graph.
+// overlay carries the churn state of a graph.
 type overlay struct {
 	dead      []bool
 	deadCount int
 	// baseTargets is the pristine CSR arena captured when the overlay was
-	// created; it is never modified and backs window rebuilds and the
+	// created; it is never modified and backs row rebuilds and the
 	// base-adjacency accessors used for dirty-region bounds.
 	baseTargets []int32
-	// ends[v] is the effective end of v's window in the working arena:
-	// the live neighbors of v are targets[offsets[v]:ends[v]].
-	ends []int32
-	// patchBuf accumulates the nodes whose windows a mutation rebuilt.
+	// patchBuf accumulates the nodes whose rows a mutation rebuilt.
 	patchBuf []int32
-}
-
-// BeginOverlay puts the graph into overlay mode: the CSR arena is cloned so
-// the base adjacency stays pristine, and subsequent RemoveNodes/ReviveNodes
-// calls edit the clone in place without ever thawing. Requires a frozen
-// graph; calling it again is a no-op. While an overlay is active AddEdge
-// must not be used (it would thaw the graph out from under the overlay).
-func (g *Graph) BeginOverlay() {
-	if g.ov != nil {
-		return
-	}
-	if !g.frozen {
-		panic("graph: BeginOverlay requires a frozen graph")
-	}
-	n := g.N()
-	work := make([]int32, len(g.targets))
-	copy(work, g.targets)
-	ends := make([]int32, n)
-	for v := 0; v < n; v++ {
-		ends[v] = g.offsets[v+1]
-	}
-	ov := &overlay{
-		dead:        make([]bool, n),
-		baseTargets: g.targets,
-		ends:        ends,
-	}
-	g.targets = work
-	for v := 0; v < n; v++ {
-		lo, hi := g.offsets[v], g.offsets[v+1]
-		g.adj[v] = work[lo:hi:hi]
-	}
-	g.ov = ov
 }
 
 // Alive reports whether v is currently alive. Graphs without an overlay
@@ -90,7 +54,7 @@ func (g *Graph) AliveCount() int {
 // slice is shared and must not be modified.
 func (g *Graph) BaseNeighbors(v int32) []int32 {
 	if g.ov == nil {
-		return g.adj[v]
+		return g.Neighbors(int(v))
 	}
 	return g.ov.baseTargets[g.offsets[v]:g.offsets[v+1]]
 }
@@ -101,57 +65,53 @@ func (g *Graph) BaseNeighbors(v int32) []int32 {
 // neighbors — which incremental callers use to seed dirty regions and
 // invalidate flood caches. The returned slice is reused by the next
 // mutation.
-func (g *Graph) RemoveNodes(nodes []int32) []int32 {
-	g.BeginOverlay()
-	ov := g.ov
-	fresh := ov.patchBuf[:0]
-	for _, v := range nodes {
-		if !ov.dead[v] {
-			ov.dead[v] = true
-			ov.deadCount++
-			fresh = append(fresh, v)
-		}
-	}
-	// Edge accounting over the pre-rebuild windows: each edge from a newly
-	// dead node to a survivor counts once, edges between two newly dead
-	// nodes count once via the lower-ID endpoint.
-	for _, v := range fresh {
-		for _, u := range g.adj[v] {
-			if !ov.dead[u] || (u > v && isIn(fresh, u)) {
-				g.edges--
-			}
-		}
-	}
-	patched := g.rebuildAround(fresh)
-	ov.patchBuf = patched
-	return patched
-}
+func (g *Graph) RemoveNodes(nodes []int32) []int32 { return g.flip(nodes, false) }
 
 // ReviveNodes brings previously removed nodes back, restoring their base
 // edges to alive endpoints. Nodes already alive are ignored. Like
 // RemoveNodes it returns the sorted list of rebuilt nodes (the revived
 // nodes plus their alive neighbors); the slice is reused by the next
 // mutation.
-func (g *Graph) ReviveNodes(nodes []int32) []int32 {
-	g.BeginOverlay()
+func (g *Graph) ReviveNodes(nodes []int32) []int32 { return g.flip(nodes, true) }
+
+// flip brings the listed nodes to the given liveness, skipping those
+// already there, updates the edge count and rebuilds the touched rows.
+func (g *Graph) flip(nodes []int32, alive bool) []int32 {
 	ov := g.ov
+	if ov == nil {
+		// The first mutation starts the overlay: the base arena stays
+		// pristine, and the arrays mutations edit are cloned.
+		ov = &overlay{dead: make([]bool, g.N()), baseTargets: g.targets}
+		g.targets, g.ends, g.ov = slices.Clone(g.targets), slices.Clone(g.ends), ov
+	}
 	fresh := ov.patchBuf[:0]
 	for _, v := range nodes {
-		if ov.dead[v] {
-			ov.dead[v] = false
-			ov.deadCount--
+		if ov.dead[v] == alive {
+			ov.dead[v] = !alive
 			fresh = append(fresh, v)
 		}
 	}
-	// Edge accounting over base adjacency against the post-revive alive
-	// set: revived-to-survivor edges count once, revived-to-revived once.
+	// Every base edge from a flipped node to an alive unflipped one
+	// appears or vanishes, and so does every edge between two flipped
+	// nodes, counted once from the lower-ID endpoint.
+	delta := 0
 	for _, v := range fresh {
-		for _, u := range g.BaseNeighbors(v) {
-			if !ov.dead[u] && (!isIn(fresh, u) || u > v) {
-				g.edges++
+		for _, u := range ov.baseTargets[g.offsets[v]:g.offsets[v+1]] {
+			if isIn(fresh, u) {
+				if u > v {
+					delta++
+				}
+			} else if !ov.dead[u] {
+				delta++
 			}
 		}
 	}
+	sign := 1
+	if !alive {
+		sign = -1
+	}
+	g.edges += sign * delta
+	ov.deadCount -= sign * len(fresh)
 	patched := g.rebuildAround(fresh)
 	ov.patchBuf = patched
 	return patched
@@ -170,15 +130,8 @@ func (g *Graph) rebuildAround(fresh []int32) []int32 {
 			}
 		}
 	}
-	sort.Slice(patched, func(i, j int) bool { return patched[i] < patched[j] })
-	dedup := patched[:0]
-	var prev int32 = -1
-	for _, v := range patched {
-		if len(dedup) == 0 || v != prev {
-			dedup = append(dedup, v)
-			prev = v
-		}
-	}
+	slices.Sort(patched)
+	dedup := slices.Compact(patched)
 	for _, v := range dedup {
 		g.rebuildWindow(v)
 	}
@@ -200,8 +153,7 @@ func (g *Graph) rebuildWindow(v int32) {
 			}
 		}
 	}
-	ov.ends[v] = end
-	g.adj[v] = g.targets[lo:end:hi]
+	g.ends[v] = end
 }
 
 // isIn reports membership in a small unsorted batch (churn batches are tens
@@ -213,18 +165,4 @@ func isIn(batch []int32, v int32) bool {
 		}
 	}
 	return false
-}
-
-// csrEff returns the CSR arrays together with the per-node effective end
-// array the kernels iterate by: node u's live neighbors are
-// targets[offsets[u]:ends[u]]. Without an overlay, ends aliases
-// offsets[1:], so the no-churn path costs nothing extra.
-func (g *Graph) csrEff() (offsets, targets, ends []int32, ok bool) {
-	if g.ov != nil {
-		return g.offsets, g.targets, g.ov.ends, g.frozen
-	}
-	if len(g.offsets) > 0 {
-		return g.offsets, g.targets, g.offsets[1:], g.frozen
-	}
-	return g.offsets, g.targets, nil, g.frozen
 }

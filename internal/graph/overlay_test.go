@@ -33,8 +33,7 @@ func rebuildAlive(g *Graph) *Graph {
 			}
 		}
 	}
-	fresh.SortAdjacency()
-	return fresh
+	return fresh.Freeze()
 }
 
 func TestOverlayRemoveReviveRoundTrip(t *testing.T) {
@@ -44,6 +43,23 @@ func TestOverlayRemoveReviveRoundTrip(t *testing.T) {
 	baseAdj := make([][]int32, n)
 	for v := 0; v < n; v++ {
 		baseAdj[v] = append([]int32(nil), g.Neighbors(v)...)
+	}
+	// Degree reads the overlay's row ends, and HasEdge the shortened rows:
+	// a degree taken from the base offsets would leave dead nodes with
+	// their old degree (and boundaryByProduct would call them boundary).
+	checkDegrees := func(stage string) {
+		t.Helper()
+		for v := 0; v < n; v++ {
+			if d, l := g.Degree(v), len(g.Neighbors(v)); d != l {
+				t.Fatalf("%s: node %d: Degree %d, %d neighbors", stage, v, d, l)
+			}
+			for _, u := range baseAdj[v] {
+				want := g.Alive(int32(v)) && g.Alive(u)
+				if g.HasEdge(v, int(u)) != want || g.HasEdge(int(u), v) != want {
+					t.Fatalf("%s: HasEdge(%d, %d) = %v, want %v", stage, v, u, !want, want)
+				}
+			}
+		}
 	}
 
 	rng := rand.New(rand.NewSource(99))
@@ -88,6 +104,7 @@ func TestOverlayRemoveReviveRoundTrip(t *testing.T) {
 	if got := g.NumEdges(); got != edgeCount/2 {
 		t.Fatalf("NumEdges = %d, recount says %d", got, edgeCount/2)
 	}
+	checkDegrees("after removal")
 
 	// Revive half, then everything: the graph must return to its base state.
 	g.ReviveNodes(batch[:32])
@@ -109,6 +126,7 @@ func TestOverlayRemoveReviveRoundTrip(t *testing.T) {
 			}
 		}
 	}
+	checkDegrees("after revival")
 }
 
 func TestOverlayKernelsMatchRebuiltGraph(t *testing.T) {

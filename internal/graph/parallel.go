@@ -23,17 +23,16 @@ func ParallelNodes(g *Graph, acquire func() *Walker, release func(*Walker), fn f
 // the unit of work need not be a node (the MS-BFS drivers use one index per
 // 64-source batch). The same ownership and determinism rules apply.
 //
-// When the index space is exactly the node range of a frozen graph, chunks
-// are sized by CSR edge count rather than node count: per-node BFS work is
+// When the index space is exactly the node range of the graph, chunks are
+// sized by CSR edge count rather than node count: per-node BFS work is
 // proportional to the flooded neighborhood, and degree is its cheapest
 // deterministic proxy, so skewed topologies keep the worker pool saturated
 // instead of leaving one worker with all the dense chunks.
 func ParallelRange(g *Graph, count int, acquire func() *Walker, release func(*Walker), fn func(w *Walker, i int)) {
 	var weight func(i int) int
-	if count == g.N() && g.frozen {
-		if offsets, _, ok := g.csr(); ok {
-			weight = func(i int) int { return int(offsets[i+1]-offsets[i]) + 1 }
-		}
+	if count == g.N() {
+		offsets := g.offsets
+		weight = func(i int) int { return int(offsets[i+1]-offsets[i]) + 1 }
 	}
 	ParallelRangeWeighted(g, count, weight, acquire, release, fn)
 }

@@ -166,14 +166,13 @@ func TestPushedSumsMatchWalker(t *testing.T) {
 	for i := 250; i < 550; i++ {
 		parts.AddEdge(i, 250+(i-249)%300)
 	}
-	parts.SortAdjacency()
 
 	path := func(n int) *Graph {
 		g := New(n)
 		for i := 0; i+1 < n; i++ {
 			g.AddEdge(i, i+1)
 		}
-		return g
+		return g.Freeze()
 	}
 	graphs := []struct {
 		name string
@@ -181,7 +180,7 @@ func TestPushedSumsMatchWalker(t *testing.T) {
 	}{
 		{"field", field()},
 		{"tombstoned", tomb},
-		{"components", parts},
+		{"components", parts.Freeze()},
 		{"path5", path(5)},
 		{"path70", path(70)},
 	}

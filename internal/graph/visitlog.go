@@ -80,7 +80,6 @@ func (g *Graph) BallSizesIntoKernelLogged(kern Kernel, k, logRadius int, out [][
 		})
 		return
 	}
-	g.Freeze()
 	lg.Reset(g.N(), logRadius)
 	g.ballBatches(k, sumPush{}, lg, logRadius, acquire, release, func(v int32, levels []int32) {
 		cumulateInts(out[v], levels)

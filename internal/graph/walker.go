@@ -50,7 +50,7 @@ func (w *Walker) bfsInto(src int, dist, parent []int32) {
 	for head := 0; head < len(s.queue); head++ {
 		u := s.queue[head]
 		du := dist[u]
-		for _, v := range w.g.adj[u] {
+		for _, v := range w.g.Neighbors(int(u)) {
 			if dist[v] == Unreachable {
 				dist[v] = du + 1
 				if parent != nil {

@@ -115,11 +115,11 @@ func TestEngineParity(t *testing.T) {
 	}
 	for _, n := range []int{1, 2} {
 		t.Run(fmt.Sprintf("tiny/n=%d", n), func(t *testing.T) {
-			g := graph.New(n)
+			b := graph.New(n)
 			if n == 2 {
-				g.AddEdge(0, 1)
+				b.AddEdge(0, 1)
 			}
-			g.SortAdjacency()
+			g := b.Freeze()
 			checkParity(t, g, 0)
 		})
 	}

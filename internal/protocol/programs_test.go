@@ -7,11 +7,11 @@ import (
 )
 
 func pathGraph(n int) *graph.Graph {
-	g := graph.New(n)
+	b := graph.New(n)
 	for i := 0; i+1 < n; i++ {
-		g.AddEdge(i, i+1)
+		b.AddEdge(i, i+1)
 	}
-	g.SortAdjacency()
+	g := b.Freeze()
 	return g
 }
 

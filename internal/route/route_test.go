@@ -10,19 +10,19 @@ import (
 )
 
 func gridGraph(w, h int) *graph.Graph {
-	g := graph.New(w * h)
+	b := graph.New(w * h)
 	id := func(x, y int) int { return y*w + x }
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			if x+1 < w {
-				g.AddEdge(id(x, y), id(x+1, y))
+				b.AddEdge(id(x, y), id(x+1, y))
 			}
 			if y+1 < h {
-				g.AddEdge(id(x, y), id(x, y+1))
+				b.AddEdge(id(x, y), id(x, y+1))
 			}
 		}
 	}
-	g.SortAdjacency()
+	g := b.Freeze()
 	return g
 }
 
@@ -44,7 +44,7 @@ func TestShortestPathRouter(t *testing.T) {
 	}
 	validatePath(t, g, path2, 0, 12)
 	// Unreachable.
-	iso := graph.New(2)
+	iso := graph.New(2).Freeze()
 	ri := route.NewShortestPath(iso)
 	if _, err := ri.Route(0, 1); err == nil {
 		t.Error("expected unreachable error")

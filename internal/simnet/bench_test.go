@@ -11,19 +11,19 @@ import (
 // grid builds a side x side 4-neighbor lattice — degree-4 nodes like a
 // dense sensor deployment, without the deployment machinery.
 func grid(side int) *graph.Graph {
-	g := graph.New(side * side)
+	b := graph.New(side * side)
 	at := func(r, c int) int { return r*side + c }
 	for r := 0; r < side; r++ {
 		for c := 0; c < side; c++ {
 			if c+1 < side {
-				g.AddEdge(at(r, c), at(r, c+1))
+				b.AddEdge(at(r, c), at(r, c+1))
 			}
 			if r+1 < side {
-				g.AddEdge(at(r, c), at(r+1, c))
+				b.AddEdge(at(r, c), at(r+1, c))
 			}
 		}
 	}
-	g.SortAdjacency()
+	g := b.Freeze()
 	return g
 }
 

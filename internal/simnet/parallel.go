@@ -65,7 +65,6 @@ type parEngine struct {
 
 	// Synchronous mode (Jitter == 0): double-buffered degree-offset arenas.
 	off         []int32 // inbox window of node v: [off[v], off[v+1])
-	offBuf      []int32 // owned prefix-sum buffer for unfrozen graphs
 	arena       [2][]Envelope
 	fill        [2][]int32
 	cur         int     // arena read this round; cur^1 collects next round
@@ -167,18 +166,7 @@ func (e *parEngine) fit(s *Sim) {
 		e.pos = fitInt32(e.pos, n, false)
 		return
 	}
-	if off, ok := s.g.Offsets(); ok {
-		e.off = off
-	} else {
-		e.offBuf = fitInt32(e.offBuf, n+1, false)
-		total := int32(0)
-		for v := 0; v < n; v++ {
-			e.offBuf[v] = total
-			total += int32(s.g.Degree(v))
-		}
-		e.offBuf[n] = total
-		e.off = e.offBuf
-	}
+	e.off = s.g.Offsets()
 	total := int(e.off[n])
 	for i := range e.arena {
 		if cap(e.arena[i]) < total {

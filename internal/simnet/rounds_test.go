@@ -10,11 +10,11 @@ import (
 
 // star builds a hub-and-spokes graph: node 0 adjacent to all others.
 func star(n int) *graph.Graph {
-	g := graph.New(n)
+	b := graph.New(n)
 	for i := 1; i < n; i++ {
-		g.AddEdge(0, i)
+		b.AddEdge(0, i)
 	}
-	g.SortAdjacency()
+	g := b.Freeze()
 	return g
 }
 

@@ -47,11 +47,11 @@ func (p *relay) Step(ctx *simnet.Context, inbox []simnet.Envelope) {
 }
 
 func line(n int) *graph.Graph {
-	g := graph.New(n)
+	b := graph.New(n)
 	for i := 0; i+1 < n; i++ {
-		g.AddEdge(i, i+1)
+		b.AddEdge(i, i+1)
 	}
-	g.SortAdjacency()
+	g := b.Freeze()
 	return g
 }
 

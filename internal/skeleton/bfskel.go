@@ -11,12 +11,16 @@ func init() { Register(&coreBackend{}) }
 
 // coreBackend exposes the paper's staged extraction pipeline
 // (core.Extractor) as the "bfskel" registry backend. It wraps — never
-// reimplements — the engine: a pool of engines keeps the pooled scratch
+// reimplements — the engine: a free list of engines keeps their scratch
 // (walkers, BFS buffers, arenas) and the batched MS-BFS path intact across
 // calls, and the produced Result.Core is bit-identical to a direct
 // core.Extractor run with the same graph and parameters.
 type coreBackend struct {
-	pool sync.Pool // of *core.Extractor
+	// engines is the free list of idle engines. A warmed engine holds
+	// n-sized scratch, so the backend keeps it for its lifetime: a
+	// sync.Pool would drop it at the second collection after its release.
+	mu      sync.Mutex
+	engines []*core.Extractor
 }
 
 // Name implements Backend.
@@ -30,16 +34,24 @@ func (*coreBackend) Capabilities() Capabilities {
 }
 
 func (b *coreBackend) get(g *graph.Graph) *core.Extractor {
-	if e, ok := b.pool.Get().(*core.Extractor); ok {
-		e.Bind(g)
-		return e
+	b.mu.Lock()
+	var e *core.Extractor
+	if n := len(b.engines); n > 0 {
+		e, b.engines = b.engines[n-1], b.engines[:n-1]
 	}
-	return core.NewExtractor(g)
+	b.mu.Unlock()
+	if e == nil {
+		return core.NewExtractor(g)
+	}
+	e.Bind(g)
+	return e
 }
 
 func (b *coreBackend) put(e *core.Extractor) {
 	e.Tracer, e.Metrics = nil, nil
-	b.pool.Put(e)
+	b.mu.Lock()
+	b.engines = append(b.engines, e)
+	b.mu.Unlock()
 }
 
 // Extract implements Backend by delegating to the staged engine. The
