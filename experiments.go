@@ -406,7 +406,6 @@ func runComplexity(seed int64, ob ObsScope) ([]ExperimentRow, error) {
 			ProtocolOptions{
 				Tracer:        ob.Tracer,
 				Metrics:       ob.Metrics,
-				RecordRounds:  ob.Tracer != nil || ob.Metrics != nil,
 				RecordPerNode: ob.Tracer != nil,
 			})
 		if err != nil {

@@ -75,14 +75,14 @@ func extractStaged(g *graph.Graph, b *boundary.Result, stage func(name string, f
 	// boundary nodes span two or more branches become skeleton nodes.
 	isSkel := make([]bool, g.N())
 	stage("transform", func() {
-		_, records := g.MultiSourceRecords(b.Nodes, tieSlack)
+		_, records := core.VoronoiRecords(g, b.Nodes, tieSlack)
 		for v := 0; v < g.N(); v++ {
 			if b.IsBoundary[v] {
 				continue
 			}
 			seen := -1
 			for _, r := range records[v] {
-				br := res.BranchOf[r.Source]
+				br := res.BranchOf[r.Site]
 				if br == -1 {
 					continue
 				}
@@ -121,12 +121,13 @@ func detectCorners(g *graph.Graph, cycle []int32, threshold float64) []int32 {
 	if l < 4*w {
 		return nil
 	}
+	walker := graph.NewWalker(g)
 	ratio := make([]float64, l)
 	for i := range cycle {
 		a := cycle[(i-w+l)%l]
 		b := cycle[(i+w)%l]
 		arc := float64(2 * w)
-		cut := hopDistCapped(g, a, b, int32(2*w+2))
+		cut := walker.HopDist(int(a), int(b), 2*w+2)
 		ratio[i] = float64(cut) / arc
 	}
 	var corners []int32
@@ -182,32 +183,4 @@ func labelBranches(cycle []int32, corners []int32, branchOf []int, next int) int
 		branchOf[v] = cur
 	}
 	return cur + 1
-}
-
-// hopDistCapped returns the hop distance between a and b, or cap+1 when it
-// exceeds the cap.
-func hopDistCapped(g *graph.Graph, a, b int32, cap int32) int32 {
-	if a == b {
-		return 0
-	}
-	dist := map[int32]int32{a: 0}
-	queue := []int32{a}
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		du := dist[u]
-		if du >= cap {
-			continue
-		}
-		for _, v := range g.Neighbors(int(u)) {
-			if _, seen := dist[v]; seen {
-				continue
-			}
-			if v == b {
-				return du + 1
-			}
-			dist[v] = du + 1
-			queue = append(queue, v)
-		}
-	}
-	return cap + 1
 }

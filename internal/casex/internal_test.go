@@ -44,24 +44,6 @@ func TestLabelBranches(t *testing.T) {
 	}
 }
 
-func TestHopDistCapped(t *testing.T) {
-	b := graph.New(6)
-	for i := 0; i+1 < 6; i++ {
-		b.AddEdge(i, i+1)
-	}
-	g := b.Freeze()
-	if got := hopDistCapped(g, 0, 3, 10); got != 3 {
-		t.Errorf("dist = %d", got)
-	}
-	if got := hopDistCapped(g, 0, 0, 10); got != 0 {
-		t.Errorf("self dist = %d", got)
-	}
-	// Cap cuts the search.
-	if got := hopDistCapped(g, 0, 5, 2); got != 3 {
-		t.Errorf("capped = %d, want cap+1 = 3", got)
-	}
-}
-
 // TestDetectCornersSyntheticL: an L-shaped boundary band on a grid has a
 // sharp inner corner where the shortcut between window ends is much shorter
 // than the arc; a straight band has none.

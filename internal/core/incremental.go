@@ -45,6 +45,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"time"
@@ -1134,11 +1135,13 @@ func (r *vrepair) childrenPass() {
 }
 
 // endFloodCache caches the refine stage's end-node cluster floods across
-// incremental updates. An entry is the exact node set floodFrom(src, radius)
-// returns; it stays valid while no flood-visible change — a skeleton-mask
-// flip or a rebuilt adjacency window — lands on the set or its one-hop
-// neighborhood (the flood reads adjacency of visited nodes and mask of
-// visited nodes plus their neighbors). Claim replay over cached sets yields
+// incremental updates. An entry is the exact node set of one end's
+// skeleton-avoiding flood of the junction radius (the end itself plus every
+// node the bounded batch kernel settles for it); it stays valid while no
+// flood-visible change — a skeleton-mask flip or a rebuilt adjacency
+// window — lands on the set or its one-hop neighborhood (the flood reads
+// adjacency of visited nodes and mask of visited nodes plus their
+// neighbors). Claim replay over cached sets yields
 // the same cluster partition as re-flooding: the partition is a pure
 // function of the per-end node sets.
 type endFloodCache struct {
@@ -1148,6 +1151,8 @@ type endFloodCache struct {
 	patched  []int32
 	poison   []int32
 	epoch    int32
+	// sets collects one batch's per-source node lists (see fill).
+	sets [64][]int32
 }
 
 // floodSet is one cached end-node flood: the exact visited node set plus its
@@ -1175,6 +1180,42 @@ func makeFloodSet(nodes []int32) floodSet {
 		}
 	}
 	return fs
+}
+
+// fill floods the ends missing from the cache, 64 per bit-parallel pass of
+// the bounded batch kernel, and caches each one's node set: the end first
+// (the kernel does not report seeds), then its settles. It returns the
+// number of ends flooded.
+func (c *endFloodCache) fill(e *Extractor, ends []endRef, radius int32, mask []bool) int {
+	var miss []int32
+	for _, er := range ends {
+		if _, ok := c.entries[er.node]; !ok {
+			c.entries[er.node] = floodSet{} // claimed; filled below
+			miss = append(miss, er.node)
+		}
+	}
+	if len(miss) == 0 {
+		return 0
+	}
+	wk := e.getWalker()
+	sets := &c.sets
+	for lo := 0; lo < len(miss); lo += 64 {
+		srcs := miss[lo:min(lo+64, len(miss))]
+		for i, src := range srcs {
+			sets[i] = append(sets[i][:0], src)
+		}
+		wk.BoundedBatch(srcs, radius, mask, func(v int32, bw uint64) {
+			for b := bw; b != 0; b &= b - 1 {
+				i := bits.TrailingZeros64(b)
+				sets[i] = append(sets[i], v)
+			}
+		})
+		for i, src := range srcs {
+			c.entries[src] = makeFloodSet(sets[i])
+		}
+	}
+	e.putWalker(wk)
+	return len(miss)
 }
 
 // invalidateAll drops every entry (used after full extractions, whose

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"bfskel/internal/graph"
@@ -261,5 +262,60 @@ func TestMinSiteGuard(t *testing.T) {
 	}
 	if len(sites) < 4 {
 		t.Errorf("guard failed: %d sites (kEff=%d scopeEff=%d)", len(sites), kEff, scopeEff)
+	}
+}
+
+// TestDropRedundantParallelsGroups checks the parallel-edge filter against
+// pairwise BFS on one group of 150 edges (three 64-connector floods) and
+// one of 40: scanning each group widest band first, an edge is deleted iff
+// its connector lies within 2*Alpha+3 hops of an already kept one.
+func TestDropRedundantParallelsGroups(t *testing.T) {
+	g := nettest.Grid("window", 2500, 7, 1).Graph
+	p := DefaultParams()
+	x := NewExtractor(g)
+	w := x.newRefiner(p, nil, nil, nil)
+	for i := 0; i < 190; i++ {
+		a, b := int32(0), int32(1)
+		if i >= 150 {
+			a, b = 2, 3
+		}
+		w.edges = append(w.edges, wEdge{a: a, b: b, connector: int32(i * 37 % g.N()), segs: i % 7})
+	}
+	w.dropRedundantParallels()
+
+	nearLimit := 2*p.Alpha + 3
+	for _, group := range [][2]int{{0, 150}, {150, 190}} {
+		idxs := make([]int, 0, group[1]-group[0])
+		for i := group[0]; i < group[1]; i++ {
+			idxs = append(idxs, i)
+		}
+		slices.SortFunc(idxs, func(a, b int) int {
+			if w.edges[a].segs != w.edges[b].segs {
+				return w.edges[b].segs - w.edges[a].segs
+			}
+			return int(w.edges[a].connector - w.edges[b].connector)
+		})
+		var kept []int32
+		deleted := 0
+		for _, ei := range idxs {
+			dist := g.BFS(int(w.edges[ei].connector))
+			near := false
+			for _, k := range kept {
+				if d := dist[k]; d != graph.Unreachable && d <= nearLimit {
+					near = true
+				}
+			}
+			if !near {
+				kept = append(kept, w.edges[ei].connector)
+			} else {
+				deleted++
+			}
+			if w.edges[ei].deleted != near {
+				t.Fatalf("edge %d (connector %d): deleted = %v, want %v", ei, w.edges[ei].connector, w.edges[ei].deleted, near)
+			}
+		}
+		if deleted == 0 || len(kept) < 2 {
+			t.Fatalf("group %v: %d deleted, %d kept; the test needs both", group, deleted, len(kept))
+		}
 	}
 }

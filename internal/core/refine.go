@@ -57,9 +57,9 @@ type wEdge struct {
 }
 
 // refiner carries the mutable state of Phase 4. The bounded floods of the
-// phase (floodFrom, hopDistWithin, the end-node clustering) run over the
-// owning engine's stamped flood scratch, so the hundreds of small floods
-// allocate nothing.
+// phase (the parallel-connector reach matrix and the end-node clustering)
+// run on the engine's walkers through the batched kernels, 64 sources per
+// pass, and the clustering's claims use the engine's mark scratch.
 type refiner struct {
 	e       *Extractor
 	g       *graph.Graph
@@ -124,6 +124,8 @@ func (w *refiner) dropRedundantParallels() {
 	})
 	nearLimit := 2*w.p.Alpha + 3
 	var idxs []int
+	var conns []int32
+	var reach []uint64
 	for lo := 0; lo < len(tuples); {
 		hi := lo
 		pr := tuples[lo].pair
@@ -146,31 +148,26 @@ func (w *refiner) dropRedundantParallels() {
 			}
 			return w.edges[idxs[a]].connector < w.edges[idxs[b]].connector
 		})
-		// For groups of up to 64 edges one bit-parallel flood yields the
-		// exact pairwise within-nearLimit matrix; larger groups test pairs
-		// one bounded BFS at a time. The keep/delete scan below reads the
-		// same predicate either way.
-		var reach []uint64
-		if len(idxs) <= 64 {
-			conns := make([]int32, len(idxs))
-			for j, ei := range idxs {
-				conns[j] = w.edges[ei].connector
-			}
-			reach = make([]uint64, len(idxs))
-			wk := w.e.getWalker()
-			wk.BoundedReach(conns, nearLimit, conns, reach)
-			w.e.putWalker(wk)
+		// One bit-parallel flood per 64 connectors yields the exact pairwise
+		// within-nearLimit matrix: bit i of reach[c*m+j] is set iff connector
+		// j lies within nearLimit hops of connector 64c+i.
+		m := len(idxs)
+		conns = conns[:0]
+		for _, ei := range idxs {
+			conns = append(conns, w.edges[ei].connector)
 		}
+		reach = grow(reach, (m+63)/64*m)
+		wk := w.e.getWalker()
+		for c := 0; c*64 < m; c++ {
+			wk.BoundedReach(conns[c*64:min((c+1)*64, m)], nearLimit, conns, reach[c*m:(c+1)*m])
+		}
+		w.e.putWalker(wk)
 		kept := []int{0}
-		for a := 1; a < len(idxs); a++ {
+		for a := 1; a < m; a++ {
 			redundant := false
 			for _, kj := range kept {
-				if reach != nil {
-					redundant = reach[a]&(uint64(1)<<uint(kj)) != 0
-				} else {
-					redundant = w.hopDistWithin(w.edges[idxs[a]].connector, w.edges[idxs[kj]].connector, nearLimit)
-				}
-				if redundant {
+				if reach[kj/64*m+a]&(uint64(1)<<uint(kj%64)) != 0 {
+					redundant = true
 					break
 				}
 			}
@@ -267,15 +264,9 @@ func (w *refiner) classifyLoops() {
 		// same clusters as the batched floods.
 		c := w.fcache
 		c.begin(w.g, mask, radius)
-		misses := 0
+		misses := c.fill(w.e, ends, radius, mask)
 		for i, er := range ends {
-			fs, ok := c.entries[er.node]
-			if !ok {
-				fs = makeFloodSet(w.floodFrom(er.node, radius, mask))
-				c.entries[er.node] = fs
-				misses++
-			}
-			for _, v := range fs.nodes {
+			for _, v := range c.entries[er.node].nodes {
 				claim(i, v)
 			}
 		}
@@ -284,7 +275,7 @@ func (w *refiner) classifyLoops() {
 		}
 	} else {
 		// 64 ends per bit-parallel flood; the skeleton mask blocks
-		// expansion exactly like floodFrom's Contains check.
+		// expansion, though each end itself is seeded.
 		wk := w.e.getWalker()
 		srcs := make([]int32, 0, 64)
 		for lo := 0; lo < len(ends); lo += 64 {
@@ -492,41 +483,6 @@ func (w *refiner) junctionRadius() int32 {
 	return r
 }
 
-// floodFrom returns the nodes within the given hop radius of src, not
-// entering skeleton nodes (the source is admitted even if on the skeleton);
-// skel is the membership mask. The returned slice aliases the engine's queue
-// scratch and is only valid until the next flood.
-func (w *refiner) floodFrom(src int32, radius int32, skel []bool) []int32 {
-	fld := &w.e.fld
-	fld.epoch++
-	epoch := fld.epoch
-	dist, stamp := fld.dist, fld.stamp
-	stamp[src] = epoch
-	dist[src] = 0
-	queue := fld.queue[:0]
-	queue = append(queue, src)
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		du := dist[u]
-		if du >= radius {
-			continue
-		}
-		for _, v := range w.g.Neighbors(int(u)) {
-			if stamp[v] == epoch {
-				continue
-			}
-			if skel[v] {
-				continue
-			}
-			stamp[v] = epoch
-			dist[v] = du + 1
-			queue = append(queue, v)
-		}
-	}
-	fld.queue = queue
-	return queue
-}
-
 // nonTreeEdges returns, for the current site-level graph, the edges outside
 // a BFS spanning forest — one per independent cycle.
 func (w *refiner) nonTreeEdges() []int {
@@ -623,42 +579,6 @@ func sortedSiteList(list []int32) []int32 {
 		}
 	}
 	return dedup
-}
-
-// hopDistWithin reports whether dst is within limit hops of src, over the
-// engine's stamped scratch.
-func (w *refiner) hopDistWithin(src, dst int32, limit int32) bool {
-	if src == dst {
-		return true
-	}
-	fld := &w.e.fld
-	fld.epoch++
-	epoch := fld.epoch
-	dist, stamp := fld.dist, fld.stamp
-	stamp[src] = epoch
-	dist[src] = 0
-	queue := fld.queue[:0]
-	queue = append(queue, src)
-	defer func() { fld.queue = queue[:0] }()
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		du := dist[u]
-		if du >= limit {
-			continue
-		}
-		for _, v := range w.g.Neighbors(int(u)) {
-			if stamp[v] == epoch {
-				continue
-			}
-			if v == dst {
-				return true
-			}
-			stamp[v] = epoch
-			dist[v] = du + 1
-			queue = append(queue, v)
-		}
-	}
-	return false
 }
 
 // pruneThreshold resolves the branch-pruning length.

@@ -56,6 +56,18 @@ func (e *Extractor) voronoi(sites []int32, alpha int32, st *Stats) (cellOf, dist
 	return cellOf, distToSite, records
 }
 
+// VoronoiRecords runs the Voronoi stage's almost-equidistant flood from the
+// given sources on a fresh engine: dist is every node's hop distance to its
+// nearest source (Unreachable in source-free components), and records[v]
+// holds one entry per source within slack hops of that distance, ordered by
+// source ID, with the lowest-ID reverse-path parent. The MAP and CASE
+// baselines use it as their boundary distance transform. sources must be
+// sorted and distinct, as boundary.Result.Nodes is.
+func VoronoiRecords(g *graph.Graph, sources []int32, slack int32) (dist []int32, records [][]SiteDist) {
+	_, dist, records = NewExtractor(g).voronoi(sources, slack, nil)
+	return dist, records
+}
+
 // voronoiDmin is the level-synchronous multi-source dmin pass: each
 // level's frontier expands in parallel chunks into per-chunk candidate
 // buffers, a serial merge dedups them into the next frontier, and a second

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"slices"
-	"sync"
-)
+import "slices"
 
 // BFS returns hop distances from src to every node (Unreachable for nodes in
 // other components).
@@ -241,35 +238,14 @@ func (g *Graph) IsConnected() bool {
 	return count == 1
 }
 
-// invIndex is a pooled dense inverse-index array for Subgraph: new-graph
-// position by original node ID, -1 elsewhere. The backing array is kept
-// all -1 between uses (entries are restored after each call), so a call
-// costs O(len(keep)) bookkeeping instead of building a hash map per call.
-type invIndex struct {
-	pos []int32
-}
-
-var invIndexPool = sync.Pool{New: func() any { return &invIndex{} }}
-
-// grow returns the index sized for n nodes, preserving the all -1 invariant
-// for any newly allocated tail.
-func (ii *invIndex) grow(n int) []int32 {
-	if cap(ii.pos) < n {
-		ii.pos = make([]int32, n)
-		for i := range ii.pos {
-			ii.pos[i] = -1
-		}
-	}
-	return ii.pos[:n]
-}
-
 // Subgraph returns the induced subgraph over keep (node IDs in the original
 // graph) plus the mapping back to original IDs. Node i of the subgraph is
 // keep[i]; the subgraph's rows are sorted whatever keep's order.
 func (g *Graph) Subgraph(keep []int32) (*Graph, []int32) {
-	ii := invIndexPool.Get().(*invIndex)
-	defer invIndexPool.Put(ii)
-	index := ii.grow(g.N())
+	index := make([]int32, g.N())
+	for i := range index {
+		index[i] = -1
+	}
 	for i, v := range keep {
 		index[v] = int32(i)
 	}
@@ -300,9 +276,6 @@ func (g *Graph) Subgraph(keep []int32) (*Graph, []int32) {
 				sub.batchOrder = append(sub.batchOrder, j)
 			}
 		}
-	}
-	for _, v := range keep {
-		index[v] = -1
 	}
 	orig := make([]int32, len(keep))
 	copy(orig, keep)

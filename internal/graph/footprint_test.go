@@ -36,7 +36,6 @@ func TestGraphFootprint(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	g := nettest.Grid("window", 1<<16, 7, 1).Graph
 	runtime.GC()
-	runtime.GC() // the second empties Subgraph's pooled inverse index
 	runtime.ReadMemStats(&after)
 	perNode := float64(after.HeapAlloc-before.HeapAlloc) / float64(g.N())
 	runtime.KeepAlive(g)

@@ -107,6 +107,33 @@ func TestKHop(t *testing.T) {
 	}
 }
 
+// TestWalkerHopDist: the capped point-to-point distance is exact up to k
+// and k+1 beyond it, across components and around a tombstoned node.
+func TestWalkerHopDist(t *testing.T) {
+	// Path 0-1-2-3-4, a detour 0-5-6-7-8-4, and a separate edge 9-10.
+	b := graph.New(11)
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {0, 5}, {5, 6}, {6, 7}, {7, 8}, {8, 4}, {9, 10}} {
+		b.AddEdge(e[0], e[1])
+	}
+	g := b.Freeze()
+	w := graph.NewWalker(g)
+	check := func(label string, src, dst, k int, want int32) {
+		t.Helper()
+		if got := w.HopDist(src, dst, k); got != want {
+			t.Errorf("%s: HopDist(%d, %d, %d) = %d, want %d", label, src, dst, k, got, want)
+		}
+	}
+	check("src == dst", 2, 2, 0, 0)
+	check("exactly k hops", 0, 3, 3, 3)
+	check("k+1 hops", 0, 4, 3, 4)
+	check("beyond k+1", 0, 4, 2, 3)
+	check("another component", 0, 9, 20, 21)
+	g.RemoveNodes([]int32{2})
+	check("around a tombstone", 0, 4, 10, 5)
+	check("to a tombstone", 0, 2, 10, 11)
+	check("from a tombstone", 2, 0, 10, 11)
+}
+
 // TestAllBallSizesCumulative: BallSizesInto's ball sizes are cumulative and
 // match KHopCount at every radius.
 func TestAllBallSizesCumulative(t *testing.T) {

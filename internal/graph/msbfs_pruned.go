@@ -117,9 +117,10 @@ func (w *Walker) PrunedBatch(sources []int32, bound []int32, slack int32, buf []
 
 // BoundedBatch floods up to 64 sources simultaneously, truncated at radius
 // hops, never expanding into nodes with blocked[v] set (sources are seeded
-// regardless): the batched form of the refine stage's skeleton-avoiding
-// floodFrom. visit is called once per settled (node, bits) pair in level
-// order; seeds are not reported.
+// regardless): the refine stage's skeleton-avoiding end-node floods, for
+// full extractions and for the incremental flood cache's misses alike.
+// visit is called once per settled (node, bits) pair in level order; seeds
+// are not reported.
 func (w *Walker) BoundedBatch(sources []int32, radius int32, blocked []bool, visit func(v int32, bits uint64)) {
 	w.boundedBatch(sources, radius, blocked, visit, nil, nil)
 }

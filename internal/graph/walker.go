@@ -79,6 +79,24 @@ func (w *Walker) WalkUntil(src, k int, visit func(v, d int32) bool) {
 	w.s.runUntil(w.g, src, k, visit)
 }
 
+// HopDist returns the hop distance from src to dst when it is at most k,
+// and k+1 when dst is farther or unreachable. The sweep stops as soon as
+// dst is reached.
+func (w *Walker) HopDist(src, dst, k int) int32 {
+	if src == dst {
+		return 0
+	}
+	dist := int32(k + 1)
+	w.s.runUntil(w.g, src, k, func(v, d int32) bool {
+		if int(v) == dst {
+			dist = d
+			return false
+		}
+		return true
+	})
+	return dist
+}
+
 // TakeCounts drains the walker's work counters: the number of truncated BFS
 // sweeps run and nodes visited since the last drain. Pools (core.Extractor)
 // drain on release, turning per-walker tallies into per-stage aggregates

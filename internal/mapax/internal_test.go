@@ -3,6 +3,7 @@ package mapax
 import (
 	"testing"
 
+	"bfskel/internal/core"
 	"bfskel/internal/graph"
 )
 
@@ -58,7 +59,7 @@ func TestSeparationMemoUpgrade(t *testing.T) {
 func TestMedialAtDifferentCycles(t *testing.T) {
 	sep := newSeparation(pathGraph(4))
 	cycleOf := map[int32]int{0: 0, 3: 1}
-	recs := []graph.SourceRecord{{Source: 0, D: 2}, {Source: 3, D: 2}}
+	recs := []core.SiteDist{{Site: 0, D: 2}, {Site: 3, D: 2}}
 	if !medialAt(recs, 2, cycleOf, sep) {
 		t.Error("different-cycle pair not medial")
 	}
@@ -68,7 +69,7 @@ func TestMedialAtDifferentCycles(t *testing.T) {
 		t.Error("close same-cycle pair declared medial")
 	}
 	// Sources missing from any cycle are ignored.
-	if medialAt([]graph.SourceRecord{{Source: 9, D: 1}, {Source: 8, D: 1}}, 1,
+	if medialAt([]core.SiteDist{{Site: 9, D: 1}, {Site: 8, D: 1}}, 1,
 		cycleOf, sep) {
 		t.Error("unknown sources declared medial")
 	}

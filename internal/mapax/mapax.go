@@ -51,9 +51,9 @@ func extractStaged(g *graph.Graph, b *boundary.Result, stage func(name string, f
 	res := &Result{Skeleton: core.NewSkeleton(g.N())}
 
 	// Hop distance transform from the boundary, with tie records.
-	var records [][]graph.SourceRecord
+	var records [][]core.SiteDist
 	stage("transform", func() {
-		res.DistToBoundary, records = g.MultiSourceRecords(b.Nodes, tieSlack)
+		res.DistToBoundary, records = core.VoronoiRecords(g, b.Nodes, tieSlack)
 	})
 
 	// Medial test: nearest boundary nodes on different cycles or far apart.
@@ -90,19 +90,19 @@ func extractStaged(g *graph.Graph, b *boundary.Result, stage func(name string, f
 // the network (the stability condition that suppresses boundary noise — up
 // to the separation threshold, which is exactly where MAP's noise
 // sensitivity lives).
-func medialAt(recs []graph.SourceRecord, dist int32, cycleOf map[int32]int, sep *separation) bool {
+func medialAt(recs []core.SiteDist, dist int32, cycleOf map[int32]int, sep *separation) bool {
 	minSep := max(separationFactor*dist, minSeparation)
 	for i := 0; i < len(recs); i++ {
 		for j := i + 1; j < len(recs); j++ {
-			ci, oki := cycleOf[recs[i].Source]
-			cj, okj := cycleOf[recs[j].Source]
+			ci, oki := cycleOf[recs[i].Site]
+			cj, okj := cycleOf[recs[j].Site]
 			if !oki || !okj {
 				continue
 			}
 			if ci != cj {
 				return true
 			}
-			if sep.atLeast(recs[i].Source, recs[j].Source, minSep) {
+			if sep.atLeast(recs[i].Site, recs[j].Site, minSep) {
 				return true
 			}
 		}
@@ -112,14 +112,14 @@ func medialAt(recs []graph.SourceRecord, dist int32, cycleOf map[int32]int, sep 
 
 // separation memoizes capped pairwise hop distances between boundary nodes.
 type separation struct {
-	g    *graph.Graph
+	w    *graph.Walker
 	dist map[[2]int32]int32 // exact distance, or cap+1 meaning "> cap"
 	cap  map[[2]int32]int32
 }
 
 func newSeparation(g *graph.Graph) *separation {
 	return &separation{
-		g:    g,
+		w:    graph.NewWalker(g),
 		dist: make(map[[2]int32]int32),
 		cap:  make(map[[2]int32]int32),
 	}
@@ -143,32 +143,8 @@ func (s *separation) atLeast(a, b, want int32) bool {
 		}
 		// The cached bound is too weak; recompute below.
 	}
-	d := s.hopDistCapped(key[0], key[1], want)
+	d := s.w.HopDist(int(key[0]), int(key[1]), int(want))
 	s.dist[key] = d
 	s.cap[key] = want
 	return d >= want
-}
-
-// hopDistCapped returns the hop distance, or cap+1 when it exceeds cap.
-func (s *separation) hopDistCapped(a, b, cap int32) int32 {
-	dist := map[int32]int32{a: 0}
-	queue := []int32{a}
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		du := dist[u]
-		if du >= cap {
-			continue
-		}
-		for _, v := range s.g.Neighbors(int(u)) {
-			if _, seen := dist[v]; seen {
-				continue
-			}
-			if v == b {
-				return du + 1
-			}
-			dist[v] = du + 1
-			queue = append(queue, v)
-		}
-	}
-	return cap + 1
 }

@@ -9,6 +9,7 @@ import (
 	"bfskel/internal/core"
 	"bfskel/internal/deploy"
 	"bfskel/internal/graph"
+	"bfskel/internal/obs"
 	"bfskel/internal/protocol"
 	"bfskel/internal/radio"
 	"bfskel/internal/shapes"
@@ -46,18 +47,26 @@ func buildModelNetwork(t testing.TB, shapeName string, n int, deg float64, seed 
 }
 
 // runWithEngine executes the full four-phase protocol on one engine with
-// all statistics recorded.
-func runWithEngine(t *testing.T, g *graph.Graph, jitter int, eng protocol.Engine) *protocol.Result {
+// all statistics recorded; it also returns the run's "round" trace events,
+// canonicalised.
+func runWithEngine(t *testing.T, g *graph.Graph, jitter int, eng protocol.Engine) (*protocol.Result, []string) {
 	t.Helper()
 	params := core.DefaultParams()
+	ring := obs.NewRingSink(0)
 	res, err := protocol.Run(g, params.K, params.L, params.Scope(), params.Alpha, protocol.Options{
 		Jitter: jitter, Seed: 5, Engine: eng,
-		RecordRounds: true, RecordPerNode: true,
+		Tracer: obs.NewTracer(ring), RecordPerNode: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	var rounds []string
+	for _, rec := range ring.Records() {
+		if rec.Kind == obs.KindEvent && rec.Name == "round" {
+			rounds = append(rounds, rec.Canon())
+		}
+	}
+	return res, rounds
 }
 
 // checkParity runs the protocol on the zero-value engine and on the serial
@@ -65,8 +74,11 @@ func runWithEngine(t *testing.T, g *graph.Graph, jitter int, eng protocol.Engine
 func checkParity(t *testing.T, g *graph.Graph, jitter int) {
 	t.Helper()
 	var def protocol.Engine
-	parallel := runWithEngine(t, g, jitter, def)
-	serial := runWithEngine(t, g, jitter, protocol.EngineSerial)
+	parallel, parallelRounds := runWithEngine(t, g, jitter, def)
+	serial, serialRounds := runWithEngine(t, g, jitter, protocol.EngineSerial)
+	if !reflect.DeepEqual(serialRounds, parallelRounds) {
+		t.Errorf("round events diverge: %d serial, %d parallel", len(serialRounds), len(parallelRounds))
+	}
 	for i := range serial.PhaseStats {
 		if serial.PhaseStats[i].Engine != "serial" ||
 			parallel.PhaseStats[i].Engine != "parallel" {

@@ -8,8 +8,9 @@ import (
 )
 
 // TestRunObservability pins the observed protocol run: every phase's
-// per-round message counts sum to its Stats.Messages, the per-node send
-// counters do too, and the trace contains the "protocol" root span plus one
+// "round" events (one per round including Init) carry message counts that
+// sum to its Stats.Messages, the per-node send counters do too, and the
+// trace contains the "protocol" root span plus one
 // "phase.<name>" child span per phase, each carrying round events and the
 // exact message/round totals.
 func TestRunObservability(t *testing.T) {
@@ -19,23 +20,36 @@ func TestRunObservability(t *testing.T) {
 	res, err := Run(g, 2, 2, 2, 1, Options{
 		Tracer:        obs.NewTracer(ring),
 		Metrics:       reg,
-		RecordRounds:  true,
 		RecordPerNode: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
+	// Round events per phase span, by the span's name.
+	spanName := make(map[uint64]string)
+	rounds := make(map[string]int)
+	roundMsgs := make(map[string]int)
+	for _, rec := range ring.Records() {
+		switch {
+		case rec.Kind == obs.KindSpanStart:
+			spanName[rec.ID] = rec.Name
+		case rec.Kind == obs.KindEvent && rec.Name == "round":
+			name := spanName[rec.Span]
+			rounds[name]++
+			for _, a := range rec.Attrs {
+				if a.Key == "messages" {
+					roundMsgs[name] += a.Val.(int)
+				}
+			}
+		}
+	}
 	for i, st := range res.PhaseStats {
 		name := PhaseNames[i]
-		if len(st.PerRound) != st.Rounds+1 {
-			t.Errorf("%s: %d per-round entries for %d rounds", name, len(st.PerRound), st.Rounds)
+		if got := rounds["phase."+name]; got != st.Rounds+1 {
+			t.Errorf("%s: %d round events for %d rounds", name, got, st.Rounds)
 		}
-		msgs := 0
-		for _, r := range st.PerRound {
-			msgs += r.Messages
-		}
-		if msgs != st.Messages {
+		if msgs := roundMsgs["phase."+name]; msgs != st.Messages {
 			t.Errorf("%s: per-round messages sum to %d, Stats.Messages = %d", name, msgs, st.Messages)
 		}
 		sent := 0
@@ -100,7 +114,6 @@ func TestRunObservationReadOnly(t *testing.T) {
 	}
 	observed, err := Run(g, 2, 2, 2, 1, Options{
 		Tracer:        obs.NewTracer(obs.NewRingSink(0)),
-		RecordRounds:  true,
 		RecordPerNode: true,
 	})
 	if err != nil {

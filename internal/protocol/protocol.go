@@ -91,9 +91,6 @@ type Options struct {
 	Tracer *obs.Tracer
 	// Metrics, when non-nil, accumulates per-phase message/round counters.
 	Metrics *obs.Registry
-	// RecordRounds enables simnet per-round accounting; the per-round
-	// stats land in Result.PhaseStats[i].PerRound.
-	RecordRounds bool
 	// RecordPerNode enables simnet per-node send/receive counters
 	// (Result.PhaseStats[i].NodeSent/NodeRecv); with tracing on, each
 	// phase span also carries a "nodes" event with the full counter
@@ -111,7 +108,6 @@ type phaseOpts struct {
 	jitter        int
 	seed          int64
 	span          *obs.Span
-	recordRounds  bool
 	recordPerNode bool
 	engine        Engine
 }
@@ -120,7 +116,6 @@ type phaseOpts struct {
 func (po phaseOpts) configure(sim *simnet.Sim) {
 	sim.Jitter, sim.JitterSeed = po.jitter, po.seed
 	sim.Span = po.span
-	sim.RecordRounds = po.recordRounds
 	sim.RecordPerNode = po.recordPerNode
 	sim.Engine = po.engine
 }
@@ -156,7 +151,6 @@ func Run(g *graph.Graph, k, l, scope int, alpha int32, opts Options) (*Result, e
 			jitter:        opts.Jitter,
 			seed:          opts.Seed + int64(i),
 			span:          span,
-			recordRounds:  opts.RecordRounds,
 			recordPerNode: opts.RecordPerNode,
 			engine:        opts.Engine,
 		})

@@ -239,28 +239,16 @@ func mergeNearbySinks(g *graph.Graph, sinkOf []int32, dist []int32, radius int) 
 	for _, s := range sinks {
 		isSink[s] = true
 	}
+	w := graph.NewWalker(g)
 	for _, s := range sinks {
-		dist := map[int32]int{s: 0}
-		queue := []int32{s}
-		for head := 0; head < len(queue); head++ {
-			u := queue[head]
-			if dist[u] >= radius {
-				continue
-			}
-			for _, v := range g.Neighbors(int(u)) {
-				if _, ok := dist[v]; ok {
-					continue
-				}
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
-				if isSink[v] {
-					ra, rb := find(s), find(v)
-					if ra != rb {
-						parent[rb] = ra
-					}
+		w.Walk(int(s), radius, func(v, _ int32) {
+			if isSink[v] {
+				ra, rb := find(s), find(v)
+				if ra != rb {
+					parent[rb] = ra
 				}
 			}
-		}
+		})
 	}
 	// Representative = the deepest sink of each group.
 	deepest := make(map[int32]int32, len(sinks))

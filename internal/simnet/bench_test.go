@@ -49,12 +49,12 @@ func BenchmarkRoundEngine(b *testing.B) {
 				}
 				sim.Engine = eng
 				sim.MaxRounds = rounds
-				sim.RecordRounds = true
-				stats, err := sim.Run()
+				rounds := traceRounds(sim)
+				_, err = sim.Run()
 				if !errors.Is(err, simnet.ErrRoundLimit) {
 					b.Fatalf("expected round-limit stop, got %v", err)
 				}
-				for _, r := range stats.PerRound {
+				for _, r := range rounds() {
 					deliveries += r.Deliveries
 				}
 			}

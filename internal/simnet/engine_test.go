@@ -54,9 +54,10 @@ func mixPrograms(n int) []simnet.Program {
 	return ps
 }
 
-// runEngine executes one fresh simulation with the given engine forced.
+// runEngine executes one fresh simulation with the given engine forced,
+// per-node counters on and its "round" events traced.
 func runEngine(t *testing.T, g *graph.Graph, build func() []simnet.Program,
-	eng simnet.Engine, jitter int, maxRounds int) ([]simnet.Program, simnet.Stats, error) {
+	eng simnet.Engine, jitter int, maxRounds int) ([]simnet.Program, simnet.Stats, []round, error) {
 	t.Helper()
 	programs := build()
 	sim, err := simnet.New(g, programs)
@@ -66,9 +67,10 @@ func runEngine(t *testing.T, g *graph.Graph, build func() []simnet.Program,
 	sim.Engine = eng
 	sim.Jitter, sim.JitterSeed = jitter, 42
 	sim.MaxRounds = maxRounds
-	sim.RecordRounds, sim.RecordPerNode = true, true
+	rounds := traceRounds(sim)
+	sim.RecordPerNode = true
 	stats, err := sim.Run()
-	return programs, stats, err
+	return programs, stats, rounds(), err
 }
 
 // assertStatsEqual compares everything observable except the engine name.
@@ -88,11 +90,11 @@ func TestEngineParityFlood(t *testing.T) {
 		for _, jitter := range []int{0, 2} {
 			label := fmt.Sprintf("jitter=%d", jitter)
 			build := func() []simnet.Program { return mixPrograms(g.N()) }
-			sp, ss, err := runEngine(t, g, build, simnet.EngineSerial, jitter, 0)
+			sp, ss, sr, err := runEngine(t, g, build, simnet.EngineSerial, jitter, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pp, ps, err := runEngine(t, g, build, simnet.EngineParallel, jitter, 0)
+			pp, ps, pr, err := runEngine(t, g, build, simnet.EngineParallel, jitter, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,6 +102,9 @@ func TestEngineParityFlood(t *testing.T) {
 				t.Fatalf("%s: engines not forced: %q vs %q", label, ss.Engine, ps.Engine)
 			}
 			assertStatsEqual(t, label, ss, ps)
+			if !reflect.DeepEqual(sr, pr) {
+				t.Errorf("%s: round events diverge\nserial:   %v\nparallel: %v", label, sr, pr)
+			}
 			for v := range sp {
 				sl, pl := sp[v].(*mixProgram).log, pp[v].(*mixProgram).log
 				if !reflect.DeepEqual(sl, pl) {
@@ -149,7 +154,7 @@ func TestSecondBroadcastPanics(t *testing.T) {
 							t.Errorf("%s: recovered %v, want the second-broadcast panic", label, r)
 						}
 					}()
-					_, _, _ = runEngine(t, g, build, eng, jitter, 0)
+					_, _, _, _ = runEngine(t, g, build, eng, jitter, 0)
 				}()
 			}
 		}
@@ -164,7 +169,7 @@ func TestRecvCountedAtDeliveryJitter(t *testing.T) {
 	g := line(8)
 	build := func() []simnet.Program { return mixPrograms(g.N()) }
 	for _, eng := range []simnet.Engine{simnet.EngineSerial, simnet.EngineParallel} {
-		_, stats, err := runEngine(t, g, build, eng, 3, 0)
+		_, stats, rounds, err := runEngine(t, g, build, eng, 3, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +177,7 @@ func TestRecvCountedAtDeliveryJitter(t *testing.T) {
 		for _, c := range stats.NodeRecv {
 			recv += c
 		}
-		for _, r := range stats.PerRound {
+		for _, r := range rounds {
 			delivered += r.Deliveries
 		}
 		if recv != delivered {
@@ -188,7 +193,7 @@ func TestRecvNotCountedOnAbort(t *testing.T) {
 	g := line(8)
 	build := func() []simnet.Program { return mixPrograms(g.N()) }
 	for _, eng := range []simnet.Engine{simnet.EngineSerial, simnet.EngineParallel} {
-		_, stats, err := runEngine(t, g, build, eng, 3, 1)
+		_, stats, rounds, err := runEngine(t, g, build, eng, 3, 1)
 		if !errors.Is(err, simnet.ErrRoundLimit) {
 			t.Fatalf("%v: expected ErrRoundLimit, got %v", eng, err)
 		}
@@ -196,7 +201,7 @@ func TestRecvNotCountedOnAbort(t *testing.T) {
 		for _, c := range stats.NodeRecv {
 			recv += c
 		}
-		for _, r := range stats.PerRound {
+		for _, r := range rounds {
 			delivered += r.Deliveries
 		}
 		if recv != delivered {
@@ -206,7 +211,7 @@ func TestRecvNotCountedOnAbort(t *testing.T) {
 		// round 1; if receives were counted at enqueue, recv would cover
 		// every neighbor of every Init broadcast.
 		sent := 0
-		for _, r := range stats.PerRound {
+		for _, r := range rounds {
 			sent += r.Messages
 		}
 		if sent == 0 || recv >= 2*(g.N()-1) {
@@ -222,14 +227,14 @@ func TestEngineZeroValueIsParallel(t *testing.T) {
 	g := line(4)
 	build := func() []simnet.Program { return mixPrograms(g.N()) }
 	var def simnet.Engine
-	_, stats, err := runEngine(t, g, build, def, 0, 0)
+	_, stats, _, err := runEngine(t, g, build, def, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Engine != "parallel" {
 		t.Errorf("zero-value engine on %d nodes ran %q, want parallel", g.N(), stats.Engine)
 	}
-	if _, _, err := runEngine(t, g, build, simnet.EngineSerial+1, 0, 0); err == nil {
+	if _, _, _, err := runEngine(t, g, build, simnet.EngineSerial+1, 0, 0); err == nil {
 		t.Error("out-of-range engine accepted")
 	}
 }

@@ -185,7 +185,7 @@ func (e *parEngine) fit(s *Sim) {
 func (s *Sim) runParallel(limit int) (Stats, error) {
 	e := getParEngine(s)
 	defer putParEngine(e)
-	record := s.RecordRounds || s.Span.Enabled()
+	record := s.Span.Enabled()
 	e.bindWords()
 	e.runChunks(len(s.programs), func(ctx *Context, v int) {
 		ctx.at(v)

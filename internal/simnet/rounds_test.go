@@ -18,11 +18,45 @@ func star(n int) *graph.Graph {
 	return g
 }
 
-// TestPerRoundAccounting pins the per-round counters: with RecordRounds and
-// RecordPerNode set, the per-round message counts sum exactly to
-// Stats.Messages, the per-node send counters do too, the per-node receive
-// counters sum to the per-round deliveries, and a round event fires per
-// recorded round.
+// round is one "round" trace event: the round index and its counts.
+type round struct{ Round, Messages, Deliveries, Active int }
+
+// traceRounds points sim's span at a fresh ring sink and returns a reader
+// of the "round" events recorded there, in emission order.
+func traceRounds(sim *simnet.Sim) func() []round {
+	ring := obs.NewRingSink(0)
+	sim.Span = obs.NewTracer(ring).StartSpan("sim")
+	return func() []round {
+		var out []round
+		for _, rec := range ring.Records() {
+			if rec.Kind != obs.KindEvent || rec.Name != "round" {
+				continue
+			}
+			var r round
+			for _, a := range rec.Attrs {
+				v := a.Val.(int)
+				switch a.Key {
+				case "round":
+					r.Round = v
+				case "messages":
+					r.Messages = v
+				case "deliveries":
+					r.Deliveries = v
+				case "active":
+					r.Active = v
+				}
+			}
+			out = append(out, r)
+		}
+		return out
+	}
+}
+
+// TestPerRoundAccounting pins the per-round counters of the "round" trace
+// events: one event per round including Init, numbered in order, whose
+// message counts sum exactly to Stats.Messages; with RecordPerNode set the
+// per-node send counters sum to it too, and the per-node receive counters
+// sum to the events' deliveries.
 func TestPerRoundAccounting(t *testing.T) {
 	const n = 12
 	g := line(n)
@@ -36,22 +70,21 @@ func TestPerRoundAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring := obs.NewRingSink(0)
-	span := obs.NewTracer(ring).StartSpan("sim")
-	sim.RecordRounds, sim.RecordPerNode, sim.Span = true, true, span
+	rounds := traceRounds(sim)
+	sim.RecordPerNode = true
 	stats, err := sim.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	span.End()
 
-	if len(stats.PerRound) != stats.Rounds+1 {
-		t.Fatalf("PerRound has %d entries, want rounds+1 = %d", len(stats.PerRound), stats.Rounds+1)
+	perRound := rounds()
+	if len(perRound) != stats.Rounds+1 {
+		t.Fatalf("%d round events, want rounds+1 = %d", len(perRound), stats.Rounds+1)
 	}
 	msgs, deliveries := 0, 0
-	for i, r := range stats.PerRound {
+	for i, r := range perRound {
 		if r.Round != i {
-			t.Errorf("PerRound[%d].Round = %d", i, r.Round)
+			t.Errorf("round event %d has round = %d", i, r.Round)
 		}
 		msgs += r.Messages
 		deliveries += r.Deliveries
@@ -72,16 +105,6 @@ func TestPerRoundAccounting(t *testing.T) {
 	if recv != deliveries {
 		t.Errorf("NodeRecv sums to %d, per-round deliveries = %d", recv, deliveries)
 	}
-
-	events := 0
-	for _, rec := range ring.Records() {
-		if rec.Kind == obs.KindEvent && rec.Name == "round" {
-			events++
-		}
-	}
-	if events != len(stats.PerRound) {
-		t.Errorf("%d round events for %d recorded rounds", events, len(stats.PerRound))
-	}
 }
 
 // TestBroadcastCountsOneTransmission pins the paper's message accounting: a
@@ -100,7 +123,8 @@ func TestBroadcastCountsOneTransmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.RecordRounds, sim.RecordPerNode = true, true
+	rounds := traceRounds(sim)
+	sim.RecordPerNode = true
 	stats, err := sim.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -110,8 +134,8 @@ func TestBroadcastCountsOneTransmission(t *testing.T) {
 	if stats.Messages != n {
 		t.Fatalf("Messages = %d, want %d (one per broadcasting node)", stats.Messages, n)
 	}
-	if stats.PerRound[0].Messages != n {
-		t.Errorf("round 0 messages = %d, want %d", stats.PerRound[0].Messages, n)
+	if r := rounds()[0]; r.Messages != n {
+		t.Errorf("round 0 messages = %d, want %d", r.Messages, n)
 	}
 	for v, s := range stats.NodeSent {
 		if s != 1 {

@@ -11,8 +11,8 @@
 // a straightforward serial reference engine, and an allocation-free engine
 // that steps the touched nodes in parallel chunks and merges their send
 // queues deterministically. Every observable number — Stats.Messages,
-// Rounds, PerRound, per-node counters, inbox contents and order — is
-// bit-identical between the two.
+// Rounds, the round events, per-node counters, inbox contents and order —
+// is bit-identical between the two.
 package simnet
 
 import (
@@ -117,21 +117,6 @@ type Program interface {
 	Step(ctx *Context, inbox []Envelope)
 }
 
-// RoundStats records one synchronous round of a simulation. Round 0 covers
-// the Init pass (every node runs, initial messages are sent); rounds 1..R
-// cover the Step passes.
-type RoundStats struct {
-	// Round is the round index.
-	Round int `json:"round"`
-	// Messages is the number of transmissions initiated during this round
-	// (broadcast = 1 transmission, matching Stats.Messages accounting).
-	Messages int `json:"messages"`
-	// Deliveries is the number of envelopes handed to inboxes this round.
-	Deliveries int `json:"deliveries"`
-	// Active is the number of nodes that took a step (or Init) this round.
-	Active int `json:"active"`
-}
-
 // Stats summarises a finished simulation.
 type Stats struct {
 	// Rounds is the number of synchronous rounds until quiescence.
@@ -142,10 +127,6 @@ type Stats struct {
 	// "serial").
 	Engine string `json:",omitempty"`
 
-	// PerRound holds one entry per executed round (index 0 = Init) when
-	// Sim.RecordRounds was set; nil otherwise. The Messages entries sum to
-	// Stats.Messages exactly.
-	PerRound []RoundStats `json:",omitempty"`
 	// NodeSent and NodeRecv count per-node transmissions and received
 	// envelopes when Sim.RecordPerNode was set; nil otherwise. A broadcast
 	// counts one send for the transmitter and one receive per neighbor.
@@ -184,15 +165,14 @@ type Sim struct {
 	// either way.
 	Engine Engine
 
-	// RecordRounds enables per-round accounting into Stats.PerRound.
-	RecordRounds bool
 	// RecordPerNode enables per-node send/receive counters into
 	// Stats.NodeSent / Stats.NodeRecv.
 	RecordPerNode bool
 	// Span, when recording, receives one "round" trace event per executed
-	// round (including round 0 / Init) with message, delivery and
-	// active-node counts — the round-by-round curve behind the paper's
-	// O(sqrt(n)) claim.
+	// round (round 0 covers Init) with its "messages" (transmissions
+	// initiated; they sum to Stats.Messages), "deliveries" (envelopes
+	// handed to inboxes) and "active" (nodes stepped) counts — the
+	// round-by-round curve behind the paper's O(sqrt(n)) claim.
 	Span *obs.Span
 }
 
@@ -276,7 +256,7 @@ func (s *Sim) runSerial(limit int) (Stats, error) {
 	if s.pending == nil {
 		s.pending = make(map[int][]delivery)
 	}
-	record := s.RecordRounds || s.Span.Enabled()
+	record := s.Span.Enabled()
 	sent := s.stats.Messages
 	// One Context for the whole run: the pointer escapes into the Program
 	// interface calls, so a per-node Context would heap-allocate per step.
@@ -313,14 +293,9 @@ func (s *Sim) runSerial(limit int) (Stats, error) {
 	}
 }
 
-// noteRound records one round's accounting into Stats.PerRound and, when a
-// trace span is attached, as a "round" event.
+// noteRound emits one round's accounting as a "round" event on the trace
+// span.
 func (s *Sim) noteRound(round, messages, deliveries, active int) {
-	if s.RecordRounds {
-		s.stats.PerRound = append(s.stats.PerRound, RoundStats{
-			Round: round, Messages: messages, Deliveries: deliveries, Active: active,
-		})
-	}
 	s.Span.Event("round",
 		obs.Int("round", round), obs.Int("messages", messages),
 		obs.Int("deliveries", deliveries), obs.Int("active", active))

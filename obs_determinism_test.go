@@ -18,7 +18,7 @@ func traceOf(t *testing.T, seed int64) string {
 		t.Fatal(err)
 	}
 	if _, err := RunProtocolPhasesObs(net, res.EffectiveK, res.Params.L, res.EffectiveScope, res.Params.Alpha,
-		ProtocolOptions{Tracer: ob.Tracer, RecordRounds: true, RecordPerNode: true}); err != nil {
+		ProtocolOptions{Tracer: ob.Tracer, RecordPerNode: true}); err != nil {
 		t.Fatal(err)
 	}
 	return ring.Canon()
