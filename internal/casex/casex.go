@@ -62,9 +62,15 @@ func extractStaged(g *graph.Graph, b *boundary.Result, stage func(name string, f
 
 	// Corner detection and branch labelling per cycle.
 	stage("corners", func() {
+		// One walker serves every cycle; it is made for the first cycle
+		// long enough to need one (detectCorners skips shorter ones).
+		var walker *graph.Walker
 		branch := 0
 		for _, cycle := range b.Cycles {
-			corners := detectCorners(g, cycle, cornerRatio)
+			if walker == nil && len(cycle) >= 4*cornerWindow {
+				walker = graph.NewWalker(g)
+			}
+			corners := detectCorners(walker, cycle, cornerRatio)
 			res.Corners = append(res.Corners, corners)
 			branch = labelBranches(cycle, corners, res.BranchOf, branch)
 		}
@@ -114,14 +120,14 @@ func extractStaged(g *graph.Graph, b *boundary.Result, stage func(name string, f
 
 // detectCorners flags cycle positions where the graph shortcut between the
 // window ends is below threshold x the along-cycle arc — the boundary turns
-// back on itself — with non-maximum suppression inside the window.
-func detectCorners(g *graph.Graph, cycle []int32, threshold float64) []int32 {
+// back on itself — with non-maximum suppression inside the window. Cycles
+// shorter than four windows have no corners and leave the walker unused.
+func detectCorners(walker *graph.Walker, cycle []int32, threshold float64) []int32 {
 	l := len(cycle)
 	w := cornerWindow
 	if l < 4*w {
 		return nil
 	}
-	walker := graph.NewWalker(g)
 	ratio := make([]float64, l)
 	for i := range cycle {
 		a := cycle[(i-w+l)%l]

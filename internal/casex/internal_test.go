@@ -81,7 +81,7 @@ func TestDetectCornersSyntheticL(t *testing.T) {
 	}
 	// detectCorners treats the list as circular; pad the ends far apart by
 	// requiring len >= 4w, which holds (41 >= 24).
-	corners := detectCorners(g, lband, 0.8)
+	corners := detectCorners(graph.NewWalker(g), lband, 0.8)
 	if len(corners) == 0 {
 		t.Error("no corner found on an L band")
 	}

@@ -19,7 +19,10 @@
 //     per-site pruned floods rebuild the records, growing the dirty set
 //     whenever a clean node's distance, membership or canonical parent is
 //     contradicted, and restarting until nothing grows (see DESIGN.md for
-//     the soundness argument).
+//     the soundness argument). When an attempt must re-flood more than half
+//     of the cells, or the attempts pass maxRepairAttempts, the stage hands
+//     over to the full pipeline's Voronoi stage and the dirty set becomes
+//     the nodes whose record row changed.
 //   - coarse: the sorted segment tuples are patched (patchTuples), and
 //     pairs whose segment lists, paths and two-hop surroundings are
 //     untouched reuse the previous SiteEdge verbatim (coarseSplice); only
@@ -38,9 +41,10 @@
 //
 // Correctness is pinned by equivalence: every Update result is bit-identical
 // to a from-scratch Extract on the mutated graph (see incremental_test.go).
-// When the dirty fraction exceeds dirtyFallback — or a guard radius
-// drifts, the previous election was multi-round, or the site population
-// collapses — the update falls back to a full extraction transparently.
+// When a guard radius drifts, the previous election was multi-round, or the
+// site population collapses, the update falls back to a full extraction
+// transparently; a large batch otherwise stays incremental, with only its
+// Voronoi stage recomputed.
 package core
 
 import (
@@ -55,15 +59,10 @@ import (
 )
 
 // maxRepairAttempts bounds the voronoi fixpoint restarts; the dirty set
-// grows monotonically, so hitting the bound means the region is unstable
-// enough that a full extraction is the cheaper answer anyway.
+// grows monotonically, so passing the bound means the region is unstable
+// enough that the full Voronoi stage is the cheaper answer, and the update
+// hands over to it ("attempts").
 const maxRepairAttempts = 64
-
-// dirtyFallback is the dirty-node fraction above which an update abandons
-// localized repair and falls back to a full extraction. It never affects
-// results — the incremental path is bit-identical to a full extract either
-// way — only where the crossover sits; no caller has needed another value.
-const dirtyFallback = 0.25
 
 // UpdateStats instruments one incremental update.
 type UpdateStats struct {
@@ -74,12 +73,22 @@ type UpdateStats struct {
 	// the node count.
 	DirtyNodes    int
 	DirtyFraction float64
-	// RepairedCells counts the sites whose pruned zone was re-flooded.
+	// RepairedCells counts the sites whose pruned zone was re-flooded: all
+	// of them when the Voronoi stage recomputed.
 	RepairedCells int
-	// Attempts counts voronoi fixpoint rounds (1 = no growth restart).
+	// Attempts counts voronoi fixpoint rounds (1 = no growth restart), up to
+	// and including the one that handed over on a recompute.
 	Attempts int
-	// Fallback reports that this update ran a full extraction instead of
-	// the incremental path, and why.
+	// Recompute is why the Voronoi stage handed its repair over to the full
+	// stage inside the update: "cells" (an attempt had to re-flood more
+	// than half of the cells) or "attempts" (the fixpoint passed
+	// maxRepairAttempts). It is "" when the stage repaired, and on a
+	// fallback.
+	Recompute string
+	// Fallback reports that this update ran the whole pipeline from
+	// scratch instead of the incremental path, and why: "stale-state",
+	// "multi-round-election", "radius-drift" or "min-sites". A Voronoi
+	// recompute is not a fallback; the update's other stages still patch.
 	Fallback       bool
 	FallbackReason string
 	// Duration is the update's wall-clock time: the duration of its
@@ -149,8 +158,9 @@ func (ix *IncrementalExtractor) runFull() (*Result, error) {
 // Update applies one churn batch — node removals then revivals — and
 // returns the post-batch extraction result, bit-identical to a full Extract
 // on the mutated graph. The returned Result is immutable and independent of
-// later updates (clean record rows are shared between consecutive results,
-// which is safe because results are never mutated). A node ID outside
+// later updates (when the Voronoi stage repairs, clean record rows are
+// shared with the previous result, which is safe because results are never
+// mutated; when it recomputes, every row is fresh). A node ID outside
 // [0, N) is rejected with an error before the update starts, leaving the
 // extractor untouched; IDs already in the requested state, and repeats
 // within a batch, are ignored.
@@ -239,6 +249,9 @@ func (ix *IncrementalExtractor) observe() {
 	m.Counter("bfskel_update_repaired_cells_total").Add(int64(ix.last.RepairedCells))
 	if ix.last.Fallback {
 		m.Counter("bfskel_update_fallbacks_total").Inc()
+	}
+	if ix.last.Recompute != "" {
+		m.Counter("bfskel_update_voronoi_recomputes_total").Inc()
 	}
 }
 
@@ -493,7 +506,6 @@ func voronoiRepair(rs *runState) error {
 	n := g.N()
 	sc := &e.inc
 	prevRec := u.prev.Records
-	ncell := slices.Clone(u.prev.CellOf)
 	ndist := slices.Clone(u.prev.DistToSite)
 	nrec := slices.Clone(prevRec)
 
@@ -559,18 +571,13 @@ func voronoiRepair(rs *runState) error {
 	}
 	sc.bv = closure[:0]
 
-	last := &u.ix.last
-	maxDirty := int(dirtyFallback * float64(n))
+	// Hand over to the full stage where the repair stops paying: one serial
+	// flood per cell to re-flood costs more than the batched stage's
+	// 64-sites-per-pass floods once over half the cells need one, and a
+	// fixpoint still growing past the attempt bound is no cheaper.
+	var recompute string
 	for {
 		r.attempts++
-		if len(r.list) > maxDirty || r.attempts > maxRepairAttempts {
-			last.DirtyNodes = len(r.list)
-			last.DirtyFraction = float64(len(r.list)) / float64(n)
-			if len(r.list) > maxDirty {
-				return fallback("dirty-fraction")
-			}
-			return fallback("repair-divergence")
-		}
 		r.grown = false
 		for _, v := range r.list {
 			r.nrec[v] = r.nrec[v][:0]
@@ -578,6 +585,14 @@ func voronoiRepair(rs *runState) error {
 		r.repairDmin()
 		r.collectBoundary()
 		r.collectSites()
+		if 2*len(r.rs) > len(r.sites) {
+			recompute = "cells"
+			break
+		}
+		if r.attempts > maxRepairAttempts {
+			recompute = "attempts"
+			break
+		}
 		for _, s := range r.rs {
 			r.repairSite(s)
 		}
@@ -593,19 +608,52 @@ func voronoiRepair(rs *runState) error {
 			break
 		}
 	}
-	// Commit: derive cell assignments from the repaired records.
-	for _, v := range r.list {
-		ncell[v], ndist[v] = nearestSite(nrec[v])
+	cells := len(r.rs)
+	if recompute != "" {
+		if err := r.recompute(rs); err != nil {
+			return err
+		}
+		cells = len(r.sites)
+	} else {
+		// Commit: derive cell assignments from the repaired records.
+		ncell := slices.Clone(u.prev.CellOf)
+		for _, v := range r.list {
+			ncell[v], ndist[v] = nearestSite(nrec[v])
+		}
+		res.CellOf, res.DistToSite, res.Records = ncell, ndist, nrec
 	}
-	res.CellOf, res.DistToSite, res.Records = ncell, ndist, nrec
+	last := &u.ix.last
 	last.DirtyNodes = len(r.list)
 	last.DirtyFraction = float64(len(r.list)) / float64(n)
-	last.RepairedCells = len(r.rs)
+	last.RepairedCells = cells
 	last.Attempts = r.attempts
+	last.Recompute = recompute
 	u.splice = coarseSplice{prev: u.prev.Edges, dirty: sc.dirty, distD: sc.distD, wring: u.wring}
 	if rs.e.span.Enabled() {
-		rs.annotate(obs.Int("dirty", len(r.list)),
-			obs.Int("cells", len(r.rs)), obs.Int("attempts", r.attempts))
+		rs.annotate(obs.Int("dirty", len(r.list)), obs.Int("cells", cells),
+			obs.Int("attempts", r.attempts), obs.Str("recompute", recompute))
+	}
+	return nil
+}
+
+// recompute hands the update's Voronoi stage over to the full pipeline's
+// own stage function, which writes fresh cells, distances and records into
+// the result, then lists as dirty exactly the nodes whose record row
+// changed: those are the rows patchTuples swaps and coarseSplice must not
+// reuse (a node's cell and distance derive from its row).
+func (r *vrepair) recompute(rs *runState) error {
+	for _, v := range r.list {
+		r.dirty[v] = false
+	}
+	r.list = r.list[:0]
+	if err := voronoiStage(rs); err != nil {
+		return err
+	}
+	for v, row := range rs.res.Records {
+		if !slices.Equal(row, r.prevRec[v]) {
+			r.dirty[v] = true
+			r.list = append(r.list, int32(v))
+		}
 	}
 	return nil
 }
@@ -780,8 +828,9 @@ func (s *incScratch) appendFlips(g *graph.Graph, flipped, batch []int32, alive b
 // vrepair is the voronoi fixpoint repair of one update. All BFS passes are
 // serial and every distance queue is a dial (bucket) queue, so mixed-depth
 // boundary injections settle in exact distance order. The dirty region is
-// not necessarily small (100-node batches dirty ~16% of a 10^5 field), so
-// each attempt is kept linear in the dirty nodes and boundary records:
+// not necessarily small (10-node batches on a 10^5 field re-flood ~60 of
+// ~560 cells), so each attempt is kept linear in the dirty nodes and
+// boundary records:
 // collectSites indexes the injections per site once, and no pass rescans
 // the boundary list per site.
 type vrepair struct {

@@ -4,9 +4,11 @@ import (
 	"math"
 	"runtime"
 	"testing"
+	"time"
 
 	"bfskel/internal/graph"
 	"bfskel/internal/nettest"
+	"bfskel/internal/obs"
 	"bfskel/internal/radio"
 	"bfskel/internal/shapes"
 )
@@ -262,24 +264,27 @@ func TestIncrementalSmallBatchesStayIncremental(t *testing.T) {
 // TestIncrementalFailRestoreStream: the steady-state stream shape of the
 // churn benchmarks at sizes where repairs span dozens of cells and need
 // several fixpoint attempts. Each step fails a batch of fresh nodes and
-// restores the previous batch: ten-node batches on a ~10^4-node field, and
+// restores the previous batch: ten-node batches on a ~3·10^4-node field,
+// which must stay on the Voronoi repair path and exercise the
+// multi-attempt fixpoint at least once (on a ~10^4-node field the same
+// batches touch over half of its ~45 cells and recompute), and
 // hundred-node bursts, whose ball, delta and fresh passes each fill many
-// 64-source batches, on a ~6·10^4-node one (at 3·10^4 nodes a burst
-// dirties over a quarter of the field and falls back). Every step must
-// stay on the repair path and match a from-scratch extraction bit for bit
-// at GOMAXPROCS 1 and 4 alike, the two runs each other too (the batched
+// 64-source batches, on a ~6·10^4-node one, where at least one step must
+// hand the Voronoi stage over to the full stage. No step may fall back,
+// and every step must match a from-scratch extraction bit for bit at
+// GOMAXPROCS 1 and 4 alike, the two runs each other too (the batched
 // passes push their sums with atomic adds, so the schedule must not
-// show), and each stream must exercise the multi-attempt fixpoint at
-// least once.
+// show).
 func TestIncrementalFailRestoreStream(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, c := range []struct {
-		name     string
-		n, batch int
-		steps    int
+		name      string
+		n, batch  int
+		steps     int
+		recompute bool // some step recomputes (else none may)
 	}{
-		{"window-10k", 10_000, 10, 8},
-		{"window-60k-burst", 60_000, 100, 3},
+		{"window-30k", 30_000, 10, 8, false},
+		{"window-60k-burst", 60_000, 100, 3, true},
 	} {
 		var first []*Result
 		for _, procs := range []int{1, 4} {
@@ -292,7 +297,7 @@ func TestIncrementalFailRestoreStream(t *testing.T) {
 			}
 			plan := &churnPlan{state: 1}
 			var prev []int32
-			maxAttempts := 0
+			maxAttempts, recomputes := 0, 0
 			for step := 0; step < c.steps; step++ {
 				batch := plan.pickAlive(g, c.batch)
 				got, err := ix.Update(batch, prev)
@@ -305,6 +310,9 @@ func TestIncrementalFailRestoreStream(t *testing.T) {
 					t.Fatalf("%s procs=%d step %d: fell back (%s)", c.name, procs, step, u.FallbackReason)
 				}
 				maxAttempts = max(maxAttempts, u.Attempts)
+				if u.Recompute != "" {
+					recomputes++
+				}
 				name := nameStep(c.name+"/procs"+itoa(procs), step, ix)
 				want, err := NewExtractor(g).Extract(p)
 				if err != nil {
@@ -320,20 +328,80 @@ func TestIncrementalFailRestoreStream(t *testing.T) {
 					requireEqualOutcome(t, name+" vs procs1", got.Stats, first[step].Stats)
 				}
 			}
-			if maxAttempts < 2 {
-				t.Fatalf("%s procs=%d: no step needed more than one repair attempt (max %d)", c.name, procs, maxAttempts)
+			if c.recompute && recomputes == 0 {
+				t.Fatalf("%s procs=%d: no step handed the Voronoi stage over to the full stage", c.name, procs)
+			}
+			if !c.recompute {
+				if recomputes > 0 {
+					t.Fatalf("%s procs=%d: %d steps recomputed the Voronoi stage", c.name, procs, recomputes)
+				}
+				if maxAttempts < 2 {
+					t.Fatalf("%s procs=%d: no step needed more than one repair attempt (max %d)", c.name, procs, maxAttempts)
+				}
 			}
 		}
 	}
 }
 
-// TestIncrementalFallbackTrigger: removing a third of the network in one
-// batch must exceed dirtyFallback and trigger the full-extraction fallback —
-// and the result must still be bit-identical to the reference.
-func TestIncrementalFallbackTrigger(t *testing.T) {
-	g := nettest.Grid("window", 600, 6.5, 5).Graph
+// TestIncrementalMixedBatchStream: one fail/restore stream on a ~3·10^4-node
+// field alternates ten- and hundred-node batches, so consecutive updates
+// switch between the Voronoi repair and its hand-over to the full stage in
+// both directions: a repair patches a recomputed result's records, and the
+// record diff of a recompute is the dirty set the next stages read. Both
+// paths must occur, and every step must match a from-scratch extraction bit
+// for bit.
+func TestIncrementalMixedBatchStream(t *testing.T) {
+	g := nettest.Grid("window", 30_000, 7, 1).Graph
 	p := DefaultParams()
 	ix, err := NewIncrementalExtractor(g, p, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := &churnPlan{state: 2}
+	var prev []int32
+	repaired, recomputed := 0, 0
+	for step, size := range []int{10, 100, 10, 100, 10, 10, 100, 100, 10} {
+		batch := plan.pickAlive(g, size)
+		got, err := ix.Update(batch, prev)
+		if err != nil {
+			t.Fatalf("step %d: Update: %v", step, err)
+		}
+		prev = batch
+		u := ix.LastUpdate()
+		switch {
+		case u.Fallback:
+			t.Fatalf("step %d (batch %d): fell back (%s)", step, size, u.FallbackReason)
+		case u.Recompute != "":
+			recomputed++
+		default:
+			repaired++
+		}
+		name := nameStep("window-30k-mixed", step, ix)
+		want, err := NewExtractor(g).Extract(p)
+		if err != nil {
+			t.Fatalf("%s: reference extract: %v", name, err)
+		}
+		requireEqualResults(t, name, got, want)
+		requireEqualOutcome(t, name, got.Stats, want.Stats)
+		requireSaturationCounts(t, name, ix.e, p)
+	}
+	if repaired == 0 || recomputed == 0 {
+		t.Fatalf("the stream took one Voronoi path only: %d repaired, %d recomputed", repaired, recomputed)
+	}
+}
+
+// TestIncrementalMassRemovalStaysIncremental: removing a third of the
+// network in one batch no longer runs the whole pipeline from scratch. The
+// update must stay incremental with its Voronoi stage recomputed, or fall
+// back only because the batch moved a guard radius or collapsed the site
+// population — and the result must be bit-identical to the reference. A
+// recompute is reported on the update.voronoi span's recompute attribute
+// and counted by bfskel_update_voronoi_recomputes_total.
+func TestIncrementalMassRemovalStaysIncremental(t *testing.T) {
+	g := nettest.Grid("window", 600, 6.5, 5).Graph
+	p := DefaultParams()
+	ring, metrics := obs.NewRingSink(0), obs.NewRegistry()
+	ix, err := NewIncrementalExtractor(g, p, obs.NewTracer(ring), metrics)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,15 +411,38 @@ func TestIncrementalFallbackTrigger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if u := ix.LastUpdate(); !u.Fallback {
-		t.Fatalf("mass removal did not fall back: %+v", u)
+	var spanRecompute any
+	for _, rec := range ring.Records() {
+		if rec.Kind == obs.KindSpanEnd && rec.Name == "update.voronoi" {
+			for _, a := range rec.Attrs {
+				if a.Key == "recompute" {
+					spanRecompute = a.Val
+				}
+			}
+		}
+	}
+	recomputes := metrics.Snapshot().Counters["bfskel_update_voronoi_recomputes_total"]
+	switch u := ix.LastUpdate(); {
+	case u.Fallback && (u.FallbackReason == "radius-drift" || u.FallbackReason == "min-sites"):
+		if recomputes != 0 {
+			t.Errorf("a fallback counted %d Voronoi recomputes", recomputes)
+		}
+	case !u.Fallback && u.Recompute != "":
+		if spanRecompute != u.Recompute || recomputes != 1 {
+			t.Errorf("recompute %q: span attribute %v, counter %d", u.Recompute, spanRecompute, recomputes)
+		}
+		if u.RepairedCells != len(got.Sites) {
+			t.Errorf("recompute reports %d repaired cells, want the %d sites", u.RepairedCells, len(got.Sites))
+		}
+	default:
+		t.Fatalf("mass removal neither recomputed the Voronoi stage nor fell back on a guard: %+v", u)
 	}
 	want, err := NewExtractor(g).Extract(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireEqualResults(t, "fallback", got, want)
-	requireEqualOutcome(t, "fallback", got.Stats, want.Stats)
+	requireEqualResults(t, "mass-removal", got, want)
+	requireEqualOutcome(t, "mass-removal", got.Stats, want.Stats)
 	// Reviving everything must also land on a correct result.
 	got, err = ix.Update(nil, remove)
 	if err != nil {
@@ -459,29 +550,89 @@ func cloneResultFields(r *Result) *Result {
 	return &c
 }
 
-// BenchmarkIncrementalUpdate measures one steady-state churn update on a
-// large field (fail a fresh batch, revive the previous one), the number the
-// churn bench's updates/sec claim rests on.
+// BenchmarkIncrementalUpdate measures steady-state churn updates on a 10^5
+// field (fail a fresh batch, revive the previous one) across batch sizes,
+// the sweep the Voronoi stage's repair-or-recompute rule rests on. Each
+// size reports speedup, the faster of two warmed full extractions over the
+// mean update; recompute_frac, the share of updates whose Voronoi stage
+// handed over to the full stage; fallback_frac, the share that ran the
+// whole pipeline; and the mean identify and voronoi stage times of the
+// updates that stayed incremental.
 func BenchmarkIncrementalUpdate(b *testing.B) {
-	for _, size := range []int{1, 10, 100} {
-		b.Run("batch"+itoa(size), func(b *testing.B) {
-			g := nettest.Grid("window", 100000, 7, 1).Graph
-			ix, err := NewIncrementalExtractor(g, DefaultParams(), nil, nil)
-			if err != nil {
+	for _, size := range []int{1, 10, 30, 50, 100, 200, 400} {
+		g := nettest.Grid("window", 100000, 7, 1).Graph
+		p := DefaultParams()
+		full := warmExtractTime(b, g, p)
+		ix, err := NewIncrementalExtractor(g, p, nil, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		plan := &churnPlan{state: 1}
+		var prev []int32
+		step := func() (*Result, error) {
+			batch := plan.pickAlive(g, size)
+			res, err := ix.Update(batch, prev)
+			prev = batch
+			return res, err
+		}
+		for i := 0; i < 2; i++ {
+			if _, err := step(); err != nil {
 				b.Fatal(err)
 			}
-			plan := &churnPlan{state: 1}
-			var prev []int32
-			b.ResetTimer()
+		}
+		runtime.GC()
+		b.Run("batch"+itoa(size), func(b *testing.B) {
+			var recomputes, fallbacks int
+			var stageTime [2]time.Duration
 			for i := 0; i < b.N; i++ {
-				batch := plan.pickAlive(g, size)
-				if _, err := ix.Update(batch, prev); err != nil {
+				res, err := step()
+				if err != nil {
 					b.Fatal(err)
 				}
-				prev = batch
+				u := ix.LastUpdate()
+				if u.Fallback {
+					fallbacks++
+					continue
+				}
+				if u.Recompute != "" {
+					recomputes++
+				}
+				for _, ph := range res.Stats.Phases {
+					switch ph.Name {
+					case "identify":
+						stageTime[0] += ph.Duration
+					case "voronoi":
+						stageTime[1] += ph.Duration
+					}
+				}
+			}
+			b.ReportMetric(float64(full)/(float64(b.Elapsed())/float64(b.N)), "speedup")
+			b.ReportMetric(float64(recomputes)/float64(b.N), "recompute_frac")
+			b.ReportMetric(float64(fallbacks)/float64(b.N), "fallback_frac")
+			if kept := b.N - fallbacks; kept > 0 {
+				b.ReportMetric(float64(stageTime[0])/float64(kept)/1e6, "identify_ms")
+				b.ReportMetric(float64(stageTime[1])/float64(kept)/1e6, "voronoi_ms")
 			}
 		})
 	}
+}
+
+// warmExtractTime is the faster of two full extractions on one engine
+// after a warm-up run.
+func warmExtractTime(b *testing.B, g *graph.Graph, p Params) time.Duration {
+	x := NewExtractor(g)
+	var best time.Duration
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+		res, err := x.Extract(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i == 1 || (i == 2 && res.Stats.Total < best) {
+			best = res.Stats.Total
+		}
+	}
+	return best
 }
 
 // TestEndFloodCacheFill: every end the cache misses is flooded once, and
