@@ -1,6 +1,12 @@
 package core
 
-import "sort"
+import (
+	"cmp"
+	"runtime"
+	"slices"
+
+	"bfskel/internal/graph"
+)
 
 // pairSeg is one (site pair, segment node) membership tuple; the coarse
 // stage collects them flat and sorts once instead of building a per-pair
@@ -31,66 +37,101 @@ func (e *Extractor) coarse(index []float64, records [][]SiteDist, upd *update) (
 		for v := range records {
 			tuples = appendPairTuples(tuples, records[v], int32(v))
 		}
-		sortPairSegs(tuples)
+		sortPairSegs(tuples, &e.pairTmp)
 		e.pairBuf = tuples
 	}
 	return e.connectPairs(e.pairBuf, index, records, splice)
 }
 
-// connectPairs walks the (A, B, v)-sorted tuples one pair group at a time
-// and connects each pair through its connector. Pairs come out in sorted
-// (A, B) order — the edge list, the path union and the trace all follow
-// this order, and the fixed-seed determinism tests compare them
-// bit-for-bit — and each pair's segment nodes come out ascending by node
-// ID. splice, nil on full runs, is an incremental update's reuse test: a
-// previous edge it hands back is kept verbatim instead of being recomputed.
+// connectPairs groups the (A, B, v)-sorted tuples by pair and connects
+// each pair through its connector. The paper has each pair's segment nodes
+// pick its connector locally, so pairs are independent units of work: the
+// groups are cut into contiguous chunks weighted by segment count, one per
+// worker, and each pair writes its SiteEdge into its own slot. Pairs
+// therefore come out in sorted (A, B) order whatever the worker count —
+// the edge list, the path union and the trace all follow this order, and
+// the fixed-seed determinism tests compare them bit-for-bit — and each
+// pair's segment nodes come out ascending by node ID. splice, nil on full
+// runs, is an incremental update's reuse test: a previous edge it hands
+// back is kept verbatim instead of being recomputed.
 func (e *Extractor) connectPairs(tuples []pairSeg, index []float64, records [][]SiteDist,
 	splice *coarseSplice) ([]SiteEdge, *Skeleton) {
 
-	e.fld.ensure(e.g.N())
-	var edges []SiteEdge
-	segs := make([]int32, 0, 64)
-	for lo := 0; lo < len(tuples); {
-		hi := lo
-		pr := tuples[lo].pair
-		for hi < len(tuples) && tuples[hi].pair == pr {
-			hi++
+	starts := e.pairStarts[:0]
+	for i := range tuples {
+		if i == 0 || tuples[i].pair != tuples[i-1].pair {
+			starts = append(starts, int32(i))
 		}
-		segs = segs[:0]
-		for _, t := range tuples[lo:hi] {
-			segs = append(segs, t.v)
-		}
-		lo = hi
-		if splice != nil {
-			if pe := splice.reuse(pr, segs); pe != nil {
-				edges = append(edges, *pe)
-				continue
+	}
+	starts = append(starts, int32(len(tuples)))
+	e.pairStarts = starts
+	pairs := len(starts) - 1
+	var edges []SiteEdge // stays nil when no two cells meet
+	if pairs > 0 {
+		edges = make([]SiteEdge, pairs)
+	}
+	workers := runtime.GOMAXPROCS(0)
+	reused := make([]int, workers)
+	graph.ParallelChunksWeighted(pairs, workers, func(i int) int { return int(starts[i+1] - starts[i]) },
+		func(ci, lo, hi int) {
+			w := e.getWalker()
+			defer e.putWalker(w)
+			segs := make([]int32, 0, 64)
+			var pi int
+			if splice != nil {
+				pi = splice.cursor(tuples[starts[lo]].pair)
 			}
-		}
-		// The paper selects exactly one segment node per adjacent cell
-		// pair, so each pair contributes one connection. (A hole encircled
-		// by only two cells is therefore not representable — as in the
-		// paper; enough sites form around any hole of non-trivial size.)
-		connector := selectConnector(segs, index)
-		toA := pathToSite(records, connector, pr.A)
-		toB := pathToSite(records, connector, pr.B)
-		// Full path A .. connector .. B.
-		path := make([]int32, 0, len(toA)+len(toB)-1)
-		for i := len(toA) - 1; i >= 0; i-- {
-			path = append(path, toA[i])
-		}
-		path = append(path, toB[1:]...)
-		e1, e2 := e.bandEndNodes(segs, connector)
-		edges = append(edges, SiteEdge{
-			Pair:         pr,
-			Connector:    connector,
-			Path:         path,
-			EndNodes:     [2]int32{e1, e2},
-			SegmentCount: len(segs),
+			for i := lo; i < hi; i++ {
+				group := tuples[starts[i]:starts[i+1]]
+				pr := group[0].pair
+				segs = segs[:0]
+				for _, t := range group {
+					segs = append(segs, t.v)
+				}
+				if splice != nil {
+					if pe := splice.reuse(&pi, pr, segs); pe != nil {
+						edges[i] = *pe
+						reused[ci]++
+						continue
+					}
+				}
+				edges[i] = connectPair(w, pr, segs, index, records)
+			}
 		})
+	if splice != nil {
+		for _, r := range reused {
+			splice.reused += r
+		}
 	}
 	skel := skeletonOf(e.g.N(), len(edges), func(i int) []int32 { return edges[i].Path })
 	return edges, skel
+}
+
+// connectPair builds one pair's SiteEdge from its ascending segment nodes.
+// The paper selects exactly one segment node per adjacent cell pair, so
+// each pair contributes one connection. (A hole encircled by only two
+// cells is therefore not representable — as in the paper; enough sites
+// form around any hole of non-trivial size.) The band's end nodes (the
+// paper's "end nodes", Sec. III-D) come from the walker's double sweep
+// over the band.
+func connectPair(w *graph.Walker, pr SitePair, segs []int32, index []float64, records [][]SiteDist) SiteEdge {
+	connector := selectConnector(segs, index)
+	toA := pathToSite(records, connector, pr.A)
+	toB := pathToSite(records, connector, pr.B)
+	// Full path A .. connector .. B.
+	path := make([]int32, 0, len(toA)+len(toB)-1)
+	for i := len(toA) - 1; i >= 0; i-- {
+		path = append(path, toA[i])
+	}
+	path = append(path, toB[1:]...)
+	e1, e2 := w.BandEnds(segs, connector)
+	return SiteEdge{
+		Pair:         pr,
+		Connector:    connector,
+		Path:         path,
+		EndNodes:     [2]int32{e1, e2},
+		SegmentCount: len(segs),
+	}
 }
 
 // appendPairTuples appends one (pair, v) tuple per site pair recorded at v.
@@ -103,20 +144,88 @@ func appendPairTuples(dst []pairSeg, recs []SiteDist, v int32) []pairSeg {
 	return dst
 }
 
-// pairSegLess orders tuples by (pair.A, pair.B, v), the coarse grouping
+// comparePairSeg orders tuples by (pair.A, pair.B, v), the coarse grouping
 // order.
-func pairSegLess(a, b pairSeg) bool {
-	if a.pair.A != b.pair.A {
-		return a.pair.A < b.pair.A
+func comparePairSeg(a, b pairSeg) int {
+	if c := cmp.Compare(a.pair.A, b.pair.A); c != 0 {
+		return c
 	}
-	if a.pair.B != b.pair.B {
-		return a.pair.B < b.pair.B
+	if c := cmp.Compare(a.pair.B, b.pair.B); c != 0 {
+		return c
 	}
-	return a.v < b.v
+	return cmp.Compare(a.v, b.v)
 }
 
-func sortPairSegs(t []pairSeg) {
-	sort.Slice(t, func(i, j int) bool { return pairSegLess(t[i], t[j]) })
+// sortRunMin is the smallest run the tuple sort hands a worker; shorter
+// arrays sort in one run on the calling goroutine.
+const sortRunMin = 1 << 12
+
+// sortPairSegs sorts the tuples into (A, B, v) order: contiguous runs of
+// at least sortRunMin tuples sort concurrently, one per worker, then merge
+// pairwise, ping-ponging through tmp (grown as needed and kept by the
+// caller). Tuple keys are unique, so the result is the one sorted array
+// whatever the run count.
+func sortPairSegs(t []pairSeg, tmp *[]pairSeg) {
+	workers := min(runtime.GOMAXPROCS(0), len(t)/sortRunMin)
+	if workers <= 1 {
+		slices.SortFunc(t, comparePairSeg)
+		return
+	}
+	// runs[r]..runs[r+1] is run r; ParallelChunks may cut fewer chunks
+	// than asked, leaving trailing zeros.
+	runs := make([]int, workers+1)
+	graph.ParallelChunks(len(t), workers, func(ci, lo, hi int) {
+		slices.SortFunc(t[lo:hi], comparePairSeg)
+		runs[ci+1] = hi
+	})
+	for runs[len(runs)-1] == 0 {
+		runs = runs[:len(runs)-1]
+	}
+	*tmp = grow(*tmp, len(t))
+	src, dst := t, *tmp
+	for len(runs) > 2 {
+		nr := len(runs) - 1
+		graph.ParallelChunks((nr+1)/2, (nr+1)/2, func(_, lo, hi int) {
+			for p := lo; p < hi; p++ {
+				a := runs[2*p]
+				if 2*p+1 == nr { // odd run out: carried over
+					copy(dst[a:runs[nr]], src[a:runs[nr]])
+					continue
+				}
+				b, c := runs[2*p+1], runs[2*p+2]
+				mergePairSegs(dst[a:c], src[a:b], src[b:c])
+			}
+		})
+		merged := runs[:1]
+		for r := 2; r <= nr; r += 2 {
+			merged = append(merged, runs[r])
+		}
+		if nr%2 == 1 {
+			merged = append(merged, runs[nr])
+		}
+		runs = merged
+		src, dst = dst, src
+	}
+	if &src[0] != &t[0] {
+		copy(t, src)
+	}
+}
+
+// mergePairSegs merges the sorted runs a and b into dst (len(a)+len(b)).
+func mergePairSegs(dst, a, b []pairSeg) {
+	i, j, k := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		if comparePairSeg(b[j], a[i]) < 0 {
+			dst[k] = b[j]
+			j++
+		} else {
+			dst[k] = a[i]
+			i++
+		}
+		k++
+	}
+	k += copy(dst[k:], a[i:])
+	copy(dst[k:], b[j:])
 }
 
 // selectConnector picks the segment node with the largest index, breaking
@@ -129,68 +238,4 @@ func selectConnector(segs []int32, index []float64) int32 {
 		}
 	}
 	return best
-}
-
-// bandEndNodes finds the two farthest-apart segment nodes of a pair's band
-// (the paper's "end nodes", Sec. III-D) with a double BFS sweep restricted
-// to the band.
-func (e *Extractor) bandEndNodes(segs []int32, connector int32) (int32, int32) {
-	if len(segs) == 1 {
-		return segs[0], segs[0]
-	}
-	e.fld.beginMark()
-	for _, v := range segs {
-		e.fld.mark(v, 1)
-	}
-	e1 := e.farthestInBand(connector)
-	e2 := e.farthestInBand(e1)
-	return e1, e2
-}
-
-// farthestInBand runs a BFS from src that traverses band nodes (the current
-// mark set, allowing the same one-hop bridges as bandComponents) and returns
-// the farthest reached band node (src if none). The tie-break is explicit:
-// among nodes at the maximum distance, the lowest node ID wins, so the
-// selected end node is a pure function of the band — the mark set is only
-// ever used for membership tests, never iterated.
-func (e *Extractor) farthestInBand(src int32) int32 {
-	g := e.g
-	fld := &e.fld
-	fld.epoch++
-	epoch := fld.epoch
-	dist, stamp := fld.dist, fld.stamp
-	stamp[src] = epoch
-	dist[src] = 0
-	queue := fld.queue[:0]
-	queue = append(queue, src)
-	far := src
-	visit := func(v, d int32) {
-		if stamp[v] == epoch {
-			return
-		}
-		stamp[v] = epoch
-		dist[v] = d
-		// Strictly farther wins; at equal distance the lower ID wins.
-		if d > dist[far] || (d == dist[far] && v < far) {
-			far = v
-		}
-		queue = append(queue, v)
-	}
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		du := dist[u]
-		for _, v := range g.Neighbors(int(u)) {
-			if _, inBand := fld.marked(v); inBand {
-				visit(v, du+1)
-				continue
-			}
-			for _, w := range g.Neighbors(int(v)) {
-				if _, inBand := fld.marked(w); inBand {
-					visit(w, du+2)
-				}
-			}
-		}
-	}
-	fld.queue = queue[:0]
-	return far
 }

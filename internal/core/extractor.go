@@ -57,23 +57,26 @@ type Extractor struct {
 	// update also reads the last full run's identify state off it: the
 	// ball matrix, the centrality sums, the saturation counts, the
 	// election flags and the sorted coarse tuples.
-	balls     []int32               // identify: n rows of ballW cumulative ball sizes
-	ballW     int                   // identify: ball matrix stride (maxR)
-	wsums     []int                 // centrality sums (identify)
-	satK      []int                 // identify seeds, updates patch: per-radius K saturation counts
-	satS      []int                 // identify seeds, updates patch: per-radius scope saturation counts
-	ints      []int                 // median / boundary sort scratch
-	bools     []bool                // electSites maximality flags
-	vorSites  []int32               // voronoi: Z-sorted site buffer
-	vorVisits [][]graph.PrunedVisit // voronoi: per-batch pruned-flood outputs
-	vorCand   [][]int32             // voronoi: per-chunk frontier candidates (parallel dmin)
-	fld       floodScratch          // coarse/refine: stamped BFS + mark scratch; voronoi borrows its buffers
-	uf        stampedUF             // refine: dense stamped union-find (end clusters, forests)
-	pairBuf   []pairSeg             // coarse: sorted (pair, segment node) tuples of the last run
-	cls       classifyScratch       // refine: loop classification's per-end and per-edge tables
-	cmask     []bool                // refine: classify skeleton-membership mask
-	cmaskOn   []int32               // refine: set bits of cmask, for O(set) clearing
-	inc       incScratch            // incremental updates: dirty queue, dial buckets, repair stamps
+	balls      []int32               // identify: n rows of ballW cumulative ball sizes
+	ballW      int                   // identify: ball matrix stride (maxR)
+	wsums      []int                 // centrality sums (identify)
+	satK       []int                 // identify seeds, updates patch: per-radius K saturation counts
+	satS       []int                 // identify seeds, updates patch: per-radius scope saturation counts
+	ints       []int                 // median / boundary sort scratch
+	bools      []bool                // electSites maximality flags
+	vorSites   []int32               // voronoi: Z-sorted site buffer
+	vorVisits  [][]graph.PrunedVisit // voronoi: per-batch pruned-flood outputs
+	vorCand    [][]int32             // voronoi: per-chunk frontier candidates (parallel dmin)
+	fld        floodScratch          // refine: mark scratch; voronoi borrows its buffers
+	uf         stampedUF             // refine: dense stamped union-find (end clusters, forests)
+	pairBuf    []pairSeg             // coarse: sorted (pair, segment node) tuples of the last run
+	pairTmp    []pairSeg             // coarse: merge buffer of the parallel tuple sort
+	pairStarts []int32               // coarse: first tuple of each pair group, plus len(pairBuf)
+	cls        classifyScratch       // refine: loop classification's per-end and per-edge tables
+	endLogs    [][]graph.VisitEvent  // refine: per-batch end-flood settle logs of one wave
+	cmask      []bool                // refine: classify skeleton-membership mask
+	cmaskOn    []int32               // refine: set bits of cmask, for O(set) clearing
+	inc        incScratch            // incremental updates: dirty queue, dial buckets, repair stamps
 }
 
 // NewExtractor creates a staged engine bound to g. The scratch pools are

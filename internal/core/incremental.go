@@ -41,10 +41,11 @@
 //
 // Correctness is pinned by equivalence: every Update result is bit-identical
 // to a from-scratch Extract on the mutated graph (see incremental_test.go).
-// When a guard radius drifts, the previous election was multi-round, or the
-// site population collapses, the update falls back to a full extraction
-// transparently; a large batch otherwise stays incremental, with only its
-// Voronoi stage recomputed.
+// When the previous full extraction failed (stale state), the previous
+// election was multi-round, a guard radius drifts, or the site population
+// collapses, the update falls back to a full extraction transparently; a
+// large batch otherwise stays incremental, with only its Voronoi stage
+// recomputed.
 package core
 
 import (
@@ -671,20 +672,30 @@ type coarseSplice struct {
 	dirty  []bool     // voronoi dirty flags
 	distD  []int32    // base-graph distance from the churn batch
 	wring  int        // index ring radius
-	pi     int        // cursor into prev
-	reused int        // SiteEdges handed back
+	reused int        // SiteEdges handed back, summed over the pair chunks
+}
+
+// cursor returns the index of the first previous edge whose pair is not
+// below pr: where a chunk of the pair walk starting at pr begins its
+// monotone walk through prev.
+func (s *coarseSplice) cursor(pr SitePair) int {
+	return sort.Search(len(s.prev), func(i int) bool { return !lessPair(s.prev[i].Pair, pr) })
 }
 
 // reuse returns the previous SiteEdge of pair pr if it can be kept
-// verbatim, else nil. Pairs must arrive in ascending order. Same segment
-// count with every current segment clean forces identical segment lists
-// (clean records are unchanged, so current tuples are a subset of the
-// previous ones), and a fully clean path pins the reverse-path walk.
-func (s *coarseSplice) reuse(pr SitePair, segs []int32) *SiteEdge {
-	for s.pi < len(s.prev) && lessPair(s.prev[s.pi].Pair, pr) {
-		s.pi++
+// verbatim, else nil. Within one chunk pairs must arrive in ascending
+// order; *pi is the chunk's cursor into prev, seeded by cursor. Same
+// segment count with every current segment clean forces identical segment
+// lists (clean records are unchanged, so current tuples are a subset of
+// the previous ones), and a fully clean path pins the reverse-path walk.
+// reuse only reads the splice, so chunks may call it concurrently.
+func (s *coarseSplice) reuse(pi *int, pr SitePair, segs []int32) *SiteEdge {
+	i := *pi
+	for i < len(s.prev) && lessPair(s.prev[i].Pair, pr) {
+		i++
 	}
-	if s.pi == len(s.prev) || s.prev[s.pi].Pair != pr || s.prev[s.pi].SegmentCount != len(segs) {
+	*pi = i
+	if i == len(s.prev) || s.prev[i].Pair != pr || s.prev[i].SegmentCount != len(segs) {
 		return nil
 	}
 	for _, v := range segs {
@@ -692,13 +703,12 @@ func (s *coarseSplice) reuse(pr SitePair, segs []int32) *SiteEdge {
 			return nil
 		}
 	}
-	pe := &s.prev[s.pi]
+	pe := &s.prev[i]
 	for _, x := range pe.Path {
 		if s.dirty[x] {
 			return nil
 		}
 	}
-	s.reused++
 	return pe
 }
 
@@ -719,14 +729,14 @@ func (u *update) patchTuples(nrec [][]SiteDist) bool {
 		del = appendPairTuples(del, u.prev.Records[v], v)
 		add = appendPairTuples(add, nrec[v], v)
 	}
-	sortPairSegs(del)
-	sortPairSegs(add)
+	sortPairSegs(del, &e.pairTmp)
+	sortPairSegs(add, &e.pairTmp)
 	sc.delT, sc.addT = del, add
 	old := e.pairBuf
 	out := sc.mergeT[:0]
 	j, k := 0, 0
 	for i := 0; i < len(old); i++ {
-		for k < len(add) && pairSegLess(add[k], old[i]) {
+		for k < len(add) && comparePairSeg(add[k], old[i]) < 0 {
 			out = append(out, add[k])
 			k++
 		}
@@ -1231,8 +1241,8 @@ func makeFloodSet(nodes []int32) floodSet {
 	return fs
 }
 
-// fill floods the ends missing from the cache, 64 per bit-parallel pass of
-// the bounded batch kernel, and caches each one's node set: the end first
+// fill floods the ends missing from the cache through the engine's
+// wave-bounded end floods and caches each one's node set: the end first
 // (the kernel does not report seeds), then its settles. It returns the
 // number of ends flooded.
 func (c *endFloodCache) fill(e *Extractor, ends []endRef, radius int32, mask []bool) int {
@@ -1246,24 +1256,22 @@ func (c *endFloodCache) fill(e *Extractor, ends []endRef, radius int32, mask []b
 	if len(miss) == 0 {
 		return 0
 	}
-	wk := e.getWalker()
 	sets := &c.sets
-	for lo := 0; lo < len(miss); lo += 64 {
-		srcs := miss[lo:min(lo+64, len(miss))]
+	e.endFloods(miss, radius, mask, func(lo int, log []graph.VisitEvent) {
+		srcs := miss[lo:min(lo+len(sets), len(miss))]
 		for i, src := range srcs {
 			sets[i] = append(sets[i][:0], src)
 		}
-		wk.BoundedBatch(srcs, radius, mask, func(v int32, bw uint64) {
-			for b := bw; b != 0; b &= b - 1 {
+		for _, ev := range log {
+			for b := ev.Bits; b != 0; b &= b - 1 {
 				i := bits.TrailingZeros64(b)
-				sets[i] = append(sets[i], v)
+				sets[i] = append(sets[i], ev.V)
 			}
-		})
+		}
 		for i, src := range srcs {
 			c.entries[src] = makeFloodSet(sets[i])
 		}
-	}
-	e.putWalker(wk)
+	})
 	return len(miss)
 }
 

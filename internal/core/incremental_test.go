@@ -349,44 +349,50 @@ func TestIncrementalFailRestoreStream(t *testing.T) {
 // both directions: a repair patches a recomputed result's records, and the
 // record diff of a recompute is the dirty set the next stages read. Both
 // paths must occur, and every step must match a from-scratch extraction bit
-// for bit.
+// for bit. The stream runs at two and three workers: the odd count moves
+// the chunk seams of the spliced pair walk (and the binary-searched cursor
+// each chunk seeds into the previous edges) and of the end-flood waves.
 func TestIncrementalMixedBatchStream(t *testing.T) {
-	g := nettest.Grid("window", 30_000, 7, 1).Graph
-	p := DefaultParams()
-	ix, err := NewIncrementalExtractor(g, p, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := &churnPlan{state: 2}
-	var prev []int32
-	repaired, recomputed := 0, 0
-	for step, size := range []int{10, 100, 10, 100, 10, 10, 100, 100, 10} {
-		batch := plan.pickAlive(g, size)
-		got, err := ix.Update(batch, prev)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{2, 3} {
+		runtime.GOMAXPROCS(procs)
+		g := nettest.Grid("window", 30_000, 7, 1).Graph
+		p := DefaultParams()
+		ix, err := NewIncrementalExtractor(g, p, nil, nil)
 		if err != nil {
-			t.Fatalf("step %d: Update: %v", step, err)
+			t.Fatal(err)
 		}
-		prev = batch
-		u := ix.LastUpdate()
-		switch {
-		case u.Fallback:
-			t.Fatalf("step %d (batch %d): fell back (%s)", step, size, u.FallbackReason)
-		case u.Recompute != "":
-			recomputed++
-		default:
-			repaired++
+		plan := &churnPlan{state: 2}
+		var prev []int32
+		repaired, recomputed := 0, 0
+		for step, size := range []int{10, 100, 10, 100, 10, 10, 100, 100, 10} {
+			batch := plan.pickAlive(g, size)
+			got, err := ix.Update(batch, prev)
+			if err != nil {
+				t.Fatalf("procs=%d step %d: Update: %v", procs, step, err)
+			}
+			prev = batch
+			u := ix.LastUpdate()
+			switch {
+			case u.Fallback:
+				t.Fatalf("procs=%d step %d (batch %d): fell back (%s)", procs, step, size, u.FallbackReason)
+			case u.Recompute != "":
+				recomputed++
+			default:
+				repaired++
+			}
+			name := nameStep("window-30k-mixed/procs"+itoa(procs), step, ix)
+			want, err := NewExtractor(g).Extract(p)
+			if err != nil {
+				t.Fatalf("%s: reference extract: %v", name, err)
+			}
+			requireEqualResults(t, name, got, want)
+			requireEqualOutcome(t, name, got.Stats, want.Stats)
+			requireSaturationCounts(t, name, ix.e, p)
 		}
-		name := nameStep("window-30k-mixed", step, ix)
-		want, err := NewExtractor(g).Extract(p)
-		if err != nil {
-			t.Fatalf("%s: reference extract: %v", name, err)
+		if repaired == 0 || recomputed == 0 {
+			t.Fatalf("procs=%d: the stream took one Voronoi path only: %d repaired, %d recomputed", procs, repaired, recomputed)
 		}
-		requireEqualResults(t, name, got, want)
-		requireEqualOutcome(t, name, got.Stats, want.Stats)
-		requireSaturationCounts(t, name, ix.e, p)
-	}
-	if repaired == 0 || recomputed == 0 {
-		t.Fatalf("the stream took one Voronoi path only: %d repaired, %d recomputed", repaired, recomputed)
 	}
 }
 

@@ -155,23 +155,50 @@ func requireFloodInvariants(t *testing.T, name string, g *graph.Graph, p Params,
 // TestExtractSchedulerDeterminism: results are bit-identical whatever the
 // worker count — the degree-weighted chunk
 // scheduler changes only which goroutine computes what, never the values or
-// their merge order.
+// their merge order. The ~3·10^4-node window field is large enough that
+// every chunked pass of coarse and refine splits at two workers — the pair
+// walk into two chunks, the end-node floods into at least two waves — so
+// three and four workers move each seam somewhere else; its edges (pair,
+// connector, path, end nodes, segment count), loops and skeletons must
+// all equal the single-worker run's.
 func TestExtractSchedulerDeterminism(t *testing.T) {
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
-	for _, name := range []string{"onehole", "spiral"} {
-		g := nettest.Grid(name, 900, 6.5, 1).Graph
+	for _, c := range []struct {
+		name string
+		n    int
+		deg  float64
+	}{{"onehole", 900, 6.5}, {"spiral", 900, 6.5}, {"window", 30_000, 7}} {
+		g := nettest.Grid(c.name, c.n, c.deg, 1).Graph
 		p := DefaultParams()
-		results := make(map[int]*Result)
-		for _, procs := range []int{1, 8} {
+		var first *Result
+		for _, procs := range []int{1, 2, 3, 4, 8} {
 			runtime.GOMAXPROCS(procs)
 			res, err := NewExtractor(g).Extract(p)
 			if err != nil {
-				t.Fatalf("%s/procs=%d: %v", name, procs, err)
+				t.Fatalf("%s/procs=%d: %v", c.name, procs, err)
 			}
-			results[procs] = res
+			if procs == 1 {
+				first = res
+				continue
+			}
+			requireEqualResults(t, c.name+"/procs"+itoa(procs), res, first)
 		}
-		requireEqualResults(t, name+"/procs", results[1], results[8])
+		if c.n < 30_000 {
+			continue
+		}
+		ends := 0
+		for _, e := range first.Edges {
+			ends++
+			if e.EndNodes[0] != e.EndNodes[1] {
+				ends++
+			}
+		}
+		// A wave floods one 64-end batch per worker; even four workers
+		// must need two waves.
+		if len(first.Edges) < 2 || ends <= 4*64 {
+			t.Fatalf("%s: too small to split: %d pairs, at most %d ends", c.name, len(first.Edges), ends)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/bits"
+	"runtime"
 	"sort"
 
 	"bfskel/internal/graph"
@@ -276,24 +277,18 @@ func (w *refiner) classifyLoops() {
 	} else {
 		// 64 ends per bit-parallel flood; the skeleton mask blocks
 		// expansion, though each end itself is seeded.
-		wk := w.e.getWalker()
-		srcs := make([]int32, 0, 64)
-		for lo := 0; lo < len(ends); lo += 64 {
-			hi := lo + 64
-			if hi > len(ends) {
-				hi = len(ends)
-			}
-			srcs = srcs[:0]
-			for _, er := range ends[lo:hi] {
-				srcs = append(srcs, er.node)
-			}
-			wk.BoundedBatch(srcs, radius, mask, func(v int32, bw uint64) {
-				for b := bw; b != 0; b &= b - 1 {
-					claim(lo+bits.TrailingZeros64(b), v)
-				}
-			})
+		srcs := cs.srcs[:0]
+		for _, er := range ends {
+			srcs = append(srcs, er.node)
 		}
-		w.e.putWalker(wk)
+		cs.srcs = srcs
+		w.e.endFloods(srcs, radius, mask, func(lo int, log []graph.VisitEvent) {
+			for _, ev := range log {
+				for b := ev.Bits; b != 0; b &= b - 1 {
+					claim(lo+bits.TrailingZeros64(b), ev.V)
+				}
+			}
+		})
 	}
 
 	// Resolve clusters. The canonical cluster key is the largest member
@@ -447,13 +442,66 @@ type endRef struct {
 // extraction allocates none of them: the end nodes, each edge's entries
 // among them, the cluster tables (root, size, max member, bucket offsets
 // and fill cursors, one int slice cut five ways) with the bucketed
-// members, and the per-edge cluster stamps.
+// members, the per-edge cluster stamps, and the end nodes as flood
+// sources.
 type classifyScratch struct {
 	ends     []endRef
+	srcs     []int32
 	endsOf   [][2]int32
 	ints     []int
 	members  []int32
 	edgeMark []int32
+}
+
+// endFloods runs the skeleton-avoiding end-node floods: srcs 64 per
+// bounded batch, truncated at radius, never expanding into mask. Batches
+// run on the engine's walkers in waves of one per worker; each records
+// its (node, bits) settles into an engine-owned log, and once the wave is
+// done replay(lo, log) runs serially for each of its batches in batch
+// order, lo being the batch's first index into srcs, while the workers
+// flood the next wave into a second set of logs. The replayed sequence is
+// exactly what one walker flooding the batches in order would report, and
+// the two waves in flight bound the logs to 2×GOMAXPROCS batches.
+func (e *Extractor) endFloods(srcs []int32, radius int32, mask []bool, replay func(lo int, log []graph.VisitEvent)) {
+	const batchSize = 64
+	batches := (len(srcs) + batchSize - 1) / batchSize
+	wave := min(runtime.GOMAXPROCS(0), batches)
+	if cap(e.endLogs) < 2*wave {
+		e.endLogs = append(e.endLogs[:cap(e.endLogs)], make([][]graph.VisitEvent, 2*wave-cap(e.endLogs))...)
+	}
+	// flood fills logs[i] with the settles of batch b0+i, for one wave.
+	flood := func(b0 int, logs [][]graph.VisitEvent) {
+		graph.ParallelRange(e.g, min(wave, batches-b0), e.getWalker, e.putWalker, func(wk *graph.Walker, i int) {
+			lo := (b0 + i) * batchSize
+			log := logs[i][:0]
+			wk.BoundedBatch(srcs[lo:min(lo+batchSize, len(srcs))], radius, mask, func(v int32, bw uint64) {
+				log = append(log, graph.VisitEvent{V: v, Bits: bw})
+			})
+			logs[i] = log
+		})
+	}
+	replayWave := func(b0 int, logs [][]graph.VisitEvent) {
+		for i := range min(wave, batches-b0) {
+			replay((b0+i)*batchSize, logs[i])
+		}
+	}
+	cur, next := e.endLogs[:wave], e.endLogs[wave:2*wave]
+	flood(0, cur)
+	for b0 := 0; b0 < batches; b0 += wave {
+		if b0+wave >= batches {
+			replayWave(b0, cur)
+			break
+		}
+		// Chunk 0 floods the next wave, chunk 1 replays this one.
+		graph.ParallelChunks(2, 2, func(ci, _, _ int) {
+			if ci == 0 {
+				flood(b0+wave, next)
+			} else {
+				replayWave(b0, cur)
+			}
+		})
+		cur, next = next, cur
+	}
 }
 
 // junctionRadius is the flood radius for end-node clustering. Junction

@@ -1,20 +1,19 @@
 package core
 
-// Epoch-stamped flat scratch shared by the coarse and refine stages. The
-// hundreds of small bounded floods and union-finds those stages run used to
-// build a hash map each; with n-sized dist/stamp arrays a "cleared" state is
-// one epoch increment, so per-flood cost is proportional to the flooded
-// region and per-extraction allocation is zero once the pools are warm.
+// Epoch-stamped flat scratch shared by the refine stage and the Voronoi
+// stage. The hundreds of small claims and union-finds refine runs used to
+// build a hash map each; with n-sized stamp arrays a "cleared" state is one
+// epoch increment, so per-run cost is proportional to the touched region
+// and per-extraction allocation is zero once the pools are warm.
 
-// floodScratch is per-node BFS state (dist/stamp/queue) plus an independent
-// mark set (markStamp/markVal) for membership tests and node→value claims.
-// Both stamps start over when the backing arrays are (re)allocated, so a
-// fresh array's zeros never collide with a live epoch.
+// floodScratch is two n-capacity node lists (queue, next) the Voronoi
+// stage borrows as frontier buffers, plus a mark set (markStamp/markVal) for
+// membership tests and node→value claims. The mark stamp starts over when
+// the backing arrays are (re)allocated, so a fresh array's zeros never
+// collide with a live epoch.
 type floodScratch struct {
-	dist  []int32
-	stamp []int32
-	epoch int32
 	queue []int32
+	next  []int32
 
 	markStamp []int32
 	markVal   []int32
@@ -25,22 +24,19 @@ type floodScratch struct {
 // count, it keeps increments from ever wrapping into a stale stamp.
 const stampWrap = 1 << 30
 
-// ensure sizes the scratch to n nodes, invalidating all stamps when the
-// arrays are replaced or an epoch counter nears wrap-around.
+// ensure sizes the scratch to n nodes, invalidating all marks when the
+// arrays are replaced or the mark epoch nears wrap-around.
 func (f *floodScratch) ensure(n int) {
-	if cap(f.dist) < n || f.epoch >= stampWrap || f.markEpoch >= stampWrap {
-		f.dist = make([]int32, n)
-		f.stamp = make([]int32, n)
+	if cap(f.markStamp) < n || f.markEpoch >= stampWrap {
 		f.markStamp = make([]int32, n)
 		f.markVal = make([]int32, n)
-		f.epoch, f.markEpoch = 0, 0
+		f.markEpoch = 0
 	}
-	f.dist = f.dist[:n]
-	f.stamp = f.stamp[:n]
 	f.markStamp = f.markStamp[:n]
 	f.markVal = f.markVal[:n]
 	if cap(f.queue) < n {
 		f.queue = make([]int32, 0, n)
+		f.next = make([]int32, 0, n)
 	}
 }
 

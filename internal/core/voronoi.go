@@ -84,13 +84,12 @@ func VoronoiRecords(g *graph.Graph, sources []int32, slack int32) (dist []int32,
 // same assignment with no dependence on chunk boundaries or worker count.
 // The FIFO pass is the test oracle (TestVoronoiDminMatchesFIFO).
 //
-// The two frontier lists borrow the flood scratch's queue and dist arrays
-// (n-sized after ensure); dist's values are only read under a matching
-// stamp, which this pass never writes, so the borrow leaves no trace.
+// The two frontier lists borrow the flood scratch's queue and next lists
+// (n-capacity after ensure), which nothing else reads.
 func (e *Extractor) voronoiDmin(sites []int32, cellOf, distToSite []int32) {
 	g := e.g
 	frontier := e.fld.queue[:0]
-	next := e.fld.dist[:0]
+	next := e.fld.next[:0]
 	for _, s := range sites {
 		distToSite[s] = 0
 		cellOf[s] = s

@@ -289,11 +289,28 @@ func (g *Graph) batchSource(i int) int32 {
 }
 
 // forBatches splits the index space 0..count-1 into 64-wide batches and
-// runs fn(w, lo, hi) on each under ParallelRange, with the walker's MS-BFS
-// scratch allocated.
-func (g *Graph) forBatches(count int, acquire func() *Walker, release func(*Walker), fn func(w *Walker, lo, hi int)) {
+// runs fn(w, lo, hi) on each under ParallelRangeWeighted, with the walker's
+// MS-BFS scratch allocated. Slot i's source node is sources[i], or
+// batchSource(i) when sources is empty; a batch weighs the summed degree of
+// its sources plus one, so chunks of dense batches get fewer of them.
+// Weights only move chunk boundaries.
+func (g *Graph) forBatches(count int, sources []int32, acquire func() *Walker, release func(*Walker), fn func(w *Walker, lo, hi int)) {
 	batches := (count + msbfsBatch - 1) / msbfsBatch
-	ParallelRange(g, batches, acquire, release, func(w *Walker, b int) {
+	weight := func(b int) int {
+		lo := b * msbfsBatch
+		sum := 1
+		for i := lo; i < min(lo+msbfsBatch, count); i++ {
+			var v int32
+			if len(sources) > 0 {
+				v = sources[i]
+			} else {
+				v = g.batchSource(i)
+			}
+			sum += int(g.ends[v] - g.offsets[v])
+		}
+		return sum
+	}
+	ParallelRangeWeighted(g, batches, weight, acquire, release, func(w *Walker, b int) {
 		if w.ms == nil {
 			w.ms = newMSBFSScratch(g.N())
 		}
@@ -337,7 +354,7 @@ func (w *Walker) ballTally(k int, sources []int32, log []VisitEvent, logRadius i
 // a non-nil lg, already Reset, records each batch's settle events within
 // logRadius hops.
 func (g *Graph) ballBatches(k int, push sumPush, lg *VisitLog, logRadius int, acquire func() *Walker, release func(*Walker), emit func(v int32, levels []int32)) {
-	g.forBatches(g.N(), acquire, release, func(w *Walker, lo, hi int) {
+	g.forBatches(g.N(), nil, acquire, release, func(w *Walker, lo, hi int) {
 		srcs := w.nodeBatch(lo, hi)
 		var log []VisitEvent
 		if lg != nil {
@@ -383,7 +400,7 @@ func (g *Graph) BatchBallSizesInto(k int, sources []int32, balls []int32, acquir
 	if len(sources) == 0 || k <= 0 {
 		return
 	}
-	g.forBatches(len(sources), acquire, release, func(w *Walker, lo, hi int) {
+	g.forBatches(len(sources), sources, acquire, release, func(w *Walker, lo, hi int) {
 		srcs := sources[lo:hi]
 		tally, _ := w.ballTally(k, srcs, nil, 0, sumPush{})
 		for i, v := range srcs {
@@ -417,7 +434,7 @@ func (g *Graph) BallWeightedSumsInto(kern Kernel, k int, weight []int, out []int
 		})
 		return
 	}
-	g.forBatches(count, acquire, release, func(w *Walker, lo, hi int) {
+	g.forBatches(count, sources, acquire, release, func(w *Walker, lo, hi int) {
 		var srcs []int32
 		if len(sources) > 0 {
 			srcs = sources[lo:hi]
@@ -444,7 +461,7 @@ func (g *Graph) PushSumsInto(k int, sources []int32, weight []int, out []int, ac
 	if len(sources) == 0 || k <= 0 {
 		return
 	}
-	g.forBatches(len(sources), acquire, release, func(w *Walker, lo, hi int) {
+	g.forBatches(len(sources), sources, acquire, release, func(w *Walker, lo, hi int) {
 		w.runKernel(k, sources[lo:hi], nil, nil, nil, nil, 0, sumPush{radius: k, weight: weight[lo:hi], out: out})
 	})
 }

@@ -1,5 +1,7 @@
 package graph
 
+import "math"
+
 // Walker performs repeated truncated BFS sweeps over one graph while
 // reusing its internal buffers, so per-sweep cost is proportional to the
 // visited neighborhood only. It is the per-goroutine BFS execution context:
@@ -105,4 +107,83 @@ func (w *Walker) TakeCounts() (sweeps, visited int) {
 	sweeps, visited = w.s.sweeps, w.s.visited
 	w.s.sweeps, w.s.visited = 0, 0
 	return sweeps, visited
+}
+
+// BandEnds returns the two farthest-apart nodes of a band (a node set,
+// such as the segment nodes of one pair of adjacent Voronoi cells — the
+// paper's "end nodes", Sec. III-D) by a double sweep: the band node
+// farthest from start, then the band node farthest from that one. start
+// must belong to the band. The sweeps run over the walker's k-hop scratch:
+// band membership and visited are two epochs of its one stamp array (a
+// bridge node already scanned carries the visit epoch negated), so a sweep
+// costs the band's neighbourhood and nothing n-sized.
+func (w *Walker) BandEnds(band []int32, start int32) (int32, int32) {
+	if len(band) == 1 {
+		return band[0], band[0]
+	}
+	s := w.s
+	if s.epoch > math.MaxInt32-3 {
+		clear(s.stamp)
+		s.epoch = 0
+	}
+	s.epoch++
+	in := s.epoch
+	for _, v := range band {
+		s.stamp[v] = in
+	}
+	e1 := w.bandFarthest(in, start)
+	return e1, w.bandFarthest(in, e1)
+}
+
+// bandFarthest runs a BFS from src through the band marked with epoch in,
+// allowing one-hop bridges through a single non-band node (at distance
+// +2), and returns the farthest reached band node (src if none). A node's
+// distance is fixed when it is first reached, and the distance rides in
+// the queue next to the node. Every stamp at or above in marks a band
+// node: the band stamp itself, or a visit of this or the previous sweep.
+// Among nodes at the maximum distance the lowest ID wins, so the result is
+// a pure function of the band.
+func (w *Walker) bandFarthest(in, src int32) int32 {
+	g, s := w.g, w.s
+	s.epoch++
+	seen := s.epoch
+	stamp := s.stamp
+	stamp[src] = seen
+	queue := append(s.queue[:0], src, 0)
+	far, farD := src, int32(0)
+	visit := func(v, d int32) {
+		if stamp[v] == seen {
+			return
+		}
+		stamp[v] = seen
+		// Strictly farther wins; at equal distance the lower ID wins.
+		if d > farD || (d == farD && v < far) {
+			far, farD = v, d
+		}
+		queue = append(queue, v, d)
+	}
+	for head := 0; head < len(queue); head += 2 {
+		u, du := queue[head], queue[head+1]
+		for _, v := range g.Neighbors(int(u)) {
+			st := stamp[v]
+			if st >= in {
+				visit(v, du+1)
+				continue
+			}
+			// A bridge node's first scan visits all its band neighbours,
+			// so every later scan of it in this sweep is a no-op; -seen
+			// marks it scanned and stays below every band stamp.
+			if st == -seen {
+				continue
+			}
+			stamp[v] = -seen
+			for _, x := range g.Neighbors(int(v)) {
+				if stamp[x] >= in {
+					visit(x, du+2)
+				}
+			}
+		}
+	}
+	s.queue = queue
+	return far
 }

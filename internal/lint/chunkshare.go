@@ -7,7 +7,8 @@ import (
 )
 
 // ChunkShare polices the data-ownership rule of the chunk-parallel
-// primitives (graph.ParallelNodes / ParallelRange / ParallelChunks): the
+// primitives (graph.ParallelNodes / ParallelRange / ParallelChunks and the
+// weighted ParallelRangeWeighted / ParallelChunksWeighted): the
 // callback runs concurrently across chunks, so it may only write state its
 // own chunk owns. Concretely, a write to a variable captured from outside
 // the callback is flagged unless it is
@@ -23,7 +24,7 @@ import (
 // distinct keys.
 var ChunkShare = &Analyzer{
 	Name: "chunkshare",
-	Doc: "inside graph.ParallelNodes/ParallelRange/ParallelChunks callbacks, " +
+	Doc: "inside graph.ParallelNodes/ParallelRange/ParallelChunks callbacks (and their weighted forms), " +
 		"captured state may only be written via chunk-local indexing, " +
 		"sync/atomic, or a locally held mutex",
 	Run: runChunkShare,
@@ -58,7 +59,8 @@ func isParallelPrimitive(info *types.Info, call *ast.CallExpr) bool {
 		return false
 	}
 	switch fn.Name() {
-	case "ParallelNodes", "ParallelRange", "ParallelChunks":
+	case "ParallelNodes", "ParallelRange", "ParallelChunks",
+		"ParallelRangeWeighted", "ParallelChunksWeighted":
 	default:
 		return false
 	}

@@ -29,3 +29,11 @@ func chunkSharedMap(g *graph.Graph) map[int]bool {
 	})
 	return seen
 }
+
+func chunkSharedWeighted(g *graph.Graph) int {
+	total := 0
+	graph.ParallelChunksWeighted(g.N(), 4, func(i int) int { return i }, func(ci, lo, hi int) {
+		total += hi - lo // want "write to captured total inside a parallel chunk callback"
+	})
+	return total
+}

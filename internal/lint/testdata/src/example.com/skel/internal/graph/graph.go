@@ -31,6 +31,11 @@ func ParallelRange(g *Graph, count int, acquire func() *Walker, release func(*Wa
 	})
 }
 
+// ParallelChunksWeighted is ParallelChunks with weight-balanced chunks.
+func ParallelChunksWeighted(count, maxChunks int, weight func(i int) int, fn func(ci, lo, hi int)) {
+	ParallelChunks(count, maxChunks, fn)
+}
+
 // ParallelChunks partitions 0..count-1 into chunks and runs fn per chunk.
 func ParallelChunks(count, maxChunks int, fn func(ci, lo, hi int)) {
 	if count > 0 {
