@@ -8,20 +8,18 @@ import (
 type (
 	// IncrementalExtractor is the delta extraction engine behind
 	// ChurnSession: it repairs the Voronoi partition, re-elects landmarks
-	// and splices the skeleton inside the churn-dirtied region only. The
-	// Voronoi stage chooses repair or recompute per update: when a repair
-	// attempt must re-flood more than half of the cells, or the attempts
-	// pass their bound, it hands over to the full Voronoi stage while the
-	// other stages keep patching. The update runs a full extraction
-	// instead only for four reasons (UpdateStats.FallbackReason): stale
-	// state (the last full extraction failed), a multi-round election, a
-	// drifted guard radius, or a re-election below the minimum site count.
-	// Every result is bit-identical to a from-scratch extraction on the
-	// mutated graph.
+	// and splices the skeleton inside the churn-dirtied region only. Its
+	// Voronoi repair is one pass at any batch size: it re-floods the whole
+	// zone of every cell touching the dirty region with the full stage's
+	// batched kernel and keeps every other record row. The update runs a
+	// full extraction instead only for four reasons
+	// (UpdateStats.FallbackReason): stale state (the last full extraction
+	// failed), a multi-round election, a drifted guard radius, or a
+	// re-election below the minimum site count. Every result is
+	// bit-identical to a from-scratch extraction on the mutated graph.
 	IncrementalExtractor = core.IncrementalExtractor
 	// UpdateStats describes one incremental update: churn sizes, dirty
-	// region, repair effort, Voronoi hand-over, fallback outcome and wall
-	// time.
+	// region, repair effort, fallback outcome and wall time.
 	UpdateStats = core.UpdateStats
 )
 

@@ -10,6 +10,7 @@
 package boundary
 
 import (
+	"slices"
 	"sort"
 
 	"bfskel/internal/graph"
@@ -81,6 +82,7 @@ func Detect(g *graph.Graph) *Result {
 func chainCycles(g *graph.Graph, isBoundary []bool) [][]int32 {
 	n := g.N()
 	seen := make([]bool, n)
+	w := graph.NewWalker(g)
 	var cycles [][]int32
 	for v := 0; v < n; v++ {
 		if !isBoundary[v] || seen[v] {
@@ -94,7 +96,7 @@ func chainCycles(g *graph.Graph, isBoundary []bool) [][]int32 {
 			cycles = append(cycles, comp)
 			continue
 		}
-		cycles = append(cycles, orderChain(g, comp, isBoundary))
+		cycles = append(cycles, orderChain(w, comp))
 	}
 	// Largest cycle first: callers treat Cycles[0] as the outer boundary.
 	sort.Slice(cycles, func(i, j int) bool { return len(cycles[i]) > len(cycles[j]) })
@@ -130,65 +132,25 @@ func boundaryComponent(g *graph.Graph, start int32, isBoundary []bool, seen []bo
 	return comp
 }
 
-// orderChain orders a boundary component along the curve: BFS distances
+// orderChain orders a boundary component along the curve: band distances
 // from an extreme node give a 1D coordinate along the (locally path-like)
-// boundary band.
-func orderChain(g *graph.Graph, comp []int32, isBoundary []bool) []int32 {
-	inComp := make(map[int32]bool, len(comp))
-	for _, v := range comp {
-		inComp[v] = true
+// boundary band. comp must be sorted.
+func orderChain(w *graph.Walker, comp []int32) []int32 {
+	// Double sweep to find an extreme, then order by distance from it, ties
+	// by node ID: each key packs (distance, node).
+	far := w.BandWalk(comp, comp[0], nil)
+	keys := make([]int64, len(comp))
+	for i, v := range comp {
+		keys[i] = int64(v)
 	}
-	// Double sweep to find an extreme, then order by distance from it.
-	far := bandFarthest(g, comp[0], inComp)
-	dist := bandDistances(g, far, inComp)
-	ordered := make([]int32, len(comp))
-	copy(ordered, comp)
-	sort.Slice(ordered, func(i, j int) bool {
-		di, dj := dist[ordered[i]], dist[ordered[j]]
-		if di != dj {
-			return di < dj
-		}
-		return ordered[i] < ordered[j]
+	w.BandWalk(comp, far, func(v, d int32) {
+		i, _ := slices.BinarySearch(comp, v)
+		keys[i] = int64(d)<<32 | int64(v)
 	})
+	slices.Sort(keys)
+	ordered := make([]int32, len(comp))
+	for i, k := range keys {
+		ordered[i] = int32(k)
+	}
 	return ordered
-}
-
-// bandFarthest returns the farthest component node from src under band BFS.
-func bandFarthest(g *graph.Graph, src int32, inComp map[int32]bool) int32 {
-	dist := bandDistances(g, src, inComp)
-	far := src
-	for v, d := range dist {
-		if d > dist[far] || (d == dist[far] && v < far) {
-			far = v
-		}
-	}
-	return far
-}
-
-// bandDistances runs BFS over component nodes, bridging one non-member hop.
-func bandDistances(g *graph.Graph, src int32, inComp map[int32]bool) map[int32]int32 {
-	dist := map[int32]int32{src: 0}
-	queue := []int32{src}
-	visit := func(v, d int32, queueP *[]int32) {
-		if _, ok := dist[v]; !ok {
-			dist[v] = d
-			*queueP = append(*queueP, v)
-		}
-	}
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		du := dist[u]
-		for _, w := range g.Neighbors(int(u)) {
-			if inComp[w] {
-				visit(w, du+1, &queue)
-				continue
-			}
-			for _, x := range g.Neighbors(int(w)) {
-				if inComp[x] {
-					visit(x, du+2, &queue)
-				}
-			}
-		}
-	}
-	return dist
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"runtime"
 	"slices"
 	"testing"
@@ -41,10 +42,10 @@ func TestSortPairSegsRuns(t *testing.T) {
 // bandEndsOracle is the band sweep as the coarse stage ran it on the
 // engine's shared flood scratch before the pair walk went parallel: the
 // band in a mark set, distances in an n-sized array, visits under a
-// separate stamp.
-func bandEndsOracle(g *graph.Graph, segs []int32, connector int32) (int32, int32) {
+// separate stamp. It also returns the second sweep's band distances.
+func bandEndsOracle(g *graph.Graph, segs []int32, connector int32) (int32, int32, map[int32]int32) {
 	if len(segs) == 1 {
-		return segs[0], segs[0]
+		return segs[0], segs[0], map[int32]int32{segs[0]: 0}
 	}
 	var fld floodScratch
 	fld.ensure(g.N())
@@ -89,10 +90,18 @@ func bandEndsOracle(g *graph.Graph, segs []int32, connector int32) (int32, int32
 		return far
 	}
 	e1 := farthest(connector)
-	return e1, farthest(e1)
+	e2 := farthest(e1)
+	second := make(map[int32]int32)
+	for _, v := range segs {
+		if stamp[v] == epoch {
+			second[v] = dist[v]
+		}
+	}
+	return e1, e2, second
 }
 
-// TestWalkerBandEndsMatchesOracle compares Walker.BandEnds with the flood
+// TestWalkerBandEndsMatchesOracle compares Walker.BandEnds, and the
+// distances Walker.BandWalk reports from the first end, with the flood
 // scratch sweep on random bands of a jittered grid: thinned balls, so the
 // sweep must bridge single missing nodes (one-hop bridges at distance +2)
 // and meets distance ties everywhere, plus bands with members out of
@@ -118,11 +127,17 @@ func TestWalkerBandEndsMatchesOracle(t *testing.T) {
 		slices.Sort(band)
 		band = slices.Compact(band)
 		start := band[plan.next(len(band))]
-		want1, want2 := bandEndsOracle(g, band, start)
+		want1, want2, wantDist := bandEndsOracle(g, band, start)
 		got1, got2 := w.BandEnds(band, start)
 		if got1 != want1 || got2 != want2 {
 			t.Fatalf("trial %d (band of %d from %d): BandEnds = (%d, %d), oracle (%d, %d)",
 				trial, len(band), start, got1, got2, want1, want2)
+		}
+		gotDist := make(map[int32]int32)
+		far := w.BandWalk(band, got1, func(v, d int32) { gotDist[v] = d })
+		if far != want2 || !maps.Equal(gotDist, wantDist) {
+			t.Fatalf("trial %d (band of %d from %d): BandWalk from %d reaches %d nodes, farthest %d; oracle %d nodes, farthest %d",
+				trial, len(band), start, got1, len(gotDist), far, len(wantDist), want2)
 		}
 	}
 }

@@ -14,15 +14,13 @@
 //     centrality sums within L, and the fresh sums within L of a flip run
 //     as three batched floods, 64 Z-ordered sources per MS-BFS pass.
 //   - election: the local-maximum test re-runs within maxR+L+scope.
-//   - voronoi: a fixpoint repair over the dirty node set — a dial (bucket)
+//   - voronoi: one pass over the dirty node set — a dial (bucket)
 //     multi-source BFS re-derives dmin with clean-boundary injections, then
-//     per-site pruned floods rebuild the records, growing the dirty set
-//     whenever a clean node's distance, membership or canonical parent is
-//     contradicted, and restarting until nothing grows (see DESIGN.md for
-//     the soundness argument). When an attempt must re-flood more than half
-//     of the cells, or the attempts pass maxRepairAttempts, the stage hands
-//     over to the full pipeline's Voronoi stage and the dirty set becomes
-//     the nodes whose record row changed.
+//     the full stage's batched pruned flood re-floods the whole zone of
+//     every dirty site and every site recorded next to the dirty region,
+//     and the fresh records rebuild the rows; a clean node whose row
+//     changes joins the dirty set (see DESIGN.md for why one pass is
+//     exact).
 //   - coarse: the sorted segment tuples are patched (patchTuples), and
 //     pairs whose segment lists, paths and two-hop surroundings are
 //     untouched reuse the previous SiteEdge verbatim (coarseSplice); only
@@ -35,17 +33,16 @@
 // Every pipeline rule — the index division, the local-maximum test, the
 // connector walk, loop classification and pruning, the saturation counts
 // and the nearest-site rule — is the full pipeline's own function. The
-// update owns only the dirty-region search, the voronoi fixpoint repair,
-// the delta-patched centrality sums and its caches (patchTuples,
-// coarseSplice, endFloodCache).
+// update owns only the dirty-region search, the dmin repair and row
+// rebuild around the shared record kernel, the delta-patched centrality
+// sums and its caches (patchTuples, coarseSplice, endFloodCache).
 //
 // Correctness is pinned by equivalence: every Update result is bit-identical
 // to a from-scratch Extract on the mutated graph (see incremental_test.go).
 // When the previous full extraction failed (stale state), the previous
 // election was multi-round, a guard radius drifts, or the site population
-// collapses, the update falls back to a full extraction transparently; a
-// large batch otherwise stays incremental, with only its Voronoi stage
-// recomputed.
+// collapses, the update falls back to a full extraction transparently;
+// otherwise a batch of any size stays incremental.
 package core
 
 import (
@@ -59,12 +56,6 @@ import (
 	"bfskel/internal/obs"
 )
 
-// maxRepairAttempts bounds the voronoi fixpoint restarts; the dirty set
-// grows monotonically, so passing the bound means the region is unstable
-// enough that the full Voronoi stage is the cheaper answer, and the update
-// hands over to it ("attempts").
-const maxRepairAttempts = 64
-
 // UpdateStats instruments one incremental update.
 type UpdateStats struct {
 	// Removed and Revived count the nodes whose alive status actually
@@ -74,22 +65,14 @@ type UpdateStats struct {
 	// the node count.
 	DirtyNodes    int
 	DirtyFraction float64
-	// RepairedCells counts the sites whose pruned zone was re-flooded: all
-	// of them when the Voronoi stage recomputed.
+	// RepairedCells counts the sites whose pruned zone was re-flooded.
 	RepairedCells int
-	// Attempts counts voronoi fixpoint rounds (1 = no growth restart), up to
-	// and including the one that handed over on a recompute.
+	// Attempts counts Voronoi repair passes: 1 on every incremental
+	// update, since the repair is one pass.
 	Attempts int
-	// Recompute is why the Voronoi stage handed its repair over to the full
-	// stage inside the update: "cells" (an attempt had to re-flood more
-	// than half of the cells) or "attempts" (the fixpoint passed
-	// maxRepairAttempts). It is "" when the stage repaired, and on a
-	// fallback.
-	Recompute string
 	// Fallback reports that this update ran the whole pipeline from
 	// scratch instead of the incremental path, and why: "stale-state",
-	// "multi-round-election", "radius-drift" or "min-sites". A Voronoi
-	// recompute is not a fallback; the update's other stages still patch.
+	// "multi-round-election", "radius-drift" or "min-sites".
 	Fallback       bool
 	FallbackReason string
 	// Duration is the update's wall-clock time: the duration of its
@@ -159,9 +142,8 @@ func (ix *IncrementalExtractor) runFull() (*Result, error) {
 // Update applies one churn batch — node removals then revivals — and
 // returns the post-batch extraction result, bit-identical to a full Extract
 // on the mutated graph. The returned Result is immutable and independent of
-// later updates (when the Voronoi stage repairs, clean record rows are
-// shared with the previous result, which is safe because results are never
-// mutated; when it recomputes, every row is fresh). A node ID outside
+// later updates (clean record rows are shared with the previous result,
+// which is safe because results are never mutated). A node ID outside
 // [0, N) is rejected with an error before the update starts, leaving the
 // extractor untouched; IDs already in the requested state, and repeats
 // within a batch, are ignored.
@@ -251,9 +233,6 @@ func (ix *IncrementalExtractor) observe() {
 	if ix.last.Fallback {
 		m.Counter("bfskel_update_fallbacks_total").Inc()
 	}
-	if ix.last.Recompute != "" {
-		m.Counter("bfskel_update_voronoi_recomputes_total").Inc()
-	}
 }
 
 // fallback is the error a repair stage returns to abandon the incremental
@@ -282,7 +261,7 @@ type update struct {
 	wring   int     // index ring radius: maxR + L
 	queue   []int32 // the horizon BFS, in visit order
 
-	rep    vrepair      // the voronoi fixpoint; its dirty list feeds coarse
+	rep    vrepair      // the Voronoi repair; its dirty list feeds coarse
 	splice coarseSplice // coarse: the previous edges' reuse test
 }
 
@@ -499,22 +478,23 @@ func electionRepair(rs *runState) error {
 	return nil
 }
 
-// voronoiRepair rebuilds the Voronoi records of the dirty region by a
-// fixpoint repair, then derives the cell assignments of the repaired nodes.
+// voronoiRepair rebuilds the Voronoi records of the dirty region in one
+// pass: seed the dirty set, repair dmin over it, re-flood the whole pruned
+// zone of every site that can reach it with the full stage's batched
+// kernel, and rebuild the rows from the fresh records (see DESIGN.md for
+// why one pass is exact).
 func voronoiRepair(rs *runState) error {
 	e, u, p, res := rs.e, rs.upd, rs.p, rs.res
 	g := e.g
 	n := g.N()
 	sc := &e.inc
 	prevRec := u.prev.Records
-	ndist := slices.Clone(u.prev.DistToSite)
-	nrec := slices.Clone(prevRec)
 
 	r := &u.rep
 	*r = vrepair{
-		g: g, alpha: p.Alpha, sc: sc,
+		g: g, sc: sc,
 		dirty: sc.dirty, list: sc.list[:0],
-		ndist: ndist, nrec: nrec,
+		ndist: slices.Clone(u.prev.DistToSite), nrec: slices.Clone(prevRec),
 		prevRec: prevRec, prevDmin: u.prev.DistToSite,
 		sites: res.Sites,
 	}
@@ -553,16 +533,22 @@ func voronoiRepair(rs *runState) error {
 	}
 	// Dead-node closure: a broken recorded parent chain can only raise
 	// distances, and every broken chain passes through a newly dead node,
-	// so dirty the downstream record-trees of exactly those.
-	closure := append(sc.bv[:0], u.newlyDead...)
+	// so dirty the downstream record-trees of exactly those. The closure
+	// runs on its own stamp and follows record-children through nodes that
+	// are already dirty (a patched window is dirty before it runs), so
+	// every clean node it leaves has an intact chain and an exact dmin.
+	sc.epoch++
+	ep := sc.epoch
+	closure := append(sc.closure[:0], u.newlyDead...)
 	for head := 0; head < len(closure); head++ {
 		w := closure[head]
 		for _, c := range g.BaseNeighbors(w) {
-			if !g.Alive(c) || r.dirty[c] {
+			if !g.Alive(c) || sc.checked[c] == ep {
 				continue
 			}
 			for _, rec := range prevRec[c] {
 				if rec.Parent == w {
+					sc.checked[c] = ep
 					r.markDirty(c)
 					closure = append(closure, c)
 					break
@@ -570,91 +556,25 @@ func voronoiRepair(rs *runState) error {
 			}
 		}
 	}
-	sc.bv = closure[:0]
+	sc.closure = closure[:0]
 
-	// Hand over to the full stage where the repair stops paying: one serial
-	// flood per cell to re-flood costs more than the batched stage's
-	// 64-sites-per-pass floods once over half the cells need one, and a
-	// fixpoint still growing past the attempt bound is no cheaper.
-	var recompute string
-	for {
-		r.attempts++
-		r.grown = false
-		for _, v := range r.list {
-			r.nrec[v] = r.nrec[v][:0]
-		}
-		r.repairDmin()
-		r.collectBoundary()
-		r.collectSites()
-		if 2*len(r.rs) > len(r.sites) {
-			recompute = "cells"
-			break
-		}
-		if r.attempts > maxRepairAttempts {
-			recompute = "attempts"
-			break
-		}
-		for _, s := range r.rs {
-			r.repairSite(s)
-		}
-		if r.grown {
-			continue
-		}
-		r.parentPass()
-		if r.grown {
-			continue
-		}
-		r.childrenPass()
-		if !r.grown {
-			break
-		}
+	r.repairDmin()
+	r.collectSites()
+	r.reflood(e, p.Alpha)
+	ncell := slices.Clone(u.prev.CellOf)
+	for _, v := range r.list {
+		ncell[v], r.ndist[v] = nearestSite(r.nrec[v])
 	}
-	cells := len(r.rs)
-	if recompute != "" {
-		if err := r.recompute(rs); err != nil {
-			return err
-		}
-		cells = len(r.sites)
-	} else {
-		// Commit: derive cell assignments from the repaired records.
-		ncell := slices.Clone(u.prev.CellOf)
-		for _, v := range r.list {
-			ncell[v], ndist[v] = nearestSite(nrec[v])
-		}
-		res.CellOf, res.DistToSite, res.Records = ncell, ndist, nrec
-	}
+	res.CellOf, res.DistToSite, res.Records = ncell, r.ndist, r.nrec
+
 	last := &u.ix.last
 	last.DirtyNodes = len(r.list)
 	last.DirtyFraction = float64(len(r.list)) / float64(n)
-	last.RepairedCells = cells
-	last.Attempts = r.attempts
-	last.Recompute = recompute
+	last.RepairedCells = len(r.rs)
+	last.Attempts = 1
 	u.splice = coarseSplice{prev: u.prev.Edges, dirty: sc.dirty, distD: sc.distD, wring: u.wring}
 	if rs.e.span.Enabled() {
-		rs.annotate(obs.Int("dirty", len(r.list)), obs.Int("cells", cells),
-			obs.Int("attempts", r.attempts), obs.Str("recompute", recompute))
-	}
-	return nil
-}
-
-// recompute hands the update's Voronoi stage over to the full pipeline's
-// own stage function, which writes fresh cells, distances and records into
-// the result, then lists as dirty exactly the nodes whose record row
-// changed: those are the rows patchTuples swaps and coarseSplice must not
-// reuse (a node's cell and distance derive from its row).
-func (r *vrepair) recompute(rs *runState) error {
-	for _, v := range r.list {
-		r.dirty[v] = false
-	}
-	r.list = r.list[:0]
-	if err := voronoiStage(rs); err != nil {
-		return err
-	}
-	for v, row := range rs.res.Records {
-		if !slices.Equal(row, r.prevRec[v]) {
-			r.dirty[v] = true
-			r.list = append(r.list, int32(v))
-		}
+		rs.annotate(obs.Int("dirty", len(r.list)), obs.Int("cells", len(r.rs)))
 	}
 	return nil
 }
@@ -765,57 +685,55 @@ func lessPair(a, b SitePair) bool {
 }
 
 // incScratch is the incremental-update scratch pooled on the engine: the
-// dirty queue and flags, the dial buckets of the repair BFS passes, the
-// per-site flood stamps, the ring source lists. The churn tombstone bitmap
-// itself lives on the graph overlay. None of this escapes into results.
+// dirty queue and flags, the dial buckets of the dmin repair, the stamps,
+// the re-flood's per-node record groups, the ring source lists. The churn
+// tombstone bitmap itself lives on the graph overlay. None of this escapes
+// into results.
 type incScratch struct {
-	distD     []int32   // base-graph distance from the churn batch
-	seeds     []int32   // flipped-node buffer
-	patched   []int32   // rebuilt-window union of the batch
-	dirty     []bool    // voronoi dirty flags (cleared after each update)
-	list      []int32   // dirty queue / horizon BFS queue
-	buckets   [][]int32 // dial queue of the repair BFS passes
-	settled   []int32   // V1 settle stamps
-	fdist     []int32   // per-site flood distances
-	fstamp    []int32   // per-site flood stamps
-	checked   []int32   // parent-pass and flip dedup stamps
-	smark     []int32   // repair-site dedup stamps
-	sslot     []int32   // repair-site injection slot (valid where smark is current)
-	injOff    []int32   // per-slot offsets into injV/injD
-	injV      []int32   // boundary injection nodes, grouped by slot
-	injD      []int32   // boundary injection distances, parallel to injV
-	epoch     int32     // shared stamp epoch
-	bv, bu    []int32   // dirty-boundary edge list (dirty node, clean neighbor)
-	rs        []int32   // sites to re-flood
-	fqueueBuf []int32   // per-site flood settle order
-	srcs      []int32   // ball-ring sources, in batch order
-	fresh     []int32   // nodes within L of a flip, in batch order
-	pushed    []int32   // ball-ring sources whose khop changed
-	delta     []int     // khop change of each pushed source
-	delT      []pairSeg // coarse tuples dropped by the splice merge
-	addT      []pairSeg // coarse tuples added by the splice merge
-	mergeT    []pairSeg // splice merge target, swapped with the engine's pairBuf
-	rmMark    []bool    // removed-site mark
-	addS      []int32   // gained sites
-	rmS       []int32   // lost sites
-	elist     []int32   // centrality/election ring
+	distD   []int32    // base-graph distance from the churn batch
+	seeds   []int32    // flipped-node buffer
+	patched []int32    // rebuilt-window union of the batch
+	dirty   []bool     // voronoi dirty flags (cleared after each update)
+	list    []int32    // dirty queue / horizon BFS queue
+	buckets [][]int32  // dial queue of the dmin repair
+	settled []int32    // dmin repair settle stamps
+	checked []int32    // flip dedup and dead-node closure stamps
+	smark   []int32    // re-flooded site stamps
+	epoch   int32      // shared stamp epoch
+	closure []int32    // dead-node closure queue
+	rs      []int32    // sites to re-flood
+	fcnt    []int32    // fresh records per node (zero between updates)
+	fend    []int32    // end of each node's group in frec
+	touched []int32    // nodes holding fresh records
+	frec    []SiteDist // fresh records, grouped by node
+	rowBuf  []SiteDist // a clean node's merged row
+	srcs    []int32    // ball-ring sources, in batch order
+	fresh   []int32    // nodes within L of a flip, in batch order
+	pushed  []int32    // ball-ring sources whose khop changed
+	delta   []int      // khop change of each pushed source
+	delT    []pairSeg  // coarse tuples dropped by the splice merge
+	addT    []pairSeg  // coarse tuples added by the splice merge
+	mergeT  []pairSeg  // splice merge target, swapped with the engine's pairBuf
+	rmMark  []bool     // removed-site mark
+	addS    []int32    // gained sites
+	rmS     []int32    // lost sites
+	elist   []int32    // centrality/election ring
 }
 
 func (s *incScratch) ensure(n int) {
 	s.distD = grow(s.distD, n)
 	s.dirty = grow(s.dirty, n)
 	s.settled = grow(s.settled, n)
-	s.fdist = grow(s.fdist, n)
-	s.fstamp = grow(s.fstamp, n)
 	s.checked = grow(s.checked, n)
 	s.smark = grow(s.smark, n)
-	s.sslot = grow(s.sslot, n)
+	s.fcnt = grow(s.fcnt, n)
+	s.fend = grow(s.fend, n)
 	s.rmMark = grow(s.rmMark, n)
 	if s.epoch > 1<<30 {
 		// Stamp wrap: epochs are shared across updates; reset well before
 		// int32 overflow.
 		for i := range s.settled {
-			s.settled[i], s.fstamp[i], s.checked[i], s.smark[i] = 0, 0, 0, 0
+			s.settled[i], s.checked[i], s.smark[i] = 0, 0, 0
 		}
 		s.epoch = 0
 	}
@@ -835,36 +753,30 @@ func (s *incScratch) appendFlips(g *graph.Graph, flipped, batch []int32, alive b
 	return flipped
 }
 
-// vrepair is the voronoi fixpoint repair of one update. All BFS passes are
-// serial and every distance queue is a dial (bucket) queue, so mixed-depth
-// boundary injections settle in exact distance order. The dirty region is
-// not necessarily small (10-node batches on a 10^5 field re-flood ~60 of
-// ~560 cells), so each attempt is kept linear in the dirty nodes and
-// boundary records:
-// collectSites indexes the injections per site once, and no pass rescans
-// the boundary list per site.
+// vrepair is the Voronoi repair of one update. The dmin repair is a serial
+// dial (bucket) BFS, so mixed-depth boundary injections settle in exact
+// distance order; the records come from one batched re-flood of the
+// affected sites' zones.
 type vrepair struct {
-	g     *graph.Graph
-	alpha int32
-	sc    *incScratch
+	g  *graph.Graph
+	sc *incScratch
 
 	dirty []bool
 	list  []int32
 
 	ndist []int32      // repaired dmin (dirty entries valid after repairDmin)
-	nrec  [][]SiteDist // repaired records (dirty rows rebuilt per attempt)
+	nrec  [][]SiteDist // repaired records (dirty rows rebuilt by reflood)
 
 	prevRec  [][]SiteDist // retained records (clean rows stay exact)
 	prevDmin []int32      // retained dmin
 
-	sites    []int32 // the new site list, ascending
-	rs       []int32 // sites needing a re-flood, ascending
-	grown    bool
-	attempts int
+	sites []int32 // the new site list, ascending
+	rs    []int32 // sites to re-flood, in discovery order
+	rsEp  int32   // the smark epoch marking rs
 }
 
 // markDirty moves a node into the dirty set, dropping its retained record
-// row (the repair rebuilds it from scratch).
+// row (the repair rebuilds it).
 func (r *vrepair) markDirty(v int32) {
 	if !r.dirty[v] {
 		r.dirty[v] = true
@@ -894,16 +806,10 @@ func (r *vrepair) push(v, d int32) {
 	r.sc.buckets[d] = append(r.sc.buckets[d], v)
 }
 
-func (r *vrepair) resetBuckets() {
-	for i := range r.sc.buckets {
-		r.sc.buckets[i] = r.sc.buckets[i][:0]
-	}
-}
-
 // repairDmin recomputes dmin over the dirty set: dirty sites seed at 0,
 // and every clean->dirty edge injects the clean side's retained distance
 // plus one (retained values are exact for clean nodes — any node whose
-// distance could change is dirty by the seeding rules). When a wave reaches
+// distance could rise is dirty by the seeding rules). When a wave reaches
 // a clean node strictly below its retained distance the region grows and
 // the flood continues through it in flight; distances settle in Dijkstra
 // order either way.
@@ -911,7 +817,9 @@ func (r *vrepair) repairDmin() {
 	sc := r.sc
 	sc.epoch++
 	ep := sc.epoch
-	r.resetBuckets()
+	for i := range sc.buckets {
+		sc.buckets[i] = sc.buckets[i][:0]
+	}
 	for _, v := range r.list {
 		r.ndist[v] = graph.Unreachable
 	}
@@ -950,247 +858,142 @@ func (r *vrepair) repairDmin() {
 	}
 }
 
-// collectBoundary lists the dirty->clean edges; they feed the per-site
-// injections and the parent pass. Dead nodes have empty adjacency, so every
-// listed clean neighbor is alive.
-func (r *vrepair) collectBoundary() {
-	sc := r.sc
-	sc.bv, sc.bu = sc.bv[:0], sc.bu[:0]
-	for _, v := range r.list {
-		for _, u := range r.g.Neighbors(int(v)) {
-			if !r.dirty[u] {
-				sc.bv = append(sc.bv, v)
-				sc.bu = append(sc.bu, u)
-			}
-		}
-	}
-}
-
-// collectSites gathers the sites whose pruned zones intersect the dirty
-// region: dirty sites plus every site recorded at a clean node bordering a
-// dirty one (slack monotonicity makes those records sufficient seeds; the
-// ascending order reproduces the full path's per-node record order).
-//
-// The same walk over the boundary records indexes each site's flood
-// injections: slot k (assigned in discovery order, sslot[site]) owns
-// entries injOff[k]..injOff[k+1]-1 of injV/injD, the (dirty node, clean
-// record distance + 1) pairs of its boundary edges in boundary-list order.
-// repairSite reads only its own slice, so seeding every flood of an attempt
-// costs O(boundary records) in total.
+// collectSites gathers the sites whose pruned zones can change or reach
+// the dirty region: the dirty sites plus every site recorded at a clean
+// node next to a dirty one (a zone is connected, so a clean site's zone
+// reaches the region only across such a node), stamped with rsEp.
 func (r *vrepair) collectSites() {
 	sc := r.sc
 	sc.epoch++
 	ep := sc.epoch
-	r.rs = sc.rs[:0]
-	off := append(sc.injOff[:0], 0)
-	claim := func(s int32) int32 {
+	r.rs, r.rsEp = sc.rs[:0], ep
+	claim := func(s int32) {
 		if sc.smark[s] != ep {
 			sc.smark[s] = ep
-			sc.sslot[s] = int32(len(r.rs))
 			r.rs = append(r.rs, s)
-			off = append(off, 0)
 		}
-		return sc.sslot[s]
 	}
 	for _, s := range r.sites {
 		if r.dirty[s] {
 			claim(s)
 		}
 	}
-	for _, u := range sc.bu {
-		for _, rec := range r.prevRec[u] {
-			off[claim(rec.Site)+1]++
-		}
-	}
-	for k := 1; k < len(off); k++ {
-		off[k] += off[k-1]
-	}
-	// Fill with off[k] as slot k's cursor; afterwards off[k] holds slot k's
-	// end, so shifting one place restores the start offsets.
-	total := int(off[len(off)-1])
-	injV, injD := grow(sc.injV, total), grow(sc.injD, total)
-	for i, u := range sc.bu {
-		for _, rec := range r.prevRec[u] {
-			k := sc.sslot[rec.Site]
-			injV[off[k]], injD[off[k]] = sc.bv[i], rec.D+1
-			off[k]++
-		}
-	}
-	copy(off[1:], off[:len(off)-1])
-	off[0] = 0
-	sc.injOff, sc.injV, sc.injD = off, injV, injD
-	sort.Slice(r.rs, func(i, j int) bool { return r.rs[i] < r.rs[j] })
-	sc.rs = r.rs
-}
-
-// repairSite re-floods one site's pruned zone across the dirty region. The
-// flood seeds from the site (if dirty) and from boundary injections carrying
-// clean-side record distances; it only traverses dirty nodes, growing the
-// region in flight when a clean node's recorded distance is beaten or a new
-// membership appears within the slack (equal arrivals are safe: an unchanged
-// clean record implies the rest of its chain is unchanged too). Records are
-// laid down in a settle pass with the canonical lowest-ID parent rule shared
-// with both full-path realisations.
-func (r *vrepair) repairSite(s int32) {
-	sc := r.sc
-	sc.epoch++
-	ep := sc.epoch
-	r.resetBuckets()
-	g := r.g
-	alpha := r.alpha
-	if r.dirty[s] && r.ndist[s] != graph.Unreachable {
-		r.push(s, 0)
-	}
-	k := sc.sslot[s]
-	for j := sc.injOff[k]; j < sc.injOff[k+1]; j++ {
-		r.push(sc.injV[j], sc.injD[j])
-	}
-	fq := sc.fqueueBuf[:0]
-	for d := int32(0); int(d) < len(sc.buckets); d++ {
-		for qi := 0; qi < len(sc.buckets[d]); qi++ {
-			v := sc.buckets[d][qi]
-			if sc.fstamp[v] == ep {
-				continue
-			}
-			if r.dirty[v] {
-				if r.ndist[v] == graph.Unreachable || d > r.ndist[v]+alpha {
-					continue
+	for _, v := range r.list {
+		for _, u := range r.g.Neighbors(int(v)) {
+			if !r.dirty[u] {
+				for _, rec := range r.prevRec[u] {
+					claim(rec.Site)
 				}
-			} else {
-				// Growth triggers at the clean boundary.
-				rec, has := recordFor(r.prevRec, v, s)
-				du := r.prevDmin[v]
-				switch {
-				case has && d < rec.D:
-					// The zone moved inward: the recorded distance is beaten.
-				case !has && du != graph.Unreachable && d <= du+alpha:
-					// New membership within the slack.
-				default:
-					continue
-				}
-				r.markDirty(v)
-				// The node's dmin itself is unchanged (repairDmin fixpointed
-				// without touching it), so retain it.
-				r.ndist[v] = du
-				r.grown = true
-			}
-			sc.fstamp[v] = ep
-			sc.fdist[v] = d
-			fq = append(fq, v)
-			for _, u := range g.Neighbors(int(v)) {
-				if sc.fstamp[u] == ep {
-					continue
-				}
-				bound := r.prevDmin[u]
-				if r.dirty[u] {
-					bound = r.ndist[u]
-				}
-				if bound == graph.Unreachable || d+1 > bound+alpha {
-					continue
-				}
-				r.push(u, d+1)
-			}
-		}
-	}
-	// Settle pass: append records with the canonical parent — the first
-	// (lowest-ID) neighbor in sorted adjacency one hop closer within the
-	// site's visited set, where clean membership is witnessed by a retained
-	// record.
-	for _, v := range fq {
-		d := sc.fdist[v]
-		if d == 0 {
-			r.nrec[v] = append(r.nrec[v], SiteDist{Site: s, D: 0, Parent: v})
-			continue
-		}
-		parent := v
-		for _, w := range g.Neighbors(int(v)) {
-			var dw int32 = -2
-			if sc.fstamp[w] == ep {
-				dw = sc.fdist[w]
-			} else if !r.dirty[w] {
-				if rw, ok := recordFor(r.prevRec, w, s); ok {
-					dw = rw.D
-				}
-			}
-			if dw == d-1 {
-				parent = w
-				break
-			}
-		}
-		r.nrec[v] = append(r.nrec[v], SiteDist{Site: s, D: d, Parent: parent})
-	}
-	sc.fqueueBuf = fq[:0]
-}
-
-// parentPass re-derives the canonical parent of every record held by a
-// clean node bordering the dirty region: a dirty neighbor entering or
-// leaving a site's visited set can change which lowest-ID neighbor is one
-// hop closer even when the clean node's own distances are untouched. A
-// mismatch dirties the node and restarts the fixpoint.
-func (r *vrepair) parentPass() {
-	sc := r.sc
-	sc.epoch++
-	ep := sc.epoch
-	for _, u := range sc.bu {
-		if sc.checked[u] == ep {
-			continue
-		}
-		sc.checked[u] = ep
-		if r.dirty[u] {
-			continue
-		}
-		for _, rec := range r.prevRec[u] {
-			if rec.D == 0 {
-				continue
-			}
-			parent := u
-			for _, w := range r.g.Neighbors(int(u)) {
-				var dw int32 = -2
-				if r.dirty[w] {
-					if rw, ok := recordFor(r.nrec, w, rec.Site); ok {
-						dw = rw.D
-					}
-				} else if rw, ok := recordFor(r.prevRec, w, rec.Site); ok {
-					dw = rw.D
-				}
-				if dw == rec.D-1 {
-					parent = w
-					break
-				}
-			}
-			if parent != rec.Parent {
-				r.markDirty(u)
-				r.grown = true
-				break
 			}
 		}
 	}
 }
 
-// childrenPass dirties the clean record-children of every dirty node whose
-// repaired record for their shared site changed distance or vanished — the
-// child's recorded parent pointer (and possibly its own membership) hangs
-// off that record. Only the pre-pass dirty list is scanned: freshly grown
-// nodes have no repaired rows yet and restart the fixpoint anyway.
-func (r *vrepair) childrenPass() {
-	end := len(r.list)
-	for li := 0; li < end; li++ {
-		v := r.list[li]
-		for _, rp := range r.prevRec[v] {
-			if nr, ok := recordFor(r.nrec, v, rp.Site); ok && nr.D == rp.D {
-				continue
-			}
-			for _, c := range r.g.Neighbors(int(v)) {
-				if r.dirty[c] {
-					continue
-				}
-				if rc, ok := recordFor(r.prevRec, c, rp.Site); ok && rc.Parent == v {
-					r.markDirty(c)
-					r.grown = true
-				}
+// reflood re-floods the whole pruned zone of every rs site over the
+// repaired dmin through the full stage's kernel, in Z-ordered 64-site
+// batches, and rebuilds the record rows from the fresh records. A dirty
+// node's row is its fresh records. A clean node's row is its retained
+// records of the sites outside rs merged with its fresh ones; when that
+// differs from the retained row, the node joins the dirty set (its dmin is
+// already exact, so nothing else needs redoing). Every rebuilt row is its
+// own allocation: rows outlive the update one by one, and a shared arena
+// would stay alive for as long as any one of its rows does.
+func (r *vrepair) reflood(e *Extractor, alpha int32) {
+	sc, g := r.sc, r.g
+	// Z-sort the sites as the full stage does.
+	srt := r.rs
+	if zorder := g.BatchOrder(); zorder != nil {
+		srt = e.vorSites[:0]
+		for _, v := range zorder {
+			if sc.smark[v] == r.rsEp {
+				srt = append(srt, v)
 			}
 		}
+		e.vorSites = srt
 	}
+	visits := e.prunedFloods(srt, r.ndist, alpha, nil)
+
+	// Group the fresh records by node: every rs site seeds its own record,
+	// then the settles follow; each group is ordered by site.
+	cnt, end := sc.fcnt, sc.fend
+	touched := sc.touched[:0]
+	total := len(r.rs)
+	for _, vis := range visits {
+		total += len(vis)
+	}
+	frec := grow(sc.frec, total)
+	count := func(v int32) {
+		if cnt[v] == 0 {
+			touched = append(touched, v)
+		}
+		cnt[v]++
+	}
+	for _, s := range r.rs {
+		count(s)
+	}
+	for _, vis := range visits {
+		for _, pv := range vis {
+			count(pv.V)
+		}
+	}
+	off := int32(0)
+	for _, v := range touched {
+		end[v] = off
+		off += cnt[v]
+	}
+	for _, s := range r.rs {
+		frec[end[s]] = SiteDist{Site: s, D: 0, Parent: s}
+		end[s]++
+	}
+	for _, vis := range visits {
+		for _, pv := range vis {
+			frec[end[pv.V]] = SiteDist{Site: pv.Src, D: pv.D, Parent: pv.Parent}
+			end[pv.V]++
+		}
+	}
+	group := func(v int32) []SiteDist { return frec[end[v]-cnt[v] : end[v]] }
+	for _, v := range touched {
+		sortBySite(group(v))
+	}
+
+	// Rows: the dirty nodes' first, since clean nodes join the list below.
+	for _, v := range r.list {
+		if cnt[v] > 0 {
+			r.nrec[v] = slices.Clone(group(v))
+		}
+	}
+	merged := sc.rowBuf
+	for _, v := range touched {
+		if r.dirty[v] {
+			continue
+		}
+		merged = mergeRow(merged[:0], r.prevRec[v], group(v), sc.smark, r.rsEp)
+		if !slices.Equal(merged, r.prevRec[v]) {
+			r.markDirty(v)
+			r.nrec[v] = slices.Clone(merged)
+		}
+	}
+	for _, v := range touched {
+		cnt[v] = 0
+	}
+	sc.touched, sc.frec, sc.rowBuf = touched[:0], frec[:0], merged[:0]
+}
+
+// mergeRow appends to dst the retained records of old whose site is not
+// stamped ep in mark, merged by site with the fresh records.
+func mergeRow(dst, old, fresh []SiteDist, mark []int32, ep int32) []SiteDist {
+	i := 0
+	for _, rec := range old {
+		if mark[rec.Site] == ep {
+			continue
+		}
+		for i < len(fresh) && fresh[i].Site < rec.Site {
+			dst = append(dst, fresh[i])
+			i++
+		}
+		dst = append(dst, rec)
+	}
+	return append(dst, fresh[i:]...)
 }
 
 // endFloodCache caches the refine stage's end-node cluster floods across

@@ -8,7 +8,6 @@ import (
 
 	"bfskel/internal/graph"
 	"bfskel/internal/nettest"
-	"bfskel/internal/obs"
 	"bfskel/internal/radio"
 	"bfskel/internal/shapes"
 )
@@ -262,29 +261,25 @@ func TestIncrementalSmallBatchesStayIncremental(t *testing.T) {
 }
 
 // TestIncrementalFailRestoreStream: the steady-state stream shape of the
-// churn benchmarks at sizes where repairs span dozens of cells and need
-// several fixpoint attempts. Each step fails a batch of fresh nodes and
-// restores the previous batch: ten-node batches on a ~3·10^4-node field,
-// which must stay on the Voronoi repair path and exercise the
-// multi-attempt fixpoint at least once (on a ~10^4-node field the same
-// batches touch over half of its ~45 cells and recompute), and
-// hundred-node bursts, whose ball, delta and fresh passes each fill many
-// 64-source batches, on a ~6·10^4-node one, where at least one step must
-// hand the Voronoi stage over to the full stage. No step may fall back,
-// and every step must match a from-scratch extraction bit for bit at
-// GOMAXPROCS 1 and 4 alike, the two runs each other too (the batched
-// passes push their sums with atomic adds, so the schedule must not
-// show).
+// churn benchmarks at sizes where repairs span dozens of cells. Each step
+// fails a batch of fresh nodes and restores the previous batch: ten-node
+// batches on a ~3·10^4-node field, and hundred-node bursts, whose ball,
+// delta and fresh passes each fill many 64-source batches and whose
+// Voronoi repair re-floods most of the cells, on a ~6·10^4-node one. No
+// step may fall back, every step's Voronoi stage must repair in one pass
+// (Attempts 1, at most every site's cell re-flooded), and every step must
+// match a from-scratch extraction bit for bit at GOMAXPROCS 1 and 4 alike,
+// the two runs each other too (the batched passes push their sums with
+// atomic adds, so the schedule must not show).
 func TestIncrementalFailRestoreStream(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, c := range []struct {
-		name      string
-		n, batch  int
-		steps     int
-		recompute bool // some step recomputes (else none may)
+		name     string
+		n, batch int
+		steps    int
 	}{
-		{"window-30k", 30_000, 10, 8, false},
-		{"window-60k-burst", 60_000, 100, 3, true},
+		{"window-30k", 30_000, 10, 8},
+		{"window-60k-burst", 60_000, 100, 3},
 	} {
 		var first []*Result
 		for _, procs := range []int{1, 4} {
@@ -297,7 +292,6 @@ func TestIncrementalFailRestoreStream(t *testing.T) {
 			}
 			plan := &churnPlan{state: 1}
 			var prev []int32
-			maxAttempts, recomputes := 0, 0
 			for step := 0; step < c.steps; step++ {
 				batch := plan.pickAlive(g, c.batch)
 				got, err := ix.Update(batch, prev)
@@ -309,9 +303,9 @@ func TestIncrementalFailRestoreStream(t *testing.T) {
 				if u.Fallback {
 					t.Fatalf("%s procs=%d step %d: fell back (%s)", c.name, procs, step, u.FallbackReason)
 				}
-				maxAttempts = max(maxAttempts, u.Attempts)
-				if u.Recompute != "" {
-					recomputes++
+				if u.Attempts != 1 || u.RepairedCells > len(got.Sites) {
+					t.Fatalf("%s procs=%d step %d: repair took %d passes over %d cells (%d sites)",
+						c.name, procs, step, u.Attempts, u.RepairedCells, len(got.Sites))
 				}
 				name := nameStep(c.name+"/procs"+itoa(procs), step, ix)
 				want, err := NewExtractor(g).Extract(p)
@@ -328,28 +322,16 @@ func TestIncrementalFailRestoreStream(t *testing.T) {
 					requireEqualOutcome(t, name+" vs procs1", got.Stats, first[step].Stats)
 				}
 			}
-			if c.recompute && recomputes == 0 {
-				t.Fatalf("%s procs=%d: no step handed the Voronoi stage over to the full stage", c.name, procs)
-			}
-			if !c.recompute {
-				if recomputes > 0 {
-					t.Fatalf("%s procs=%d: %d steps recomputed the Voronoi stage", c.name, procs, recomputes)
-				}
-				if maxAttempts < 2 {
-					t.Fatalf("%s procs=%d: no step needed more than one repair attempt (max %d)", c.name, procs, maxAttempts)
-				}
-			}
 		}
 	}
 }
 
 // TestIncrementalMixedBatchStream: one fail/restore stream on a ~3·10^4-node
 // field alternates ten- and hundred-node batches, so consecutive updates
-// switch between the Voronoi repair and its hand-over to the full stage in
-// both directions: a repair patches a recomputed result's records, and the
-// record diff of a recompute is the dirty set the next stages read. Both
-// paths must occur, and every step must match a from-scratch extraction bit
-// for bit. The stream runs at two and three workers: the odd count moves
+// switch between repairs of a few cells and repairs of most of them, each
+// patching the previous one's records. No step may fall back, and every
+// step must match a from-scratch extraction bit for bit. The stream runs
+// at two and three workers: the odd count moves
 // the chunk seams of the spliced pair walk (and the binary-searched cursor
 // each chunk seeds into the previous edges) and of the end-flood waves.
 func TestIncrementalMixedBatchStream(t *testing.T) {
@@ -364,7 +346,6 @@ func TestIncrementalMixedBatchStream(t *testing.T) {
 		}
 		plan := &churnPlan{state: 2}
 		var prev []int32
-		repaired, recomputed := 0, 0
 		for step, size := range []int{10, 100, 10, 100, 10, 10, 100, 100, 10} {
 			batch := plan.pickAlive(g, size)
 			got, err := ix.Update(batch, prev)
@@ -372,14 +353,8 @@ func TestIncrementalMixedBatchStream(t *testing.T) {
 				t.Fatalf("procs=%d step %d: Update: %v", procs, step, err)
 			}
 			prev = batch
-			u := ix.LastUpdate()
-			switch {
-			case u.Fallback:
+			if u := ix.LastUpdate(); u.Fallback {
 				t.Fatalf("procs=%d step %d (batch %d): fell back (%s)", procs, step, size, u.FallbackReason)
-			case u.Recompute != "":
-				recomputed++
-			default:
-				repaired++
 			}
 			name := nameStep("window-30k-mixed/procs"+itoa(procs), step, ix)
 			want, err := NewExtractor(g).Extract(p)
@@ -390,24 +365,18 @@ func TestIncrementalMixedBatchStream(t *testing.T) {
 			requireEqualOutcome(t, name, got.Stats, want.Stats)
 			requireSaturationCounts(t, name, ix.e, p)
 		}
-		if repaired == 0 || recomputed == 0 {
-			t.Fatalf("procs=%d: the stream took one Voronoi path only: %d repaired, %d recomputed", procs, repaired, recomputed)
-		}
 	}
 }
 
 // TestIncrementalMassRemovalStaysIncremental: removing a third of the
-// network in one batch no longer runs the whole pipeline from scratch. The
-// update must stay incremental with its Voronoi stage recomputed, or fall
-// back only because the batch moved a guard radius or collapsed the site
-// population — and the result must be bit-identical to the reference. A
-// recompute is reported on the update.voronoi span's recompute attribute
-// and counted by bfskel_update_voronoi_recomputes_total.
+// network in one batch does not run the whole pipeline from scratch. The
+// update must repair in one pass, or fall back only because the batch
+// moved a guard radius or collapsed the site population — and the result
+// must be bit-identical to the reference.
 func TestIncrementalMassRemovalStaysIncremental(t *testing.T) {
 	g := nettest.Grid("window", 600, 6.5, 5).Graph
 	p := DefaultParams()
-	ring, metrics := obs.NewRingSink(0), obs.NewRegistry()
-	ix, err := NewIncrementalExtractor(g, p, obs.NewTracer(ring), metrics)
+	ix, err := NewIncrementalExtractor(g, p, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,31 +386,14 @@ func TestIncrementalMassRemovalStaysIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var spanRecompute any
-	for _, rec := range ring.Records() {
-		if rec.Kind == obs.KindSpanEnd && rec.Name == "update.voronoi" {
-			for _, a := range rec.Attrs {
-				if a.Key == "recompute" {
-					spanRecompute = a.Val
-				}
-			}
-		}
-	}
-	recomputes := metrics.Snapshot().Counters["bfskel_update_voronoi_recomputes_total"]
 	switch u := ix.LastUpdate(); {
 	case u.Fallback && (u.FallbackReason == "radius-drift" || u.FallbackReason == "min-sites"):
-		if recomputes != 0 {
-			t.Errorf("a fallback counted %d Voronoi recomputes", recomputes)
-		}
-	case !u.Fallback && u.Recompute != "":
-		if spanRecompute != u.Recompute || recomputes != 1 {
-			t.Errorf("recompute %q: span attribute %v, counter %d", u.Recompute, spanRecompute, recomputes)
-		}
-		if u.RepairedCells != len(got.Sites) {
-			t.Errorf("recompute reports %d repaired cells, want the %d sites", u.RepairedCells, len(got.Sites))
+	case !u.Fallback:
+		if u.Attempts != 1 || u.RepairedCells == 0 || u.RepairedCells > len(got.Sites) {
+			t.Errorf("mass removal repaired %d cells of %d sites in %d passes", u.RepairedCells, len(got.Sites), u.Attempts)
 		}
 	default:
-		t.Fatalf("mass removal neither recomputed the Voronoi stage nor fell back on a guard: %+v", u)
+		t.Fatalf("mass removal neither repaired nor fell back on a guard: %+v", u)
 	}
 	want, err := NewExtractor(g).Extract(p)
 	if err != nil {
@@ -558,12 +510,11 @@ func cloneResultFields(r *Result) *Result {
 
 // BenchmarkIncrementalUpdate measures steady-state churn updates on a 10^5
 // field (fail a fresh batch, revive the previous one) across batch sizes,
-// the sweep the Voronoi stage's repair-or-recompute rule rests on. Each
-// size reports speedup, the faster of two warmed full extractions over the
-// mean update; recompute_frac, the share of updates whose Voronoi stage
-// handed over to the full stage; fallback_frac, the share that ran the
-// whole pipeline; and the mean identify and voronoi stage times of the
-// updates that stayed incremental.
+// where the update's cost crosses a from-scratch extraction's. Each size
+// reports speedup, the faster of two warmed full extractions over the mean
+// update; fallback_frac, the share that ran the whole pipeline; and the
+// mean identify and voronoi stage times of the updates that stayed
+// incremental.
 func BenchmarkIncrementalUpdate(b *testing.B) {
 	for _, size := range []int{1, 10, 30, 50, 100, 200, 400} {
 		g := nettest.Grid("window", 100000, 7, 1).Graph
@@ -588,7 +539,7 @@ func BenchmarkIncrementalUpdate(b *testing.B) {
 		}
 		runtime.GC()
 		b.Run("batch"+itoa(size), func(b *testing.B) {
-			var recomputes, fallbacks int
+			var fallbacks int
 			var stageTime [2]time.Duration
 			for i := 0; i < b.N; i++ {
 				res, err := step()
@@ -600,9 +551,6 @@ func BenchmarkIncrementalUpdate(b *testing.B) {
 					fallbacks++
 					continue
 				}
-				if u.Recompute != "" {
-					recomputes++
-				}
 				for _, ph := range res.Stats.Phases {
 					switch ph.Name {
 					case "identify":
@@ -613,7 +561,6 @@ func BenchmarkIncrementalUpdate(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(full)/(float64(b.Elapsed())/float64(b.N)), "speedup")
-			b.ReportMetric(float64(recomputes)/float64(b.N), "recompute_frac")
 			b.ReportMetric(float64(fallbacks)/float64(b.N), "fallback_frac")
 			if kept := b.N - fallbacks; kept > 0 {
 				b.ReportMetric(float64(stageTime[0])/float64(kept)/1e6, "identify_ms")

@@ -149,10 +149,8 @@ func (e *Extractor) voronoiDmin(sites []int32, cellOf, distToSite []int32) {
 }
 
 // voronoiPrunedBatched runs the per-site pruned floods 64 sites per
-// bit-parallel pass. Sites are batched along the Z-curve order so each
-// batch's cells tile one compact patch (maximal frontier overlap), batches
-// run in parallel with degree-weighted chunking, and a serial merge lays the
-// records into an exactly-sized arena.
+// bit-parallel pass (prunedFloods) over Z-curve site batches, and a serial
+// merge lays the records into an exactly-sized arena.
 //
 // Batching is invisible in the output: the admission rule
 // d <= dmin(v)+alpha depends only on (node, level), so each site's pruned
@@ -163,9 +161,10 @@ func (e *Extractor) voronoiPrunedBatched(sites []int32, alpha int32, cellOf, dis
 	g := e.g
 	n := g.N()
 
-	// Z-sort the sites: one walk of Build's Z-curve permutation picks them
-	// out in curve order (a site is the one node of its own cell). Without
-	// a permutation they stay in ID order.
+	// Z-sort the sites, so each batch's cells tile one compact patch
+	// (maximal frontier overlap): one walk of Build's Z-curve permutation
+	// picks them out in curve order (a site is the one node of its own
+	// cell). Without a permutation they stay in ID order.
 	srt := e.vorSites[:0]
 	if zorder := g.BatchOrder(); zorder != nil {
 		for _, v := range zorder {
@@ -178,16 +177,6 @@ func (e *Extractor) voronoiPrunedBatched(sites []int32, alpha int32, cellOf, dis
 	}
 	e.vorSites = srt
 
-	// Each batch's visits are at least its cells' nodes (every node is
-	// reached by its own site); the alpha band adds about half as many
-	// again. Sizing a fresh buffer from that keeps the first extraction
-	// from growing each buffer by doubling.
-	const batchSize = 64
-	batches := (len(srt) + batchSize - 1) / batchSize
-	if cap(e.vorVisits) < batches {
-		e.vorVisits = append(e.vorVisits[:cap(e.vorVisits)], make([][]graph.PrunedVisit, batches-cap(e.vorVisits))...)
-	}
-	visits := e.vorVisits[:batches]
 	cnt := e.fld.markVal // borrowed like voronoiDmin's lists: per-cell, then per-node counts
 	clear(cnt)
 	for _, c := range cellOf {
@@ -195,26 +184,7 @@ func (e *Extractor) voronoiPrunedBatched(sites []int32, alpha int32, cellOf, dis
 			cnt[c]++
 		}
 	}
-	offsets := g.Offsets()
-	batchWeight := func(b int) int {
-		lo, hi := b*batchSize, min((b+1)*batchSize, len(srt))
-		wsum := 0
-		for _, s := range srt[lo:hi] {
-			wsum += int(offsets[s+1] - offsets[s])
-		}
-		return wsum + 1
-	}
-	graph.ParallelRangeWeighted(g, batches, batchWeight, e.getWalker, e.putWalker, func(w *graph.Walker, b int) {
-		lo, hi := b*batchSize, min((b+1)*batchSize, len(srt))
-		if cap(visits[b]) == 0 {
-			cells := 0
-			for _, s := range srt[lo:hi] {
-				cells += int(cnt[s])
-			}
-			visits[b] = make([]graph.PrunedVisit, 0, cells+cells/2)
-		}
-		visits[b] = w.PrunedBatch(srt[lo:hi], distToSite, alpha, visits[b][:0])
-	})
+	visits := e.prunedFloods(srt, distToSite, alpha, cnt)
 
 	// Merge: count records per node (every site seeds its own record), lay
 	// out an exactly-sized arena, append, then order each node's records by
@@ -246,17 +216,61 @@ func (e *Extractor) voronoiPrunedBatched(sites []int32, alpha int32, cellOf, dis
 			records[pv.V] = append(records[pv.V], SiteDist{Site: pv.Src, D: pv.D, Parent: pv.Parent})
 		}
 	}
-	for v := 0; v < n; v++ {
-		recs := records[v]
-		if len(recs) < 2 {
-			continue
+	for _, recs := range records {
+		if len(recs) > 1 {
+			sortBySite(recs)
 		}
-		// Insertion sort by site: records per node are few (almost always
-		// one or two) and site IDs are distinct within a node.
-		for i := 1; i < len(recs); i++ {
-			for j := i; j > 0 && recs[j].Site < recs[j-1].Site; j-- {
-				recs[j], recs[j-1] = recs[j-1], recs[j]
+	}
+}
+
+// prunedFloods floods the pruned zones of the Z-ordered sites srt under the
+// admission rule d <= dmin(v)+alpha, 64 sites per bit-parallel pass: the
+// batches run in parallel with degree-weighted chunking, and each batch's
+// settles land in one of the engine's reused buffers, returned in batch
+// order. It is the Voronoi stage's one record-building kernel, for full
+// extractions and incremental repairs alike. cells, when non-nil, holds
+// each site's cell size and sizes a batch buffer on its first use: a
+// batch visits at least its cells' nodes (every node is reached by its own
+// site) and the alpha band adds about half as many again, so the first
+// extraction does not grow each buffer by doubling.
+func (e *Extractor) prunedFloods(srt, dmin []int32, alpha int32, cells []int32) [][]graph.PrunedVisit {
+	g := e.g
+	const batchSize = 64
+	batches := (len(srt) + batchSize - 1) / batchSize
+	if cap(e.vorVisits) < batches {
+		e.vorVisits = append(e.vorVisits[:cap(e.vorVisits)], make([][]graph.PrunedVisit, batches-cap(e.vorVisits))...)
+	}
+	visits := e.vorVisits[:batches]
+	offsets := g.Offsets()
+	batchWeight := func(b int) int {
+		lo, hi := b*batchSize, min((b+1)*batchSize, len(srt))
+		wsum := 0
+		for _, s := range srt[lo:hi] {
+			wsum += int(offsets[s+1] - offsets[s])
+		}
+		return wsum + 1
+	}
+	graph.ParallelRangeWeighted(g, batches, batchWeight, e.getWalker, e.putWalker, func(w *graph.Walker, b int) {
+		lo, hi := b*batchSize, min((b+1)*batchSize, len(srt))
+		if cap(visits[b]) == 0 && cells != nil {
+			size := 0
+			for _, s := range srt[lo:hi] {
+				size += int(cells[s])
 			}
+			visits[b] = make([]graph.PrunedVisit, 0, size+size/2)
+		}
+		visits[b] = w.PrunedBatch(srt[lo:hi], dmin, alpha, visits[b][:0])
+	})
+	return visits
+}
+
+// sortBySite orders one node's records by site ID. Insertion sort: records
+// per node are few (almost always one or two) and site IDs are distinct
+// within a node.
+func sortBySite(recs []SiteDist) {
+	for i := 1; i < len(recs); i++ {
+		for j := i; j > 0 && recs[j].Site < recs[j-1].Site; j-- {
+			recs[j], recs[j-1] = recs[j-1], recs[j]
 		}
 	}
 }

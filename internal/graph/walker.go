@@ -113,14 +113,33 @@ func (w *Walker) TakeCounts() (sweeps, visited int) {
 // such as the segment nodes of one pair of adjacent Voronoi cells — the
 // paper's "end nodes", Sec. III-D) by a double sweep: the band node
 // farthest from start, then the band node farthest from that one. start
-// must belong to the band. The sweeps run over the walker's k-hop scratch:
-// band membership and visited are two epochs of its one stamp array (a
-// bridge node already scanned carries the visit epoch negated), so a sweep
-// costs the band's neighbourhood and nothing n-sized.
+// must belong to the band. Both sweeps are BandWalk's, over one marking of
+// the band.
 func (w *Walker) BandEnds(band []int32, start int32) (int32, int32) {
 	if len(band) == 1 {
 		return band[0], band[0]
 	}
+	in := w.markBand(band)
+	e1 := w.bandWalk(in, start, nil)
+	return e1, w.bandWalk(in, e1, nil)
+}
+
+// BandWalk runs one band sweep from src, which must belong to the band: a
+// BFS through band nodes that also crosses single non-band bridge nodes
+// (at distance +2). A node's distance is fixed when it is first reached.
+// visit, when non-nil, is called with every reached band node and its
+// distance, src first at 0. It returns the farthest reached band node, the
+// lowest ID among those at the maximum distance, so the result is a pure
+// function of the band. The sweep runs over the walker's k-hop scratch:
+// band membership and visited are two epochs of its one stamp array (a
+// bridge node already scanned carries the visit epoch negated), so it
+// costs the band's neighbourhood and nothing n-sized.
+func (w *Walker) BandWalk(band []int32, src int32, visit func(v, d int32)) int32 {
+	return w.bandWalk(w.markBand(band), src, visit)
+}
+
+// markBand stamps the band's nodes with a fresh epoch and returns it.
+func (w *Walker) markBand(band []int32) int32 {
 	s := w.s
 	if s.epoch > math.MaxInt32-3 {
 		clear(s.stamp)
@@ -131,31 +150,32 @@ func (w *Walker) BandEnds(band []int32, start int32) (int32, int32) {
 	for _, v := range band {
 		s.stamp[v] = in
 	}
-	e1 := w.bandFarthest(in, start)
-	return e1, w.bandFarthest(in, e1)
+	return in
 }
 
-// bandFarthest runs a BFS from src through the band marked with epoch in,
-// allowing one-hop bridges through a single non-band node (at distance
-// +2), and returns the farthest reached band node (src if none). A node's
-// distance is fixed when it is first reached, and the distance rides in
-// the queue next to the node. Every stamp at or above in marks a band
-// node: the band stamp itself, or a visit of this or the previous sweep.
-// Among nodes at the maximum distance the lowest ID wins, so the result is
-// a pure function of the band.
-func (w *Walker) bandFarthest(in, src int32) int32 {
+// bandWalk is BandWalk over the band marked with epoch in. The distance
+// rides in the queue next to the node. Every stamp at or above in marks a
+// band node: the band stamp itself, or a visit of this or the previous
+// sweep.
+func (w *Walker) bandWalk(in, src int32, visit func(v, d int32)) int32 {
 	g, s := w.g, w.s
 	s.epoch++
 	seen := s.epoch
 	stamp := s.stamp
 	stamp[src] = seen
+	if visit != nil {
+		visit(src, 0)
+	}
 	queue := append(s.queue[:0], src, 0)
 	far, farD := src, int32(0)
-	visit := func(v, d int32) {
+	reach := func(v, d int32) {
 		if stamp[v] == seen {
 			return
 		}
 		stamp[v] = seen
+		if visit != nil {
+			visit(v, d)
+		}
 		// Strictly farther wins; at equal distance the lower ID wins.
 		if d > farD || (d == farD && v < far) {
 			far, farD = v, d
@@ -167,10 +187,10 @@ func (w *Walker) bandFarthest(in, src int32) int32 {
 		for _, v := range g.Neighbors(int(u)) {
 			st := stamp[v]
 			if st >= in {
-				visit(v, du+1)
+				reach(v, du+1)
 				continue
 			}
-			// A bridge node's first scan visits all its band neighbours,
+			// A bridge node's first scan reaches all its band neighbours,
 			// so every later scan of it in this sweep is a no-op; -seen
 			// marks it scanned and stays below every band stamp.
 			if st == -seen {
@@ -179,7 +199,7 @@ func (w *Walker) bandFarthest(in, src int32) int32 {
 			stamp[v] = -seen
 			for _, x := range g.Neighbors(int(v)) {
 				if stamp[x] >= in {
-					visit(x, du+2)
+					reach(x, du+2)
 				}
 			}
 		}

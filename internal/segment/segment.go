@@ -18,6 +18,7 @@
 package segment
 
 import (
+	"slices"
 	"sort"
 
 	"bfskel/internal/core"
@@ -113,33 +114,18 @@ func MergeCells(res *core.Result, mergeRadius int) *Result {
 }
 
 // FlowToSinks runs the distance-transform segmentation: hop distances from
-// the given boundary nodes; every node picks as parent its neighbor with
+// the given boundary nodes (in any order, repeats allowed); every node picks as parent its neighbor with
 // the largest boundary distance (ties to the lowest ID) when that distance
 // exceeds its own; local maxima become sinks. mergeRadius optionally unions
 // sinks within that many hops of each other, absorbing the many shallow
 // local maxima a discrete distance transform produces.
 func FlowToSinks(g *graph.Graph, boundaryNodes []int32, mergeRadius int) *Result {
 	n := g.N()
-	dist := make([]int32, n)
-	for i := range dist {
-		dist[i] = graph.Unreachable
-	}
-	queue := make([]int32, 0, n)
-	for _, b := range boundaryNodes {
-		if dist[b] == graph.Unreachable {
-			dist[b] = 0
-			queue = append(queue, b)
-		}
-	}
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		for _, v := range g.Neighbors(int(u)) {
-			if dist[v] == graph.Unreachable {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
-			}
-		}
-	}
+	// The boundary distance transform is the Voronoi stage's dmin over the
+	// boundary nodes as sources (slack 0 keeps the records to the nearest).
+	srcs := slices.Clone(boundaryNodes)
+	slices.Sort(srcs)
+	dist, _ := core.VoronoiRecords(g, slices.Compact(srcs), 0)
 
 	// Flow uphill: parent = the neighbor with the largest distance,
 	// breaking plateau ties toward lower IDs (each plateau drains to its
