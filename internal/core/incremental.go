@@ -10,9 +10,11 @@
 //   - identify: base-graph BFS rings around the churn batch bound which ball
 //     rows (radius maxR), centrality/index values (maxR+L) and election
 //     outcomes (maxR+L+scope) can have changed; only those are recomputed.
-//     The ball rows, a push of each changed K-ball size's delta to the
-//     centrality sums within L, and the fresh sums within L of a flip run
-//     as three batched floods, 64 Z-ordered sources per MS-BFS pass.
+//     One batched flood of the ball ring, 64 Z-ordered sources per MS-BFS
+//     pass, rewrites the ball rows and patches the centrality sums: each
+//     ring node pushes its K-ball size's change within L, and each sum
+//     within L of a flip is rebuilt from the old sizes over its new L-ball
+//     plus those changes.
 //   - election: the local-maximum test re-runs within maxR+L+scope.
 //   - voronoi: one pass over the dirty node set — a dial (bucket)
 //     multi-source BFS re-derives dmin with clean-boundary injections, then
@@ -348,12 +350,14 @@ func identifyRepair(rs *runState) error {
 	}
 	u.queue = queue
 
-	// Ball rows within maxR of a flip, and the fresh sums within L of one
-	// (L <= maxR). Both lists are taken along the graph's batch order, so
-	// each 64-source MS-BFS pass below floods one compact patch; the
-	// horizon BFS order would interleave the flips' neighborhoods and leave
-	// a pass's balls barely overlapping.
-	srcs, fresh := sc.srcs[:0], sc.fresh[:0]
+	// The ball ring: nodes within maxR of a flip, taken along the graph's
+	// batch order so each 64-source MS-BFS pass floods one compact patch;
+	// the horizon BFS order would interleave the flips' neighborhoods and
+	// leave a pass's balls barely overlapping. One batched flood of the
+	// ring rewrites its rows and patches the sums (graph.SumRepair): only
+	// ring nodes can have a new K-ball, and only nodes within L of a flip a
+	// new L-ball.
+	srcs := sc.srcs[:0]
 	order := g.BatchOrder()
 	for i := range distD {
 		v := int32(i)
@@ -362,15 +366,22 @@ func identifyRepair(rs *runState) error {
 		}
 		if d := int(distD[v]); d >= 0 && d <= maxR {
 			srcs = append(srcs, v)
-			if d <= p.L {
-				fresh = append(fresh, v)
-			}
 		}
 	}
-	sc.srcs, sc.fresh = srcs, fresh
+	sc.srcs = srcs
 	e.countSaturation(p, srcs, -1)
-	g.BatchBallSizesInto(maxR, srcs, e.balls, acquire, release)
+	prevK := u.prev.KHopSize
+	sc.rep = graph.SumRepair{K: kEff, L: p.L, Sums: e.wsums, Old: prevK, Dist: distD}
+	g.BatchBallSizesInto(maxR, srcs, e.balls, &sc.rep, acquire, release)
+	sc.rep = graph.SumRepair{}
 	e.countSaturation(p, srcs, +1)
+	khop, changed := slices.Clone(prevK), 0
+	for _, v := range srcs {
+		khop[v] = e.ball(int(v), kEff)
+		if khop[v] != prevK[v] {
+			changed++
+		}
+	}
 
 	// The saturation guards are global order statistics; if either radius
 	// would resolve differently on the mutated graph, the whole field needs
@@ -382,20 +393,6 @@ func identifyRepair(rs *runState) error {
 		return fallback("radius-drift")
 	}
 
-	// The sources whose khop changed, with the integer differences the
-	// centrality delta pass below propagates.
-	khop := slices.Clone(u.prev.KHopSize)
-	pushed, delta := sc.pushed[:0], sc.delta[:0]
-	for _, v := range srcs {
-		k := e.ball(int(v), kEff)
-		if d := k - khop[v]; d != 0 {
-			pushed = append(pushed, v)
-			delta = append(delta, d)
-			khop[v] = k
-		}
-	}
-	sc.pushed, sc.delta = pushed, delta
-
 	// Centrality and index within maxR+L of a flip.
 	u.wring = maxR + p.L
 	wlist := sc.elist[:0]
@@ -405,17 +402,6 @@ func identifyRepair(rs *runState) error {
 		}
 	}
 	sc.elist = wlist
-	// Delta-patch the engine's sums instead of re-flooding the whole ring.
-	// N_L membership can only change within L of a flip (an entering or
-	// leaving member needs an old- or new-graph path of length <= L through
-	// a flipped node), so those sums are rebuilt fresh; every other affected
-	// sum moves by exactly the khop deltas of the ball-ring nodes within L
-	// of it. Each changed source pushes its delta to every node within L,
-	// 64 sources per pass; the fresh pass then overwrites the sums within L
-	// of a flip, whatever the push added to them. All arithmetic stays
-	// integer, and indexOf is the full path's division.
-	g.PushSumsInto(p.L, pushed, delta, e.wsums, acquire, release)
-	g.BallWeightedSumsInto(graph.KernelBatched, p.L, khop, e.wsums, acquire, release, fresh...)
 	cent, index := slices.Clone(u.prev.LCentrality), slices.Clone(u.prev.Index)
 	for _, v := range wlist {
 		cent[v], index[v] = indexOf(khop[v], e.wsums[v], e.ball(int(v), p.L))
@@ -423,8 +409,8 @@ func identifyRepair(rs *runState) error {
 	res.KHopSize, res.LCentrality, res.Index = khop, cent, index
 
 	if rs.e.span.Enabled() {
-		rs.annotate(obs.Int("balls", len(srcs)), obs.Int("fresh", len(fresh)),
-			obs.Int("pushed", len(pushed)), obs.Int("horizon", u.horizon))
+		rs.annotate(obs.Int("balls", len(srcs)), obs.Int("changed", changed),
+			obs.Int("horizon", u.horizon))
 	}
 	return nil
 }
@@ -508,24 +494,22 @@ func voronoiRepair(rs *runState) error {
 	for _, v := range u.flipped {
 		r.markDirty(v) // dead nodes are not in patched's alive filter
 	}
-	if len(sc.rmS) > 0 {
-		rmMark := sc.rmMark
-		for _, s := range sc.rmS {
-			rmMark[s] = true
-		}
-		for v := 0; v < n; v++ {
-			if r.dirty[v] {
-				continue
-			}
-			for _, rec := range prevRec[v] {
-				if rmMark[rec.Site] {
-					r.markDirty(int32(v))
-					break
+	// A lost site's zone is its previous record tree, walked from the site
+	// through dead members too (a child names its parent in its record).
+	closure := sc.closure[:0]
+	for _, s := range sc.rmS {
+		closure = append(closure[:0], s)
+		for head := 0; head < len(closure); head++ {
+			w := closure[head]
+			r.markDirty(w)
+			for _, c := range g.BaseNeighbors(w) {
+				for _, rec := range prevRec[c] {
+					if rec.Site == s && rec.Parent == w {
+						closure = append(closure, c)
+						break
+					}
 				}
 			}
-		}
-		for _, s := range sc.rmS {
-			rmMark[s] = false
 		}
 	}
 	for _, s := range sc.addS {
@@ -539,7 +523,7 @@ func voronoiRepair(rs *runState) error {
 	// every clean node it leaves has an intact chain and an exact dmin.
 	sc.epoch++
 	ep := sc.epoch
-	closure := append(sc.closure[:0], u.newlyDead...)
+	closure = append(closure[:0], u.newlyDead...)
 	for head := 0; head < len(closure); head++ {
 		w := closure[head]
 		for _, c := range g.BaseNeighbors(w) {
@@ -690,34 +674,31 @@ func lessPair(a, b SitePair) bool {
 // tombstone bitmap itself lives on the graph overlay. None of this escapes
 // into results.
 type incScratch struct {
-	distD   []int32    // base-graph distance from the churn batch
-	seeds   []int32    // flipped-node buffer
-	patched []int32    // rebuilt-window union of the batch
-	dirty   []bool     // voronoi dirty flags (cleared after each update)
-	list    []int32    // dirty queue / horizon BFS queue
-	buckets [][]int32  // dial queue of the dmin repair
-	settled []int32    // dmin repair settle stamps
-	checked []int32    // flip dedup and dead-node closure stamps
-	smark   []int32    // re-flooded site stamps
-	epoch   int32      // shared stamp epoch
-	closure []int32    // dead-node closure queue
-	rs      []int32    // sites to re-flood
-	fcnt    []int32    // fresh records per node (zero between updates)
-	fend    []int32    // end of each node's group in frec
-	touched []int32    // nodes holding fresh records
-	frec    []SiteDist // fresh records, grouped by node
-	rowBuf  []SiteDist // a clean node's merged row
-	srcs    []int32    // ball-ring sources, in batch order
-	fresh   []int32    // nodes within L of a flip, in batch order
-	pushed  []int32    // ball-ring sources whose khop changed
-	delta   []int      // khop change of each pushed source
-	delT    []pairSeg  // coarse tuples dropped by the splice merge
-	addT    []pairSeg  // coarse tuples added by the splice merge
-	mergeT  []pairSeg  // splice merge target, swapped with the engine's pairBuf
-	rmMark  []bool     // removed-site mark
-	addS    []int32    // gained sites
-	rmS     []int32    // lost sites
-	elist   []int32    // centrality/election ring
+	distD   []int32         // base-graph distance from the churn batch
+	seeds   []int32         // flipped-node buffer
+	patched []int32         // rebuilt-window union of the batch
+	dirty   []bool          // voronoi dirty flags (cleared after each update)
+	list    []int32         // dirty queue / horizon BFS queue
+	buckets [][]int32       // dial queue of the dmin repair
+	settled []int32         // dmin repair settle stamps
+	checked []int32         // flip dedup and dead-node closure stamps
+	smark   []int32         // re-flooded site stamps
+	epoch   int32           // shared stamp epoch
+	closure []int32         // dead-node closure queue
+	rs      []int32         // sites to re-flood
+	fcnt    []int32         // fresh records per node (zero between updates)
+	fend    []int32         // end of each node's group in frec
+	touched []int32         // nodes holding fresh records
+	frec    []SiteDist      // fresh records, grouped by node
+	rowBuf  []SiteDist      // a clean node's merged row
+	srcs    []int32         // ball-ring sources, in batch order
+	rep     graph.SumRepair // the ring flood's sums repair (cleared after it)
+	delT    []pairSeg       // coarse tuples dropped by the splice merge
+	addT    []pairSeg       // coarse tuples added by the splice merge
+	mergeT  []pairSeg       // splice merge target, swapped with the engine's pairBuf
+	addS    []int32         // gained sites
+	rmS     []int32         // lost sites
+	elist   []int32         // centrality/election ring
 }
 
 func (s *incScratch) ensure(n int) {
@@ -728,7 +709,6 @@ func (s *incScratch) ensure(n int) {
 	s.smark = grow(s.smark, n)
 	s.fcnt = grow(s.fcnt, n)
 	s.fend = grow(s.fend, n)
-	s.rmMark = grow(s.rmMark, n)
 	if s.epoch > 1<<30 {
 		// Stamp wrap: epochs are shared across updates; reset well before
 		// int32 overflow.

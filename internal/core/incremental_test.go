@@ -60,13 +60,28 @@ func (c *churnPlan) pickDead(g *graph.Graph, k int) []int32 {
 	return out
 }
 
+// pickSites draws up to k distinct sites of the list.
+func (c *churnPlan) pickSites(sites []int32, k int) []int32 {
+	out := make([]int32, 0, k)
+	seen := make(map[int32]bool, k)
+	for guard := 0; len(out) < k && len(sites) > 0 && guard < 100*k+1000; guard++ {
+		s := sites[c.next(len(sites))]
+		if !seen[s] {
+			seen[s] = true
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
 // requireIncrementalEquivalence steps the incremental extractor through the
 // given churn batches and, after every step, asserts the patched Result —
 // its Stats outcome counters included — is bit-identical to a from-scratch
 // extraction on the same mutated graph, and that the engine's saturation
-// counts describe its ball matrix. It returns each step's fallback reason
+// counts describe its ball matrix. Each removal batch also removes
+// siteKills of the current sites. It returns each step's fallback reason
 // ("" for a step that stayed incremental).
-func requireIncrementalEquivalence(t *testing.T, name string, g *graph.Graph, p Params, batchSizes []int, seed uint64) []string {
+func requireIncrementalEquivalence(t *testing.T, name string, g *graph.Graph, p Params, batchSizes []int, seed uint64, siteKills int) []string {
 	t.Helper()
 	ix, err := NewIncrementalExtractor(g, p, nil, nil)
 	if err != nil {
@@ -80,7 +95,7 @@ func requireIncrementalEquivalence(t *testing.T, name string, g *graph.Graph, p 
 			// Every third batch revives what it can instead of removing.
 			revive = plan.pickDead(g, size)
 		} else {
-			remove = plan.pickAlive(g, size)
+			remove = append(plan.pickSites(ix.Result().Sites, siteKills), plan.pickAlive(g, size)...)
 		}
 		got, err := ix.Update(remove, revive)
 		if err != nil {
@@ -180,7 +195,7 @@ func itoa(i int) string {
 func TestIncrementalSmoke(t *testing.T) {
 	g := nettest.Grid("onehole", 700, 6.5, 3).Graph
 	requireIncrementalEquivalence(t, "onehole", g, DefaultParams(),
-		[]int{1, 1, 2, 8, 8, 8, 1}, 42)
+		[]int{1, 1, 2, 8, 8, 8, 1}, 42, 0)
 }
 
 // TestIncrementalEquivalenceShapes: the property matrix — every registered
@@ -203,7 +218,47 @@ func TestIncrementalEquivalenceShapes(t *testing.T) {
 		for model, g := range nets {
 			p := DefaultParams()
 			requireIncrementalEquivalence(t, name+"/"+model, g, p,
-				[]int{1, 1, 8, 8, 64, 64}, 7)
+				[]int{1, 1, 8, 8, 64, 64}, 7, 0)
+		}
+	}
+}
+
+// TestIncrementalParamSweep: the identify repair floods the ball ring in
+// one of three shapes — ring radius maxR = L (K <= L, the sums pushed as
+// the flood ends), maxR > L (scope > L, pushed mid-flood) and K > L (a
+// second flood per batch pushes the finished K-ball sizes) — and the
+// Voronoi repair admits records by alpha. Each (K, L, scope, alpha) runs a
+// churn stream whose removal batches also take out two sites, at
+// GOMAXPROCS 1 and 4. Every step must match a from-scratch extraction bit
+// for bit, and every removal step must stay incremental.
+func TestIncrementalParamSweep(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, p := range []Params{
+		{K: 3, L: 4, Alpha: 1},
+		{K: 5, L: 3, Alpha: 1},
+		{K: 3, L: 3, LocalMaxScope: 5, Alpha: 1},
+		{K: 4, L: 4, Alpha: 0},
+		{K: 4, L: 4, Alpha: 2},
+	} {
+		name := "K" + itoa(p.K) + "L" + itoa(p.L) + "S" + itoa(p.Scope()) + "a" + itoa(int(p.Alpha))
+		for _, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			g := nettest.Grid("window", 1500, 7, 2).Graph
+			ref, err := NewExtractor(g).Extract(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref.EffectiveK != p.K || ref.EffectiveScope != p.Scope() || ref.Stats.ElectionRounds != 1 {
+				t.Fatalf("%s: field guards the radii (K=%d scope=%d rounds=%d)",
+					name, ref.EffectiveK, ref.EffectiveScope, ref.Stats.ElectionRounds)
+			}
+			reasons := requireIncrementalEquivalence(t, name+"/procs"+itoa(procs), g, p,
+				[]int{1, 8, 8, 30, 8, 30, 1, 30}, 11, 2)
+			for step, r := range reasons {
+				if step%3 != 2 && r != "" {
+					t.Fatalf("%s procs=%d step %d: a removal that loses sites fell back (%s)", name, procs, step, r)
+				}
+			}
 		}
 	}
 }
@@ -224,7 +279,7 @@ func TestIncrementalSaturatedField(t *testing.T) {
 			ref.EffectiveK, ref.EffectiveScope, ref.Stats.ElectionRounds)
 	}
 	reasons := requireIncrementalEquivalence(t, "window-saturated", g, p,
-		[]int{1, 5, 9, 1, 5, 9, 1, 5, 9, 1, 5, 9}, 1)
+		[]int{1, 5, 9, 1, 5, 9, 1, 5, 9, 1, 5, 9}, 1, 0)
 	drift := false
 	for _, r := range reasons {
 		drift = drift || r == "radius-drift"
@@ -513,8 +568,8 @@ func cloneResultFields(r *Result) *Result {
 // where the update's cost crosses a from-scratch extraction's. Each size
 // reports speedup, the faster of two warmed full extractions over the mean
 // update; fallback_frac, the share that ran the whole pipeline; and the
-// mean identify and voronoi stage times of the updates that stayed
-// incremental.
+// mean identify, election, voronoi, coarse and refine stage times of the
+// updates that stayed incremental.
 func BenchmarkIncrementalUpdate(b *testing.B) {
 	for _, size := range []int{1, 10, 30, 50, 100, 200, 400} {
 		g := nettest.Grid("window", 100000, 7, 1).Graph
@@ -540,7 +595,7 @@ func BenchmarkIncrementalUpdate(b *testing.B) {
 		runtime.GC()
 		b.Run("batch"+itoa(size), func(b *testing.B) {
 			var fallbacks int
-			var stageTime [2]time.Duration
+			stageTime := make(map[string]time.Duration)
 			for i := 0; i < b.N; i++ {
 				res, err := step()
 				if err != nil {
@@ -552,19 +607,15 @@ func BenchmarkIncrementalUpdate(b *testing.B) {
 					continue
 				}
 				for _, ph := range res.Stats.Phases {
-					switch ph.Name {
-					case "identify":
-						stageTime[0] += ph.Duration
-					case "voronoi":
-						stageTime[1] += ph.Duration
-					}
+					stageTime[ph.Name] += ph.Duration
 				}
 			}
 			b.ReportMetric(float64(full)/(float64(b.Elapsed())/float64(b.N)), "speedup")
 			b.ReportMetric(float64(fallbacks)/float64(b.N), "fallback_frac")
 			if kept := b.N - fallbacks; kept > 0 {
-				b.ReportMetric(float64(stageTime[0])/float64(kept)/1e6, "identify_ms")
-				b.ReportMetric(float64(stageTime[1])/float64(kept)/1e6, "voronoi_ms")
+				for _, stage := range []string{"identify", "election", "voronoi", "coarse", "refine"} {
+					b.ReportMetric(float64(stageTime[stage])/float64(kept)/1e6, stage+"_ms")
+				}
 			}
 		})
 	}

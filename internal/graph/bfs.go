@@ -141,7 +141,7 @@ func (g *Graph) BallSizesIntoKernel(kern Kernel, k int, out [][]int, acquire fun
 		return
 	}
 	g.ballBatches(k, sumPush{}, nil, 0, acquire, release, func(v int32, levels []int32) {
-		cumulateInts(out[v], levels)
+		cumulate(out[v], levels)
 	})
 }
 

@@ -49,7 +49,7 @@ func TestFlatBallMatrixMatchesWalker(t *testing.T) {
 				for i := range patch {
 					patch[i] = -1
 				}
-				g.BatchBallSizesInto(k, odd, patch, nil, nil)
+				g.BatchBallSizesInto(k, odd, patch, nil, nil, nil)
 				counts := g.AllKHopCounts(k)
 				for v := 0; v < n; v++ {
 					if counts[v] != want[v][k-1] {

@@ -101,33 +101,37 @@ func (s *msbfsScratch) finish(cur, nxt, touched []int32, fbits []uint64, clearSe
 // itself. Hop distance is symmetric, so over all batches
 // out[x] += Σ_{s≠x, d(s,x)≤radius} weight(s): with ball sizes as weights
 // these are the centrality sums of Def. 3. weight, when set, gives each
-// batch source's weight explicitly (PushSumsInto); otherwise a source
-// weighs its width-hop ball size, its level tallies summed through width
-// (final once width <= radius). Batches on different workers reach the
-// same node only near chunk seams; their integer adds commute, so the sums
-// do not depend on the schedule. The zero value pushes nothing.
+// batch source's weight explicitly; otherwise a source weighs its
+// width-hop ball size, its level tallies summed through width (final once
+// width <= radius); with rep set, weight − rep.Old[s] (see SumRepair).
+// Batches on different workers reach the same node only near chunk seams;
+// their integer adds commute, so the sums do not depend on the schedule.
+// out == nil pushes nothing. pull asks for the transpose too: source i
+// sums pull[v] within radius hops into pulled[i].
 type sumPush struct {
 	width, radius int
 	weight        []int
 	out           []int
+	rep           *SumRepair
+	pull, pulled  []int
 }
 
 // run floods up to 64 sources simultaneously, truncated at k hops, over the
 // CSR arrays. When tally is non-nil (len(sources)*k entries) it sets
-// tally[i*k+d-1] to the number of nodes source i first reaches at hop d;
-// when weight is non-nil it adds weight[v] for every v source i reaches to
-// wsums[i]. Settle events within logRadius hops are appended to log as
+// tally[i*k+d-1] to the number of nodes source i first reaches at hop d.
+// Settle events within logRadius hops are appended to log as
 // (node, source-bits) pairs — a replayable record of which sources reached
 // which nodes — and the grown log is returned alongside the total number
 // of (source, node) visits, the same tally the walker's visited counter
-// produces. Pass logRadius 0 to disable logging. A non-zero push (radius
-// <= k, distinct sources, a tally when push.weight is nil) pushes the
-// batch's ball sizes to the nodes it reached; see sumPush.
+// produces. Pass logRadius 0 to disable logging. A push with out set
+// (radius <= k, distinct sources, a tally when push.weight is nil) pushes
+// the batch's weights to the nodes it reached, and one with pull set
+// tallies the pulled sums; see sumPush.
 //
 // The scratch words must be all-zero on entry; run re-zeroes everything it
 // touched before returning, so the cost of repeated runs is proportional to
 // the flooded region only.
-func (s *msbfsScratch) run(g *Graph, k int, sources []int32, tally []int32, weight []int, wsums []int, log []VisitEvent, logRadius int, push sumPush) ([]VisitEvent, int) {
+func (s *msbfsScratch) run(g *Graph, k int, sources []int32, tally []int32, log []VisitEvent, logRadius int, push sumPush) ([]VisitEvent, int) {
 	if k <= 0 || len(sources) == 0 {
 		return log, 0
 	}
@@ -140,6 +144,7 @@ func (s *msbfsScratch) run(g *Graph, k int, sources []int32, tally []int32, weig
 	// loops cannot force header reloads.
 	seen, next := s.seen, s.next
 	cur, fbits, nxt, touched := s.cur, s.fbits, s.nxt, s.touched
+	pull, pulled := push.pull, push.pulled
 	visited := 0
 	for d := 1; d <= k && len(cur) > 0; d++ {
 		// Expand: OR every frontier word into the neighbors' next words,
@@ -169,6 +174,7 @@ func (s *msbfsScratch) run(g *Graph, k int, sources []int32, tally []int32, weig
 		// mask guarantees it); tally them per source and make them the
 		// next frontier, which is nxt itself with its bits alongside.
 		var cnt [msbfsBatch]int32
+		pulling := pull != nil && d <= push.radius
 		fbits = fbits[:0]
 		for _, v := range nxt {
 			newBits := next[v]
@@ -182,16 +188,16 @@ func (s *msbfsScratch) run(g *Graph, k int, sources []int32, tally []int32, weig
 			if d <= logRadius {
 				log = append(log, VisitEvent{V: v, Bits: newBits})
 			}
-			if weight == nil {
+			if !pulling {
 				for b := newBits; b != 0; b &= b - 1 {
 					cnt[bits.TrailingZeros64(b)]++
 				}
 			} else {
-				wv := weight[v]
+				wv := pull[v]
 				for b := newBits; b != 0; b &= b - 1 {
 					i := bits.TrailingZeros64(b)
 					cnt[i]++
-					wsums[i] += wv
+					pulled[i] += wv
 				}
 			}
 		}
@@ -201,7 +207,7 @@ func (s *msbfsScratch) run(g *Graph, k int, sources []int32, tally []int32, weig
 				tally[i*k+d-1] = cnt[i]
 			}
 		}
-		if d == push.radius && d < k {
+		if push.out != nil && d == push.radius && d < k {
 			// Later levels still expand against seen, so push without
 			// clearing it; the exit below only clears.
 			pushSums(push, sources, k, tally, seen, touched, false)
@@ -222,6 +228,8 @@ func (s *msbfsScratch) run(g *Graph, k int, sources []int32, tally []int32, weig
 // batch sources in seen[x] other than x itself, zeroing seen[x] as it goes
 // when clear is set. With distinct sources, touched opens with the sources
 // in batch order, so touched[j] for j < len(sources) carries self-bit j.
+// A repair push (rep set) pushes each weight's change against rep.Old, and
+// each fresh source adds its pulled sum to its own (see SumRepair).
 func pushSums(push sumPush, sources []int32, k int, tally []int32, seen []uint64, touched []int32, clear bool) {
 	var wt [msbfsBatch]int
 	if push.weight != nil {
@@ -234,6 +242,14 @@ func pushSums(push sumPush, sources []int32, k int, tally []int32, seen []uint64
 		}
 	}
 	out := push.out
+	if rep := push.rep; rep != nil {
+		for i, src := range sources {
+			wt[i] -= rep.Old[src]
+			if rep.fresh(src) {
+				addInt(&out[src], push.pulled[i])
+			}
+		}
+	}
 	for j, x := range touched {
 		b := seen[x]
 		if j < len(sources) {
@@ -268,11 +284,11 @@ func addInt(p *int, d int) {
 // observability sees the batched kernel exactly like walker sweeps; the
 // grown log slice is returned so per-batch log buffers can live outside the
 // walker.
-func (w *Walker) runKernel(k int, sources []int32, tally []int32, weight []int, wsums []int, log []VisitEvent, logRadius int, push sumPush) []VisitEvent {
+func (w *Walker) runKernel(k int, sources []int32, tally []int32, log []VisitEvent, logRadius int, push sumPush) []VisitEvent {
 	if w.ms == nil {
 		w.ms = newMSBFSScratch(w.g.N())
 	}
-	log, visited := w.ms.run(w.g, k, sources, tally, weight, wsums, log, logRadius, push)
+	log, visited := w.ms.run(w.g, k, sources, tally, log, logRadius, push)
 	w.s.sweeps += len(sources)
 	w.s.visited += visited
 	return log
@@ -342,7 +358,7 @@ func (w *Walker) ballTally(k int, sources []int32, log []VisitEvent, logRadius i
 	t = t[:len(sources)*k]
 	clear(t)
 	w.ms.tally = t
-	log = w.runKernel(k, sources, t, nil, nil, log, logRadius, push)
+	log = w.runKernel(k, sources, t, log, logRadius, push)
 	return t, log
 }
 
@@ -371,98 +387,101 @@ func (g *Graph) ballBatches(k int, push sumPush, lg *VisitLog, logRadius int, ac
 }
 
 // cumulate writes the running totals of one source's level tallies into a
-// flat ball row: row[r] = |N_{r+1}|.
-func cumulate(row []int32, levels []int32) {
-	c := int32(0)
+// ball row: row[r] = |N_{r+1}|.
+func cumulate[T int | int32](row []T, levels []int32) {
+	var c T
 	for r, x := range levels {
-		c += x
+		c += T(x)
 		row[r] = c
 	}
 }
 
-// cumulateInts is cumulate for the [][]int entry points.
-func cumulateInts(row []int, levels []int32) {
-	c := 0
-	for r, x := range levels {
-		c += int(x)
-		row[r] = c
-	}
+// SumRepair asks BatchBallSizesInto to patch the centrality sums of
+// Def. 3 (Sums[x]: K-ball sizes over N_L(x), x excluded) from the floods
+// that rewrite the listed rows. Each listed s pushes its change
+// |N_K(s)| − Old[s] to the nodes within L of it. x is fresh when
+// 0 <= Dist[x] <= L, and must then be listed: its sum is zeroed first and
+// pulls Σ_{u∈N_L(x)} Old[u] besides the pushes. With Old the previous
+// sizes and every changed K-ball listed, a fresh sum is its new value and
+// any other moves by its changes, which is exact when only fresh nodes can
+// have a new L-ball. 1 <= K <= the flood radius.
+type SumRepair struct {
+	K, L      int
+	Sums, Old []int
+	Dist      []int32
 }
+
+// fresh reports whether x's sum is rebuilt rather than patched.
+func (r *SumRepair) fresh(x int32) bool { return uint32(r.Dist[x]) <= uint32(r.L) }
 
 // BatchBallSizesInto recomputes the ball rows of an arbitrary set of
 // distinct sources in a flat node-indexed matrix of stride k: for each
 // listed v, balls[v*k+r-1] receives |N_r(v)| for r in 1..k (excluding v);
-// other rows are left alone. The incremental extractor patches exactly the
-// dirty rows of its persistent ball matrix with it. Sources run 64 per
-// MS-BFS pass in the order given, so a list sorted along BatchOrder keeps
-// each pass's balls overlapping.
-func (g *Graph) BatchBallSizesInto(k int, sources []int32, balls []int32, acquire func() *Walker, release func(*Walker)) {
+// other rows are left alone. A non-nil rep patches its sums from the same
+// floods: each batch pushes and pulls during its ball flood when
+// K <= L <= k, else in a second flood to L once its K-balls are final.
+// Sources run 64 per MS-BFS pass in the order given, so a list sorted
+// along BatchOrder keeps each pass's balls overlapping. The incremental
+// extractor patches its ball matrix and centrality sums with it.
+func (g *Graph) BatchBallSizesInto(k int, sources []int32, balls []int32, rep *SumRepair, acquire func() *Walker, release func(*Walker)) {
 	if len(sources) == 0 || k <= 0 {
 		return
 	}
+	if rep != nil {
+		for _, v := range sources {
+			if rep.fresh(v) {
+				rep.Sums[v] = 0
+			}
+		}
+	}
+	fused := rep != nil && rep.K <= rep.L && rep.L <= k
 	g.forBatches(len(sources), sources, acquire, release, func(w *Walker, lo, hi int) {
 		srcs := sources[lo:hi]
-		tally, _ := w.ballTally(k, srcs, nil, 0, sumPush{})
+		var push, during sumPush
+		var pulled [msbfsBatch]int
+		if rep != nil {
+			push = sumPush{width: rep.K, radius: rep.L, out: rep.Sums, rep: rep, pull: rep.Old, pulled: pulled[:len(srcs)]}
+		}
+		if fused {
+			during = push
+		}
+		tally, _ := w.ballTally(k, srcs, nil, 0, during)
 		for i, v := range srcs {
 			cumulate(balls[int(v)*k:(int(v)+1)*k], tally[i*k:(i+1)*k])
+		}
+		if rep != nil && !fused {
+			var wt [msbfsBatch]int
+			for i, v := range srcs {
+				wt[i] = int(balls[int(v)*k+rep.K-1])
+			}
+			push.weight = wt[:len(srcs)]
+			w.runKernel(rep.L, srcs, nil, nil, 0, push)
 		}
 	})
 }
 
-// BallWeightedSumsInto computes, for every listed source v, the sum of
-// weight[u] over all u in N_k(v) (excluding v itself) into out[v]
-// (overwritten; other entries are left alone). With no sources it covers
-// every node, and out must hold N entries. This is the bulk form of the
-// centrality accumulation (Def. 3): one walker sweep per source, or — for
-// the batched kernel — a per-level weighted tally over 64 sources per
-// MS-BFS pass, taken in the order given (batch order for every node).
-// Results are identical across kernels.
-func (g *Graph) BallWeightedSumsInto(kern Kernel, k int, weight []int, out []int, acquire func() *Walker, release func(*Walker), sources ...int32) {
-	count := len(sources)
-	if count == 0 {
-		count = g.N()
-	}
+// BallWeightedSumsInto computes, for every node v, the sum of weight[u]
+// over all u in N_k(v) (excluding v itself) into out[v] (overwritten; out
+// must hold N entries). This is the bulk form of the centrality
+// accumulation (Def. 3): one walker sweep per node, or — for the batched
+// kernel — a per-level weighted tally over 64 sources per MS-BFS pass, in
+// batch order. Results are identical across kernels.
+func (g *Graph) BallWeightedSumsInto(kern Kernel, k int, weight []int, out []int, acquire func() *Walker, release func(*Walker)) {
 	if kern == KernelWalker {
-		ParallelRange(g, count, acquire, release, func(w *Walker, i int) {
-			v := i
-			if len(sources) > 0 {
-				v = int(sources[i])
-			}
+		ParallelNodes(g, acquire, release, func(w *Walker, v int) {
 			sum := 0
 			w.Walk(v, k, func(u, _ int32) { sum += weight[u] })
 			out[v] = sum
 		})
 		return
 	}
-	g.forBatches(count, sources, acquire, release, func(w *Walker, lo, hi int) {
-		var srcs []int32
-		if len(sources) > 0 {
-			srcs = sources[lo:hi]
-		} else {
-			srcs = w.nodeBatch(lo, hi)
-		}
-		var wbuf [msbfsBatch]int
-		wb := wbuf[:len(srcs)]
-		w.runKernel(k, srcs, nil, weight, wb, nil, 0, sumPush{})
+	g.forBatches(g.N(), nil, acquire, release, func(w *Walker, lo, hi int) {
+		srcs := w.nodeBatch(lo, hi)
+		var wb [msbfsBatch]int
+		w.runKernel(k, srcs, nil, nil, 0, sumPush{radius: k, pull: weight, pulled: wb[:len(srcs)]})
 		for i, v := range srcs {
 			out[v] = wb[i]
 		}
-	})
-}
-
-// PushSumsInto is the transpose of BallWeightedSumsInto: it adds weight[i]
-// to out[x] for every x within k hops of sources[i], other than
-// sources[i] itself. Sources must be distinct; they run 64 per MS-BFS pass
-// in the order given. The incremental
-// extractor pushes each changed K-ball size's delta to the centrality sums
-// it enters this way. Weights may be negative; the adds are atomic and
-// commute, so out does not depend on the schedule.
-func (g *Graph) PushSumsInto(k int, sources []int32, weight []int, out []int, acquire func() *Walker, release func(*Walker)) {
-	if len(sources) == 0 || k <= 0 {
-		return
-	}
-	g.forBatches(len(sources), sources, acquire, release, func(w *Walker, lo, hi int) {
-		w.runKernel(k, sources[lo:hi], nil, nil, nil, nil, 0, sumPush{radius: k, weight: weight[lo:hi], out: out})
 	})
 }
 

@@ -208,7 +208,7 @@ func TestBatchBallSizes(t *testing.T) {
 	for i := range out {
 		out[i] = -1
 	}
-	g.BatchBallSizesInto(k, sources, out, nil, nil)
+	g.BatchBallSizesInto(k, sources, out, nil, nil, nil)
 	listed := make([]bool, n)
 	for _, s := range sources {
 		listed[s] = true
@@ -223,7 +223,7 @@ func TestBatchBallSizes(t *testing.T) {
 			t.Fatalf("unlisted row %d written", v)
 		}
 	}
-	g.BatchBallSizesInto(3, nil, nil, nil, nil) // no sources: a no-op
+	g.BatchBallSizesInto(3, nil, nil, nil, nil, nil) // no sources: a no-op
 }
 
 // TestFreezeSemantics: Builder.Freeze assembles rows sorted whatever the

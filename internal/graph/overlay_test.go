@@ -148,8 +148,8 @@ func TestOverlayKernelsMatchRebuiltGraph(t *testing.T) {
 		sources = append(sources, v)
 	}
 	got, want := make([]int32, n*k), make([]int32, n*k)
-	g.BatchBallSizesInto(k, sources, got, nil, nil)
-	ref.BatchBallSizesInto(k, sources, want, nil, nil)
+	g.BatchBallSizesInto(k, sources, got, nil, nil, nil)
+	ref.BatchBallSizesInto(k, sources, want, nil, nil, nil)
 	for _, src := range sources {
 		for r := 0; r < k; r++ {
 			if i := int(src)*k + r; got[i] != want[i] {

@@ -12,7 +12,7 @@ import (
 // checkPushedSums compares BallSizesAndSumsInto at GOMAXPROCS 1 and 4 with
 // the walker oracles: the ball rows with per-node walker sweeps, the sums
 // with BallWeightedSumsInto(KernelWalker) over the rows' sumK column. At
-// each GOMAXPROCS it also runs checkSourceLists at radius sumL.
+// each GOMAXPROCS it also runs checkSumRepair with the same radii.
 func checkPushedSums(t *testing.T, name string, g *Graph, k, sumK, sumL int, seed int64) {
 	t.Helper()
 	n := g.N()
@@ -48,19 +48,19 @@ func checkPushedSums(t *testing.T, name string, g *Graph, k, sumK, sumL int, see
 					name, k, sumK, sumL, procs, v, sums[v], wantSums[v])
 			}
 		}
-		checkSourceLists(t, fmt.Sprintf("%s L=%d procs=%d", name, sumL, procs), g, sumL, rand.New(rand.NewSource(seed)))
+		checkSumRepair(t, fmt.Sprintf("%s k=%d L=%d procs=%d", name, k, sumL, procs), g, k, sumK, sumL, rand.New(rand.NewSource(seed)))
 	}
 }
 
-// checkSourceLists checks the source-list drivers the incremental update
-// floods with against one Walker.Walk per source at radius l: PushSumsInto
-// with signed per-source weights (removals push negative deltas) added onto
-// arbitrary prior sums, and the source-list form of BallWeightedSumsInto
-// under both kernels with signed node weights, which must leave unlisted
-// nodes alone. Each runs over a strided source subset in ID order and a
-// random one in batch (Z-curve) order; dead nodes are sources like any
-// other.
-func checkSourceLists(t *testing.T, name string, g *Graph, l int, rng *rand.Rand) {
+// checkSumRepair checks the pass the incremental update floods with —
+// BatchBallSizesInto with a SumRepair — against one Walker.Walk per source
+// at flood radius k: the listed ball rows (unlisted rows left alone) and
+// the sums, patched from random prior values with random Old sizes and a
+// random fresh set among the sources. It runs at K = sumK, pushed during the ball flood
+// when sumK <= sumL, and at K = k, which takes the second flood when
+// k > sumL; each over a strided source subset in ID order and a random one
+// in batch (Z-curve) order. Dead nodes are sources like any other.
+func checkSumRepair(t *testing.T, name string, g *Graph, k, sumK, sumL int, rng *rand.Rand) {
 	t.Helper()
 	n := g.N()
 	order := g.BatchOrder()
@@ -77,54 +77,68 @@ func checkSourceLists(t *testing.T, name string, g *Graph, l int, rng *rand.Rand
 			byZ = append(byZ, v)
 		}
 	}
-	node := make([]int, n)
-	for v := range node {
-		node[v] = rng.Intn(19) - 9
-	}
 	w := NewWalker(g)
-	for _, src := range []struct {
-		order string
-		list  []int32
-	}{{"id", byID}, {"z", byZ}} {
-		if len(src.list) == 0 {
-			continue
-		}
-		weight := make([]int, len(src.list))
-		got, want := make([]int, n), make([]int, n)
-		for v := range got {
-			got[v] = rng.Intn(100) - 50
-			want[v] = got[v]
-		}
-		wantSum := make([]int, n)
-		for v := range wantSum {
-			wantSum[v] = -1 << 40 // unlisted: left alone
-		}
-		for i, s := range src.list {
-			weight[i] = rng.Intn(19) - 9
-			sum := 0
-			w.Walk(int(s), l, func(u, _ int32) {
-				want[u] += weight[i]
-				sum += node[u]
-			})
-			wantSum[s] = sum
-		}
-		g.PushSumsInto(l, src.list, weight, got, nil, nil)
-		for v := range got {
-			if got[v] != want[v] {
-				t.Fatalf("%s %s-order push of %d sources: out[%d] = %d, want %d",
-					name, src.order, len(src.list), v, got[v], want[v])
+	for _, K := range []int{sumK, k} {
+		for _, src := range []struct {
+			order string
+			list  []int32
+		}{{"id", byID}, {"z", byZ}} {
+			if len(src.list) == 0 {
+				continue
 			}
-		}
-		for _, kern := range []Kernel{KernelWalker, KernelBatched} {
-			sums := make([]int, n)
-			for v := range sums {
-				sums[v] = -1 << 40
+			listed := make([]bool, n)
+			for _, s := range src.list {
+				listed[s] = true
 			}
-			g.BallWeightedSumsInto(kern, l, node, sums, nil, nil, src.list...)
-			for v := range sums {
-				if sums[v] != wantSum[v] {
-					t.Fatalf("%s %s-order kernel %d weighted sums of %d sources: out[%d] = %d, want %d",
-						name, src.order, kern, len(src.list), v, sums[v], wantSum[v])
+			rep := SumRepair{K: K, L: sumL, Sums: make([]int, n), Old: make([]int, n), Dist: make([]int32, n)}
+			want := make([]int, n)
+			for v := 0; v < n; v++ {
+				rep.Sums[v] = rng.Intn(100) - 50
+				rep.Old[v] = rng.Intn(40)
+				switch {
+				case listed[v]:
+					rep.Dist[v] = int32(rng.Intn(sumL+4) - 1)
+				case rng.Intn(2) == 0:
+					rep.Dist[v] = Unreachable
+				default:
+					rep.Dist[v] = int32(sumL + 1 + rng.Intn(3))
+				}
+			}
+			for v := range want {
+				want[v] = rep.Sums[v]
+				if rep.fresh(int32(v)) {
+					want[v] = 0
+					w.Walk(v, sumL, func(u, _ int32) { want[v] += rep.Old[u] })
+				}
+			}
+			balls := make([]int32, n*k)
+			for i := range balls {
+				balls[i] = -7
+			}
+			wantRows := make([]int32, n*k)
+			copy(wantRows, balls)
+			for _, s := range src.list {
+				row := wantRows[int(s)*k : (int(s)+1)*k]
+				clear(row)
+				w.Walk(int(s), k, func(_, d int32) {
+					for r := d - 1; int(r) < k; r++ {
+						row[r]++
+					}
+				})
+				newK := int(row[K-1])
+				w.Walk(int(s), sumL, func(u, _ int32) { want[u] += newK - rep.Old[s] })
+			}
+			g.BatchBallSizesInto(k, src.list, balls, &rep, nil, nil)
+			for i := range balls {
+				if balls[i] != wantRows[i] {
+					t.Fatalf("%s %s-order K=%d: ball[%d][%d] = %d, want %d",
+						name, src.order, K, i/k, i%k, balls[i], wantRows[i])
+				}
+			}
+			for v := range want {
+				if rep.Sums[v] != want[v] {
+					t.Fatalf("%s %s-order K=%d of %d sources: sum[%d] = %d, want %d (fresh %v)",
+						name, src.order, K, len(src.list), v, rep.Sums[v], want[v], rep.fresh(int32(v)))
 				}
 			}
 		}
@@ -146,7 +160,8 @@ func pushRows(n, k int) [][]int {
 // floods), several components with isolated nodes, and paths on which
 // every source's frontier dies before L; each at a flood radius equal to L
 // (the push fused with the final clear) and above it (the push at the end
-// of level L). The source-list pushes and tallies are checked on each too.
+// of level L). The incremental update's repair pass is checked on each
+// too (checkSumRepair).
 func TestPushedSumsMatchWalker(t *testing.T) {
 	field := func() *Graph {
 		return Build(uniformPoints(rand.New(rand.NewSource(1)), 1000, 85), radio.UDG{R: 4}, 1)
@@ -204,8 +219,8 @@ func TestPushedSumsMatchWalker(t *testing.T) {
 	}
 }
 
-// FuzzPushedSums checks the pushed centrality sums and the source-list
-// drivers against the walker oracle on FuzzBuild's generated fields, with
+// FuzzPushedSums checks the pushed centrality sums and the repair pass
+// against the walker oracle on FuzzBuild's generated fields, with
 // K <= L drawn from 1..6, the flood radius up to two hops past L, and every
 // fifth node tombstoned when kind asks for it.
 func FuzzPushedSums(f *testing.F) {

@@ -82,7 +82,7 @@ func (g *Graph) BallSizesIntoKernelLogged(kern Kernel, k, logRadius int, out [][
 	}
 	lg.Reset(g.N(), logRadius)
 	g.ballBatches(k, sumPush{}, lg, logRadius, acquire, release, func(v int32, levels []int32) {
-		cumulateInts(out[v], levels)
+		cumulate(out[v], levels)
 	})
 }
 
