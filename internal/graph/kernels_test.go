@@ -1,7 +1,9 @@
 package graph_test
 
 import (
+	"fmt"
 	"math/bits"
+	"math/rand"
 	"sort"
 	"testing"
 
@@ -9,14 +11,33 @@ import (
 	"bfskel/internal/nettest"
 )
 
+// hubGraph joins a 40-node path (0..39) to the hub 40 of a 300-leaf star
+// (41..340); the path's far end also touches two leaves. Low IDs sit on the
+// path, so a batch's frontier lists path nodes before the hub and the hub's
+// 301 neighbors arrive in the middle of a level, past the capacity the
+// frontier list had grown to on the path.
+func hubGraph() *graph.Graph {
+	g := graph.New(341)
+	for v := 0; v < 40; v++ {
+		g.AddEdge(v, v+1)
+	}
+	for v := 41; v <= 340; v++ {
+		g.AddEdge(40, v)
+	}
+	g.AddEdge(0, 41)
+	g.AddEdge(0, 340)
+	return g.Freeze()
+}
+
 // prunedNets builds a few topologies exercising the pruned and bounded batch
-// kernels: a dense grid field, a field with a hole, and a handmade
-// disconnected graph.
+// kernels: a dense grid field, a field with a hole, a handmade disconnected
+// graph, and the hub graph.
 func prunedNets(t *testing.T) map[string]*graph.Graph {
 	t.Helper()
 	nets := map[string]*graph.Graph{
 		"window":  nettest.Grid("window", 240, 6.5, 1).Graph,
 		"onehole": nettest.Grid("onehole", 240, 6.5, 1).Graph,
+		"hub":     hubGraph(),
 	}
 	d := graph.New(120)
 	for v := 0; v < 59; v++ { // path component
@@ -31,11 +52,18 @@ func prunedNets(t *testing.T) map[string]*graph.Graph {
 }
 
 // testSources picks a spread of source nodes, more than one 64-batch worth
-// on the larger nets.
-func testSources(n, stride int) []int32 {
+// on the larger nets, at most limit of them (0: no limit), the last two
+// repeating the first two so a batch seeds a node twice.
+func testSources(n, stride, limit int) []int32 {
 	var out []int32
 	for v := 0; v < n; v += stride {
 		out = append(out, int32(v))
+	}
+	if limit > 0 && len(out) > limit-2 {
+		out = out[:limit-2]
+	}
+	if len(out) >= 2 {
+		out = append(out, out[0], out[1])
 	}
 	return out
 }
@@ -116,7 +144,7 @@ func sortVisits(vs []graph.PrunedVisit) {
 // parents — for every slack the pipeline uses.
 func TestPrunedBatchBruteForce(t *testing.T) {
 	for name, g := range prunedNets(t) {
-		sources := testSources(g.N(), 17)
+		sources := testSources(g.N(), 17, 0)
 		bound := bruteDmin(g, sources)
 		for _, slack := range []int32{0, 1, 2} {
 			var want []graph.PrunedVisit
@@ -175,6 +203,73 @@ func bruteBounded(g *graph.Graph, src int32, radius int32, blocked []bool) []int
 	return dist
 }
 
+// checkBoundedBatch runs one BoundedBatch and checks it against
+// bruteBounded per source: each source settles exactly the nodes the
+// serial flood reaches past its seed, each once, in level order, and no
+// settle carries empty bits.
+func checkBoundedBatch(t *testing.T, name string, g *graph.Graph, sources []int32, radius int32, blocked []bool) {
+	t.Helper()
+	dist := make([][]int32, len(sources))
+	for i, s := range sources {
+		dist[i] = bruteBounded(g, s, radius, blocked)
+	}
+	// got[i] = set of nodes source i settled; level[i] its last level.
+	got := make([]map[int32]bool, len(sources))
+	level := make([]int32, len(sources))
+	for i := range got {
+		got[i] = make(map[int32]bool)
+	}
+	w := graph.NewWalker(g)
+	w.BoundedBatch(sources, radius, blocked, func(v int32, bw uint64) {
+		if bw == 0 {
+			t.Fatalf("%s radius=%d: node %d settled with no source bits", name, radius, v)
+		}
+		for b := bw; b != 0; b &= b - 1 {
+			i := bits.TrailingZeros64(b)
+			if got[i][v] {
+				t.Fatalf("%s radius=%d: node %d settled twice for source %d", name, radius, v, sources[i])
+			}
+			if d := dist[i][v]; d < level[i] {
+				t.Fatalf("%s radius=%d src=%d: node %d at level %d settled after level %d", name, radius, sources[i], v, d, level[i])
+			} else {
+				level[i] = d
+			}
+			got[i][v] = true
+		}
+	})
+	for i, s := range sources {
+		for v := range dist[i] {
+			settled := got[i][int32(v)]
+			wantSettled := dist[i][v] > 0 // seeds (dist 0) are not reported
+			if settled != wantSettled {
+				t.Fatalf("%s radius=%d src=%d node=%d: settled=%v want %v (dist %d)",
+					name, radius, s, v, settled, wantSettled, dist[i][v])
+			}
+		}
+	}
+}
+
+// checkBoundedReach runs one BoundedReach and checks that bit (j, i) of the
+// reach matrix is set exactly when probe j is within the radius of source
+// i, seeds included.
+func checkBoundedReach(t *testing.T, name string, g *graph.Graph, sources []int32, radius int32, probes []int32) {
+	t.Helper()
+	reach := make([]uint64, len(probes))
+	w := graph.NewWalker(g)
+	w.BoundedReach(sources, radius, probes, reach)
+	for i, s := range sources {
+		dist := bruteBounded(g, s, radius, nil)
+		for j, p := range probes {
+			got := reach[j]&(uint64(1)<<uint(i)) != 0
+			want := dist[p] >= 0
+			if got != want {
+				t.Fatalf("%s radius=%d: reach[probe %d][src %d] = %v, want %v (dist %d)",
+					name, radius, p, s, got, want, dist[p])
+			}
+		}
+	}
+}
+
 // TestBoundedBatchBruteForce: BoundedBatch settles exactly the nodes the
 // serial bounded flood reaches (excluding the seeds themselves), with the
 // correct per-source levels, under a blocked mask.
@@ -185,37 +280,9 @@ func TestBoundedBatchBruteForce(t *testing.T) {
 		for v := 0; v < n; v += 5 {
 			blocked[v] = true
 		}
-		sources := testSources(n, 13)
-		if len(sources) > 64 {
-			sources = sources[:64]
-		}
+		sources := testSources(n, 13, 64) // 0 is a blocked source
 		for _, radius := range []int32{1, 2, 4} {
-			// got[i] = set of nodes source i settled.
-			got := make([]map[int32]bool, len(sources))
-			for i := range got {
-				got[i] = make(map[int32]bool)
-			}
-			w := graph.NewWalker(g)
-			w.BoundedBatch(sources, radius, blocked, func(v int32, bw uint64) {
-				for b := bw; b != 0; b &= b - 1 {
-					i := bits.TrailingZeros64(b)
-					if got[i][v] {
-						t.Fatalf("%s radius=%d: node %d settled twice for source %d", name, radius, v, sources[i])
-					}
-					got[i][v] = true
-				}
-			})
-			for i, s := range sources {
-				dist := bruteBounded(g, s, radius, blocked)
-				for v := 0; v < n; v++ {
-					settled := got[i][int32(v)]
-					wantSettled := dist[v] > 0 // seeds (dist 0) are not reported
-					if settled != wantSettled {
-						t.Fatalf("%s radius=%d src=%d node=%d: settled=%v want %v (dist %d)",
-							name, radius, s, v, settled, wantSettled, dist[v])
-					}
-				}
-			}
+			checkBoundedBatch(t, name, g, sources, radius, blocked)
 		}
 	}
 }
@@ -225,31 +292,70 @@ func TestBoundedBatchBruteForce(t *testing.T) {
 func TestBoundedReachBruteForce(t *testing.T) {
 	for name, g := range prunedNets(t) {
 		n := g.N()
-		sources := testSources(n, 29)
-		if len(sources) > 64 {
-			sources = sources[:64]
-		}
+		sources := testSources(n, 29, 64)
 		probes := append([]int32(nil), sources...)
 		for v := 3; v < n && len(probes) < 70; v += 31 {
 			probes = append(probes, int32(v))
 		}
 		for _, radius := range []int32{1, 3} {
-			reach := make([]uint64, len(probes))
-			w := graph.NewWalker(g)
-			w.BoundedReach(sources, radius, probes, reach)
-			for i, s := range sources {
-				dist := bruteBounded(g, s, radius, nil)
-				for j, p := range probes {
-					got := reach[j]&(uint64(1)<<uint(i)) != 0
-					want := dist[p] >= 0
-					if got != want {
-						t.Fatalf("%s radius=%d: reach[probe %d][src %d] = %v, want %v (dist %d)",
-							name, radius, p, s, got, want, dist[p])
-					}
-				}
-			}
+			checkBoundedReach(t, name, g, sources, radius, probes)
 		}
 	}
+}
+
+// FuzzBoundedBatch checks BoundedBatch and BoundedReach against the serial
+// bounded flood on small generated graphs: n = 1 + size%200 nodes, an edge
+// per byte pair of data (self-loops and repeats dropped), with hub set a
+// star from node 0 to every node, a blocked mask of about blockPct% of the
+// nodes, radius 1–5, and 1–64 sources drawn with replacement, the last
+// repeating the first.
+func FuzzBoundedBatch(f *testing.F) {
+	f.Add([]byte{0, 1, 1, 2, 2, 3, 3, 4, 4, 5}, uint8(9), false, uint8(2), uint8(5), uint8(20), int64(1))
+	f.Add([]byte("bounded floods around a skeleton"), uint8(120), true, uint8(4), uint8(63), uint8(10), int64(2))
+	f.Add([]byte{}, uint8(0), false, uint8(0), uint8(0), uint8(0), int64(3))
+	f.Fuzz(func(t *testing.T, data []byte, size uint8, hub bool, radius, nsrc, blockPct uint8, seed int64) {
+		n := 1 + int(size)%200
+		type edge [2]int32
+		seen := make(map[edge]bool)
+		b := graph.New(n)
+		add := func(u, v int) {
+			if u > v {
+				u, v = v, u
+			}
+			if e := (edge{int32(u), int32(v)}); u != v && !seen[e] {
+				seen[e] = true
+				b.AddEdge(u, v)
+			}
+		}
+		for i := 0; i+1 < len(data); i += 2 {
+			add(int(data[i])%n, int(data[i+1])%n)
+		}
+		if hub {
+			for v := 1; v < n; v++ {
+				add(0, v)
+			}
+		}
+		g := b.Freeze()
+		rng := rand.New(rand.NewSource(seed))
+		blocked := make([]bool, n)
+		for v := range blocked {
+			blocked[v] = rng.Intn(100) < int(blockPct%100)
+		}
+		sources := make([]int32, 1+int(nsrc)%64)
+		for i := range sources {
+			sources[i] = int32(rng.Intn(n))
+		}
+		sources[len(sources)-1] = sources[0]
+		probes := make([]int32, 0, n+1)
+		for v := 0; v < n; v++ {
+			probes = append(probes, int32(v))
+		}
+		probes = append(probes, sources[0])
+		r := 1 + int32(radius)%5
+		name := fmt.Sprintf("n=%d edges=%d", n, g.NumEdges())
+		checkBoundedBatch(t, name, g, sources, r, blocked)
+		checkBoundedReach(t, name, g, sources, r, probes)
+	})
 }
 
 // TestVisitLogReplay: the settle log recorded during ball sizing replays

@@ -135,7 +135,6 @@ func (s *msbfsScratch) run(g *Graph, k int, sources []int32, tally []int32, log 
 	if k <= 0 || len(sources) == 0 {
 		return log, 0
 	}
-	offsets, targets, ends := g.offsets, g.targets, g.ends
 	if len(sources) > msbfsBatch {
 		panic("graph: msbfs kernel takes at most 64 sources")
 	}
@@ -147,29 +146,11 @@ func (s *msbfsScratch) run(g *Graph, k int, sources []int32, tally []int32, log 
 	pull, pulled := push.pull, push.pulled
 	visited := 0
 	for d := 1; d <= k && len(cur) > 0; d++ {
-		// Expand: OR every frontier word into the neighbors' next words,
-		// masking off bits already seen. seen[] is only updated in the
-		// settle half, so the mask is stable across the whole level; the
-		// filter keeps interior nodes (every bit seen) out of next/nxt
-		// entirely, so the common already-visited edge costs one load and
-		// no store.
-		nxt = nxt[:0]
-		for j, u := range cur {
-			f := fbits[j]
-			for _, v := range targets[offsets[u]:ends[u]] {
-				add := f &^ seen[v]
-				if add == 0 {
-					continue
-				}
-				old := next[v]
-				if nv := old | add; nv != old {
-					if old == 0 {
-						nxt = append(nxt, v)
-					}
-					next[v] = nv
-				}
-			}
-		}
+		// Expand: OR every frontier word into the neighbors' next words.
+		// Every edge stores, an interior one (every bit seen) included: a
+		// no-op store is cheaper than a branch on whether the edge adds
+		// bits, which mispredicts at every seam (see expandRow).
+		nxt = expand(g, cur, fbits, seen, next, nxt, admission{})
 		// Settle: every queued node carries first-time bits (the expand
 		// mask guarantees it); tally them per source and make them the
 		// next frontier, which is nxt itself with its bits alongside.
@@ -222,6 +203,68 @@ func (s *msbfsScratch) run(g *Graph, k int, sources []int32, tally []int32, log 
 	}
 	s.finish(cur, nxt, touched, fbits, !pushed)
 	return log, visited
+}
+
+// admission narrows an expand to the nodes a kernel may enter at the
+// current level. The zero value admits every node (run). With bound set,
+// v admits nothing unless bound[v] >= 0 and bound[v]+off >= 0, where off
+// is the slack minus the level (PrunedBatch's prune); the test is a sign
+// mask, not a branch. With blocked set, blocked[v] admits nothing
+// (boundedBatch); that test is a branch, which predicts well.
+type admission struct {
+	bound   []int32
+	off     int32
+	blocked []bool
+}
+
+// expand is the expand half of one MS-BFS level, shared by every kernel:
+// it ORs each frontier word fbits[j] into the next words of cur[j]'s
+// neighbors, masking off bits already seen and bits the admission rule
+// refuses, and returns in nxt (reused) the nodes whose next word it turned
+// non-zero, in first-reach order. seen is only updated in the settle half,
+// so the mask is stable across the whole level. Before each frontier node
+// nxt grows to hold all of its neighbors, which expandRow needs.
+func expand(g *Graph, cur []int32, fbits, seen, next []uint64, nxt []int32, adm admission) []int32 {
+	offsets, targets, ends := g.offsets, g.targets, g.ends
+	nxt = nxt[:cap(nxt)]
+	m := 0
+	for j, u := range cur {
+		adj := targets[offsets[u]:ends[u]]
+		if m+len(adj) > len(nxt) {
+			nxt = append(nxt[:m], make([]int32, len(adj))...)
+			nxt = nxt[:cap(nxt)]
+		}
+		m = adm.expandRow(adj, fbits[j], seen, next, nxt, m)
+	}
+	return nxt[:m]
+}
+
+// expandRow expands one frontier node, with frontier word f and adjacency
+// adj, into next, appending first reaches to nxt[:m] (which has room for
+// all of adj) and returning the new length. It is branch-free per edge:
+// whether an edge adds bits, and whether they are the target's first this
+// level, depend on where the frontier meets the visited region, so
+// branches on them mispredict at every seam. Instead every edge stores
+// next[v] = old|add, a no-op when add is zero, and writes v into slot m,
+// and m advances exactly when add != 0 and old == 0, read from the sign
+// bits of add|-add and old|-old. The same nodes land in the same order as
+// a branching loop would put them. It is kept out of expand's loop so the
+// edge loop's values fit in registers.
+func (a *admission) expandRow(adj []int32, f uint64, seen, next []uint64, nxt []int32, m int) int {
+	for _, v := range adj {
+		add := f &^ seen[v]
+		if a.bound != nil {
+			b := a.bound[v]
+			add &^= uint64(int64((b | (b + a.off)) >> 31))
+		} else if a.blocked != nil && a.blocked[v] {
+			add = 0
+		}
+		old := next[v]
+		next[v] = old | add
+		nxt[m] = v
+		m += int(((add | -add) &^ (old | -old)) >> 63)
+	}
+	return m
 }
 
 // pushSums adds to push.out[x], for every touched x, the weights of the
@@ -305,28 +348,14 @@ func (g *Graph) batchSource(i int) int32 {
 }
 
 // forBatches splits the index space 0..count-1 into 64-wide batches and
-// runs fn(w, lo, hi) on each under ParallelRangeWeighted, with the walker's
-// MS-BFS scratch allocated. Slot i's source node is sources[i], or
-// batchSource(i) when sources is empty; a batch weighs the summed degree of
-// its sources plus one, so chunks of dense batches get fewer of them.
-// Weights only move chunk boundaries.
-func (g *Graph) forBatches(count int, sources []int32, acquire func() *Walker, release func(*Walker), fn func(w *Walker, lo, hi int)) {
+// runs fn(w, lo, hi) on each under ParallelRange, in uniform chunks of
+// batches, with the walker's MS-BFS scratch allocated. Chunks are not
+// weighted by the sources' degrees: degree says little about a batch's
+// flood work where long links exist, and such weights measured slower on a
+// log-normal field (EXPERIMENTS.md, "Branch-free frontier expansion").
+func (g *Graph) forBatches(count int, acquire func() *Walker, release func(*Walker), fn func(w *Walker, lo, hi int)) {
 	batches := (count + msbfsBatch - 1) / msbfsBatch
-	weight := func(b int) int {
-		lo := b * msbfsBatch
-		sum := 1
-		for i := lo; i < min(lo+msbfsBatch, count); i++ {
-			var v int32
-			if len(sources) > 0 {
-				v = sources[i]
-			} else {
-				v = g.batchSource(i)
-			}
-			sum += int(g.ends[v] - g.offsets[v])
-		}
-		return sum
-	}
-	ParallelRangeWeighted(g, batches, weight, acquire, release, func(w *Walker, b int) {
+	ParallelRange(g, batches, acquire, release, func(w *Walker, b int) {
 		if w.ms == nil {
 			w.ms = newMSBFSScratch(g.N())
 		}
@@ -370,7 +399,7 @@ func (w *Walker) ballTally(k int, sources []int32, log []VisitEvent, logRadius i
 // a non-nil lg, already Reset, records each batch's settle events within
 // logRadius hops.
 func (g *Graph) ballBatches(k int, push sumPush, lg *VisitLog, logRadius int, acquire func() *Walker, release func(*Walker), emit func(v int32, levels []int32)) {
-	g.forBatches(g.N(), nil, acquire, release, func(w *Walker, lo, hi int) {
+	g.forBatches(g.N(), acquire, release, func(w *Walker, lo, hi int) {
 		srcs := w.nodeBatch(lo, hi)
 		var log []VisitEvent
 		if lg != nil {
@@ -435,7 +464,7 @@ func (g *Graph) BatchBallSizesInto(k int, sources []int32, balls []int32, rep *S
 		}
 	}
 	fused := rep != nil && rep.K <= rep.L && rep.L <= k
-	g.forBatches(len(sources), sources, acquire, release, func(w *Walker, lo, hi int) {
+	g.forBatches(len(sources), acquire, release, func(w *Walker, lo, hi int) {
 		srcs := sources[lo:hi]
 		var push, during sumPush
 		var pulled [msbfsBatch]int
@@ -475,7 +504,7 @@ func (g *Graph) BallWeightedSumsInto(kern Kernel, k int, weight []int, out []int
 		})
 		return
 	}
-	g.forBatches(g.N(), nil, acquire, release, func(w *Walker, lo, hi int) {
+	g.forBatches(g.N(), acquire, release, func(w *Walker, lo, hi int) {
 		srcs := w.nodeBatch(lo, hi)
 		var wb [msbfsBatch]int
 		w.runKernel(k, srcs, nil, nil, 0, sumPush{radius: k, pull: weight, pulled: wb[:len(srcs)]})

@@ -1,12 +1,17 @@
 // Batched variants of the pruned and bounded floods used outside the
 // identify stage: the Voronoi stage's per-site slack-pruned BFS and the
 // refine stage's radius-bounded floods. Same bit-parallel frontier scheme as
-// msbfs.go, with two twists: a per-(node, level) admission bound (the
-// Voronoi dmin+alpha prune — the check depends only on the node and the
-// level, never on which source is flooding, so batching cannot change which
-// nodes any single source visits), and a min-ID parent choice resolved by
-// rescanning each settled node's sorted adjacency against the visited words
-// before they take the new level.
+// msbfs.go, and the same branch-free expand (expand, expandRow), with two
+// twists: a per-(node, level) admission bound (the Voronoi dmin+alpha
+// prune — the check depends only on the node and the level, never on which
+// source is flooding, so batching cannot change which nodes any single
+// source visits), and a min-ID parent choice resolved by rescanning each
+// settled node's sorted adjacency against the visited words before they
+// take the new level. The prune enters the expand as a sign mask on the
+// added bits, d > bound[v]+slack or bound[v] < 0 clearing them all, so
+// pruned edges cost the same as admitted ones and no branch depends on
+// where the prune's frontier lies. The bounded floods' blocked test is a
+// branch, which predicts well.
 package graph
 
 import "math/bits"
@@ -45,26 +50,7 @@ func (w *Walker) PrunedBatch(sources []int32, bound []int32, slack int32, buf []
 	cur, fbits, nxt, touched := s.cur, s.fbits, s.nxt, s.touched
 	emitted := 0
 	for d := int32(1); len(cur) > 0; d++ {
-		nxt = nxt[:0]
-		for j, u := range cur {
-			f := fbits[j]
-			for _, v := range targets[offsets[u]:ends[u]] {
-				if b := bound[v]; b < 0 || d > b+slack {
-					continue
-				}
-				add := f &^ seen[v]
-				if add == 0 {
-					continue
-				}
-				old := next[v]
-				if nv := old | add; nv != old {
-					if old == 0 {
-						nxt = append(nxt, v)
-					}
-					next[v] = nv
-				}
-			}
-		}
+		nxt = expand(g, cur, fbits, seen, next, nxt, admission{bound: bound, off: slack - d})
 		// Settle phase A: resolve parents while seen still holds only
 		// levels below d. A neighbor u whose seen word carries a bit b new
 		// at v reached it at level d-1 exactly: had it reached it earlier,
@@ -152,7 +138,6 @@ func (w *Walker) boundedBatch(sources []int32, radius int32, blocked []bool, vis
 		return
 	}
 	g := w.g
-	offsets, targets, ends := g.offsets, g.targets, g.ends
 	if len(sources) > msbfsBatch {
 		panic("graph: bounded batch kernel takes at most 64 sources")
 	}
@@ -165,26 +150,7 @@ func (w *Walker) boundedBatch(sources []int32, radius int32, blocked []bool, vis
 	cur, fbits, nxt, touched := s.cur, s.fbits, s.nxt, s.touched
 	visited := 0
 	for d := int32(1); d <= radius && len(cur) > 0; d++ {
-		nxt = nxt[:0]
-		for j, u := range cur {
-			f := fbits[j]
-			for _, v := range targets[offsets[u]:ends[u]] {
-				if blocked != nil && blocked[v] {
-					continue
-				}
-				add := f &^ seen[v]
-				if add == 0 {
-					continue
-				}
-				old := next[v]
-				if nv := old | add; nv != old {
-					if old == 0 {
-						nxt = append(nxt, v)
-					}
-					next[v] = nv
-				}
-			}
-		}
+		nxt = expand(g, cur, fbits, seen, next, nxt, admission{blocked: blocked})
 		fbits = fbits[:0]
 		for _, v := range nxt {
 			newBits := next[v]

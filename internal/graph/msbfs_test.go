@@ -13,10 +13,11 @@ import (
 
 // equivNetworks builds one small UDG and one QUDG network per deployment
 // shape — the full shape catalogue times both link models the paper
-// evaluates on.
+// evaluates on — plus the hub graph, whose hub outgrows the frontier list
+// in the middle of a level.
 func equivNetworks(t *testing.T) map[string]*graph.Graph {
 	t.Helper()
-	nets := make(map[string]*graph.Graph)
+	nets := map[string]*graph.Graph{"hub": hubGraph()}
 	for _, name := range shapes.Names() {
 		shape := shapes.MustByName(name)
 		udg := nettest.Grid(name, 240, 6.5, 1)

@@ -38,8 +38,8 @@ func ParallelRange(g *Graph, count int, acquire func() *Walker, release func(*Wa
 }
 
 // ParallelRangeWeighted is ParallelRange under an explicit per-index work
-// weight (nil means uniform). The MS-BFS batch drivers weight each 64-source
-// batch by the summed degree of its sources. Weights only move the chunk
+// weight (nil means uniform). The Voronoi stage weights each 64-source
+// pruned batch by the summed degree of its sites. Weights only move the chunk
 // boundaries — which indices exist and what fn may write is unchanged — and
 // the boundaries depend only on (count, weights, GOMAXPROCS), so outputs
 // stay deterministic for any worker count.
