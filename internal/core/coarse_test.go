@@ -39,19 +39,16 @@ func TestSortPairSegsRuns(t *testing.T) {
 	}
 }
 
-// bandEndsOracle is the band sweep as the coarse stage ran it on the
-// engine's shared flood scratch before the pair walk went parallel: the
-// band in a mark set, distances in an n-sized array, visits under a
-// separate stamp. It also returns the second sweep's band distances.
+// bandEndsOracle is the band sweep as the coarse stage ran it before the
+// pair walk went parallel: the band in a membership array, distances in an
+// n-sized array, visits under a separate stamp. It also returns the second sweep's band distances.
 func bandEndsOracle(g *graph.Graph, segs []int32, connector int32) (int32, int32, map[int32]int32) {
 	if len(segs) == 1 {
 		return segs[0], segs[0], map[int32]int32{segs[0]: 0}
 	}
-	var fld floodScratch
-	fld.ensure(g.N())
-	fld.beginMark()
+	inBand := make([]bool, g.N())
 	for _, v := range segs {
-		fld.mark(v, 1)
+		inBand[v] = true
 	}
 	dist, stamp := make([]int32, g.N()), make([]int32, g.N())
 	var epoch int32
@@ -76,12 +73,12 @@ func bandEndsOracle(g *graph.Graph, segs []int32, connector int32) (int32, int32
 			u := queue[head]
 			du := dist[u]
 			for _, v := range g.Neighbors(int(u)) {
-				if _, inBand := fld.marked(v); inBand {
+				if inBand[v] {
 					visit(v, du+1)
 					continue
 				}
 				for _, w := range g.Neighbors(int(v)) {
-					if _, inBand := fld.marked(w); inBand {
+					if inBand[w] {
 						visit(w, du+2)
 					}
 				}

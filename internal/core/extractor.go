@@ -67,13 +67,12 @@ type Extractor struct {
 	vorSites   []int32               // voronoi: Z-sorted site buffer
 	vorVisits  [][]graph.PrunedVisit // voronoi: per-batch pruned-flood outputs
 	vorCand    [][]int32             // voronoi: per-chunk frontier candidates (parallel dmin)
-	fld        floodScratch          // refine: mark scratch; voronoi borrows its buffers
+	fld        floodScratch          // voronoi and refine borrow its node lists and vals
 	uf         stampedUF             // refine: dense stamped union-find (end clusters, forests)
 	pairBuf    []pairSeg             // coarse: sorted (pair, segment node) tuples of the last run
 	pairTmp    []pairSeg             // coarse: merge buffer of the parallel tuple sort
 	pairStarts []int32               // coarse: first tuple of each pair group, plus len(pairBuf)
 	cls        classifyScratch       // refine: loop classification's per-end and per-edge tables
-	endLogs    [][]graph.VisitEvent  // refine: per-batch end-flood settle logs of one wave
 	cmask      []bool                // refine: classify skeleton-membership mask
 	cmaskOn    []int32               // refine: set bits of cmask, for O(set) clearing
 	inc        incScratch            // incremental updates: dirty queue, dial buckets, repair stamps
@@ -166,8 +165,8 @@ type runState struct {
 	res   *Result
 	stats *Stats
 	// upd is an incremental update's context: the repair stages' state and
-	// the caches the shared stages consult (the tuple patch, the coarse
-	// splice and the end-flood cache). Nil on full runs.
+	// the caches the coarse stage consults (the tuple patch and the coarse
+	// splice). Nil on full runs.
 	upd *update
 	// attrs are the active stage's extra end-record attributes; stages
 	// add them only when the stage span is traced.
@@ -294,12 +293,8 @@ func coarseStage(rs *runState) error {
 // refineStage is Phase 4 (Sec. III-D): loop classification and pruning.
 func refineStage(rs *runState) error {
 	res := rs.res
-	var fcache *endFloodCache
-	if rs.upd != nil {
-		fcache = &rs.upd.ix.fcache
-	}
 	res.Loops, res.Skeleton = rs.e.refine(rs.p, res.Index, res.Records,
-		res.CellOf, res.Edges, fcache, rs.stats)
+		res.CellOf, res.Edges, rs.stats)
 	rs.stats.FakeLoops = res.NumFakeLoops()
 	rs.stats.GenuineLoops = res.NumGenuineLoops()
 	return nil

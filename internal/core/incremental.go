@@ -4,8 +4,8 @@
 // a batch of node removals and revivals, repairs exactly the dirty region
 // instead of re-running the pipeline from scratch. An update is a run of
 // the engine's stage runner: three repair stages replace identify and
-// voronoi, and the shared coarse, refine and boundary stages follow with
-// the update's caches.
+// voronoi, and the shared coarse, refine and boundary stages follow, coarse
+// with the update's caches.
 //
 //   - identify: base-graph BFS rings around the churn batch bound which ball
 //     rows (radius maxR), centrality/index values (maxR+L) and election
@@ -27,9 +27,8 @@
 //     pairs whose segment lists, paths and two-hop surroundings are
 //     untouched reuse the previous SiteEdge verbatim (coarseSplice); only
 //     dirty pairs recompute connector, paths and band end nodes.
-//   - refine: the end-node cluster floods — the stage's dominant cost — are
-//     cached per end node and invalidated by a one-hop dilation of the
-//     skeleton-mask diff plus the adjacency patch list (endFloodCache).
+//   - refine: rerun in full, as a full extraction runs it; its end-node
+//     clustering is one multi-source BFS (clusterEnds).
 //   - boundary: recomputed outright over the counting-pass median.
 //
 // Every pipeline rule — the index division, the local-maximum test, the
@@ -37,7 +36,7 @@
 // and the nearest-site rule — is the full pipeline's own function. The
 // update owns only the dirty-region search, the dmin repair and row
 // rebuild around the shared record kernel, the delta-patched centrality
-// sums and its caches (patchTuples, coarseSplice, endFloodCache).
+// sums and its caches (patchTuples, coarseSplice).
 //
 // Correctness is pinned by equivalence: every Update result is bit-identical
 // to a from-scratch Extract on the mutated graph (see incremental_test.go).
@@ -49,7 +48,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 	"sort"
 	"time"
@@ -93,9 +91,8 @@ type IncrementalExtractor struct {
 	p    Params
 	prev *Result // the latest result (immutable once published)
 
-	fcache endFloodCache
-	last   UpdateStats
-	valid  bool
+	last  UpdateStats
+	valid bool
 }
 
 // NewIncrementalExtractor runs the initial full extraction that seeds the
@@ -132,7 +129,6 @@ func (ix *IncrementalExtractor) LastUpdate() UpdateStats { return ix.last }
 // update patches.
 func (ix *IncrementalExtractor) runFull() (*Result, error) {
 	res, err := ix.e.Extract(ix.p)
-	ix.fcache.invalidateAll()
 	ix.valid = err == nil
 	if err != nil {
 		return nil, err
@@ -284,7 +280,6 @@ func (ix *IncrementalExtractor) update(span *obs.Span, u *update) (*Result, erro
 		u.prev = ix.prev
 		rs := &runState{e: ix.e, g: ix.e.g, p: ix.p, stats: newStats(), upd: u,
 			res: &Result{Params: ix.p, EffectiveK: u.prev.EffectiveK, EffectiveScope: u.prev.EffectiveScope}}
-		ix.fcache.notePatched(u.patched)
 		err := rs.runStages(span, updateStages)
 		u.rep.release()
 		if err == nil {
@@ -974,174 +969,4 @@ func mergeRow(dst, old, fresh []SiteDist, mark []int32, ep int32) []SiteDist {
 		dst = append(dst, rec)
 	}
 	return append(dst, fresh[i:]...)
-}
-
-// endFloodCache caches the refine stage's end-node cluster floods across
-// incremental updates. An entry is the exact node set of one end's
-// skeleton-avoiding flood of the junction radius (the end itself plus every
-// node the bounded batch kernel settles for it); it stays valid while no
-// flood-visible change — a skeleton-mask flip or a rebuilt adjacency
-// window — lands on the set or its one-hop neighborhood (the flood reads
-// adjacency of visited nodes and mask of visited nodes plus their
-// neighbors). Claim replay over cached sets yields
-// the same cluster partition as re-flooding: the partition is a pure
-// function of the per-end node sets.
-type endFloodCache struct {
-	radius   int32
-	prevMask []bool
-	entries  map[int32]floodSet
-	patched  []int32
-	poison   []int32
-	epoch    int32
-	// sets collects one batch's per-source node lists (see fill).
-	sets [64][]int32
-}
-
-// floodSet is one cached end-node flood: the exact visited node set plus its
-// ID range, which lets eviction skip sets that cannot contain a poisoned
-// node (node IDs are spatially correlated under the grid layout, so the
-// range test discards almost every entry in one comparison).
-type floodSet struct {
-	nodes  []int32
-	lo, hi int32
-}
-
-// makeFloodSet copies the nodes and computes their range.
-func makeFloodSet(nodes []int32) floodSet {
-	fs := floodSet{nodes: append([]int32(nil), nodes...)}
-	if len(nodes) == 0 {
-		return fs
-	}
-	fs.lo, fs.hi = nodes[0], nodes[0]
-	for _, v := range nodes[1:] {
-		if v < fs.lo {
-			fs.lo = v
-		}
-		if v > fs.hi {
-			fs.hi = v
-		}
-	}
-	return fs
-}
-
-// fill floods the ends missing from the cache through the engine's
-// wave-bounded end floods and caches each one's node set: the end first
-// (the kernel does not report seeds), then its settles. It returns the
-// number of ends flooded.
-func (c *endFloodCache) fill(e *Extractor, ends []endRef, radius int32, mask []bool) int {
-	var miss []int32
-	for _, er := range ends {
-		if _, ok := c.entries[er.node]; !ok {
-			c.entries[er.node] = floodSet{} // claimed; filled below
-			miss = append(miss, er.node)
-		}
-	}
-	if len(miss) == 0 {
-		return 0
-	}
-	sets := &c.sets
-	e.endFloods(miss, radius, mask, func(lo int, log []graph.VisitEvent) {
-		srcs := miss[lo:min(lo+len(sets), len(miss))]
-		for i, src := range srcs {
-			sets[i] = append(sets[i][:0], src)
-		}
-		for _, ev := range log {
-			for b := ev.Bits; b != 0; b &= b - 1 {
-				i := bits.TrailingZeros64(b)
-				sets[i] = append(sets[i], ev.V)
-			}
-		}
-		for i, src := range srcs {
-			c.entries[src] = makeFloodSet(sets[i])
-		}
-	})
-	return len(miss)
-}
-
-// invalidateAll drops every entry (used after full extractions, whose
-// classify mask is not captured).
-func (c *endFloodCache) invalidateAll() {
-	c.prevMask = nil
-	c.patched = c.patched[:0]
-	for k := range c.entries {
-		delete(c.entries, k)
-	}
-}
-
-// notePatched records this update's rebuilt adjacency windows for the next
-// begin call.
-func (c *endFloodCache) notePatched(patched []int32) {
-	c.patched = append(c.patched[:0], patched...)
-}
-
-// begin validates the cache against the current classify mask and flood
-// radius, evicting poisoned entries, then snapshots the mask.
-func (c *endFloodCache) begin(g *graph.Graph, mask []bool, radius int32) {
-	n := g.N()
-	if c.entries == nil {
-		c.entries = make(map[int32]floodSet)
-	}
-	if cap(c.poison) < n {
-		c.poison = make([]int32, n)
-	}
-	c.poison = c.poison[:n]
-	if radius != c.radius || c.prevMask == nil || len(c.prevMask) != len(mask) {
-		for k := range c.entries {
-			delete(c.entries, k)
-		}
-		c.radius = radius
-	} else {
-		c.epoch++
-		ep := c.epoch
-		plo, phi := int32(n), int32(-1)
-		mark := func(x int32) {
-			c.poison[x] = ep
-			if x < plo {
-				plo = x
-			}
-			if x > phi {
-				phi = x
-			}
-			for _, y := range g.Neighbors(int(x)) {
-				c.poison[y] = ep
-				if y < plo {
-					plo = y
-				}
-				if y > phi {
-					phi = y
-				}
-			}
-		}
-		for v := range mask {
-			if mask[v] != c.prevMask[v] {
-				mark(int32(v))
-			}
-		}
-		for _, v := range c.patched {
-			mark(v)
-		}
-		if phi >= 0 {
-			for src, fs := range c.entries {
-				if fs.hi < plo || fs.lo > phi {
-					continue
-				}
-				bad := false
-				for _, v := range fs.nodes {
-					if c.poison[v] == ep {
-						bad = true
-						break
-					}
-				}
-				if bad {
-					delete(c.entries, src)
-				}
-			}
-		}
-	}
-	if cap(c.prevMask) < len(mask) {
-		c.prevMask = make([]bool, len(mask))
-	}
-	c.prevMask = c.prevMask[:len(mask)]
-	copy(c.prevMask, mask)
-	c.patched = c.patched[:0]
 }

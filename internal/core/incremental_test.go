@@ -388,7 +388,7 @@ func TestIncrementalFailRestoreStream(t *testing.T) {
 // step must match a from-scratch extraction bit for bit. The stream runs
 // at two and three workers: the odd count moves
 // the chunk seams of the spliced pair walk (and the binary-searched cursor
-// each chunk seeds into the previous edges) and of the end-flood waves.
+// each chunk seeds into the previous edges).
 func TestIncrementalMixedBatchStream(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{2, 3} {
@@ -637,75 +637,4 @@ func warmExtractTime(b *testing.B, g *graph.Graph, p Params) time.Duration {
 		}
 	}
 	return best
-}
-
-// TestEndFloodCacheFill: every end the cache misses is flooded once, and
-// its cached set is exactly the skeleton-avoiding flood of the radius —
-// the end itself (seeded even when masked) plus every unmasked node within
-// the radius through unmasked nodes — with the set's ID range. Ends repeat
-// and number more than one 64-source batch; a second fill floods nothing.
-func TestEndFloodCacheFill(t *testing.T) {
-	g := nettest.Grid("window", 2500, 7, 1).Graph
-	n := g.N()
-	mask := make([]bool, n)
-	for v := 0; v < n; v += 4 {
-		mask[v] = true
-	}
-	var ends []endRef
-	distinct := map[int32]bool{}
-	for i := 0; i < 300; i++ {
-		v := int32(i * 53 % n)
-		ends = append(ends, endRef{edge: i, node: v})
-		distinct[v] = true
-	}
-	const radius = 3
-	c := &endFloodCache{}
-	c.begin(g, mask, radius)
-	x := NewExtractor(g)
-	if got := c.fill(x, ends, radius, mask); got != len(distinct) {
-		t.Fatalf("fill flooded %d ends, want %d", got, len(distinct))
-	}
-	dist := make([]int32, n)
-	for src := range distinct {
-		want := map[int32]bool{src: true}
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[src] = 0
-		queue := []int32{src}
-		for head := 0; head < len(queue); head++ {
-			u := queue[head]
-			if dist[u] == radius {
-				continue
-			}
-			for _, v := range g.Neighbors(int(u)) {
-				if dist[v] < 0 && !mask[v] {
-					dist[v] = dist[u] + 1
-					want[v] = true
-					queue = append(queue, v)
-				}
-			}
-		}
-		fs := c.entries[src]
-		got := map[int32]bool{}
-		lo, hi := fs.nodes[0], fs.nodes[0]
-		for _, v := range fs.nodes {
-			got[v] = true
-			lo, hi = min(lo, v), max(hi, v)
-		}
-		if len(got) != len(fs.nodes) || len(got) != len(want) {
-			t.Fatalf("end %d: %d cached nodes (%d distinct), want %d", src, len(fs.nodes), len(got), len(want))
-		}
-		for v := range want {
-			if !got[v] {
-				t.Fatalf("end %d: node %d missing from its cached flood", src, v)
-			}
-		}
-		if fs.lo != lo || fs.hi != hi {
-			t.Fatalf("end %d: range [%d, %d], want [%d, %d]", src, fs.lo, fs.hi, lo, hi)
-		}
-	}
-	if got := c.fill(x, ends, radius, mask); got != 0 {
-		t.Errorf("second fill flooded %d ends, want 0", got)
-	}
 }

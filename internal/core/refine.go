@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math/bits"
-	"runtime"
 	"sort"
 
 	"bfskel/internal/graph"
@@ -21,14 +19,10 @@ import (
 // "end node loop" stitched from these gaps is short — the loop is fake.
 // Around a hole the end nodes lie on the hole boundary and the stitched
 // loop has to travel the hole perimeter — the loop is genuine.
-//
-// fcache, when non-nil, caches the end-node cluster floods across
-// incremental updates; full extractions pass nil.
 func (e *Extractor) refine(p Params, index []float64, records [][]SiteDist,
-	cellOf []int32, edges []SiteEdge, fcache *endFloodCache, st *Stats) ([]Loop, *Skeleton) {
+	cellOf []int32, edges []SiteEdge, st *Stats) ([]Loop, *Skeleton) {
 
 	w := e.newRefiner(p, index, records, cellOf)
-	w.fcache = fcache
 	for _, se := range edges {
 		w.edges = append(w.edges, wEdge{
 			a: se.Pair.A, b: se.Pair.B, path: se.Path,
@@ -57,10 +51,10 @@ type wEdge struct {
 	deleted   bool
 }
 
-// refiner carries the mutable state of Phase 4. The bounded floods of the
-// phase (the parallel-connector reach matrix and the end-node clustering)
-// run on the engine's walkers through the batched kernels, 64 sources per
-// pass, and the clustering's claims use the engine's mark scratch.
+// refiner carries the mutable state of Phase 4. The parallel-connector
+// reach matrix runs on the engine's walkers through the batched bounded
+// kernel, 64 connectors per pass; the end-node clustering is one serial
+// multi-source BFS over the engine's flood scratch (clusterEnds).
 type refiner struct {
 	e       *Extractor
 	g       *graph.Graph
@@ -70,9 +64,6 @@ type refiner struct {
 	cellOf  []int32
 	edges   []wEdge
 	loops   []Loop
-	// fcache, when non-nil, caches the end-node cluster floods across
-	// incremental updates (see endFloodCache); nil on full extractions.
-	fcache *endFloodCache
 	// debugf, when non-nil, receives a trace of every classification.
 	debugf func(format string, args ...any)
 }
@@ -192,9 +183,10 @@ func (w *refiner) dropRedundantParallels() {
 // around holes never cluster on the hole side (their end nodes are
 // separated by the hole-boundary arcs), so genuine loops survive.
 func (w *refiner) classifyLoops() {
-	// The clustering floods only read skeleton membership, never adjacency,
-	// so a pooled mask over the active edges' paths stands in for the full
-	// skeleton build; the set bits are tracked for O(set) clearing below.
+	// The clustering BFS only reads skeleton membership, never skeleton
+	// adjacency, so a pooled mask over the active edges' paths stands in
+	// for the full skeleton build; the set bits are tracked for O(set)
+	// clearing below.
 	mask := grow(w.e.cmask, w.g.N())
 	w.e.cmask = mask
 	maskOn := w.e.cmaskOn[:0]
@@ -235,61 +227,13 @@ func (w *refiner) classifyLoops() {
 	}
 
 	// Cluster end nodes: each floods up to the junction radius without
-	// crossing the skeleton; end nodes whose floods touch are merged. The
-	// merge is claim-based: the first end to touch a graph node becomes its
-	// representative (the engine's mark scratch), and every later toucher
-	// unions with it — the same partition as uniting all pairwise overlaps,
-	// since all touchers of a node connect through its representative.
-	// Claim order varies between the batched floods and the incremental
-	// path's cached replays, so nothing downstream may depend on union-find
-	// root identities; clusters are keyed by their largest member index
-	// instead (see below).
+	// crossing the skeleton; end nodes whose floods touch are merged.
+	// Union-find roots follow union order, so nothing downstream reads
+	// them; clusters are keyed by their largest member index instead (see
+	// below).
 	uf := &w.e.uf
 	uf.reset(len(ends))
-	fld := &w.e.fld
-	fld.beginMark()
-	claim := func(i int, v int32) {
-		if rep, ok := fld.marked(v); ok {
-			uf.union(int32(i), rep)
-		} else {
-			fld.mark(v, int32(i))
-		}
-	}
-	for i, er := range ends {
-		claim(i, er.node)
-	}
-	if w.fcache != nil {
-		// Incremental path: replay cached flood sets where still valid and
-		// flood only the evicted ends. The cluster partition is a pure
-		// function of the per-end node sets, so replayed claims produce the
-		// same clusters as the batched floods.
-		c := w.fcache
-		c.begin(w.g, mask, radius)
-		misses := c.fill(w.e, ends, radius, mask)
-		for i, er := range ends {
-			for _, v := range c.entries[er.node].nodes {
-				claim(i, v)
-			}
-		}
-		if w.debugf != nil {
-			w.debugf("end flood cache: %d ends, %d misses", len(ends), misses)
-		}
-	} else {
-		// 64 ends per bit-parallel flood; the skeleton mask blocks
-		// expansion, though each end itself is seeded.
-		srcs := cs.srcs[:0]
-		for _, er := range ends {
-			srcs = append(srcs, er.node)
-		}
-		cs.srcs = srcs
-		w.e.endFloods(srcs, radius, mask, func(lo int, log []graph.VisitEvent) {
-			for _, ev := range log {
-				for b := ev.Bits; b != 0; b &= b - 1 {
-					claim(lo+bits.TrailingZeros64(b), ev.V)
-				}
-			}
-		})
-	}
+	w.e.clusterEnds(uf, ends, radius, mask)
 
 	// Resolve clusters. The canonical cluster key is the largest member
 	// index: it is a pure function of the partition (unlike the union-find
@@ -442,66 +386,64 @@ type endRef struct {
 // extraction allocates none of them: the end nodes, each edge's entries
 // among them, the cluster tables (root, size, max member, bucket offsets
 // and fill cursors, one int slice cut five ways) with the bucketed
-// members, the per-edge cluster stamps, and the end nodes as flood
-// sources.
+// members, and the per-edge cluster stamps.
 type classifyScratch struct {
 	ends     []endRef
-	srcs     []int32
 	endsOf   [][2]int32
 	ints     []int
 	members  []int32
 	edgeMark []int32
 }
 
-// endFloods runs the skeleton-avoiding end-node floods: srcs 64 per
-// bounded batch, truncated at radius, never expanding into mask. Batches
-// run on the engine's walkers in waves of one per worker; each records
-// its (node, bits) settles into an engine-owned log, and once the wave is
-// done replay(lo, log) runs serially for each of its batches in batch
-// order, lo being the batch's first index into srcs, while the workers
-// flood the next wave into a second set of logs. The replayed sequence is
-// exactly what one walker flooding the batches in order would report, and
-// the two waves in flight bound the logs to 2×GOMAXPROCS batches.
-func (e *Extractor) endFloods(srcs []int32, radius int32, mask []bool, replay func(lo int, log []graph.VisitEvent)) {
-	const batchSize = 64
-	batches := (len(srcs) + batchSize - 1) / batchSize
-	wave := min(runtime.GOMAXPROCS(0), batches)
-	if cap(e.endLogs) < 2*wave {
-		e.endLogs = append(e.endLogs[:cap(e.endLogs)], make([][]graph.VisitEvent, 2*wave-cap(e.endLogs))...)
-	}
-	// flood fills logs[i] with the settles of batch b0+i, for one wave.
-	flood := func(b0 int, logs [][]graph.VisitEvent) {
-		graph.ParallelRange(e.g, min(wave, batches-b0), e.getWalker, e.putWalker, func(wk *graph.Walker, i int) {
-			lo := (b0 + i) * batchSize
-			log := logs[i][:0]
-			wk.BoundedBatch(srcs[lo:min(lo+batchSize, len(srcs))], radius, mask, func(v int32, bw uint64) {
-				log = append(log, graph.VisitEvent{V: v, Bits: bw})
-			})
-			logs[i] = log
-		})
-	}
-	replayWave := func(b0 int, logs [][]graph.VisitEvent) {
-		for i := range min(wave, batches-b0) {
-			replay((b0+i)*batchSize, logs[i])
+// clusterEnds unites in uf, a union-find over end indices, the end nodes
+// whose skeleton-avoiding floods touch: end i's flood enters, up to radius
+// hops from ends[i].node, only nodes outside mask (the end itself expands
+// regardless), and two ends unite when their floods share a node. One
+// multi-source BFS from every end finds the same partition. It enters only unmasked nodes and hands each the end that
+// reached it first; ends on one node unite at once, and scanning a node u
+// at level d < radius unites u's end with that of every reached neighbor
+// v, unless u and v are both masked. Two floods share a node exactly when
+// a path of at most 2·radius hops with an unmasked interior joins their
+// ends (a one-hop path needs one unmasked end): every edge of such a path
+// is scanned from its lower-level node, and every union closes such a
+// path. Nodes at level radius are reached but not scanned.
+//
+// The owners (end index + 1, 0 unreached) borrow the flood scratch's vals,
+// zeroed again over the BFS queue, which borrows its queue. The stage's
+// work counters take one sweep per end and one visit per reached node.
+func (e *Extractor) clusterEnds(uf *stampedUF, ends []endRef, radius int32, mask []bool) {
+	owner, queue := e.fld.vals, e.fld.queue[:0]
+	for i, er := range ends {
+		if o := owner[er.node]; o != 0 {
+			uf.union(o-1, int32(i))
+		} else {
+			owner[er.node] = int32(i) + 1
+			queue = append(queue, er.node)
 		}
 	}
-	cur, next := e.endLogs[:wave], e.endLogs[wave:2*wave]
-	flood(0, cur)
-	for b0 := 0; b0 < batches; b0 += wave {
-		if b0+wave >= batches {
-			replayWave(b0, cur)
-			break
-		}
-		// Chunk 0 floods the next wave, chunk 1 replays this one.
-		graph.ParallelChunks(2, 2, func(ci, _, _ int) {
-			if ci == 0 {
-				flood(b0+wave, next)
-			} else {
-				replayWave(b0, cur)
+	for d, lo := int32(0), 0; d < radius && lo < len(queue); d++ {
+		hi := len(queue)
+		for _, u := range queue[lo:hi] {
+			ou := owner[u]
+			for _, v := range e.g.Neighbors(int(u)) {
+				switch ov := owner[v]; {
+				case ov == 0:
+					if !mask[v] {
+						owner[v] = ou
+						queue = append(queue, v)
+					}
+				case ov != ou && !(mask[u] && mask[v]):
+					uf.union(ou-1, ov-1)
+				}
 			}
-		})
-		cur, next = next, cur
+		}
+		lo = hi
 	}
+	for _, v := range queue {
+		owner[v] = 0
+	}
+	e.sweeps.Add(int64(len(ends)))
+	e.visited.Add(int64(len(queue)))
 }
 
 // junctionRadius is the flood radius for end-node clustering. Junction

@@ -1,60 +1,35 @@
 package core
 
-// Epoch-stamped flat scratch shared by the refine stage and the Voronoi
-// stage. The hundreds of small claims and union-finds refine runs used to
-// build a hash map each; with n-sized stamp arrays a "cleared" state is one
-// epoch increment, so per-run cost is proportional to the touched region
-// and per-extraction allocation is zero once the pools are warm.
+// Flat n-sized scratch shared by the refine stage and the Voronoi stage.
+// The union-find is "cleared" by one epoch increment and borrowed arrays
+// are zeroed over what was touched, so per-run cost is proportional to the
+// touched region and per-extraction allocation is zero once the pools are
+// warm.
 
-// floodScratch is two n-capacity node lists (queue, next) the Voronoi
-// stage borrows as frontier buffers, plus a mark set (markStamp/markVal) for
-// membership tests and node→value claims. The mark stamp starts over when
-// the backing arrays are (re)allocated, so a fresh array's zeros never
-// collide with a live epoch.
+// floodScratch is two n-capacity node lists (queue, next) and one n-sized
+// int32 array (vals) that the Voronoi and refine stages borrow. vals is
+// all-zero between borrowers: each one zeroes what it wrote before it
+// returns.
 type floodScratch struct {
 	queue []int32
 	next  []int32
-
-	markStamp []int32
-	markVal   []int32
-	markEpoch int32
+	vals  []int32
 }
 
 // stampWrap bounds the epoch counters; far beyond any realistic extraction
 // count, it keeps increments from ever wrapping into a stale stamp.
 const stampWrap = 1 << 30
 
-// ensure sizes the scratch to n nodes, invalidating all marks when the
-// arrays are replaced or the mark epoch nears wrap-around.
+// ensure sizes the scratch to n nodes.
 func (f *floodScratch) ensure(n int) {
-	if cap(f.markStamp) < n || f.markEpoch >= stampWrap {
-		f.markStamp = make([]int32, n)
-		f.markVal = make([]int32, n)
-		f.markEpoch = 0
+	if cap(f.vals) < n {
+		f.vals = make([]int32, n)
 	}
-	f.markStamp = f.markStamp[:n]
-	f.markVal = f.markVal[:n]
+	f.vals = f.vals[:n]
 	if cap(f.queue) < n {
 		f.queue = make([]int32, 0, n)
 		f.next = make([]int32, 0, n)
 	}
-}
-
-// beginMark starts a fresh (empty) mark set.
-func (f *floodScratch) beginMark() { f.markEpoch++ }
-
-// mark adds v to the mark set with an associated value.
-func (f *floodScratch) mark(v int32, val int32) {
-	f.markStamp[v] = f.markEpoch
-	f.markVal[v] = val
-}
-
-// marked reports membership and the associated value.
-func (f *floodScratch) marked(v int32) (int32, bool) {
-	if f.markStamp[v] == f.markEpoch {
-		return f.markVal[v], true
-	}
-	return 0, false
 }
 
 // stampedUF is a dense union-find over node IDs whose "all singletons"

@@ -24,7 +24,9 @@ type PhaseStats struct {
 	// Sweeps and Visited are the BFS work counters drained from the pooled
 	// walkers while the stage ran: the number of sweeps started (one per
 	// source, whether it ran alone or in a 64-wide MS-BFS batch) and the
-	// number of (source, node) visits.
+	// number of (source, node) visits. Refine's end-node clustering, one
+	// multi-source BFS, adds one sweep per end and one visit per node it
+	// reaches.
 	Sweeps  int64
 	Visited int64
 }

@@ -177,8 +177,9 @@ func (e *Extractor) voronoiPrunedBatched(sites []int32, alpha int32, cellOf, dis
 	}
 	e.vorSites = srt
 
-	cnt := e.fld.markVal // borrowed like voronoiDmin's lists: per-cell, then per-node counts
-	clear(cnt)
+	// Borrowed like voronoiDmin's lists, all-zero on entry: per-cell, then
+	// per-node counts, zeroed again once the arena is laid out.
+	cnt := e.fld.vals
 	for _, c := range cellOf {
 		if c >= 0 {
 			cnt[c]++
@@ -208,6 +209,7 @@ func (e *Extractor) voronoiPrunedBatched(sites []int32, alpha int32, cellOf, dis
 			off += c
 		}
 	}
+	clear(cnt)
 	for _, s := range sites {
 		records[s] = append(records[s], SiteDist{Site: s, D: 0, Parent: s})
 	}

@@ -206,15 +206,13 @@ func (s *msbfsScratch) run(g *Graph, k int, sources []int32, tally []int32, log 
 }
 
 // admission narrows an expand to the nodes a kernel may enter at the
-// current level. The zero value admits every node (run). With bound set,
-// v admits nothing unless bound[v] >= 0 and bound[v]+off >= 0, where off
-// is the slack minus the level (PrunedBatch's prune); the test is a sign
-// mask, not a branch. With blocked set, blocked[v] admits nothing
-// (boundedBatch); that test is a branch, which predicts well.
+// current level. The zero value admits every node (run, BoundedReach).
+// With bound set, v admits nothing unless bound[v] >= 0 and
+// bound[v]+off >= 0, where off is the slack minus the level (PrunedBatch's
+// prune); the test is a sign mask, not a branch.
 type admission struct {
-	bound   []int32
-	off     int32
-	blocked []bool
+	bound []int32
+	off   int32
 }
 
 // expand is the expand half of one MS-BFS level, shared by every kernel:
@@ -256,8 +254,6 @@ func (a *admission) expandRow(adj []int32, f uint64, seen, next []uint64, nxt []
 		if a.bound != nil {
 			b := a.bound[v]
 			add &^= uint64(int64((b | (b + a.off)) >> 31))
-		} else if a.blocked != nil && a.blocked[v] {
-			add = 0
 		}
 		old := next[v]
 		next[v] = old | add

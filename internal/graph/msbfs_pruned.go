@@ -1,8 +1,8 @@
 // Batched variants of the pruned and bounded floods used outside the
 // identify stage: the Voronoi stage's per-site slack-pruned BFS and the
-// refine stage's radius-bounded floods. Same bit-parallel frontier scheme as
-// msbfs.go, and the same branch-free expand (expand, expandRow), with two
-// twists: a per-(node, level) admission bound (the Voronoi dmin+alpha
+// refine stage's radius-bounded connector reach. Same bit-parallel frontier
+// scheme as msbfs.go, and the same branch-free expand (expand, expandRow);
+// the pruned flood adds two twists: a per-(node, level) admission bound (the Voronoi dmin+alpha
 // prune — the check depends only on the node and the level, never on which
 // source is flooding, so batching cannot change which nodes any single
 // source visits), and a min-ID parent choice resolved by rescanning each
@@ -10,8 +10,7 @@
 // take the new level. The prune enters the expand as a sign mask on the
 // added bits, d > bound[v]+slack or bound[v] < 0 clearing them all, so
 // pruned edges cost the same as admitted ones and no branch depends on
-// where the prune's frontier lies. The bounded floods' blocked test is a
-// branch, which predicts well.
+// where the prune's frontier lies.
 package graph
 
 import "math/bits"
@@ -101,29 +100,12 @@ func (w *Walker) PrunedBatch(sources []int32, bound []int32, slack int32, buf []
 	return buf
 }
 
-// BoundedBatch floods up to 64 sources simultaneously, truncated at radius
-// hops, never expanding into nodes with blocked[v] set (sources are seeded
-// regardless): the refine stage's skeleton-avoiding end-node floods, for
-// full extractions and for the incremental flood cache's misses alike.
-// visit is called once per settled (node, bits) pair in level order; seeds
-// are not reported.
-func (w *Walker) BoundedBatch(sources []int32, radius int32, blocked []bool, visit func(v int32, bits uint64)) {
-	w.boundedBatch(sources, radius, blocked, visit, nil, nil)
-}
-
 // BoundedReach floods up to 64 sources simultaneously, truncated at radius
 // hops, and records which sources reached each probe: bit i of reach[j] is
 // set iff probes[j] lies within radius hops of sources[i] (a probe that IS
 // source i counts, distance 0). reach must have len(probes) entries; they
 // are overwritten.
 func (w *Walker) BoundedReach(sources []int32, radius int32, probes []int32, reach []uint64) {
-	w.boundedBatch(sources, radius, nil, nil, probes, reach)
-}
-
-// boundedBatch is the shared truncated bit-parallel flood under an optional
-// blocked set, reporting settles through visit and probing seen-words for
-// probe nodes before the reset.
-func (w *Walker) boundedBatch(sources []int32, radius int32, blocked []bool, visit func(v int32, bits uint64), probes []int32, reach []uint64) {
 	for j := range reach {
 		reach[j] = 0
 	}
@@ -139,7 +121,7 @@ func (w *Walker) boundedBatch(sources []int32, radius int32, blocked []bool, vis
 	}
 	g := w.g
 	if len(sources) > msbfsBatch {
-		panic("graph: bounded batch kernel takes at most 64 sources")
+		panic("graph: bounded reach kernel takes at most 64 sources")
 	}
 	if w.ms == nil {
 		w.ms = newMSBFSScratch(g.N())
@@ -150,7 +132,7 @@ func (w *Walker) boundedBatch(sources []int32, radius int32, blocked []bool, vis
 	cur, fbits, nxt, touched := s.cur, s.fbits, s.nxt, s.touched
 	visited := 0
 	for d := int32(1); d <= radius && len(cur) > 0; d++ {
-		nxt = expand(g, cur, fbits, seen, next, nxt, admission{blocked: blocked})
+		nxt = expand(g, cur, fbits, seen, next, nxt, admission{})
 		fbits = fbits[:0]
 		for _, v := range nxt {
 			newBits := next[v]
@@ -161,9 +143,6 @@ func (w *Walker) boundedBatch(sources []int32, radius int32, blocked []bool, vis
 			seen[v] |= newBits
 			fbits = append(fbits, newBits)
 			visited += bits.OnesCount64(newBits)
-			if visit != nil {
-				visit(v, newBits)
-			}
 		}
 		cur, nxt = nxt, cur
 	}

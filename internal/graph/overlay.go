@@ -62,8 +62,8 @@ func (g *Graph) BaseNeighbors(v int32) []int32 {
 // RemoveNodes tombstones the given nodes and detaches their edges. Nodes
 // already dead are ignored. It returns the sorted list of nodes whose
 // adjacency windows were rebuilt — the removed nodes plus their alive
-// neighbors — which incremental callers use to seed dirty regions and
-// invalidate flood caches. The returned slice is reused by the next
+// neighbors — which incremental callers use to seed dirty regions. The
+// returned slice is reused by the next
 // mutation.
 func (g *Graph) RemoveNodes(nodes []int32) []int32 { return g.flip(nodes, false) }
 

@@ -54,33 +54,39 @@ func (r *Result) Sizes() map[int32]int {
 // are chained along the skeleton and collapse into one segment; sites in
 // different parts are separated by junctions farther apart than the radius.
 func MergeCells(res *core.Result, mergeRadius int) *Result {
-	parent := make(map[int32]int32, len(res.Sites))
+	n := len(res.CellOf)
+	// parent is a union-find over the sites' node IDs; dist holds one
+	// site's skeleton BFS distances, -1 off its queue.
+	parent := make([]int32, n)
+	isSite := make([]bool, n)
 	for _, s := range res.Sites {
 		parent[s] = s
-	}
-	var find func(x int32) int32
-	find = func(x int32) int32 {
-		if parent[x] != x {
-			parent[x] = find(parent[x])
-		}
-		return parent[x]
-	}
-	isSite := make(map[int32]bool, len(res.Sites))
-	for _, s := range res.Sites {
 		isSite[s] = true
+	}
+	find := func(x int32) int32 {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]] // path halving
+			x = parent[x]
+		}
+		return x
+	}
+	dist := make([]int32, n)
+	for v := range dist {
+		dist[v] = -1
 	}
 	// BFS along the skeleton from every site, unioning sites met within
 	// the radius.
+	var queue []int32
 	for _, s := range res.Sites {
-		dist := map[int32]int{s: 0}
-		queue := []int32{s}
+		dist[s] = 0
+		queue = append(queue[:0], s)
 		for head := 0; head < len(queue); head++ {
 			u := queue[head]
-			if dist[u] >= mergeRadius {
+			if int(dist[u]) >= mergeRadius {
 				continue
 			}
 			for _, v := range res.Skeleton.Neighbors(u) {
-				if _, seen := dist[v]; seen {
+				if dist[v] >= 0 {
 					continue
 				}
 				dist[v] = dist[u] + 1
@@ -93,10 +99,13 @@ func MergeCells(res *core.Result, mergeRadius int) *Result {
 				}
 			}
 		}
+		for _, v := range queue {
+			dist[v] = -1
+		}
 	}
 
-	out := &Result{SegmentOf: make([]int32, len(res.CellOf))}
-	seen := make(map[int32]bool)
+	out := &Result{SegmentOf: make([]int32, n)}
+	listed := make([]bool, n)
 	for v, c := range res.CellOf {
 		if c < 0 {
 			out.SegmentOf[v] = -1
@@ -104,8 +113,8 @@ func MergeCells(res *core.Result, mergeRadius int) *Result {
 		}
 		sink := find(c)
 		out.SegmentOf[v] = sink
-		if !seen[sink] {
-			seen[sink] = true
+		if !listed[sink] {
+			listed[sink] = true
 			out.Sinks = append(out.Sinks, sink)
 		}
 	}
